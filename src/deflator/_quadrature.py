@@ -1,8 +1,8 @@
 """Small quadrature helpers used by the model and rates modules.
 
 Nothing here is exported at package level.  The adaptive Simpson rule is
-deliberately plain: it is only used on smooth one-dimensional drift and
-inversion integrands where a recursive interval split converges fast.
+deliberately plain: it is only used on smooth one-dimensional drift
+integrands where a recursive interval split converges fast.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from ._quadrature import gauss_legendre
-from .cone import (DEFAULT_TOL, deflator_from_projection, find_arbitrage,
+from .cone import (certificate_from_projection, deflator_from_projection,
                    project_to_cone)
 from .exceptions import (ArbitrageInInput, DeflatorError, SingularGram,
                          SpecFileError)
@@ -111,8 +111,8 @@ def cmd_detect(args):
     tol = _tol(args, spec)
     if spec.kind == "one_period":
         market = spec.payload
-        certificate = find_arbitrage(market, tol)
         projection = project_to_cone(market, tol)
+        certificate = certificate_from_projection(projection, market, tol)
         doc = {"command": "detect", "kind": spec.kind,
                "diagnostics": {"tolerance": tol,
                                "residual_norm": projection.residual_norm}}
@@ -337,7 +337,7 @@ def cmd_hedge(args):
         corr = cov_sv / math.sqrt(var_s * var_v) if var_v > 0 else 0.0
         lse = max(var_v - cov_sv ** 2 / var_s, 0.0) / params.R
         doc["hedge"] = {"gamma": [bond, shares],
-                        "hedge_cost": bond + shares * params.s,
+                        "hedge_cost": mean_v / params.R,
                         "corr": corr,
                         "least_squared_error": lse,
                         "display": {"corr": display(corr)}}

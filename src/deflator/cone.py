@@ -217,14 +217,25 @@ def find_arbitrage(market: OnePeriodMarket, tol: float = DEFAULT_TOL):
     direction x_star - prices is returned; it costs -setup_gain to set
     up and pays at least min_payoff >= -tol in every outcome.
     """
-    projection = project_to_cone(market, tol)
+    return certificate_from_projection(project_to_cone(market, tol), market, tol)
+
+
+def certificate_from_projection(projection: ConeProjection,
+                                market: OnePeriodMarket,
+                                tol: float = DEFAULT_TOL):
+    """The ArbitrageCertificate read off a projection of market's prices,
+    or None if they were (within tol) inside the payoff cone.
+
+    Uses the same threshold as deflator_from_projection, so on one
+    projection exactly one of the two returns something.
+    """
     if _inside(projection, tol):
         return None
-    gap = projection.x_star - market.prices
+    gap = projection.x_star - projection.prices
     gamma = gap / np.linalg.norm(gap)
     return ArbitrageCertificate(
         gamma=gamma,
-        setup_gain=float(-(gamma @ market.prices)),
+        setup_gain=float(-(gamma @ projection.prices)),
         min_payoff=float((market.payoffs @ gamma).min()),
     )
 
@@ -252,8 +263,8 @@ def deflator_from_projection(projection: ConeProjection, tol: float = DEFAULT_TO
     """Promote projection weights to a Deflator, or None if the prices
     were not (within tol) inside the payoff cone.
 
-    Uses the same threshold as find_arbitrage, so on any market exactly
-    one of the two returns something.
+    Uses the same threshold as certificate_from_projection, so on one
+    projection exactly one of the two returns something.
     """
     if not _inside(projection, tol):
         return None

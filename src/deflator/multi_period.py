@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ArbitrageCertificate, OnePeriodMarket, project_to_cone
+from .cone import (DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket,
+                   certificate_from_projection, project_to_cone)
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
                          InvalidInterval, NotClosedOut, NotCoarser,
                          NotSelfFinancing)
 from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction,
                          pairing, product, restrict)
-
-DEFAULT_TOL = 1e-9
 
 
 def _vector_on(algebra: Algebra, f: SimpleFunction, what: str, m: int) -> None:
@@ -294,16 +293,11 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
             x_b = panel.prices[i].values[b]
             local = OnePeriodMarket(prices=x_b, payoffs=settle[children])
             projection = project_to_cone(local, tol)
-            if projection.residual_norm > tol * (1.0 + np.linalg.norm(x_b)):
-                gap = projection.x_star - x_b
-                gamma = gap / np.linalg.norm(gap)
-                certificate = ArbitrageCertificate(
-                    gamma=gamma,
-                    setup_gain=float(-(gamma @ x_b)),
-                    min_payoff=float((settle[children] @ gamma).min()))
+            certificate = certificate_from_projection(projection, local, tol)
+            if certificate is not None:
                 strategy = Strategy.zero(panel)
-                strategy.trades[i].values[b] = gamma
-                strategy.trades[i + 1].values[children] = -gamma
+                strategy.trades[i].values[b] = certificate.gamma
+                strategy.trades[i + 1].values[children] = -certificate.gamma
                 return NodeArbitrage(time=i, block=b, certificate=certificate,
                                      strategy=strategy)
             next_weights[children] = weights[i][b] * projection.weights

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from deflator import atm_call_correlation, binomial_price
+from deflator import atm_call_correlation, binomial_price, cone
 from deflator.cli import main
 from deflator.market_files import parse_document, render_document
 
@@ -50,6 +50,16 @@ def run(argv, capsys):
 
 def golden(name):
     return (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["detect_ex5", "detect_fair_binomial"])
+def test_one_period_detect_solves_once(name, capsys, monkeypatch):
+    calls = []
+    solve = cone.nnls
+    monkeypatch.setattr(cone, "nnls", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    code, out, _ = run(CASES[name][1], capsys)
+    assert (code, out) == (CASES[name][0], golden(name))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -15,6 +15,7 @@ from deflator import (
     Deflator,
     DimensionMismatch,
     OnePeriodMarket,
+    certificate_from_projection,
     deflator_from_projection,
     find_arbitrage,
     nnls,
@@ -132,8 +133,15 @@ def test_exactly_one_of_certificate_or_deflator():
     for _ in range(500):
         market = random_market(rng)
         certificate = find_arbitrage(market)
-        deflator = deflator_from_projection(project_to_cone(market))
+        projection = project_to_cone(market)
+        deflator = deflator_from_projection(projection)
         assert (certificate is None) != (deflator is None)
+        # one projection gives the same verdict and witness
+        again = certificate_from_projection(projection, market)
+        assert (again is None) == (certificate is None)
+        if certificate is not None:
+            np.testing.assert_array_equal(again.gamma, certificate.gamma)
+            assert again.setup_gain == certificate.setup_gain
         seen[certificate is None] += 1
         if certificate is not None:
             report = verify_position(market, certificate.gamma, tol=1e-7)

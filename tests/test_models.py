@@ -1,17 +1,26 @@
 """Analytic models: Bachelier, GBM, infinitely divisible laws, inversion."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
+import deflator
+from deflator import models
 from deflator import (
     BachelierParams,
     DimensionMismatch,
     GBMParams,
     KolmogorovLaw,
     LevyModelParams,
+    NonConvergence,
     TruncationFailure,
     atm_call_correlation,
     bachelier_call_put_consistency,
@@ -23,6 +32,9 @@ from deflator import (
     normal_cov_identity_check,
 )
 from deflator._quadrature import gauss_legendre
+from deflator.cli import main
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def normal_expectation(f, mean, std, kinks=(), n=160, width=14.0):
@@ -72,6 +84,46 @@ def test_gauss_legendre_is_correctly_rounded(n):
             weights.append(float(2 / ((1 - t * t) * dp(t) ** 2)))
     assert x.tolist() == nodes
     assert w.tolist() == weights
+
+
+# --------------------------------------------------------- standard normal
+
+
+def test_in_tree_normal_law_matches_scipy(monkeypatch, capsys):
+    # bit for bit at the arguments of the golden model cases ...
+    seen = {"_ndtr": [], "_npdf": []}
+
+    def recording(name):
+        fn = getattr(models, name)
+
+        def wrapper(z):
+            seen[name].append(z)
+            return fn(z)
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(models, name, recording(name))
+    for spec, payoff in (("bach.json", "put 105"), ("gbm.json", "put 100")):
+        assert main(["price", str(FIXTURES / spec), "--payoff", payoff]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert seen["_ndtr"] and seen["_npdf"]
+    for z in seen["_ndtr"]:
+        assert models._ndtr(z) == ndtr(z)
+    for z in seen["_npdf"]:
+        assert models._npdf(z) == norm.pdf(z)
+
+    # ... and close on a dense grid
+    z = np.concatenate([np.linspace(-40.0, 40.0, 160001), [-1.0, 1.0]])
+    got = np.array([models._ndtr(float(t)) for t in z])
+    want = ndtr(z)
+    assert np.abs(got - want).max() <= 2.0 ** -52
+    # math.erfc and scipy's erfc agree to an ulp or two, but both read the
+    # rounded z / sqrt(2), whose error the tail magnifies by about z^2
+    normal = want >= np.finfo(float).tiny
+    ulps = np.abs(got - want)[normal] / np.spacing(want[normal])
+    assert (ulps <= 4.0 * (1.0 + z[normal] ** 2)).all()
+    assert (got[z >= 5.0] == want[z >= 5.0]).all()
 
 
 # --------------------------------------------------------------- Bachelier
@@ -403,6 +455,79 @@ def test_atomic_law_needs_smoothing():
     assert smoothed[0] == pytest.approx(norm.cdf(-2.0), rel=1e-6)
     with pytest.raises(ValueError):
         cdf_from_charfn(law.charfn, [1.0, 0.0], smoothing=0.05)
+
+
+def quad_inversion(charfn, x_grid, smoothing=0.0):
+    """The adaptive-quad inversion that cdf_from_charfn once was, one
+    scipy quad per grid point, with its tolerances tightened to 1e-13 so
+    that it can serve as an oracle at 1e-12."""
+    phi = lambda u: charfn(u) * math.exp(-0.5 * (smoothing * u) ** 2)
+    U = 1.0
+    while max(abs(phi(U * (1.0 + j / 16.0))) for j in range(5)) > 1e-12:
+        U *= 2.0
+    integrals = [quad(lambda u: (np.exp(-1j * u * x) * phi(u)).imag / u, 0.0, U,
+                      epsabs=1e-13, epsrel=1e-13, limit=800)[0] for x in x_grid]
+    return np.maximum.accumulate(np.clip(0.5 - np.array(integrals) / math.pi, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("law, grid, smoothing", [
+    (KolmogorovLaw.standard_normal(), np.linspace(-3.0, 3.0, 13), 0.0),
+    (KolmogorovLaw.standard_normal().tilt(0.3), np.linspace(-2.0, 2.0, 9), 0.0),
+    (KolmogorovLaw(mean=0.0, nodes=np.array([1.0]), weights=np.array([0.7])),
+     np.linspace(-8.0, 8.0, 15), 0.05),
+    (KolmogorovLaw(mean=1.0, nodes=np.array([0.0]), weights=np.array([0.0])),
+     np.array([0.9, 1.0, 1.1]), 0.05),
+], ids=["normal", "tilted", "poisson-smoothed", "atom-smoothed"])
+def test_inversion_matches_adaptive_quad(law, grid, smoothing):
+    got = cdf_from_charfn(law.charfn, grid, smoothing=smoothing)
+    assert np.abs(got - quad_inversion(law.charfn, grid, smoothing)).max() <= 1e-12
+
+
+def poisson_mixture_cdf(mean, nodes, weights, grid, counts=30):
+    """Distribution function of the law with a Gaussian part (node 0) and
+    jumps: X = mean + G + sum_i x_i (N_i - lam_i), G ~ N(0, w_0) and
+    N_i ~ Poisson(lam_i), lam_i = w_i / x_i^2, summed over jump counts."""
+    gauss, x, w = weights[0], nodes[1:], weights[1:]
+    lam = w / x ** 2
+    k = np.arange(counts)
+    pmf = [np.exp(-r) * r ** k / np.cumprod(np.maximum(k, 1)) for r in lam]
+    prob, centre = np.ones(1), np.array([mean - lam @ x])
+    for node, p in zip(x, pmf):
+        prob = np.outer(prob, p).ravel()
+        centre = np.add.outer(centre, node * k).ravel()
+    return ndtr((grid[:, None] - centre) / math.sqrt(gauss)) @ prob
+
+
+@pytest.mark.parametrize("mean", [0.0, 0.7])
+def test_inversion_matches_poisson_mixture(mean):
+    nodes = np.array([0.0, -0.3, 0.2, 0.45])
+    weights = np.array([0.05, 0.03, 0.01, 0.02])
+    law = KolmogorovLaw(mean=mean, nodes=nodes, weights=weights)
+    grid = mean + math.sqrt(law.variance) * np.linspace(-5.0, 5.0, 200)
+    calls = []
+    charfn = lambda u: calls.append(u) or law.charfn(u)
+    got = cdf_from_charfn(charfn, grid)
+    want = poisson_mixture_cdf(mean, nodes, weights, grid)
+    assert np.abs(got - want).max() <= 1e-12
+    # phi is evaluated on whole arrays of u: a handful of calls per grid
+    assert len(calls) < 20
+
+
+def test_inversion_rule_has_a_node_cap():
+    law = KolmogorovLaw.standard_normal()
+    with pytest.raises(NonConvergence):
+        cdf_from_charfn(law.charfn, [0.0, 1e6])
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(deflator.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, deflator, deflator.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------- Levy puts
