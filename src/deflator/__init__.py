@@ -5,7 +5,7 @@ exactly when its price vector lies in the closed cone spanned by the
 payoff vectors of the outcomes.  Projecting onto that cone either
 produces nonnegative weights (a price deflator, which then prices and
 hedges other payoffs) or the gap direction (an explicit arbitrage).
-The same projection runs node by node on multi-period trees, and the
+The same projection runs level by level on multi-period trees, and the
 deflator calculus extends to curves, swaps, futures, and closed-form
 models.
 """

@@ -192,6 +192,127 @@ def nnls(A, b, maxiter=None, tol=None):
     return w, rnorm
 
 
+# problems per stacked solve in _project_stack: bounds its temporaries
+_STACK_CHUNK = 512
+
+
+def _lstsq_stack(A, b, passive):
+    """Minimum-norm least squares for each problem of a stack on its
+    passive columns, zero on the others: numpy's lstsq of
+    A[i][:, passive[i]] against b[i], by stacked SVD with lstsq's own
+    cutoff eps * max(m, n) * sigma_max, n the passive column count."""
+    n = passive.sum(axis=1)
+    # each problem's passive columns first, in column order, so the SVD
+    # sees at most max(n) columns however many the problems have
+    cols = np.argsort(~passive, axis=1, kind="stable")[:, :n.max()]
+    used = np.take_along_axis(passive, cols, axis=1)
+    u, s, vt = np.linalg.svd(np.take_along_axis(A, cols[:, None, :], axis=2)
+                             * used[:, None, :], full_matrices=False)
+    cutoff = np.finfo(float).eps * np.maximum(A.shape[1], n) * s[:, 0]
+    keep = s > cutoff[:, None]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    z = np.einsum("prk,pr->pk", vt, inv * np.einsum("pmr,pm->pr", u, b))
+    out = np.zeros(passive.shape)
+    np.put_along_axis(out, cols, np.where(used, z, 0.0), axis=1)
+    return out
+
+
+def _nnls_stack(A, b, maxiter=None):
+    """nnls on a stack of problems A[i] (m, k), b[i] (m,), in lockstep.
+
+    Every problem follows nnls rule for rule: its own stationarity
+    tolerance, the argmax entering rule, the inner step back with the
+    blocked list, and NonConvergence once a problem needs more than
+    maxiter (default 10 * max(m, k)) subproblem solves.  Returns the
+    solutions (p, k) and residual norms (p,).
+    """
+    p, m, k = A.shape
+    if maxiter is None:
+        maxiter = 10 * max(m, k)
+    grad0 = np.einsum("pmk,pm->pk", A, b)
+    tol = 10.0 * np.finfo(float).eps * max(m, k) * np.maximum(
+        np.abs(grad0).max(axis=1, initial=0.0), 1.0)
+    w = np.zeros((p, k))
+    passive = np.zeros((p, k), dtype=bool)
+    blocked = np.zeros((p, k), dtype=bool)
+    solves = np.zeros(p, dtype=int)
+    live = np.arange(p)
+    while live.size:
+        Al = A[live]
+        grad = np.einsum("pmk,pm->pk", Al,
+                         b[live] - np.einsum("pmk,pk->pm", Al, w[live]))
+        grad[passive[live] | blocked[live]] = -np.inf
+        enter = grad.argmax(axis=1)
+        go = grad[np.arange(live.size), enter] > tol[live]
+        live, enter = live[go], enter[go]
+        passive[live, enter] = True
+        act = live
+        while act.size:
+            solves[act] += 1
+            if solves[act].max() > maxiter:
+                raise NonConvergence(
+                    f"nnls did not converge within {maxiter} subproblem solves")
+            P = passive[act]
+            z = _lstsq_stack(A[act], b[act], P)
+            feasible = np.where(P, z, np.inf).min(axis=1) > 0.0
+            w[act[feasible]] = z[feasible]
+            blocked[act[feasible]] = False
+            rest = ~feasible
+            act, enter, P, z = act[rest], enter[rest], P[rest], z[rest]
+            wp = w[act]
+            limiting = P & (z <= 0.0) & (wp - z > 0.0)
+            ratios = np.full(wp.shape, np.inf)
+            ratios[limiting] = wp[limiting] / (wp[limiting] - z[limiting])
+            alpha = ratios.min(axis=1)
+            stuck = alpha == 0.0
+            passive[act[stuck], enter[stuck]] = False
+            blocked[act[stuck], enter[stuck]] = True
+            move = ~stuck
+            act, enter, P, z, wp = act[move], enter[move], P[move], z[move], wp[move]
+            ratios, alpha = ratios[move], alpha[move, None]
+            step = np.where(P, wp + alpha * (z - wp), 0.0)
+            drop = P & ((ratios <= alpha) | (step <= 0.0))
+            step[drop] = 0.0
+            w[act] = step
+            passive[act] = P & ~drop
+    rnorm = np.linalg.norm(b - np.einsum("pmk,pk->pm", A, w), axis=1)
+    return w, rnorm
+
+
+def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
+    """Cone projections of a stack of small one-period markets.
+
+    Market i quotes prices[i] (m instruments) and pays the k payoff rows
+    rows[children[i]].  Returns the cone weights (p, k) and whether each
+    market is inside its cone by the threshold of _inside.  When k == m
+    a nonsingular market whose solved weights are nonnegative and
+    reprice it within the threshold is inside, as nnls would also find;
+    every other market goes through _nnls_stack.
+    """
+    p, k = children.shape
+    m = rows.shape[1]
+    weights, inside = np.empty((p, k)), np.empty(p, dtype=bool)
+    for lo in range(0, p, _STACK_CHUNK):
+        A = rows[children[lo:lo + _STACK_CHUNK]].transpose(0, 2, 1)
+        x = prices[lo:lo + _STACK_CHUNK]
+        threshold = tol * (1.0 + np.linalg.norm(x, axis=1))
+        w, ok = np.zeros((len(x), k)), np.zeros(len(x), dtype=bool)
+        if k == m:
+            det = np.linalg.det(A)
+            square = np.flatnonzero(np.isfinite(det) & (det != 0.0))
+            ws = np.linalg.solve(A[square], x[square, :, None])[..., 0]
+            resid = np.linalg.norm(np.einsum("pmk,pk->pm", A[square], ws) - x[square],
+                                   axis=1)
+            good = (ws >= 0.0).all(axis=1) & (resid <= threshold[square])
+            w[square[good]], ok[square[good]] = ws[good], True
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            w[rest], rnorm = _nnls_stack(A[rest], x[rest])
+            ok[rest] = rnorm <= threshold[rest]
+        weights[lo:lo + _STACK_CHUNK], inside[lo:lo + _STACK_CHUNK] = w, ok
+    return weights, inside
+
+
 def project_to_cone(market: OnePeriodMarket, tol: float = DEFAULT_TOL) -> ConeProjection:
     """Project the price vector onto the cone of payoff rows.
 
@@ -249,14 +370,18 @@ class PositionReport:
 
 def verify_position(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) -> PositionReport:
     """Check a candidate position: arbitrage means strictly negative
-    cost together with no losing outcome (up to tol)."""
+    cost together with no losing outcome, both up to the slack
+    tol * (max|prices| + max|payoffs|) * max(1, max|gamma|), which
+    scales with the market and the position."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != market.prices.shape:
         raise DimensionMismatch("gamma must hold one position per instrument")
     cost = float(gamma @ market.prices)
     min_payoff = float((market.payoffs @ gamma).min())
+    slack = float(tol * (np.abs(market.prices).max() + np.abs(market.payoffs).max())
+                  * max(1.0, np.abs(gamma).max()))
     return PositionReport(cost=cost, min_payoff=min_payoff,
-                          is_arbitrage=(cost < -tol and min_payoff >= -tol))
+                          is_arbitrage=(cost < -slack and min_payoff >= -slack))
 
 
 def deflator_from_projection(projection: ConeProjection, tol: float = DEFAULT_TOL):

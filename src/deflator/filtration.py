@@ -46,7 +46,7 @@ class Algebra:
         if block_of.ndim != 1 or block_of.size == 0:
             raise ValueError("block_of must map a nonempty atom set")
         n_blocks = int(block_of.max()) + 1
-        if block_of.min() < 0 or len(np.unique(block_of)) != n_blocks:
+        if block_of.min() < 0 or not np.bincount(block_of).all():
             raise ValueError("blocks must be numbered 0..B-1 with none empty")
         self.block_of = block_of
         self.block_of.setflags(write=False)
@@ -82,18 +82,18 @@ class Algebra:
         bounds = np.searchsorted(self.block_of[order], np.arange(self.n_blocks + 1))
         return [order[bounds[i]:bounds[i + 1]] for i in range(self.n_blocks)]
 
+    def _parents(self, coarser: "Algebra"):
+        """The block of coarser holding each block's first atom, and the
+        first atom whose coarse block differs from its block's entry
+        (-1 when self refines coarser)."""
+        _, first = np.unique(self.block_of, return_index=True)
+        parent = coarser.block_of[first]
+        bad = np.flatnonzero(parent[self.block_of] != coarser.block_of)
+        return parent, int(bad[0]) if bad.size else -1
+
     def refines(self, coarser: "Algebra") -> bool:
         """True when every block of self lies inside one block of coarser."""
-        if coarser.n_atoms != self.n_atoms:
-            return False
-        seen = np.full(self.n_blocks, -1, dtype=int)
-        for a in range(self.n_atoms):
-            f, c = self.block_of[a], coarser.block_of[a]
-            if seen[f] == -1:
-                seen[f] = c
-            elif seen[f] != c:
-                return False
-        return True
+        return coarser.n_atoms == self.n_atoms and self._parents(coarser)[1] < 0
 
     def coarse_block_map(self, coarser: "Algebra") -> np.ndarray:
         """For each block of self, the block of coarser containing it.
@@ -102,15 +102,13 @@ class Algebra:
         """
         if coarser.n_atoms != self.n_atoms:
             raise AlgebraMismatch("algebras live on different outcome spaces")
-        out = np.full(self.n_blocks, -1, dtype=int)
-        for a in range(self.n_atoms):
-            f, c = self.block_of[a], coarser.block_of[a]
-            if out[f] == -1:
-                out[f] = c
-            elif out[f] != c:
-                raise NotCoarser(
-                    f"block {f} straddles blocks {out[f]} and {c} of the target")
-        return out
+        parent, a = self._parents(coarser)
+        if a >= 0:
+            f = self.block_of[a]
+            raise NotCoarser(
+                f"block {f} straddles blocks {parent[f]} and "
+                f"{coarser.block_of[a]} of the target")
+        return parent
 
     def __eq__(self, other):
         return (isinstance(other, Algebra)
@@ -308,7 +306,8 @@ def random_walk(n_periods: int):
     walk = []
     for j, algebra in enumerate(filtration.algebras):
         prefixes = np.arange(algebra.n_blocks)
-        ups = np.array([bin(p).count("1") for p in prefixes])
+        ups = sum(((prefixes >> bit) & 1 for bit in range(j)),
+                  np.zeros_like(prefixes))
         walk.append(SimpleFunction(algebra, 2.0 * ups - j))
     probability = FAMeasure(filtration[-1],
                             np.full(2 ** n_periods, 0.5 ** n_periods))

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import (DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket,
-                   certificate_from_projection, project_to_cone)
+                   _project_stack, certificate_from_projection, project_to_cone)
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
-                         InvalidInterval, NotClosedOut, NotCoarser,
-                         NotSelfFinancing)
+                         InvalidInterval, NotClosedOut, NotSelfFinancing)
 from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction,
                          pairing, product, restrict)
 
@@ -270,28 +269,53 @@ class NodeArbitrage:
     strategy: Strategy
 
 
-def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
-    """Assemble deflators node by node, or surface an arbitrage node.
+def _solve_level(child_parent, settle, prices, tol):
+    """Project every node of one tree level onto the cone of its
+    children's settlement rows, in stacks of nodes with equal child
+    counts.  Returns the weight of each child and the blocks whose
+    prices are outside their cone, in increasing order."""
+    order = np.argsort(child_parent, kind="stable")
+    counts = np.bincount(child_parent, minlength=prices.shape[0])
+    node_w = np.empty(child_parent.size)
+    flagged = []
+    for k in np.unique(counts):
+        nodes = np.flatnonzero(counts == k)
+        # children grouped by parent, each group in block order
+        children = order[np.repeat(counts == k, counts)].reshape(-1, k)
+        node_w[children], inside = _project_stack(settle, children, prices[nodes], tol)
+        flagged.append(nodes[~inside])
+    return node_w, np.sort(np.concatenate(flagged))
 
-    At each block b of each non-terminal algebra, project the node's
-    price vector onto the cone of its children's settlement rows.  If
-    every projection lands inside, the node weights multiply along
-    paths into a DeflatorSequence with weight one per time-0 block.
-    The first failing node yields a NodeArbitrage instead.
+
+def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
+    """Assemble deflators level by level, or surface an arbitrage node.
+
+    At each block b of each non-terminal algebra, the node's price
+    vector is projected onto the cone of its children's settlement
+    rows.  The nodes of a level are independent, so they are solved
+    together: nodes with the same number of children form one stack.
+    Where that number equals the number of instruments, nonsingular
+    nodes are solved directly and kept when the weights are
+    nonnegative and reprice the node within the threshold; every other
+    node goes through a lockstep nnls over the stack.  If every
+    projection lands inside, the node weights multiply along paths into
+    a DeflatorSequence with weight one per time-0 block.  Otherwise the
+    witness is the lowest failing block of the first failing level:
+    that node is projected again on its own, and its certificate and
+    the strategy that plays it make the NodeArbitrage.  Each algebra
+    must refine the one before; the first step that does not raises
+    NotCoarser when the search reaches it.
     """
     filtration = panel.filtration
-    for i in range(panel.n_periods):
-        if not filtration[i + 1].refines(filtration[i]):
-            raise NotCoarser("tree search needs a refining filtration")
     weights = [np.ones(filtration[0].n_blocks)]
     for i in range(panel.n_periods):
         child_parent = filtration[i + 1].coarse_block_map(filtration[i])
         settle = panel.settle(i + 1).values
-        next_weights = np.zeros(filtration[i + 1].n_blocks)
-        for b in range(filtration[i].n_blocks):
+        prices = panel.prices[i].values
+        node_w, flagged = _solve_level(child_parent, settle, prices, tol)
+        for b in flagged.tolist():
             children = np.flatnonzero(child_parent == b)
-            x_b = panel.prices[i].values[b]
-            local = OnePeriodMarket(prices=x_b, payoffs=settle[children])
+            local = OnePeriodMarket(prices=prices[b], payoffs=settle[children])
             projection = project_to_cone(local, tol)
             certificate = certificate_from_projection(projection, local, tol)
             if certificate is not None:
@@ -300,8 +324,9 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
                 strategy.trades[i + 1].values[children] = -certificate.gamma
                 return NodeArbitrage(time=i, block=b, certificate=certificate,
                                      strategy=strategy)
-            next_weights[children] = weights[i][b] * projection.weights
-        weights.append(next_weights)
+            node_w[children] = projection.weights
+        node_w *= weights[i][child_parent]
+        weights.append(node_w)
     return DeflatorSequence([FAMeasure(filtration[j], weights[j])
                              for j in range(panel.n_periods + 1)])
 

@@ -3,12 +3,13 @@
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 from deflator import atm_call_correlation, binomial_price, cone
 from deflator.cli import main
-from deflator.market_files import parse_document, render_document
+from deflator.market_files import load_market_spec, parse_document, render_document
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -115,6 +116,42 @@ def test_panel_call_price_is_backward_induction():
 def test_panel_zcb_is_pure_discount():
     doc = parse_document(golden("price_panel_zcb"))
     assert abs(doc["prices"]["per_block"][0] - 1.05 ** -3) <= 1e-12
+
+
+def exact_panel_weights():
+    """Deflator weights of binomial_panel.json in exact arithmetic: each
+    2 x 2 node solved by Cramer's rule on the fixture's float inputs."""
+    panel = load_market_spec(FIXTURES / "binomial_panel.json").payload
+    weights = [[Fraction(1)]]
+    for i in range(panel.n_periods):
+        fine, coarse = panel.filtration[i + 1], panel.filtration[i]
+        settle = [[Fraction(v) for v in row] for row in panel.settle(i + 1).values.tolist()]
+        level = [None] * fine.n_blocks
+        for b, x in enumerate(panel.prices[i].values.tolist()):
+            lo, hi = sorted({int(f) for f, c in zip(fine.block_of, coarse.block_of)
+                             if c == b})
+            (a, c), (d, e) = settle[lo], settle[hi]
+            x0, x1 = Fraction(x[0]), Fraction(x[1])
+            det = a * e - d * c
+            level[lo] = weights[i][b] * (x0 * e - x1 * d) / det
+            level[hi] = weights[i][b] * (a * x1 - c * x0) / det
+        weights.append(level)
+    return panel, weights
+
+
+def test_panel_goldens_are_the_exact_node_solves():
+    panel, exact = exact_panel_weights()
+    got = parse_document(golden("detect_panel"))["weights"]
+    for row, want in zip(got, exact):
+        for value, w in zip(row, want):
+            assert abs(Fraction(value) - w) <= 8 * math.ulp(float(w))
+    stock = [Fraction(v) for v in panel.settle(panel.n_periods).values[:, -1].tolist()]
+    call = sum(w * max(v - 100, 0) for w, v in zip(exact[-1], stock))
+    price = parse_document(golden("price_panel_call"))["prices"]["per_block"][0]
+    assert abs(Fraction(price) - call) <= 4 * math.ulp(float(call))
+    zcb = sum(exact[-1])
+    price = parse_document(golden("price_panel_zcb"))["prices"]["per_block"][0]
+    assert abs(Fraction(price) - zcb) <= 4 * math.ulp(float(zcb))
 
 
 def test_bachelier_atm_put_closed_form():

@@ -10,10 +10,14 @@ price.
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deflator import (
+    DEFAULT_TOL,
     Deflator,
     DimensionMismatch,
+    NonConvergence,
     OnePeriodMarket,
     certificate_from_projection,
     deflator_from_projection,
@@ -22,6 +26,7 @@ from deflator import (
     project_to_cone,
     verify_position,
 )
+from deflator import cone
 
 
 def random_market(rng, with_labels=False):
@@ -206,6 +211,50 @@ def test_verify_position_rejects_costly_positions():
     assert report.cost == 1.0
 
 
+def test_verify_position_accepts_certificates_of_large_markets():
+    """At scale 1e6 a valid certificate's least payoff is rounding noise
+    of order 1e-9, which an absolute tolerance of 1e-9 would refuse."""
+    rng = np.random.default_rng(5)
+    noisy = 0
+    for _ in range(1000):
+        base = random_market(rng)
+        market = OnePeriodMarket(prices=1e6 * base.prices, payoffs=1e6 * base.payoffs)
+        certificate = find_arbitrage(market)
+        if certificate is None:
+            continue
+        assert verify_position(market, certificate.gamma).is_arbitrage
+        noisy += certificate.min_payoff < -1e-9
+    assert noisy >= 20
+
+
+def payoffs_near_250():
+    return OnePeriodMarket(prices=np.array([1.0, 250.0]),
+                           payoffs=np.array([[1.05, 240.0], [1.05, 250.0]]))
+
+
+def test_verify_position_slack_is_relative_to_the_market():
+    # short 0.004 stock against (almost) enough bond: it loses 1.7e-7
+    # in the up state, 7e-10 of the payoff scale
+    market = payoffs_near_250()
+    gamma = np.array([(1.0 - 1.7e-7) / 1.05, -0.004])
+    report = verify_position(market, gamma)
+    assert report.min_payoff == pytest.approx(-1.7e-7, rel=1e-6)
+    assert report.cost < -0.04
+    assert report.is_arbitrage
+
+
+def test_verify_position_rejects_a_loss_of_a_thousandth_of_scale():
+    for scale in (1e-6, 1.0, 1e6):
+        base = payoffs_near_250()
+        market = OnePeriodMarket(prices=scale * base.prices,
+                                 payoffs=scale * base.payoffs)
+        gamma = np.array([(1.0 - 0.25) / 1.05, -0.004])
+        report = verify_position(market, gamma)
+        assert report.min_payoff == pytest.approx(-0.25 * scale)
+        assert report.cost < 0.0
+        assert not report.is_arbitrage
+
+
 def test_shape_validation():
     with pytest.raises(DimensionMismatch):
         OnePeriodMarket(prices=np.array([1.0, 2.0]),
@@ -224,3 +273,105 @@ def test_shape_validation():
 def test_deflator_requires_nonnegative_weights_and_reports_mass():
     deflator = Deflator(atom_weights=np.array([0.25, 0.5]))
     assert deflator.mass == 0.75
+
+
+# ---------------------------------------------------------------------------
+# the stacked solver of the tree search
+
+
+def stacked_problems(seed, kind, m, k, scale, p=8):
+    """p problems A (m, k), b (m,); about half of the b inside the cone."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(p, m, k))
+    if kind == "duplicated" and k > 1:
+        A[:, :, -1] = A[:, :, 0]
+    elif kind == "collinear" and k > 2:
+        A[:, :, -1] = 2.5 * A[:, :, 0] - 0.5 * A[:, :, 1]
+    elif kind == "zero":
+        A[:, :, 0] = 0.0
+    b = rng.normal(size=(p, m))
+    inside = rng.random(p) < 0.5
+    b[inside] = np.einsum("pmk,pk->pm", A[inside],
+                          rng.uniform(0.0, 1.0, size=(int(inside.sum()), k)))
+    return scale * A, scale * b
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["random", "duplicated", "collinear", "zero"]),
+       m=st.integers(1, 5), k=st.integers(1, 6), exponent=st.integers(-6, 6))
+def test_stacked_nnls_agrees_with_nnls(seed, kind, m, k, exponent):
+    A, b = stacked_problems(seed, kind, m, k, 10.0 ** exponent)
+    W, R = cone._nnls_stack(A, b)
+    rows = A.transpose(0, 2, 1).reshape(-1, m)
+    weights, inside = cone._project_stack(rows, np.arange(len(rows)).reshape(-1, k), b)
+    eps = np.finfo(float).eps
+    for i in range(len(b)):
+        a = A[i]
+        w, r = nnls(a, b[i])
+        threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[i]))
+        # the same verdict, and residuals within the tolerance
+        assert (R[i] <= threshold) == (r <= threshold)
+        assert abs(R[i] - r) <= threshold
+        # rounding noise of b - A w, in units of its terms
+        noise = eps * max(m, k) * (np.abs(b[i]).max() + np.abs(a).max() * W[i].sum())
+        assert abs(R[i] - np.linalg.norm(b[i] - a @ W[i])) <= 100.0 * noise
+        # KKT: w >= 0, no ascent direction off the support, a flat
+        # gradient on it; nnls's own stopping tolerance bounds the first
+        assert (W[i] >= 0.0).all()
+        g = a.T @ (b[i] - a @ W[i])
+        unit = np.abs(a).max() * noise
+        stop = 10.0 * eps * max(m, k) * max(np.abs(a.T @ b[i]).max(), 1.0)
+        assert g.max() <= 100.0 * max(stop, unit)
+        assert np.abs(g[W[i] > 0.0]).max(initial=0.0) <= 100.0 * unit
+        # the level verdict is project_to_cone's, and an inside verdict
+        # comes with weights that reprice within the threshold
+        market = OnePeriodMarket(prices=b[i], payoffs=a.T)
+        single = certificate_from_projection(project_to_cone(market), market)
+        if inside[i]:
+            assert (weights[i] >= 0.0).all()
+            assert np.linalg.norm(a @ weights[i] - b[i]) <= threshold
+        if inside[i] != (single is None):
+            # only the square solve may disagree, where nnls stops early
+            # (its stationarity floor on small markets): the exact
+            # projection of scipy sides with the square solve
+            assert inside[i] and k == m
+            w_ref, _ = scipy.optimize.nnls(a, b[i])
+            assert np.linalg.norm(a @ w_ref - b[i]) <= threshold
+
+
+def test_stacked_lstsq_solves_on_the_passive_columns():
+    rng = np.random.default_rng(4)
+    A, b = stacked_problems(4, "duplicated", 5, 40, 1.0, p=16)
+    passive = rng.random((16, 40)) < rng.uniform(0.02, 0.3, (16, 1))
+    passive[:, 0] = passive[:, -1] = True    # duplicated columns, both used
+    z = cone._lstsq_stack(A, b, passive)
+    for i in range(16):
+        want = np.zeros(40)
+        want[passive[i]] = np.linalg.lstsq(A[i][:, passive[i]], b[i], rcond=None)[0]
+        np.testing.assert_allclose(z[i], want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+
+
+def solves_needed(a, b):
+    """The least maxiter with which nnls solves (a, b)."""
+    cap = 1
+    while True:
+        try:
+            nnls(a, b, maxiter=cap)
+            return cap
+        except NonConvergence:
+            cap += 1
+
+
+def test_stacked_nnls_raises_nonconvergence_like_nnls():
+    A, b = stacked_problems(11, "random", 4, 6, 1.0)
+    need = np.array([solves_needed(A[i], b[i]) for i in range(len(b))])
+    cap = int(need.max()) - 1
+    fast = np.flatnonzero(need <= cap)
+    assert 0 < fast.size < len(b)
+    # one slow problem is enough to stop the whole stack
+    with pytest.raises(NonConvergence):
+        cone._nnls_stack(A, b, maxiter=cap)
+    W, _ = cone._nnls_stack(A[fast], b[fast], maxiter=cap)
+    for i, w in zip(fast, W):
+        np.testing.assert_allclose(w, nnls(A[i], b[i])[0], atol=1e-12)

@@ -44,6 +44,12 @@ def test_from_blocks_rejects_non_partitions():
         Algebra.from_blocks([[0], [2]])           # gap
 
 
+def test_algebra_rejects_empty_and_negative_blocks():
+    for block_of in ([0, 2, 2], [1, 1], [-1, 0], [0, 0, 3, 1]):
+        with pytest.raises(ValueError):
+            Algebra(np.array(block_of))
+
+
 def test_refinement_relation():
     coarse = Algebra.from_blocks([[0, 1, 2, 3]])
     middle = Algebra.from_blocks([[0, 1], [2, 3]])
@@ -62,6 +68,56 @@ def test_coarse_block_map_and_failure():
     crossing = Algebra.from_blocks([[0, 2], [1, 3]])
     with pytest.raises(NotCoarser):
         crossing.coarse_block_map(middle)
+
+
+def loop_block_map(fine, coarse):
+    """The atom-by-atom reference: each block's coarse block, or the
+    NotCoarser message for the first atom that straddles."""
+    out = {}
+    for f, c in zip(fine.block_of.tolist(), coarse.block_of.tolist()):
+        if out.setdefault(f, c) != c:
+            return f"block {f} straddles blocks {out[f]} and {c} of the target"
+    return np.array([out[f] for f in range(fine.n_blocks)])
+
+
+def random_partition(rng, n_atoms, n_blocks):
+    """Blocks numbered 0..B-1 with none empty, in random atom order."""
+    labels = np.concatenate([np.arange(n_blocks),
+                             rng.integers(0, n_blocks, n_atoms - n_blocks)])
+    return Algebra(rng.permutation(labels))
+
+
+def test_block_map_and_refines_match_the_atom_loop():
+    rng = np.random.default_rng(31)
+    straddles = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        fine = random_partition(rng, n, int(rng.integers(1, n + 1)))
+        if rng.random() < 0.5:
+            # a coarsening of fine: merge its blocks at random
+            merge = random_partition(rng, fine.n_blocks,
+                                     int(rng.integers(1, fine.n_blocks + 1)))
+            coarse = Algebra(merge.block_of[fine.block_of])
+        else:
+            coarse = random_partition(rng, n, int(rng.integers(1, n + 1)))
+        want = loop_block_map(fine, coarse)
+        if isinstance(want, str):
+            straddles += 1
+            assert not fine.refines(coarse)
+            with pytest.raises(NotCoarser) as exc:
+                fine.coarse_block_map(coarse)
+            assert str(exc.value) == want
+        else:
+            assert fine.refines(coarse)
+            np.testing.assert_array_equal(fine.coarse_block_map(coarse), want)
+    assert 50 < straddles < 250
+
+
+def test_block_map_needs_one_outcome_space():
+    fine, coarse = Algebra.discrete(3), Algebra.trivial(4)
+    assert not fine.refines(coarse)
+    with pytest.raises(AlgebraMismatch):
+        fine.coarse_block_map(coarse)
 
 
 def test_algebra_equality_and_hash_are_structural():
@@ -138,6 +194,13 @@ def test_binary_tree_block_counts():
     assert [filtration[j].n_blocks for j in range(5)] == [1, 2, 4, 8, 16]
     for j in range(4):
         assert filtration[j + 1].refines(filtration[j])
+
+
+def test_random_walk_counts_up_moves():
+    filtration, walk, _ = random_walk(9)
+    for j in range(10):
+        ups = [bin(p).count("1") for p in range(2 ** j)]
+        np.testing.assert_array_equal(walk[j].values, 2.0 * np.array(ups) - j)
 
 
 def test_random_walk_moments():

@@ -1,9 +1,14 @@
 """Panels, trading strategies, deflator sequences, and the tree search."""
 
+import functools
+import math
+import pathlib
+
 import numpy as np
 import pytest
 
 from deflator import (
+    DEFAULT_TOL,
     Algebra,
     ArbitrageInInput,
     DeflatorSequence,
@@ -12,19 +17,23 @@ from deflator import (
     Filtration,
     MarketPanel,
     NodeArbitrage,
+    NonConvergence,
     NotClosedOut,
+    NotCoarser,
     NotSelfFinancing,
     OnePeriodMarket,
     SimpleFunction,
     Strategy,
     account_process,
     binomial_stock_panel,
+    certificate_from_projection,
     check_deflator,
     deflator_from_projection,
     deterministic_panel,
     find_arbitrage,
     find_tree_deflator,
     is_arbitrage_strategy,
+    load_market_spec,
     pairing,
     panel_from_one_period,
     price_payoff,
@@ -35,6 +44,9 @@ from deflator import (
     restrict,
     product,
 )
+from deflator import cone, multi_period
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def fair_binomial_panel(n, R=1.05, s=100.0, sigma=0.3):
@@ -362,3 +374,194 @@ def test_restricted_deflator_mass_is_conserved_by_tree_search():
         pushed = restrict(deflators[4], panel.filtration[j]).weights
         ratio = pushed / deflators[j].weights
         assert np.allclose(ratio, ratio[0])
+
+
+# ------------------------------------------------- level-batched tree search
+
+
+def per_node_search(panel, tol=DEFAULT_TOL):
+    """The node-by-node tree search, the oracle of the level solves: one
+    projection per node in (time, block) order.  Returns the deflator
+    weights per time, or (time, block, certificate) of the first node
+    outside its cone."""
+    filtration = panel.filtration
+    weights = [np.ones(filtration[0].n_blocks)]
+    for i in range(panel.n_periods):
+        fine, coarse = filtration[i + 1], filtration[i]
+        parent = np.empty(fine.n_blocks, dtype=int)
+        parent[fine.block_of] = coarse.block_of
+        settle = panel.settle(i + 1).values
+        next_weights = np.zeros(fine.n_blocks)
+        for b in range(coarse.n_blocks):
+            children = np.flatnonzero(parent == b)
+            local = OnePeriodMarket(prices=panel.prices[i].values[b],
+                                    payoffs=settle[children])
+            projection = project_to_cone(local, tol)
+            certificate = certificate_from_projection(projection, local, tol)
+            if certificate is not None:
+                return i, b, certificate
+            next_weights[children] = weights[i][b] * projection.weights
+        weights.append(next_weights)
+    return weights
+
+
+def assert_matches_per_node_search(panel):
+    got, want = find_tree_deflator(panel), per_node_search(panel)
+    if isinstance(want, tuple):
+        time, block, certificate = want
+        assert isinstance(got, NodeArbitrage)
+        assert (got.time, got.block) == (time, block)
+        # the witness node is projected on its own: the same bits
+        np.testing.assert_array_equal(got.certificate.gamma, certificate.gamma)
+        assert got.certificate.setup_gain == certificate.setup_gain
+        assert got.certificate.min_payoff == certificate.min_payoff
+        assert is_arbitrage_strategy(panel, got.strategy).is_arbitrage
+        return got
+    assert isinstance(got, DeflatorSequence)
+    for j, w in enumerate(want):
+        np.testing.assert_allclose(got[j].weights, w, rtol=1e-9,
+                                   atol=1e-12 * w.max())
+    assert check_deflator(panel, got).ok
+    return got
+
+
+def tree_panel(children, rng, R=1.04, s=100.0, dividends=False, relaxed=False,
+               leaves=None):
+    """A fair bond-and-stock panel on a tree: children[i][b] is the
+    number of children of block b at time i.  Terminal stock prices are
+    `leaves` or drawn, and every node is priced by positive weights
+    summing to 1/R, so each node is inside its cone by construction."""
+    parents = [np.repeat(np.arange(len(c)), c) for c in children]
+    n = len(children)
+    n_leaves = parents[-1].size
+    block_of = [np.arange(n_leaves)]
+    for parent in reversed(parents):
+        block_of.insert(0, parent[block_of[0]])
+    filtration = Filtration([Algebra(b) for b in block_of], relaxed=relaxed)
+    stock = [None] * (n + 1)
+    cash = [np.zeros(len(b)) for b in [np.zeros(1)] + parents]
+    stock[n] = (s * rng.lognormal(0.0, 0.3, size=n_leaves) if leaves is None
+                else np.asarray(leaves, dtype=float))
+    for i in reversed(range(n)):
+        if dividends:
+            cash[i + 1] = rng.uniform(0.0, 2.0, size=parents[i].size)
+        q = rng.uniform(0.2, 1.0, size=parents[i].size)
+        q /= R * np.bincount(parents[i], weights=q)[parents[i]]
+        stock[i] = np.bincount(parents[i], weights=q * (stock[i + 1] + cash[i + 1]))
+    prices = [SimpleFunction(filtration[j], np.column_stack(
+        [np.full(len(stock[j]), R ** j), stock[j]])) for j in range(n + 1)]
+    cashflows = [SimpleFunction(filtration[j], np.column_stack(
+        [np.zeros(len(cash[j])), cash[j]])) for j in range(n + 1)]
+    return MarketPanel(times=np.arange(n + 1.0), filtration=filtration,
+                       prices=prices, cashflows=cashflows)
+
+
+def test_tree_search_matches_per_node_search_on_criterion_trees():
+    rng = np.random.default_rng(88)
+    for _ in range(8):
+        n = int(rng.integers(2, 6))
+        R = rng.uniform(1.01, 1.1)
+        sigma = rng.uniform(0.05, 0.5)
+        panel = binomial_stock_panel(n, R=R, s=100.0,
+                                     mu=math.log(R / math.cosh(sigma)), sigma=sigma)
+        assert_matches_per_node_search(panel)
+    sigma = 0.005
+    drifted = binomial_stock_panel(6, R=1.05, s=100.0,
+                                   mu=math.log(1.05 / math.cosh(sigma)) + 0.01,
+                                   sigma=sigma)
+    assert isinstance(assert_matches_per_node_search(drifted), NodeArbitrage)
+
+
+def test_tree_search_matches_per_node_search_on_the_panel_fixture():
+    panel = load_market_spec(FIXTURES / "binomial_panel.json").payload
+    assert_matches_per_node_search(panel)
+
+
+def test_tree_search_matches_per_node_search_on_a_trinomial_tree():
+    rng = np.random.default_rng(3)
+    children = [np.full(3 ** i, 3) for i in range(5)]
+    assert_matches_per_node_search(tree_panel(children, rng))
+    assert_matches_per_node_search(tree_panel(children, rng, dividends=True))
+
+
+def test_tree_search_with_one_two_and_three_children_in_a_level():
+    rng = np.random.default_rng(17)
+    children = [np.array([3]), np.array([1, 2, 3]), np.array([2, 1, 3, 1, 2, 3])]
+    for dividends in (False, True):
+        panel = tree_panel(children, rng, dividends=dividends, relaxed=True)
+        assert_matches_per_node_search(panel)
+
+
+def test_tree_search_square_node_with_duplicated_children():
+    rng = np.random.default_rng(5)
+    # both children of block 1 settle alike: a singular 2 x 2 node
+    panel = tree_panel([np.array([2]), np.array([2, 2])], rng,
+                       leaves=[80.0, 125.0, 104.0, 104.0])
+    settle = panel.settle(2).values
+    assert np.array_equal(settle[2], settle[3])
+    deflators = assert_matches_per_node_search(panel)
+    assert deflators[2].weights[2:].sum() == pytest.approx(deflators[1].weights[1] / 1.04)
+
+
+def planted_binomial(n, plants):
+    """The fair binomial panel with the stock at each (time, block) of
+    plants quoted 25% above its up child's discounted price."""
+    panel, _ = fair_binomial_panel(n)
+    for time, block in plants:
+        up = panel.prices[time + 1].values[2 * block + 1, 1]
+        panel.prices[time].values[block, 1] = 1.25 * up / 1.05
+    return panel
+
+
+def test_tree_search_witness_is_the_lowest_failing_block():
+    panel = planted_binomial(4, [(2, 3), (2, 1)])
+    node = assert_matches_per_node_search(panel)
+    assert (node.time, node.block) == (2, 1)
+    # the other planted node fails on its own too
+    children = panel.prices[3].values[[6, 7]]
+    assert find_arbitrage(OnePeriodMarket(prices=panel.prices[2].values[3],
+                                          payoffs=children)) is not None
+    # a failing node at a later level does not move the witness
+    node = assert_matches_per_node_search(planted_binomial(4, [(3, 7), (2, 3)]))
+    assert (node.time, node.block) == (2, 3)
+
+
+def test_tree_search_projects_only_the_witness_on_its_own(monkeypatch):
+    calls = []
+    single = multi_period.project_to_cone
+    monkeypatch.setattr(multi_period, "project_to_cone",
+                        lambda *a, **k: calls.append(a) or single(*a, **k))
+    assert isinstance(find_tree_deflator(fair_binomial_panel(8)[0]), DeflatorSequence)
+    assert calls == []
+    assert isinstance(find_tree_deflator(planted_binomial(6, [(5, 31)])), NodeArbitrage)
+    assert len(calls) == 1
+
+
+def test_tree_search_needs_a_refining_filtration():
+    middle = Algebra.from_blocks([[0, 1], [2, 3]])
+    crossing = Algebra.from_blocks([[0, 2], [1, 3]])
+    filtration = Filtration([Algebra.trivial(4), middle, crossing], relaxed=True)
+    prices = [SimpleFunction(filtration[j], np.ones((filtration[j].n_blocks, 1)))
+              for j in range(3)]
+    panel = MarketPanel(times=[0.0, 1.0, 2.0], filtration=filtration, prices=prices)
+    with pytest.raises(NotCoarser):
+        find_tree_deflator(panel)
+
+
+def test_tree_search_propagates_nonconvergence(monkeypatch):
+    rng = np.random.default_rng(3)
+    panel = tree_panel([np.full(3 ** i, 3) for i in range(3)], rng)
+    monkeypatch.setattr(cone, "_nnls_stack",
+                        functools.partial(cone._nnls_stack, maxiter=1))
+    with pytest.raises(NonConvergence):
+        find_tree_deflator(panel)
+
+
+def test_tree_search_on_a_wide_node():
+    # one node of 60 children: many more columns than the passive set
+    rng = np.random.default_rng(9)
+    payoffs = rng.lognormal(size=(60, 4))
+    fair = payoffs.T @ rng.uniform(0.0, 0.1, 60)
+    for prices in (fair, fair * [1.0, 1.0, 1.0, 0.0]):
+        market = OnePeriodMarket(prices=prices, payoffs=payoffs)
+        assert_matches_per_node_search(panel_from_one_period(market))
