@@ -305,6 +305,13 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
     the strategy that plays it make the NodeArbitrage.  Each algebra
     must refine the one before; the first step that does not raises
     NotCoarser when the search reaches it.
+
+    Two outcomes can differ from projecting each node alone with
+    find_arbitrage.  A square node whose direct solve passes is inside
+    even where nnls, which stops early on markets scaled near 1e-6,
+    would return a certificate.  And NonConvergence on any node of a
+    stack stops the whole level, even when a lower block of that level
+    has an arbitrage that node-by-node order would have reported first.
     """
     filtration = panel.filtration
     weights = [np.ones(filtration[0].n_blocks)]
