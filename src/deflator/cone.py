@@ -14,6 +14,7 @@ yields either the deflator or the certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +118,17 @@ class Deflator:
 def nnls(A, b, maxiter=None, tol=None):
     """Solve min ||A @ w - b|| subject to w >= 0 by an active set sweep.
 
+    Lawson and Hanson's method (Solving Least Squares Problems, 1974,
+    ch. 23-24) on a thin QR factor of the passive columns: an entering
+    column is appended by Gram-Schmidt with one reorthogonalisation,
+    leaving columns are removed by Givens rotations, and each
+    subproblem is one triangular solve.  An entering column whose new
+    diagonal entry of R is at most 10 * eps * max(m, n) * ||A_j|| lies
+    in the span of the passive columns; it is blocked without a solve.
+    Once the sweep stops, the final passive set is solved again by
+    np.linalg.lstsq, and that solution is returned when it is
+    nonnegative.
+
     Parameters
     ----------
     A : ndarray (m, n)
@@ -126,8 +138,11 @@ def nnls(A, b, maxiter=None, tol=None):
         10 * max(m, n); exceeding it raises NonConvergence.
     tol : float, optional
         Stop once every stationarity residual A.T @ (b - A @ w) is below
-        tol on the zero set.  Defaults to a machine-level threshold
-        scaled to the problem data.
+        tol on the zero set.  By default the rule is relative, so the
+        verdict does not change when A and b are rescaled: stop once
+        every column j off the support has A_j . r <= 10 * eps *
+        max(m, n) * ||A_j|| * ||r||, r = b - A @ w, or once ||r|| <=
+        10 * eps * max(m, n) * ||b||.
 
     Returns
     -------
@@ -141,23 +156,41 @@ def nnls(A, b, maxiter=None, tol=None):
     m, n = A.shape
     if maxiter is None:
         maxiter = 10 * max(m, n)
-    grad0 = A.T @ b
-    if tol is None:
-        tol = 10.0 * np.finfo(float).eps * max(m, n) * max(np.abs(grad0).max(initial=0.0), 1.0)
+    rel = 10.0 * np.finfo(float).eps * max(m, n)
+    col_norm = np.sqrt(np.einsum("ij,ij->j", A, A))
+    r_floor = rel * np.linalg.norm(b)
 
     w = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    # entries rejected at the current iterate (noise-level gradients on
-    # numerically dependent columns); cleared whenever w actually moves
+    # entries rejected at the current iterate (dependent columns and
+    # zero steps); cleared whenever w actually moves
     blocked = np.zeros(n, dtype=bool)
+    # A[:, cols] = Qt[:k].T @ R[:k, :k], the passive columns in the
+    # order they entered
+    Qt, R = np.zeros((min(m, n), m)), np.zeros((min(m, n), min(m, n)))
+    cols = np.zeros(0, dtype=int)
     solves = 0
+    grad = A.T @ b
+    rnorm = float(np.linalg.norm(b))
     while True:
-        grad = A.T @ (b - A @ w)
-        candidates = ~passive & ~blocked
-        if not candidates.any() or grad[candidates].max() <= tol:
+        if tol is None:
+            if rnorm <= r_floor:
+                break
+            above = grad > rel * col_norm * rnorm
+        else:
+            above = grad > tol
+        above &= ~passive & ~blocked
+        if not above.any():
             break
-        enter = np.flatnonzero(candidates)[np.argmax(grad[candidates])]
+        enter = np.flatnonzero(above)[np.argmax(grad[above])]
+        if not _qr_append(Qt, R, cols.size, A[:, enter], rel * col_norm[enter]):
+            # in the span of the passive columns: it cannot improve the
+            # fit, and w does not move, so the gradient stands
+            blocked[enter] = True
+            continue
+        cols = np.append(cols, enter)
         passive[enter] = True
+        moved = False
         # Inner loop: solve unconstrained on the passive set, and walk
         # back toward the previous iterate whenever that solution is
         # infeasible, retiring the coordinates pinned at zero.
@@ -166,30 +199,87 @@ def nnls(A, b, maxiter=None, tol=None):
             if solves > maxiter:
                 raise NonConvergence(
                     f"nnls did not converge within {maxiter} subproblem solves")
-            cols = np.flatnonzero(passive)
-            z = np.linalg.lstsq(A[:, cols], b, rcond=None)[0]
+            k = cols.size
+            # R is upper triangular, so LU does no row exchanges and
+            # this is back substitution
+            z = np.linalg.solve(R[:k, :k], Qt[:k] @ b)
             if z.min() > 0.0:
-                w[:] = 0.0
                 w[cols] = z
                 blocked[:] = False
+                moved = True
                 break
             wp = w[cols]
-            ratios = np.full(cols.size, np.inf)
+            ratios = np.full(k, np.inf)
             limiting = (z <= 0.0) & (wp - z > 0.0)
             ratios[limiting] = wp[limiting] / (wp[limiting] - z[limiting])
             alpha = float(ratios.min())
             if alpha == 0.0:
                 # zero step: the fresh entry cannot improve the fit, so
                 # reject it outright instead of cycling on it
-                passive[enter] = False
-                blocked[enter] = True
-                break
-            w[cols] = wp + alpha * (z - wp)
-            drop = (ratios <= alpha) | (w[cols] <= 0.0)
+                drop = cols == enter
+            else:
+                w[cols] = wp + alpha * (z - wp)
+                drop = (ratios <= alpha) | (w[cols] <= 0.0)
+                moved = True
             w[cols[drop]] = 0.0
             passive[cols[drop]] = False
+            for i in np.flatnonzero(drop)[::-1]:
+                _qr_drop(Qt, R, k, i)
+                k -= 1
+            cols = cols[~drop]
+            if alpha == 0.0:
+                blocked[enter] = True
+                break
+        if not moved:
+            continue
+        r = b - A[:, cols] @ w[cols]
+        rnorm = float(np.linalg.norm(r))
+        grad = A.T @ r
+    if cols.size:
+        order = np.sort(cols)
+        z = np.linalg.lstsq(A[:, order], b, rcond=None)[0]
+        if z.min() >= 0.0:
+            w[:] = 0.0
+            w[order] = z
     rnorm = float(np.linalg.norm(b - A @ w))
     return w, rnorm
+
+
+def _qr_append(Qt, R, k, a, cutoff) -> bool:
+    """Append column a to the thin QR factor Qt[:k].T @ R[:k, :k] by
+    Gram-Schmidt with one reorthogonalisation.  Returns False, and
+    leaves the factor as it was, when the new diagonal entry of R would
+    be at most cutoff (or the factor is already square)."""
+    if k == Qt.shape[1]:
+        return False
+    Q = Qt[:k]
+    h = Q @ a
+    v = a - Q.T @ h
+    h2 = Q @ v
+    v -= Q.T @ h2
+    d = float(np.linalg.norm(v))
+    if d <= cutoff:
+        return False
+    Qt[k] = v / d
+    R[:k, k] = h + h2
+    R[k, k] = d
+    return True
+
+
+def _qr_drop(Qt, R, k, i) -> None:
+    """Remove column i of the k-column thin QR factor Qt[:k].T @ R[:k, :k]
+    in place: shift the later columns left, then restore the triangle
+    with Givens rotations of neighbouring rows of R and of Qt."""
+    R[:k, i:k - 1] = R[:k, i + 1:k]
+    for j in range(i, k - 1):
+        c, s = R[j, j], R[j + 1, j]
+        h = math.hypot(c, s)
+        G = np.array([[c / h, s / h], [-s / h, c / h]])
+        R[j:j + 2, j:k - 1] = G @ R[j:j + 2, j:k - 1]
+        R[j + 1, j] = 0.0
+        Qt[j:j + 2] = G @ Qt[j:j + 2]
+    R[:k, k - 1] = 0.0
+    R[k - 1] = 0.0
 
 
 # problems per stacked solve in _project_stack: bounds its temporaries
@@ -220,18 +310,21 @@ def _lstsq_stack(A, b, passive):
 def _nnls_stack(A, b, maxiter=None):
     """nnls on a stack of problems A[i] (m, k), b[i] (m,), in lockstep.
 
-    Every problem follows nnls rule for rule: its own stationarity
-    tolerance, the argmax entering rule, the inner step back with the
-    blocked list, and NonConvergence once a problem needs more than
-    maxiter (default 10 * max(m, k)) subproblem solves.  Returns the
-    solutions (p, k) and residual norms (p,).
+    Every problem follows nnls rule for rule: the relative stopping
+    rule, the entering column (the largest gradient among the columns
+    above their own threshold), the inner step back with the blocked
+    list, and NonConvergence once a problem needs more than maxiter
+    (default 10 * max(m, k)) subproblem solves.  One difference: an
+    entering column in the span of fewer than m passive columns is
+    solved for like any other, where nnls blocks it before the solve.
+    Returns the solutions (p, k) and residual norms (p,).
     """
     p, m, k = A.shape
     if maxiter is None:
         maxiter = 10 * max(m, k)
-    grad0 = np.einsum("pmk,pm->pk", A, b)
-    tol = 10.0 * np.finfo(float).eps * max(m, k) * np.maximum(
-        np.abs(grad0).max(axis=1, initial=0.0), 1.0)
+    rel = 10.0 * np.finfo(float).eps * max(m, k)
+    col_norm = np.sqrt(np.einsum("pmk,pmk->pk", A, A))
+    r_floor = rel * np.linalg.norm(b, axis=1)
     w = np.zeros((p, k))
     passive = np.zeros((p, k), dtype=bool)
     blocked = np.zeros((p, k), dtype=bool)
@@ -239,11 +332,17 @@ def _nnls_stack(A, b, maxiter=None):
     live = np.arange(p)
     while live.size:
         Al = A[live]
-        grad = np.einsum("pmk,pm->pk", Al,
-                         b[live] - np.einsum("pmk,pk->pm", Al, w[live]))
-        grad[passive[live] | blocked[live]] = -np.inf
-        enter = grad.argmax(axis=1)
-        go = grad[np.arange(live.size), enter] > tol[live]
+        r = b[live] - np.einsum("pmk,pk->pm", Al, w[live])
+        rnorm = np.linalg.norm(r, axis=1)
+        grad = np.einsum("pmk,pm->pk", Al, r)
+        above = ((grad > rel * col_norm[live] * rnorm[:, None])
+                 & ~passive[live] & ~blocked[live])
+        # a problem with m passive columns stops: nnls blocks every
+        # further column as dependent
+        above &= ((rnorm > r_floor[live])
+                  & (passive[live].sum(axis=1) < m))[:, None]
+        enter = np.where(above, grad, -np.inf).argmax(axis=1)
+        go = above.any(axis=1)
         live, enter = live[go], enter[go]
         passive[live, enter] = True
         act = live

@@ -25,18 +25,42 @@ from .exceptions import DimensionMismatch, NonConvergence, TruncationFailure
 # standard normal law
 
 _SQRT_HALF = math.sqrt(0.5)
+_SQRT_HALF_LO = -4.833646656726457e-17      # sqrt(1/2) - _SQRT_HALF
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_SPLIT = 134217729.0                        # 2^27 + 1, Veltkamp's splitter
+
+
+def _product_error(a: float, b: float, p: float) -> float:
+    """a * b - p, exactly, for p the rounded product a * b (Dekker)."""
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _ndtr(z: float) -> float:
     """Standard normal distribution function, branch for branch as
     scipy.special.ndtr: erf near the centre, erfc reflected in the tails,
-    so neither side loses digits to cancellation."""
+    so neither side loses digits to cancellation.
+
+    In the left tail the result is erfc(-z / sqrt(2)) / 2 itself, and
+    erfc magnifies the rounding of its argument by about z^2.  So
+    z / sqrt(2) is split into its rounded head x and the tail that
+    rounding dropped, and the tail is added back to first order."""
     x = z * _SQRT_HALF
     if abs(x) < _SQRT_HALF:
         return 0.5 + 0.5 * math.erf(x)
-    y = 0.5 * math.erfc(abs(x))
-    return 1.0 - y if x > 0 else y
+    if x > 0:
+        return 1.0 - 0.5 * math.erfc(x)
+    y = 0.5 * math.erfc(-x)
+    if not y > 0.0:             # underflow, or nan
+        return y
+    tail = _product_error(z, _SQRT_HALF, x) + z * _SQRT_HALF_LO
+    # erfc(-x - tail) = erfc(-x) + 2 exp(-x^2) tail / sqrt(pi) + O(x tail^2)
+    return y + _INV_SQRT_PI * math.exp(-x * x) * tail
 
 
 def _npdf(z: float) -> float:

@@ -20,7 +20,8 @@ import numpy as np
 from .cone import (DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket,
                    _project_stack, certificate_from_projection, project_to_cone)
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
-                         InvalidInterval, NotClosedOut, NotSelfFinancing)
+                         InvalidInterval, NonConvergence, NotClosedOut,
+                         NotSelfFinancing)
 from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction,
                          pairing, product, restrict)
 
@@ -302,16 +303,13 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
     a DeflatorSequence with weight one per time-0 block.  Otherwise the
     witness is the lowest failing block of the first failing level:
     that node is projected again on its own, and its certificate and
-    the strategy that plays it make the NodeArbitrage.  Each algebra
-    must refine the one before; the first step that does not raises
-    NotCoarser when the search reaches it.
-
-    Two outcomes can differ from projecting each node alone with
-    find_arbitrage.  A square node whose direct solve passes is inside
-    even where nnls, which stops early on markets scaled near 1e-6,
-    would return a certificate.  And NonConvergence on any node of a
-    stack stops the whole level, even when a lower block of that level
-    has an arbitrage that node-by-node order would have reported first.
+    the strategy that plays it make the NodeArbitrage.  If a stack of
+    a level raises NonConvergence, that level's nodes are projected one
+    by one in block order instead, so an arbitrage at a lower block is
+    still the witness; NonConvergence propagates only from a node that
+    no lower arbitrage precedes.  Each algebra must refine the one
+    before; the first step that does not raises NotCoarser when the
+    search reaches it.
     """
     filtration = panel.filtration
     weights = [np.ones(filtration[0].n_blocks)]
@@ -319,7 +317,10 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
         child_parent = filtration[i + 1].coarse_block_map(filtration[i])
         settle = panel.settle(i + 1).values
         prices = panel.prices[i].values
-        node_w, flagged = _solve_level(child_parent, settle, prices, tol)
+        try:
+            node_w, flagged = _solve_level(child_parent, settle, prices, tol)
+        except NonConvergence:
+            node_w, flagged = np.empty(child_parent.size), np.arange(prices.shape[0])
         for b in flagged.tolist():
             children = np.flatnonzero(child_parent == b)
             local = OnePeriodMarket(prices=prices[b], payoffs=settle[children])

@@ -7,6 +7,9 @@ cost, no losing outcome) and a deflator must reproduce every quoted
 price.
 """
 
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -14,13 +17,16 @@ import scipy.optimize
 from deflator import (
     DEFAULT_TOL,
     Deflator,
+    DeflatorSequence,
     DimensionMismatch,
     NonConvergence,
     OnePeriodMarket,
     certificate_from_projection,
     deflator_from_projection,
     find_arbitrage,
+    find_tree_deflator,
     nnls,
+    panel_from_one_period,
     project_to_cone,
     verify_position,
 )
@@ -97,6 +103,79 @@ def test_nnls_clamps_negative_directions():
     w, rnorm = nnls(A, b)
     assert w[0] == 0.0
     assert rnorm == pytest.approx(np.hypot(1.0, 2.0))
+
+
+def fair_option_chain(i, outcomes=4000, strikes=49):
+    """A bond, a stock and calls and puts on a strike grid over
+    `outcomes` terminal prices, quoted by a positive random deflator:
+    inside the cone by construction, and of rank 51 (puts = calls -
+    stock + strike bonds)."""
+    rng = np.random.default_rng([20191017, 0, i])
+    s0 = 100.0 * np.exp(rng.uniform(-0.2, 0.2))
+    R = 1.0 + rng.uniform(0.0, 0.06)
+    vol = rng.uniform(0.15, 0.35)
+    S = np.sort(s0 * R * np.exp(vol * rng.standard_normal(outcomes) - 0.5 * vol ** 2))
+    K = s0 * np.linspace(0.6, 1.4, strikes)
+    X = np.column_stack([np.ones(outcomes), S, np.maximum(S[:, None] - K, 0.0),
+                         np.maximum(K - S[:, None], 0.0)])
+    weights = rng.gamma(2.0, size=outcomes)
+    return X.T @ (weights / (weights.sum() * R)), X
+
+
+@pytest.mark.parametrize("i", [61, 184])
+def test_nnls_finds_fair_option_chains_inside_at_every_scale(i):
+    # an absolute floor in the stopping rule stopped these short of the
+    # cone at scale 1, and nearly every such chain at scale 1e-6
+    x, X = fair_option_chain(i)
+    for scale in (1e-6, 1.0, 1e6):
+        market = OnePeriodMarket(prices=scale * x, payoffs=scale * X)
+        projection = project_to_cone(market)
+        assert projection.residual_norm <= 1e-3 * DEFAULT_TOL * (1.0 + np.linalg.norm(market.prices))
+        assert find_arbitrage(market) is None
+
+
+def test_qr_factor_follows_columns_in_and_out():
+    rng = np.random.default_rng(31)
+    m = 8
+    A = rng.normal(size=(m, 12)) * rng.lognormal(size=12)
+    A[:, 6] = 2.0 * A[:, 1] - A[:, 4]           # collinear with two others
+    Qt, R = np.zeros((m, m)), np.zeros((m, m))
+    cols = []
+    cutoff = 10.0 * np.finfo(float).eps * m
+    for j in rng.integers(0, 12, size=80).tolist():
+        if j in cols:
+            i = cols.index(j)
+            cone._qr_drop(Qt, R, len(cols), i)
+            cols.pop(i)
+        else:
+            before = Qt.copy(), R.copy()
+            dependent = len(cols) == m or j in {1, 4, 6} and len({1, 4, 6} & set(cols)) == 2
+            added = cone._qr_append(Qt, R, len(cols), A[:, j],
+                                    cutoff * np.linalg.norm(A[:, j]))
+            assert added != dependent
+            if not added:
+                assert np.array_equal(Qt, before[0]) and np.array_equal(R, before[1])
+                continue
+            cols.append(j)
+        k = len(cols)
+        Q = Qt[:k].T
+        np.testing.assert_allclose(Q @ R[:k, :k], A[:, cols], rtol=0.0,
+                                   atol=1e-14 * np.abs(A).max())
+        np.testing.assert_allclose(Q.T @ Q, np.eye(k), rtol=0.0, atol=1e-14)
+        assert not np.tril(R[:k, :k], -1).any() and not R[k:].any() and not R[:, k:].any()
+
+
+def test_nnls_verdict_does_not_change_with_scale():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        market = random_market(rng)
+        verdict = find_arbitrage(market) is None
+        distance = project_to_cone(market).residual_norm
+        for c in (1e-6, 1e-3, 1e3, 1e6):
+            scaled = OnePeriodMarket(prices=c * market.prices, payoffs=c * market.payoffs)
+            assert (find_arbitrage(scaled) is None) == verdict
+            _, rnorm = nnls(scaled.payoffs.T, scaled.prices)
+            assert rnorm == pytest.approx(c * distance, rel=1e-6, abs=1e-12 * c)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +262,101 @@ def test_single_fair_bond_has_deflator():
     assert find_arbitrage(market) is None
     deflator = deflator_from_projection(project_to_cone(market))
     assert deflator.mass == pytest.approx(1 / 1.05)
+
+
+# ---------------------------------------------------------------------------
+# an exact oracle on degenerate cones
+
+
+def exact_solve(G, h):
+    """The solution of G z = h in Fractions, or None if G is singular."""
+    n = len(h)
+    M = [list(row) + [h[i]] for i, row in enumerate(G)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if pivot is None:
+            return None
+        M[c], M[pivot] = M[pivot], M[c]
+        for r in range(n):
+            if r != c and M[r][c] != 0:
+                f = M[r][c] / M[c][c]
+                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return [M[i][n] / M[i][i] for i in range(n)]
+
+
+def exact_cone_distance2(payoffs, prices):
+    """The squared distance from integer prices to the cone of integer
+    payoff rows, in exact arithmetic.  The nearest cone point is
+    payoffs[S].T @ z for some set S of independent rows and z > 0 that
+    solves least squares on S, with no row off S of positive gradient
+    (KKT); the supports are enumerated from the smallest up."""
+    A = [[Fraction(int(v)) for v in row] for row in payoffs]     # rows: outcomes
+    b = [Fraction(int(v)) for v in prices]
+    m = len(b)
+    for size in range(min(m, len(A)) + 1):
+        for S in combinations(range(len(A)), size):
+            G = [[sum(A[i][t] * A[j][t] for t in range(m)) for j in S] for i in S]
+            z = exact_solve(G, [sum(A[i][t] * b[t] for t in range(m)) for i in S])
+            if z is None or any(v <= 0 for v in z):
+                continue
+            r = [b[t] - sum(v * A[i][t] for v, i in zip(z, S)) for t in range(m)]
+            if all(sum(a * rt for a, rt in zip(row, r)) <= 0 for row in A):
+                return sum(rt * rt for rt in r)
+    raise AssertionError("no support satisfies KKT")
+
+
+def degenerate_market(rng):
+    """Small integer payoffs with duplicated outcomes, collinear
+    instruments or a rank below min(outcomes, instruments), and prices
+    inside the cone (often on a face), in its span or anywhere."""
+    kind = ["duplicated", "collinear", "rank"][int(rng.integers(3))]
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+    payoffs = rng.integers(-2, 6, size=(n, m))
+    if kind == "duplicated" and n > 1:
+        payoffs[-1] = payoffs[0]
+    elif kind == "collinear" and m > 1:
+        payoffs[:, -1] = 2 * payoffs[:, 0] - payoffs[:, int(rng.integers(m - 1))]
+    elif kind == "rank":
+        r = int(rng.integers(1, max(min(n, m) - 1, 1) + 1))
+        payoffs = rng.integers(-2, 3, size=(n, r)) @ rng.integers(-2, 3, size=(r, m))
+    where = int(rng.integers(3))
+    if where == 0:
+        prices = payoffs.T @ rng.integers(0, 3, size=n)
+    elif where == 1:
+        prices = payoffs.T @ rng.integers(-2, 3, size=n)
+    else:
+        prices = rng.integers(-4, 6, size=m)
+    return payoffs, prices
+
+
+def test_verdicts_match_the_exact_oracle_on_degenerate_cones():
+    rng = np.random.default_rng(2019)
+    band = verdicts = 0
+    for _ in range(150):
+        payoffs, prices = degenerate_market(rng)
+        distance = float(exact_cone_distance2(payoffs, prices)) ** 0.5
+        for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            market = OnePeriodMarket(prices=c * prices.astype(float),
+                                     payoffs=c * payoffs.astype(float))
+            threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(market.prices))
+            # scaling rounds the inputs by far less than the threshold,
+            # so c * distance is the scaled market's distance
+            if threshold / 4.0 < c * distance < 4.0 * threshold:
+                band += 1
+                continue
+            inside = c * distance <= threshold
+            certificate = find_arbitrage(market)
+            assert (certificate is None) == inside
+            if certificate is not None:
+                assert certificate.setup_gain == pytest.approx(c * distance, abs=threshold)
+            n = len(payoffs)
+            _, stacked = cone._project_stack(market.payoffs, np.arange(n)[None],
+                                             market.prices[None])
+            assert stacked[0] == inside
+            tree = find_tree_deflator(panel_from_one_period(market))
+            assert isinstance(tree, DeflatorSequence) == inside
+            verdicts += 1
+    assert band <= 5 and verdicts >= 700
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +506,10 @@ def check_stacked_nnls(seed, kind, m, k, exponent):
         # comes with weights that reprice within the threshold
         market = OnePeriodMarket(prices=b[i], payoffs=a.T)
         single = certificate_from_projection(project_to_cone(market), market)
+        assert inside[i] == (single is None)
         if inside[i]:
             assert (weights[i] >= 0.0).all()
             assert np.linalg.norm(a @ weights[i] - b[i]) <= threshold
-        if inside[i] != (single is None):
-            # only the square solve may disagree, where nnls stops early
-            # (its stationarity floor on small markets): the exact
-            # projection of scipy sides with the square solve
-            assert inside[i] and k == m
-            w_ref, _ = scipy.optimize.nnls(a, b[i])
-            assert np.linalg.norm(a @ w_ref - b[i]) <= threshold
 
 
 def test_stacked_lstsq_solves_on_the_passive_columns():
@@ -365,6 +533,44 @@ def solves_needed(a, b):
             return cap
         except NonConvergence:
             cap += 1
+
+
+def stacked_solves_needed(a, b):
+    """The least maxiter with which _nnls_stack solves (a, b) alone."""
+    cap = 1
+    while True:
+        try:
+            return cap, cone._nnls_stack(a[None], b[None], maxiter=cap)[0][0]
+        except NonConvergence:
+            cap += 1
+
+
+def test_nnls_counts_solves_like_the_stacked_solver():
+    # the QR updates, the dependent-column test and the final lstsq of
+    # nnls take the path of the stacked SVD solves, solve for solve
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        m, k = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        A, b = stacked_problems(int(rng.integers(2 ** 32)), "random", m, k,
+                                10.0 ** int(rng.integers(-6, 7)), p=1)
+        w = nnls(A[0], b[0])[0]
+        need, W = stacked_solves_needed(A[0], b[0])
+        assert solves_needed(A[0], b[0]) == need
+        np.testing.assert_allclose(w, W, rtol=1e-9, atol=1e-12 * np.abs(W).max(initial=1.0))
+
+
+def test_nnls_enters_the_largest_gradient_above_its_threshold():
+    # column 0 is huge and nearly orthogonal to b: its gradient 0.71 is
+    # the largest and twice its own threshold, while column 1 exceeds
+    # its threshold by the most.  Column 0 enters first, and the step
+    # back from the pair costs two more solves before column 1 is alone.
+    A = np.array([[0.71, 0.5], [8e13, 0.866]])
+    b = np.array([1.0, 0.0])
+    assert solves_needed(A, b) == 3
+    need, w = stacked_solves_needed(A, b)
+    assert need == 3
+    for got in (w, nnls(A, b)[0]):
+        assert got[0] == 0.0 and got[1] == pytest.approx(0.5 / (A[:, 1] @ A[:, 1]), rel=1e-12)
 
 
 def test_stacked_nnls_raises_nonconvergence_like_nnls():

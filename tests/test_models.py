@@ -126,6 +126,17 @@ def test_in_tree_normal_law_matches_scipy(monkeypatch, capsys):
     assert (got[z >= 5.0] == want[z >= 5.0]).all()
 
 
+def test_ndtr_left_tail_keeps_its_relative_accuracy():
+    # rounding z / sqrt(2) alone cost up to ~1,600 ulps here
+    mpmath = pytest.importorskip("mpmath")
+    z = np.concatenate([np.random.default_rng(6).uniform(-37.0, -5.0, 2000),
+                        [-37.0, -20.0, -5.0]])
+    with mpmath.mp.workdps(40):
+        ulps = [abs(mpmath.mpf(models._ndtr(float(t))) - mpmath.ncdf(float(t)))
+                / math.ulp(float(mpmath.ncdf(float(t)))) for t in z]
+    assert max(ulps) <= 4.0
+
+
 # --------------------------------------------------------------- Bachelier
 
 

@@ -551,10 +551,39 @@ def test_tree_search_needs_a_refining_filtration():
 def test_tree_search_propagates_nonconvergence(monkeypatch):
     rng = np.random.default_rng(3)
     panel = tree_panel([np.full(3 ** i, 3) for i in range(3)], rng)
+    # the stacked and the node-by-node solves both give up
     monkeypatch.setattr(cone, "_nnls_stack",
                         functools.partial(cone._nnls_stack, maxiter=1))
+    monkeypatch.setattr(cone, "nnls", functools.partial(cone.nnls, maxiter=1))
     with pytest.raises(NonConvergence):
         find_tree_deflator(panel)
+
+
+def test_tree_search_nonconvergence_keeps_the_lowest_block_witness(monkeypatch):
+    rng = np.random.default_rng(3)
+    panel = tree_panel([np.full(3 ** i, 3) for i in range(3)], rng)
+    stack, single = cone._nnls_stack, multi_period.project_to_cone
+    stuck = panel.prices[1].values[2].copy()
+
+    def stack_stuck(A, b, maxiter=None):
+        if (b == stuck).all(axis=1).any():
+            raise NonConvergence("block 2 of time 1 does not converge")
+        return stack(A, b, maxiter)
+
+    def single_stuck(market, tol=DEFAULT_TOL):
+        if np.array_equal(market.prices, stuck):
+            raise NonConvergence("block 2 of time 1 does not converge")
+        return single(market, tol)
+
+    monkeypatch.setattr(cone, "_nnls_stack", stack_stuck)
+    monkeypatch.setattr(multi_period, "project_to_cone", single_stuck)
+    # nothing below the stuck node fails: the search reaches it
+    with pytest.raises(NonConvergence):
+        find_tree_deflator(panel)
+    # the stock at block 0 of the same level quoted above every child
+    panel.prices[1].values[0, 1] = 1.25 * panel.prices[2].values[:3, 1].max() / 1.04
+    node = assert_matches_per_node_search(panel)
+    assert (node.time, node.block) == (1, 0)
 
 
 def test_tree_search_on_a_wide_node():
