@@ -102,12 +102,6 @@ def _refine_legendre_root(x: float, n: int) -> tuple[float, float]:
     return t / one, (2 << 3 * s) / ((one - (t * t >> s)) * dp * dp)
 
 
-def normal_expectation(f, mean: float = 0.0, std: float = 1.0, n: int = 201):
-    """E f(X) for X ~ N(mean, std^2) by Gauss-Hermite. f must be smooth."""
-    z, w = gauss_hermite(n)
-    return float(np.sum(w * np.asarray(f(mean + std * z), dtype=float)))
-
-
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
                      max_depth: int = 48) -> float:
     """Adaptive Simpson quadrature of f on [a, b] to absolute tol."""

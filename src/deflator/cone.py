@@ -286,25 +286,47 @@ def _qr_drop(Qt, R, k, i) -> None:
 _STACK_CHUNK = 512
 
 
-def _lstsq_stack(A, b, passive):
-    """Minimum-norm least squares for each problem of a stack on its
-    passive columns, zero on the others: numpy's lstsq of
-    A[i][:, passive[i]] against b[i], by stacked SVD with lstsq's own
-    cutoff eps * max(m, n) * sigma_max, n the passive column count."""
-    n = passive.sum(axis=1)
-    # each problem's passive columns first, in column order, so the SVD
-    # sees at most max(n) columns however many the problems have
-    cols = np.argsort(~passive, axis=1, kind="stable")[:, :n.max()]
-    used = np.take_along_axis(passive, cols, axis=1)
-    u, s, vt = np.linalg.svd(np.take_along_axis(A, cols[:, None, :], axis=2)
-                             * used[:, None, :], full_matrices=False)
-    cutoff = np.finfo(float).eps * np.maximum(A.shape[1], n) * s[:, 0]
-    keep = s > cutoff[:, None]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    z = np.einsum("prk,pr->pk", vt, inv * np.einsum("pmr,pm->pr", u, b))
-    out = np.zeros(passive.shape)
-    np.put_along_axis(out, cols, np.where(used, z, 0.0), axis=1)
-    return out
+def _qr_append_stack(Qt, R, cols, nk, A, idx, j, cutoff):
+    """_qr_append on problem idx[i] of a stacked factor: append column
+    j[i] of A[idx[i]] at position nk[idx[i]], as _nnls_stack keeps it.
+    Qt is zero and R the identity past each problem's nk columns.
+    Returns which columns went in; a rejected one leaves its factor as
+    it was."""
+    a = A[idx, :, j]
+    Q = Qt[idx]
+    h = np.einsum("sqm,sm->sq", Q, a)
+    v = a - np.einsum("sqm,sq->sm", Q, h)
+    h2 = np.einsum("sqm,sm->sq", Q, v)
+    v -= np.einsum("sqm,sq->sm", Q, h2)
+    d = np.linalg.norm(v, axis=1)
+    ok = d > cutoff
+    idx, at = idx[ok], nk[idx[ok]]
+    Qt[idx, at] = v[ok] / d[ok, None]
+    R[idx, :, at] = (h + h2)[ok]
+    R[idx, at, at] = d[ok]
+    cols[idx, at] = j[ok]
+    nk[idx] += 1
+    return ok
+
+
+def _qr_drop_stack(Qt, R, cols, nk, A, idx, drop):
+    """Remove the factor positions drop[i] (at least one) of problem
+    idx[i] of a stacked factor kept by _qr_append_stack.  The columns
+    before the first one dropped keep their factor; the survivors after
+    it are appended again in entry order, with no dependence test: a
+    column independent of more columns is independent of fewer."""
+    q, k = Qt.shape[1], A.shape[2]
+    keep = (np.arange(q) < nk[idx, None]) & ~drop
+    first = drop.argmax(axis=1)
+    cols[idx] = np.take_along_axis(np.where(keep, cols[idx], k),
+                                   np.argsort(~keep, axis=1, kind="stable"), 1)
+    tail = np.arange(q) >= first[:, None]
+    Qt[idx] = np.where(tail[..., None], 0.0, Qt[idx])
+    R[idx] = np.where(tail[:, :, None] | tail[:, None, :], np.eye(q), R[idx])
+    nk[idx] = first
+    while (more := nk[idx] < keep.sum(axis=1)).any():
+        again = idx[more]
+        _qr_append_stack(Qt, R, cols, nk, A, again, cols[again, nk[again]], -1.0)
 
 
 def _nnls_stack(A, b, maxiter=None):
@@ -312,69 +334,87 @@ def _nnls_stack(A, b, maxiter=None):
 
     Every problem follows nnls rule for rule: the relative stopping
     rule, the entering column (the largest gradient among the columns
-    above their own threshold), the inner step back with the blocked
+    above their own threshold), the dependent-column test on a thin QR
+    factor of its passive columns, the inner step back with the blocked
     list, and NonConvergence once a problem needs more than maxiter
-    (default 10 * max(m, k)) subproblem solves.  One difference: an
-    entering column in the span of fewer than m passive columns is
-    solved for like any other, where nnls blocks it before the solve.
+    (default 10 * max(m, k)) subproblem solves.  The factors are kept
+    side by side, zero-padded to min(m, k) columns, so each round of
+    subproblems is one stacked triangular solve; a problem that drops
+    columns appends its surviving ones again from the first one dropped.
     Returns the solutions (p, k) and residual norms (p,).
     """
     p, m, k = A.shape
+    q = min(m, k)
     if maxiter is None:
         maxiter = 10 * max(m, k)
     rel = 10.0 * np.finfo(float).eps * max(m, k)
     col_norm = np.sqrt(np.einsum("pmk,pmk->pk", A, A))
     r_floor = rel * np.linalg.norm(b, axis=1)
-    w = np.zeros((p, k))
-    passive = np.zeros((p, k), dtype=bool)
+    # column k of w and of passive absorbs the writes of unused factor
+    # positions, whose cols entry is k
+    w = np.zeros((p, k + 1))
+    passive = np.zeros((p, k + 1), dtype=bool)
     blocked = np.zeros((p, k), dtype=bool)
+    Qt, R = np.zeros((p, q, m)), np.tile(np.eye(q), (p, 1, 1))
+    cols, nk = np.full((p, q), k), np.zeros(p, dtype=int)
     solves = np.zeros(p, dtype=int)
     live = np.arange(p)
-    while live.size:
-        Al = A[live]
-        r = b[live] - np.einsum("pmk,pk->pm", Al, w[live])
+    while True:
+        Al, bl = (A, b) if live.size == p else (A[live], b[live])
+        r = bl - (Al @ w[live, :k, None])[..., 0]
         rnorm = np.linalg.norm(r, axis=1)
-        grad = np.einsum("pmk,pm->pk", Al, r)
+        grad = (r[:, None] @ Al)[:, 0]
         above = ((grad > rel * col_norm[live] * rnorm[:, None])
-                 & ~passive[live] & ~blocked[live])
+                 & ~passive[live, :k] & ~blocked[live])
         # a problem with m passive columns stops: nnls blocks every
         # further column as dependent
-        above &= ((rnorm > r_floor[live])
-                  & (passive[live].sum(axis=1) < m))[:, None]
-        enter = np.where(above, grad, -np.inf).argmax(axis=1)
+        above &= ((rnorm > r_floor[live]) & (nk[live] < q))[:, None]
         go = above.any(axis=1)
-        live, enter = live[go], enter[go]
-        passive[live, enter] = True
-        act = live
+        live = live[go]
+        if not live.size:
+            break
+        enter = np.where(above[go], grad[go], -np.inf).argmax(axis=1)
+        added = _qr_append_stack(Qt, R, cols, nk, A, live, enter,
+                                 rel * col_norm[live, enter])
+        blocked[live[~added], enter[~added]] = True
+        act, enter = live[added], enter[added]
+        passive[act, enter] = True
         while act.size:
             solves[act] += 1
             if solves[act].max() > maxiter:
                 raise NonConvergence(
                     f"nnls did not converge within {maxiter} subproblem solves")
-            P = passive[act]
-            z = _lstsq_stack(A[act], b[act], P)
-            feasible = np.where(P, z, np.inf).min(axis=1) > 0.0
-            w[act[feasible]] = z[feasible]
+            # z is zero past each problem's passive columns
+            y = np.einsum("sqm,sm->sq", Qt[act], b[act])
+            z = np.linalg.solve(R[act], y[..., None])[..., 0]
+            c = cols[act]
+            feasible = np.where(c < k, z, np.inf).min(axis=1) > 0.0
+            w[act[feasible, None], c[feasible]] = z[feasible]
             blocked[act[feasible]] = False
             rest = ~feasible
-            act, enter, P, z = act[rest], enter[rest], P[rest], z[rest]
-            wp = w[act]
-            limiting = P & (z <= 0.0) & (wp - z > 0.0)
-            ratios = np.full(wp.shape, np.inf)
+            if not rest.any():
+                break
+            act, enter, c, z = act[rest], enter[rest], c[rest], z[rest]
+            wp = w[act[:, None], c]
+            limiting = (c < k) & (z <= 0.0) & (wp - z > 0.0)
+            ratios = np.full(z.shape, np.inf)
             ratios[limiting] = wp[limiting] / (wp[limiting] - z[limiting])
-            alpha = ratios.min(axis=1)
-            stuck = alpha == 0.0
-            passive[act[stuck], enter[stuck]] = False
+            alpha = ratios.min(axis=1, keepdims=True)
+            stuck = alpha[:, 0] == 0.0
             blocked[act[stuck], enter[stuck]] = True
-            move = ~stuck
-            act, enter, P, z, wp = act[move], enter[move], P[move], z[move], wp[move]
-            ratios, alpha = ratios[move], alpha[move, None]
-            step = np.where(P, wp + alpha * (z - wp), 0.0)
-            drop = P & ((ratios <= alpha) | (step <= 0.0))
+            # a zero step rejects the fresh entry alone and leaves w
+            step = wp + alpha * (z - wp)
+            drop = (c < k) & np.where(stuck[:, None], c == enter[:, None],
+                                      (ratios <= alpha) | (step <= 0.0))
             step[drop] = 0.0
-            w[act] = step
-            passive[act] = P & ~drop
-    rnorm = np.linalg.norm(b - np.einsum("pmk,pk->pm", A, w), axis=1)
+            w[act[:, None], c] = step
+            passive[act[:, None], c] &= ~drop
+            hit = drop.any(axis=1)
+            if hit.any():
+                _qr_drop_stack(Qt, R, cols, nk, A, act[hit], drop[hit])
+            act, enter = act[~stuck], enter[~stuck]
+    w = w[:, :k]
+    rnorm = np.linalg.norm(b - (A @ w[..., None])[..., 0], axis=1)
     return w, rnorm
 
 

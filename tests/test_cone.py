@@ -132,6 +132,8 @@ def test_nnls_finds_fair_option_chains_inside_at_every_scale(i):
         projection = project_to_cone(market)
         assert projection.residual_norm <= 1e-3 * DEFAULT_TOL * (1.0 + np.linalg.norm(market.prices))
         assert find_arbitrage(market) is None
+        # one node of 4000 children: the stacked solver at full size
+        assert isinstance(find_tree_deflator(panel_from_one_period(market)), DeflatorSequence)
 
 
 def test_qr_factor_follows_columns_in_and_out():
@@ -512,16 +514,57 @@ def check_stacked_nnls(seed, kind, m, k, exponent):
             assert np.linalg.norm(a @ weights[i] - b[i]) <= threshold
 
 
-def test_stacked_lstsq_solves_on_the_passive_columns():
-    rng = np.random.default_rng(4)
-    A, b = stacked_problems(4, "duplicated", 5, 40, 1.0, p=16)
-    passive = rng.random((16, 40)) < rng.uniform(0.02, 0.3, (16, 1))
-    passive[:, 0] = passive[:, -1] = True    # duplicated columns, both used
-    z = cone._lstsq_stack(A, b, passive)
-    for i in range(16):
-        want = np.zeros(40)
-        want[passive[i]] = np.linalg.lstsq(A[i][:, passive[i]], b[i], rcond=None)[0]
-        np.testing.assert_allclose(z[i], want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+def test_stacked_qr_factor_follows_columns_in_and_out():
+    rng = np.random.default_rng(37)
+    p, m, k = 6, 5, 9
+    A = rng.normal(size=(p, m, k)) * rng.lognormal(size=(p, 1, k))
+    A[:, :, 7] = A[:, :, 2]                         # duplicated
+    A[:, :, 8] = 2.0 * A[:, :, 1] - A[:, :, 4]      # collinear with two others
+    cutoff = 10.0 * np.finfo(float).eps * k * np.linalg.norm(A, axis=1)
+    Qt, R = np.zeros((p, m, m)), np.tile(np.eye(m), (p, 1, 1))
+    cols, nk = np.full((p, m), k), np.zeros(p, dtype=int)
+    entered = [[] for _ in range(p)]
+    rejected = {"full": 0, "duplicated": 0, "collinear": 0}
+    for _ in range(150):
+        j = rng.integers(0, k, size=p)
+        out = np.array([j[i] in entered[i] for i in range(p)])
+        if out.any():
+            cone._qr_drop_stack(Qt, R, cols, nk, A, np.flatnonzero(out),
+                                cols[out] == j[out, None])
+        why = {}
+        for i in np.flatnonzero(~out):
+            if len(entered[i]) == m:
+                why[i] = "full"
+            elif {2, 7} & set(entered[i]) and j[i] in {2, 7}:
+                why[i] = "duplicated"
+            elif j[i] in {1, 4, 8} and len({1, 4, 8} & set(entered[i])) == 2:
+                why[i] = "collinear"
+        for i in np.flatnonzero(out):
+            entered[i].remove(j[i])
+        idx = np.flatnonzero(~out)
+        before = Qt.copy(), R.copy(), cols.copy(), nk.copy()
+        added = cone._qr_append_stack(Qt, R, cols, nk, A, idx, j[idx], cutoff[idx, j[idx]])
+        for i, ok in zip(idx, added):
+            assert ok != (i in why)
+            if ok:
+                entered[i].append(j[i])
+            else:
+                rejected[why[i]] += 1
+                for now, then in zip((Qt, R, cols, nk), before):
+                    assert np.array_equal(now[i], then[i])
+        for i in range(p):
+            n = len(entered[i])
+            assert nk[i] == n and cols[i, :n].tolist() == entered[i]
+            assert (cols[i, n:] == k).all()
+            Q = Qt[i, :n].T
+            np.testing.assert_allclose(Q @ R[i, :n, :n], A[i][:, entered[i]], rtol=0.0,
+                                       atol=1e-14 * np.abs(A[i]).max())
+            np.testing.assert_allclose(Q.T @ Q, np.eye(n), rtol=0.0, atol=1e-14)
+            # zero and identity padding past the factor, as the solves need
+            assert not np.tril(R[i, :n, :n], -1).any() and not Qt[i, n:].any()
+            assert np.array_equal(R[i, n:, n:], np.eye(m - n))
+            assert not R[i, n:, :n].any() and not R[i, :n, n:].any()
+    assert min(rejected.values()) > 0
 
 
 def solves_needed(a, b):
@@ -546,17 +589,31 @@ def stacked_solves_needed(a, b):
 
 
 def test_nnls_counts_solves_like_the_stacked_solver():
-    # the QR updates, the dependent-column test and the final lstsq of
-    # nnls take the path of the stacked SVD solves, solve for solve
+    # the single and the stacked QR factor take the same path, solve for
+    # solve, also where columns repeat, depend on others or are zero;
+    # weights are compared only where they are unique.  Moving half the
+    # b off the cone by a small relative distance leaves a residual at
+    # which the rounding of A.T @ r can lift a column in the span of the
+    # passive ones above its threshold: the dependent-column test.
     rng = np.random.default_rng(23)
-    for _ in range(200):
+    kinds = ["random", "duplicated", "collinear", "zero"]
+    for _ in range(400):
+        kind = kinds[int(rng.integers(len(kinds)))]
         m, k = int(rng.integers(1, 6)), int(rng.integers(1, 8))
-        A, b = stacked_problems(int(rng.integers(2 ** 32)), "random", m, k,
+        A, b = stacked_problems(int(rng.integers(2 ** 32)), kind, m, k,
                                 10.0 ** int(rng.integers(-6, 7)), p=1)
-        w = nnls(A[0], b[0])[0]
+        if rng.random() < 0.5:
+            b += 10.0 ** -int(rng.integers(3, 13)) * np.linalg.norm(b) * rng.normal(size=b.shape)
+        w, r = nnls(A[0], b[0])
         need, W = stacked_solves_needed(A[0], b[0])
         assert solves_needed(A[0], b[0]) == need
-        np.testing.assert_allclose(w, W, rtol=1e-9, atol=1e-12 * np.abs(W).max(initial=1.0))
+        threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[0]))
+        R = np.linalg.norm(b[0] - A[0] @ W)
+        assert (R <= threshold) == (r <= threshold)
+        assert abs(R - r) <= threshold
+        if kind == "random":
+            np.testing.assert_allclose(w, W, rtol=1e-9,
+                                       atol=1e-12 * np.abs(W).max(initial=1.0))
 
 
 def test_nnls_enters_the_largest_gradient_above_its_threshold():
