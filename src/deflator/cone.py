@@ -15,7 +15,7 @@ yields either the deflator or the certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -424,9 +424,11 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     Market i quotes prices[i] (m instruments) and pays the k payoff rows
     rows[children[i]].  Returns the cone weights (p, k) and whether each
     market is inside its cone by the threshold of _inside.  When k == m
-    a nonsingular market whose solved weights are nonnegative and
-    reprice it within the threshold is inside, as nnls would also find;
-    every other market goes through _nnls_stack.
+    each market is solved directly (if LU meets an exact zero pivot, only
+    those with a finite nonzero determinant), and it is inside when the
+    solved weights are nonnegative and reprice it within the threshold,
+    with the rounding of the repricing counted against it, as nnls would
+    also find; every other market goes through _nnls_stack.
     """
     p, k = children.shape
     m = rows.shape[1]
@@ -437,13 +439,19 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
         threshold = tol * (1.0 + np.linalg.norm(x, axis=1))
         w, ok = np.zeros((len(x), k)), np.zeros(len(x), dtype=bool)
         if k == m:
-            det = np.linalg.det(A)
-            square = np.flatnonzero(np.isfinite(det) & (det != 0.0))
-            ws = np.linalg.solve(A[square], x[square, :, None])[..., 0]
-            resid = np.linalg.norm(np.einsum("pmk,pk->pm", A[square], ws) - x[square],
-                                   axis=1)
-            good = (ws >= 0.0).all(axis=1) & (resid <= threshold[square])
-            w[square[good]], ok[square[good]] = ws[good], True
+            try:
+                ws = np.linalg.solve(A, x[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                # NaN weights fail the checks below
+                det = np.linalg.det(A)
+                square, ws = np.isfinite(det) & (det != 0.0), np.full((len(x), k), np.nan)
+                ws[square] = np.linalg.solve(A[square], x[square, :, None])[..., 0]
+            resid = np.linalg.norm(np.einsum("pmk,pk->pm", A, ws) - x, axis=1)
+            # the rounding of A @ ws, large for huge weights, counts against it
+            noise = 10.0 * np.finfo(float).eps * m * np.linalg.norm(A, axis=(1, 2))
+            resid += noise * np.linalg.norm(ws, axis=1)
+            good = (ws >= 0.0).all(axis=1) & (resid <= threshold)
+            w[good], ok[good] = ws[good], True
         rest = np.flatnonzero(~ok)
         if rest.size:
             w[rest], rnorm = _nnls_stack(A[rest], x[rest])

@@ -36,10 +36,12 @@ class Algebra:
 
     block_of[a] is the block containing atom a.  Block indices must be
     exactly 0..B-1 with every block nonempty, so functions and measures
-    can store one value per block index.
+    can store one value per block index.  A coarse level of a
+    Filtration stores only its parent map from the blocks of the next
+    finer level; its block_of is composed from the maps when asked for.
     """
 
-    __slots__ = ("block_of", "n_blocks")
+    __slots__ = ("_block_of", "n_blocks", "n_atoms", "_finer", "_up")
 
     def __init__(self, block_of):
         block_of = np.asarray(block_of, dtype=int)
@@ -48,13 +50,28 @@ class Algebra:
         n_blocks = int(block_of.max()) + 1
         if block_of.min() < 0 or not np.bincount(block_of).all():
             raise ValueError("blocks must be numbered 0..B-1 with none empty")
-        self.block_of = block_of
-        self.block_of.setflags(write=False)
-        self.n_blocks = n_blocks
+        block_of.setflags(write=False)
+        self._block_of, self._finer, self._up = block_of, None, None
+        self.n_blocks, self.n_atoms = n_blocks, block_of.size
+
+    @classmethod
+    def _coarsening(cls, finer: "Algebra", up) -> "Algebra":
+        """The algebra whose block up[f] holds block f of finer; up must
+        map the blocks of finer onto 0..B-1."""
+        alg = cls.__new__(cls)
+        up.setflags(write=False)
+        alg._block_of, alg._finer, alg._up = None, finer, up
+        alg.n_blocks, alg.n_atoms = int(up.max()) + 1, finer.n_atoms
+        return alg
 
     @property
-    def n_atoms(self) -> int:
-        return self.block_of.size
+    def block_of(self) -> np.ndarray:
+        finest = self
+        while finest._block_of is None:
+            finest = finest._finer
+        if finest is self:
+            return self._block_of
+        return finest.coarse_block_map(self)[finest._block_of]
 
     @classmethod
     def trivial(cls, n_atoms: int) -> "Algebra":
@@ -78,17 +95,19 @@ class Algebra:
 
     def blocks(self) -> list[np.ndarray]:
         """Atom indices of each block, in block order."""
-        order = np.argsort(self.block_of, kind="stable")
-        bounds = np.searchsorted(self.block_of[order], np.arange(self.n_blocks + 1))
+        block_of = self.block_of
+        order = np.argsort(block_of, kind="stable")
+        bounds = np.searchsorted(block_of[order], np.arange(self.n_blocks + 1))
         return [order[bounds[i]:bounds[i + 1]] for i in range(self.n_blocks)]
 
     def _parents(self, coarser: "Algebra"):
         """The block of coarser holding each block's first atom, and the
         first atom whose coarse block differs from its block's entry
         (-1 when self refines coarser)."""
-        _, first = np.unique(self.block_of, return_index=True)
-        parent = coarser.block_of[first]
-        bad = np.flatnonzero(parent[self.block_of] != coarser.block_of)
+        fine, coarse = self.block_of, coarser.block_of
+        _, first = np.unique(fine, return_index=True)
+        parent = coarse[first]
+        bad = np.flatnonzero(parent[fine] != coarse)
         return parent, int(bad[0]) if bad.size else -1
 
     def refines(self, coarser: "Algebra") -> bool:
@@ -98,8 +117,17 @@ class Algebra:
     def coarse_block_map(self, coarser: "Algebra") -> np.ndarray:
         """For each block of self, the block of coarser containing it.
 
-        Raises NotCoarser when the containment fails for some block.
+        When coarser is a level of a filtration and self a finer level
+        of it, this composes the stored parent maps; otherwise it
+        compares atoms.  Raises NotCoarser when the containment fails
+        for some block.
         """
+        up, level = None, coarser
+        while level is not self and level._finer is not None:
+            up = level._up if up is None else up[level._up]
+            level = level._finer
+        if level is self:
+            return np.arange(self.n_blocks) if up is None else up
         if coarser.n_atoms != self.n_atoms:
             raise AlgebraMismatch("algebras live on different outcome spaces")
         parent, a = self._parents(coarser)
@@ -111,8 +139,8 @@ class Algebra:
         return parent
 
     def __eq__(self, other):
-        return (isinstance(other, Algebra)
-                and np.array_equal(self.block_of, other.block_of))
+        return other is self or (isinstance(other, Algebra)
+                                 and np.array_equal(self.block_of, other.block_of))
 
     def __hash__(self):
         return hash(self.block_of.tobytes())
@@ -203,13 +231,14 @@ def product(f: SimpleFunction, mu: FAMeasure) -> FAMeasure:
 
 
 def restrict(mu: FAMeasure, coarser: Algebra) -> FAMeasure:
-    """Sum the weights of mu into the blocks of a coarser algebra."""
+    """Sum the weights of mu into the blocks of a coarser algebra, each
+    coarse block adding its fine blocks' weights in block order."""
     fine_to_coarse = mu.algebra.coarse_block_map(coarser)
-    shape = (coarser.n_blocks,) if mu.weights.ndim == 1 else (coarser.n_blocks,
-                                                              mu.weights.shape[1])
-    out = np.zeros(shape)
-    np.add.at(out, fine_to_coarse, mu.weights)
-    return FAMeasure(coarser, out)
+    w = mu.weights.reshape(mu.weights.shape[0], -1)
+    out = np.empty((coarser.n_blocks, w.shape[1]))
+    for c in range(w.shape[1]):
+        out[:, c] = np.bincount(fine_to_coarse, w[:, c], coarser.n_blocks)
+    return FAMeasure(coarser, out.reshape((coarser.n_blocks,) + mu.weights.shape[1:]))
 
 
 def pairing(f: SimpleFunction, mu: FAMeasure):
@@ -250,7 +279,10 @@ class Filtration:
 
     By default consecutive algebras must refine their predecessors.
     relaxed=True skips that check; restriction between levels then
-    fails only where an actual block containment is violated.
+    fails only where an actual block containment is violated.  Each
+    level that the next one refines is stored as its parent map
+    parent[j] (blocks of j + 1 to blocks of j); only the finest level,
+    and a relaxed level that the next one does not refine, keep atoms.
     """
 
     def __init__(self, algebras, relaxed: bool = False):
@@ -261,13 +293,20 @@ class Filtration:
         for alg in algebras:
             if alg.n_atoms != n:
                 raise AlgebraMismatch("all algebras must share the atom set")
-        if not relaxed:
-            for j in range(len(algebras) - 1):
-                if not algebras[j + 1].refines(algebras[j]):
-                    raise NotCoarser(
-                        f"algebra {j + 1} does not refine algebra {j}; "
-                        "pass relaxed=True to allow this")
-        self.algebras = algebras
+        # None where a relaxed level is not refined by the next
+        self.parent = []
+        for j, (alg, finer) in enumerate(zip(algebras, algebras[1:])):
+            up, bad = (alg._up, -1) if alg._finer is finer else finer._parents(alg)
+            if bad >= 0 and not relaxed:
+                raise NotCoarser(f"algebra {j + 1} does not refine algebra {j}; "
+                                 "pass relaxed=True to allow this")
+            self.parent.append(up if bad < 0 else None)
+        levels = algebras[-1:]
+        for alg, up in zip(algebras[-2::-1], self.parent[::-1]):
+            if up is not None and alg._finer is not levels[0]:
+                alg = Algebra._coarsening(levels[0], up)
+            levels.insert(0, alg)
+        self.algebras = levels
         self.relaxed = relaxed
 
     @property
@@ -286,13 +325,15 @@ def binary_tree_filtration(n_periods: int) -> Filtration:
 
     Atoms are the 2**n paths; at time j two paths share a block exactly
     when their first j moves agree, so block b of algebra j is the move
-    prefix read as a binary number (bit set = up move).
+    prefix read as a binary number (bit set = up move), and the parent
+    of block b of algebra j + 1 is b >> 1.
     """
     if n_periods < 1:
         raise ValueError("need at least one period")
-    atoms = np.arange(2 ** n_periods)
-    algebras = [Algebra(atoms >> (n_periods - j)) for j in range(n_periods + 1)]
-    return Filtration(algebras)
+    levels = [Algebra.discrete(2 ** n_periods)]
+    for j in range(n_periods, 0, -1):
+        levels.insert(0, Algebra._coarsening(levels[0], np.arange(2 ** j) >> 1))
+    return Filtration(levels)
 
 
 def random_walk(n_periods: int):
@@ -303,12 +344,12 @@ def random_walk(n_periods: int):
     uniform measure on the finest algebra, weight 2**-n per path.
     """
     filtration = binary_tree_filtration(n_periods)
-    walk = []
-    for j, algebra in enumerate(filtration.algebras):
-        prefixes = np.arange(algebra.n_blocks)
-        ups = sum(((prefixes >> bit) & 1 for bit in range(j)),
-                  np.zeros_like(prefixes))
-        walk.append(SimpleFunction(algebra, 2.0 * ups - j))
+    ups = np.zeros(1, dtype=int)
+    walk = [SimpleFunction(filtration[0], 2.0 * ups)]
+    for j, parent in enumerate(filtration.parent, start=1):
+        # the last move of block b is its lowest bit
+        ups = ups[parent] + (np.arange(parent.size) & 1)
+        walk.append(SimpleFunction(filtration[j], 2.0 * ups - j))
     probability = FAMeasure(filtration[-1],
                             np.full(2 ** n_periods, 0.5 ** n_periods))
     return filtration, walk, probability

@@ -38,7 +38,8 @@ class MarketPanel:
 
     prices[j] and cashflows[j] are vector simple functions on the j-th
     algebra; cashflows[0] is identically zero (time-0 quotes carry no
-    coupon) and cashflows=None means no instrument ever pays one.
+    coupon) and cashflows=None means no instrument ever pays one (the
+    cash flows are then read-only zero rows that take no memory).
     """
 
     def __init__(self, times, filtration: Filtration, prices, cashflows=None):
@@ -56,9 +57,8 @@ class MarketPanel:
         for j, f in enumerate(prices):
             _vector_on(filtration[j], f, f"prices[{j}]", m)
         if cashflows is None:
-            cashflows = [SimpleFunction(filtration[j],
-                                        np.zeros((filtration[j].n_blocks, m)))
-                         for j in range(len(filtration))]
+            cashflows = [SimpleFunction(alg, np.broadcast_to(0.0, (alg.n_blocks, m)))
+                         for alg in filtration.algebras]
         else:
             cashflows = list(cashflows)
             if len(cashflows) != len(filtration):
@@ -231,9 +231,9 @@ def check_deflator(panel: MarketPanel, deflators: DeflatorSequence,
             raise AlgebraMismatch(f"deflator {j} lives off the filtration")
     worst = 0.0
     for i in range(panel.n_periods):
-        lhs = product(panel.prices[i], deflators[i])
         rhs = restrict(product(panel.settle(i + 1), deflators[i + 1]),
                        panel.filtration[i])
+        lhs = product(panel.prices[i], deflators[i])
         worst = max(worst, float(np.abs(lhs.weights - rhs.weights).max()))
     return CheckResult(ok=(worst <= tol * panel.scale()), max_violation=worst)
 

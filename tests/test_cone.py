@@ -7,6 +7,7 @@ cost, no losing outcome) and a deflator must reproduce every quoted
 price.
 """
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -642,3 +643,119 @@ def test_stacked_nnls_raises_nonconvergence_like_nnls():
     W, _ = cone._nnls_stack(A[fast], b[fast], maxiter=cap)
     for i, w in zip(fast, W):
         np.testing.assert_allclose(w, nnls(A[i], b[i])[0], atol=1e-12)
+
+
+def zero_step_taken(solve, A, b):
+    """solve(A, b), and whether it took a zero step: a subproblem whose
+    step back had length zero (alpha == 0 in nnls, a stuck problem in
+    _nnls_stack), so that the fresh entry was rejected."""
+    hit = []
+
+    def lines(frame, event, arg):
+        alpha, stuck = frame.f_locals.get("alpha"), frame.f_locals.get("stuck")
+        if (np.ndim(alpha) == 0 and alpha == 0.0) or np.any(stuck):
+            hit.append(True)
+        return lines
+
+    sys.settrace(lambda frame, event, arg: lines if frame.f_code is solve.__code__ else None)
+    try:
+        out = solve(A, b)
+    finally:
+        sys.settrace(None)
+    return out, bool(hit)
+
+
+def near_duplicate_problem(rng):
+    """A (m, k) whose last column is its first plus noise of relative
+    size 1e-11 to 1e-15, and b moved just off A @ w for some w >= 0."""
+    m, k = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+    A = rng.normal(size=(m, k))
+    A[:, -1] = A[:, 0] + (10.0 ** -rng.uniform(11, 15) * np.linalg.norm(A[:, 0])
+                          * rng.normal(size=m))
+    b = A @ (rng.uniform(0.0, 1.0, size=k) * (rng.random(k) < 0.6))
+    b += 10.0 ** -rng.uniform(3, 8) * np.linalg.norm(b) * rng.normal(size=m)
+    scale = 10.0 ** int(rng.integers(-6, 7))
+    return scale * A, scale * b
+
+
+def test_zero_steps_keep_the_verdicts_and_residuals_of_scipy():
+    # where a column nearly repeats a passive one, rounding can give the
+    # fresh entry a nonpositive coefficient: a zero step, which rejects
+    # it.  Solve counts of the two solvers differ there by rounding, so
+    # only verdicts and residuals are compared.
+    rng = np.random.default_rng(53)
+    single = stacked = band = 0
+    for _ in range(400):
+        A, b = near_duplicate_problem(rng)
+        (_, r), hit = zero_step_taken(nnls, A, b)
+        single += hit
+        (_, R), hit = zero_step_taken(cone._nnls_stack, A[None], b[None])
+        stacked += hit
+        want = np.linalg.norm(A @ scipy.optimize.nnls(A, b)[0] - b)
+        threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b))
+        if threshold / 4.0 < want < 4.0 * threshold:
+            band += 1
+            continue
+        for got in (r, R[0]):
+            assert (got <= threshold) == (want <= threshold)
+            assert abs(got - want) <= threshold
+    assert single >= 20 and stacked >= 20 and band <= 40
+
+
+def square_stack(rng, m, p, scale, singular):
+    """p square markets on shared payoff rows: children index k == m
+    rows, prices are inside their cones (nonnegative weights) or outside
+    (one weight of -0.5).  Every fourth market pays two opposite rows,
+    parallel up to rounding, with weights 1e9: a direct solve returns
+    weights that need not reprice it.  With singular, every third market
+    repeats a row whose entries are powers of two, so LU meets an exact
+    zero pivot."""
+    rows = scale * rng.uniform(0.5, 1.5, size=(3 * m + 3, m))
+    rows[0] = scale * 2.0 ** rng.integers(-2, 3, size=m)
+    rows[1] = -(1.0 - 1e-9) * rows[2]
+    children = np.array([rng.choice(np.arange(3, 3 * m + 3), size=m, replace=False)
+                         for _ in range(p)])
+    w = rng.uniform(0.1, 1.0, size=(p, m))
+    if m > 1:
+        children[::4, :2], w[::4, :2] = (1, 2), 1e9
+    if singular:
+        children[1::3, :2] = 0
+    w[rng.random(p) < 0.5, int(rng.integers(m))] = -0.5
+    prices = np.einsum("pkm,pk->pm", rows[children], w)
+    return rows, children, prices
+
+
+# the determinant screen meets determinants past the double range
+@pytest.mark.filterwarnings("ignore:overflow encountered in det")
+def test_square_stacks_give_the_node_verdicts():
+    # one LU per node when every node is regular; when one is exactly
+    # singular, the determinant screen; nodes whose determinant under-
+    # or overflows are solved directly on the first path and by nnls on
+    # the second
+    rng = np.random.default_rng(59)
+    cases = [(m, 1.0, singular) for m in (2, 3, 5) for singular in (False, True)]
+    cases += [(60, scale, singular) for scale in (1e-6, 1e6) for singular in (False, True)]
+    for m, scale, singular in cases:
+        for _ in range(3 if m == 60 else 20):
+            rows, children, prices = square_stack(rng, m, 6 if m == 60 else 24, scale, singular)
+            A = rows[children].transpose(0, 2, 1)
+            if singular:
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.solve(A, prices[..., None])
+            if m == 60:
+                # past the double range, apart from the singular nodes
+                logdet = np.linalg.slogdet(A)[1] / np.log(10.0)
+                logdet = logdet[np.isfinite(logdet)]
+                assert ((logdet < -330.0) if scale < 1.0 else (logdet > 330.0)).all()
+            weights, inside = cone._project_stack(rows, children, prices)
+            for i in range(len(prices)):
+                market = OnePeriodMarket(prices=prices[i], payoffs=rows[children[i]])
+                single = certificate_from_projection(project_to_cone(market), market)
+                assert inside[i] == (single is None)
+                if inside[i]:
+                    # weights near 1e9 make the rounding of this check
+                    # about as large as the threshold
+                    threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(prices[i]))
+                    assert (weights[i] >= 0.0).all()
+                    residual = np.linalg.norm(market.payoffs.T @ weights[i] - prices[i])
+                    assert residual <= 2.0 * threshold

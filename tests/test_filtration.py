@@ -189,6 +189,89 @@ def test_filtration_requires_refinement_unless_relaxed():
     Filtration([coarse, middle])    # fine
 
 
+def random_chain(rng, relaxed):
+    """Algebras on one atom set, each a random merge of the next finer
+    one; with relaxed, one coarse level is replaced by an arbitrary
+    partition, which the next level usually does not refine."""
+    n = int(rng.integers(1, 60))
+    chain = [random_partition(rng, n, int(rng.integers(1, n + 1)))]
+    for _ in range(int(rng.integers(1, 6))):
+        merge = random_partition(rng, chain[0].n_blocks,
+                                 int(rng.integers(1, chain[0].n_blocks + 1)))
+        chain.insert(0, Algebra(merge.block_of[chain[0].block_of]))
+    if relaxed:
+        j = int(rng.integers(len(chain)))
+        chain[j] = random_partition(rng, n, int(rng.integers(1, n + 1)))
+    return chain
+
+
+def test_stored_parent_maps_match_the_atom_maps():
+    rng = np.random.default_rng(41)
+    straddles = unlinked = 0
+    for trial in range(200):
+        relaxed = trial % 2 == 1
+        chain = random_chain(rng, relaxed)
+        filtration = Filtration(chain, relaxed=relaxed)
+        missing = sum(parent is None for parent in filtration.parent)
+        assert relaxed or missing == 0
+        unlinked += missing
+        for j, algebra in enumerate(chain):
+            np.testing.assert_array_equal(filtration[j].block_of, algebra.block_of)
+            assert filtration[j] == algebra and filtration[j].n_blocks == algebra.n_blocks
+        for j, parent in enumerate(filtration.parent):
+            if parent is not None:
+                np.testing.assert_array_equal(
+                    parent, chain[j + 1].coarse_block_map(chain[j]))
+        for i in range(len(chain)):
+            for j in range(i, len(chain)):
+                want = loop_block_map(chain[j], chain[i])
+                if isinstance(want, str):
+                    straddles += 1
+                    with pytest.raises(NotCoarser) as exc:
+                        filtration[j].coarse_block_map(filtration[i])
+                    assert str(exc.value) == want
+                    continue
+                got = filtration[j].coarse_block_map(filtration[i])
+                np.testing.assert_array_equal(got, want)
+                # restrict adds each coarse block's fine weights in fine
+                # block order, bit for bit
+                for shape in ((chain[j].n_blocks,), (chain[j].n_blocks, 3)):
+                    weights = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+                    by_hand = np.zeros((chain[i].n_blocks,) + shape[1:])
+                    for f in range(chain[j].n_blocks):
+                        by_hand[want[f]] = by_hand[want[f]] + weights[f]
+                    out = restrict(FAMeasure(filtration[j], weights), filtration[i]).weights
+                    assert out.shape == by_hand.shape
+                    assert out.tobytes() == by_hand.tobytes()
+    assert straddles > 20 and unlinked > 20
+
+
+def test_binary_tree_stores_parent_maps_only():
+    filtration = binary_tree_filtration(16)
+    arrays = {}
+    for algebra in filtration.algebras:
+        for slot in type(algebra).__slots__:
+            value = getattr(algebra, slot, None)
+            if isinstance(value, np.ndarray):
+                arrays[id(value)] = value
+    for parent in filtration.parent:
+        arrays[id(parent)] = parent
+    assert sum(a.size for a in arrays.values()) <= 3 * 2 ** 16
+    for j, parent in enumerate(filtration.parent):
+        np.testing.assert_array_equal(parent, np.arange(2 ** (j + 1)) >> 1)
+    np.testing.assert_array_equal(filtration[3].block_of, np.arange(2 ** 16) >> 13)
+
+
+def test_algebra_is_equal_to_itself_without_composing_atoms(monkeypatch):
+    level = binary_tree_filtration(3)[1]
+
+    def fail(*args):
+        raise AssertionError("compared atoms")
+
+    monkeypatch.setattr(Algebra, "coarse_block_map", fail)
+    assert level == level
+
+
 def test_binary_tree_block_counts():
     filtration = binary_tree_filtration(4)
     assert [filtration[j].n_blocks for j in range(5)] == [1, 2, 4, 8, 16]
