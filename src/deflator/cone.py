@@ -424,11 +424,11 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     Market i quotes prices[i] (m instruments) and pays the k payoff rows
     rows[children[i]].  Returns the cone weights (p, k) and whether each
     market is inside its cone by the threshold of _inside.  When k == m
-    each market is solved directly (if LU meets an exact zero pivot, only
-    those with a finite nonzero determinant), and it is inside when the
-    solved weights are nonnegative and reprice it within the threshold,
-    with the rounding of the repricing counted against it, as nnls would
-    also find; every other market goes through _nnls_stack.
+    each chunk of markets is solved directly (unless LU meets an exact
+    zero pivot in it), and a market is inside when the solved weights
+    are nonnegative and reprice it within the threshold, with the
+    rounding of the repricing counted against it, as nnls would also
+    find; every other market goes through _nnls_stack.
     """
     p, k = children.shape
     m = rows.shape[1]
@@ -442,10 +442,8 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
             try:
                 ws = np.linalg.solve(A, x[..., None])[..., 0]
             except np.linalg.LinAlgError:
-                # NaN weights fail the checks below
-                det = np.linalg.det(A)
-                square, ws = np.isfinite(det) & (det != 0.0), np.full((len(x), k), np.nan)
-                ws[square] = np.linalg.solve(A[square], x[square, :, None])[..., 0]
+                # an exact zero pivot: NaN weights fail the checks below
+                ws = np.full((len(x), k), np.nan)
             resid = np.linalg.norm(np.einsum("pmk,pk->pm", A, ws) - x, axis=1)
             # the rounding of A @ ws, large for huge weights, counts against it
             noise = 10.0 * np.finfo(float).eps * m * np.linalg.norm(A, axis=(1, 2))

@@ -233,12 +233,13 @@ def product(f: SimpleFunction, mu: FAMeasure) -> FAMeasure:
 def restrict(mu: FAMeasure, coarser: Algebra) -> FAMeasure:
     """Sum the weights of mu into the blocks of a coarser algebra, each
     coarse block adding its fine blocks' weights in block order."""
-    fine_to_coarse = mu.algebra.coarse_block_map(coarser)
-    w = mu.weights.reshape(mu.weights.shape[0], -1)
+    fine_to_coarse, w = mu.algebra.coarse_block_map(coarser), mu.weights
+    if w.ndim == 1:
+        return FAMeasure(coarser, np.bincount(fine_to_coarse, w, coarser.n_blocks))
     out = np.empty((coarser.n_blocks, w.shape[1]))
     for c in range(w.shape[1]):
         out[:, c] = np.bincount(fine_to_coarse, w[:, c], coarser.n_blocks)
-    return FAMeasure(coarser, out.reshape((coarser.n_blocks,) + mu.weights.shape[1:]))
+    return FAMeasure(coarser, out)
 
 
 def pairing(f: SimpleFunction, mu: FAMeasure):
@@ -336,6 +337,17 @@ def binary_tree_filtration(n_periods: int) -> Filtration:
     return Filtration(levels)
 
 
+def _walk_levels(n_periods: int):
+    """Yield Z_j = ups - downs on the blocks of binary_tree_filtration,
+    one level at a time."""
+    z = np.zeros(1)
+    yield z
+    for _ in range(n_periods):
+        # block 2b (2b + 1) is block b followed by a down (up) move
+        z = (z[:, None] + (-1.0, 1.0)).ravel()
+        yield z
+
+
 def random_walk(n_periods: int):
     """Symmetric random walk on the binary tree.
 
@@ -344,12 +356,8 @@ def random_walk(n_periods: int):
     uniform measure on the finest algebra, weight 2**-n per path.
     """
     filtration = binary_tree_filtration(n_periods)
-    ups = np.zeros(1, dtype=int)
-    walk = [SimpleFunction(filtration[0], 2.0 * ups)]
-    for j, parent in enumerate(filtration.parent, start=1):
-        # the last move of block b is its lowest bit
-        ups = ups[parent] + (np.arange(parent.size) & 1)
-        walk.append(SimpleFunction(filtration[j], 2.0 * ups - j))
+    walk = [SimpleFunction(algebra, z)
+            for algebra, z in zip(filtration.algebras, _walk_levels(n_periods))]
     probability = FAMeasure(filtration[-1],
                             np.full(2 ** n_periods, 0.5 ** n_periods))
     return filtration, walk, probability

@@ -23,7 +23,8 @@ from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
                          InvalidInterval, NonConvergence, NotClosedOut,
                          NotSelfFinancing)
 from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction,
-                         pairing, product, restrict)
+                         _walk_levels, binary_tree_filtration, pairing, product,
+                         restrict)
 
 
 def _vector_on(algebra: Algebra, f: SimpleFunction, what: str, m: int) -> None:
@@ -56,6 +57,7 @@ class MarketPanel:
             raise DimensionMismatch("prices must be vector-valued simple functions")
         for j, f in enumerate(prices):
             _vector_on(filtration[j], f, f"prices[{j}]", m)
+        self._pays = cashflows is not None
         if cashflows is None:
             cashflows = [SimpleFunction(alg, np.broadcast_to(0.0, (alg.n_blocks, m)))
                          for alg in filtration.algebras]
@@ -83,7 +85,10 @@ class MarketPanel:
                 + max(float(np.abs(f.values).max()) for f in self.cashflows))
 
     def settle(self, j: int) -> SimpleFunction:
-        """Cash flow plus price at time j: what holding into t_j delivers."""
+        """Cash flow plus price at time j: what holding into t_j delivers.
+        On a panel that pays no cash flows this is the price function."""
+        if not self._pays:
+            return self.prices[j]
         return SimpleFunction(self.filtration[j],
                               self.cashflows[j].values + self.prices[j].values)
 
@@ -230,11 +235,15 @@ def check_deflator(panel: MarketPanel, deflators: DeflatorSequence,
         if deflators[j].algebra != panel.filtration[j]:
             raise AlgebraMismatch(f"deflator {j} lives off the filtration")
     worst = 0.0
-    for i in range(panel.n_periods):
-        rhs = restrict(product(panel.settle(i + 1), deflators[i + 1]),
-                       panel.filtration[i])
-        lhs = product(panel.prices[i], deflators[i])
-        worst = max(worst, float(np.abs(lhs.weights - rhs.weights).max()))
+    # finest level first and one instrument at a time: no other level,
+    # and no vector measure on the finer level, is held meanwhile
+    for i in reversed(range(panel.n_periods)):
+        lhs = product(panel.prices[i], deflators[i]).weights
+        settle = panel.settle(i + 1)
+        for c in range(panel.n_instruments):
+            column = SimpleFunction(settle.algebra, settle.values[:, c])
+            rhs = restrict(product(column, deflators[i + 1]), panel.filtration[i])
+            worst = max(worst, float(np.abs(lhs[:, c] - rhs.weights).max()))
     return CheckResult(ok=(worst <= tol * panel.scale()), max_violation=worst)
 
 
@@ -275,15 +284,18 @@ def _solve_level(child_parent, settle, prices, tol):
     children's settlement rows, in stacks of nodes with equal child
     counts.  Returns the weight of each child and the blocks whose
     prices are outside their cone, in increasing order."""
+    # children grouped by parent, each group in block order
     order = np.argsort(child_parent, kind="stable")
     counts = np.bincount(child_parent, minlength=prices.shape[0])
     node_w = np.empty(child_parent.size)
     flagged = []
     for k in np.unique(counts):
         nodes = np.flatnonzero(counts == k)
-        # children grouped by parent, each group in block order
-        children = order[np.repeat(counts == k, counts)].reshape(-1, k)
-        node_w[children], inside = _project_stack(settle, children, prices[nodes], tol)
+        # a level of one stack copies neither its children nor its prices
+        one = nodes.size == counts.size
+        children = (order if one else order[np.repeat(counts == k, counts)]).reshape(-1, k)
+        node_w[children], inside = _project_stack(
+            settle, children, prices if one else prices[nodes], tol)
         flagged.append(nodes[~inside])
     return node_w, np.sort(np.concatenate(flagged))
 
@@ -293,23 +305,20 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
 
     At each block b of each non-terminal algebra, the node's price
     vector is projected onto the cone of its children's settlement
-    rows.  The nodes of a level are independent, so they are solved
-    together: nodes with the same number of children form one stack.
-    Where that number equals the number of instruments, nonsingular
-    nodes are solved directly and kept when the weights are
-    nonnegative and reprice the node within the threshold; every other
-    node goes through a lockstep nnls over the stack.  If every
-    projection lands inside, the node weights multiply along paths into
-    a DeflatorSequence with weight one per time-0 block.  Otherwise the
-    witness is the lowest failing block of the first failing level:
-    that node is projected again on its own, and its certificate and
-    the strategy that plays it make the NodeArbitrage.  If a stack of
-    a level raises NonConvergence, that level's nodes are projected one
-    by one in block order instead, so an arbitrage at a lower block is
-    still the witness; NonConvergence propagates only from a node that
-    no lower arbitrage precedes.  Each algebra must refine the one
-    before; the first step that does not raises NotCoarser when the
-    search reaches it.
+    rows.  The nodes of a level are independent, so nodes with the
+    same number of children are projected together, as one stack of
+    cone._project_stack.  If every projection lands inside, the node
+    weights multiply along paths into a DeflatorSequence with weight
+    one per time-0 block.  Otherwise the witness is the lowest
+    failing block of the first failing level: that node is projected
+    again on its own, and its certificate and the strategy that plays
+    it make the NodeArbitrage.  If a stack of a level raises
+    NonConvergence, that level's nodes are projected one by one in
+    block order instead, so an arbitrage at a lower block is still the
+    witness; NonConvergence propagates only from a node that no lower
+    arbitrage precedes.  Each algebra must refine the one before; the
+    first step that does not raises NotCoarser when the search reaches
+    it.
     """
     filtration = panel.filtration
     weights = [np.ones(filtration[0].n_blocks)]
@@ -389,13 +398,13 @@ def binomial_stock_panel(n_periods: int, R: float, s: float, mu: float,
                          sigma: float) -> MarketPanel:
     """Bond and stock on the binary tree: at time j the bond quotes R**j
     and the stock s * exp(mu*j + sigma*Z_j) with Z the symmetric walk."""
-    from .filtration import random_walk
-    filtration, walk, _ = random_walk(n_periods)
+    filtration = binary_tree_filtration(n_periods)
     prices = []
-    for j in range(n_periods + 1):
-        bond = np.full(filtration[j].n_blocks, float(R) ** j)
-        stock = s * np.exp(mu * j + sigma * walk[j].values)
-        prices.append(SimpleFunction(filtration[j], np.column_stack([bond, stock])))
+    # one level at a time, so the walk is never held whole
+    for j, z in enumerate(_walk_levels(n_periods)):
+        rows = np.empty((z.size, 2))
+        rows[:, 0], rows[:, 1] = float(R) ** j, s * np.exp(mu * j + sigma * z)
+        prices.append(SimpleFunction(filtration[j], rows))
     return MarketPanel(times=np.arange(n_periods + 1.0), filtration=filtration,
                        prices=prices)
 

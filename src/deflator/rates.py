@@ -345,12 +345,8 @@ def futures_quotes(deflators: DeflatorSequence, underlying: SimpleFunction,
     quotes = [underlying]
     for j in range(expiry - 1, -1, -1):
         coarse = deflators[j].algebra
-        child_parent = deflators[j + 1].algebra.coarse_block_map(coarse)
-        w = deflators[j + 1].weights
-        mass = np.zeros(coarse.n_blocks)
-        value = np.zeros(coarse.n_blocks)
-        np.add.at(mass, child_parent, w)
-        np.add.at(value, child_parent, w * quotes[0].values)
+        mass = restrict(deflators[j + 1], coarse).weights
+        value = restrict(product(quotes[0], deflators[j + 1]), coarse).weights
         if (mass <= 0).any():
             raise NonPredictableDeflator(
                 f"no deflator mass below some block at time {j}")

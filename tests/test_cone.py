@@ -725,13 +725,11 @@ def square_stack(rng, m, p, scale, singular):
     return rows, children, prices
 
 
-# the determinant screen meets determinants past the double range
-@pytest.mark.filterwarnings("ignore:overflow encountered in det")
 def test_square_stacks_give_the_node_verdicts():
     # one LU per node when every node is regular; when one is exactly
-    # singular, the determinant screen; nodes whose determinant under-
-    # or overflows are solved directly on the first path and by nnls on
-    # the second
+    # singular, every node of the stack goes through nnls; nodes whose
+    # determinant under- or overflows are solved directly on the first
+    # path
     rng = np.random.default_rng(59)
     cases = [(m, 1.0, singular) for m in (2, 3, 5) for singular in (False, True)]
     cases += [(60, scale, singular) for scale in (1e-6, 1e6) for singular in (False, True)]

@@ -322,6 +322,59 @@ def test_binomial_panel_prices():
     assert np.allclose(panel.prices[3].values[:, 1], expected)
 
 
+def test_binomial_panel_prices_are_the_walk_formula_bit_for_bit():
+    for n in range(1, 9):
+        R, s, mu, sigma = 1.03, 90.0, 0.01 * n - 0.04, 0.05 * n
+        panel = binomial_stock_panel(n, R=R, s=s, mu=mu, sigma=sigma)
+        _, walk, _ = random_walk(n)
+        for j in range(n + 1):
+            np.testing.assert_array_equal(panel.prices[j].values[:, 0], np.full(2 ** j, R ** j))
+            np.testing.assert_array_equal(panel.prices[j].values[:, 1],
+                                          s * np.exp(mu * j + sigma * walk[j].values))
+
+
+def test_settle_on_panels_with_and_without_cash_flows():
+    panel, _ = fair_binomial_panel(4)
+    for j in range(5):
+        assert panel.settle(j) is panel.prices[j]
+    assert panel.scale() == max(np.abs(f.values).max() for f in panel.prices)
+    rng = np.random.default_rng(7)
+    flows = [SimpleFunction(alg, rng.normal(size=(alg.n_blocks, 2)) if j else
+                            np.zeros((1, 2)))
+             for j, alg in enumerate(panel.filtration.algebras)]
+    paying = MarketPanel(panel.times, panel.filtration, panel.prices, flows)
+    for j in range(5):
+        np.testing.assert_array_equal(paying.settle(j).values,
+                                      flows[j].values + panel.prices[j].values)
+    assert paying.scale() == (max(np.abs(f.values).max() for f in panel.prices)
+                              + max(np.abs(f.values).max() for f in flows))
+
+
+def test_check_deflator_reports_the_largest_blockwise_gap_exactly():
+    # the gap of both sides as whole vector measures, each restriction
+    # summed by np.add.at in fine-block order
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        n = int(rng.integers(1, 7))
+        panel, _ = fair_binomial_panel(n)
+        if trial % 2:
+            flows = [SimpleFunction(alg, rng.normal(size=(alg.n_blocks, 2)) if j else
+                                    np.zeros((1, 2)))
+                     for j, alg in enumerate(panel.filtration.algebras)]
+            panel = MarketPanel(panel.times, panel.filtration, panel.prices, flows)
+        deflators = DeflatorSequence([FAMeasure(alg, rng.uniform(0.1, 1.0, alg.n_blocks))
+                                      for alg in panel.filtration.algebras])
+        want = 0.0
+        for i in range(n):
+            up = panel.filtration[i + 1].coarse_block_map(panel.filtration[i])
+            rhs = np.zeros((panel.filtration[i].n_blocks, 2))
+            np.add.at(rhs, up, (panel.cashflows[i + 1].values + panel.prices[i + 1].values)
+                      * deflators[i + 1].weights[:, None])
+            lhs = panel.prices[i].values * deflators[i].weights[:, None]
+            want = max(want, float(np.abs(lhs - rhs).max()))
+        assert check_deflator(panel, deflators).max_violation == want
+
+
 def test_deterministic_panel_shapes_and_zero_time0_flows():
     panel = deterministic_panel(
         times=[0.0, 0.5, 1.0],
