@@ -1,32 +1,21 @@
-"""Small quadrature helpers used by the model and rates modules.
+"""Quadrature for the model and rates modules: one Gauss-Legendre family.
 
-Nothing here is exported at package level.  The adaptive Simpson rule is
-deliberately plain: it is only used on smooth one-dimensional drift
-integrands where a recursive interval split converges fast.
+gauss_legendre is the n-point rule on [-1, 1], correctly rounded, so no
+result depends on the LAPACK build; composite_gauss_legendre, the one
+adaptive rule, doubles equal panels of its 16-point rule until the
+integral settles.  Nothing here is exported at package level.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+from .exceptions import NonConvergence
+
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _GL_BITS = 192  # fraction bits of the fixed-point step in gauss_legendre
-
-
-def gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for E f(Z), Z standard normal.
-
-    Returns (z, w) with sum(w) == 1 so that E f(Z) ~= sum(w * f(z)).
-    """
-    try:
-        return _GH_CACHE[n]
-    except KeyError:
-        x, w = np.polynomial.hermite.hermgauss(n)
-        z = x * np.sqrt(2.0)
-        w = w / np.sqrt(np.pi)
-        _GH_CACHE[n] = (z, w)
-        return z, w
+_PANEL_ORDER = 16     # nodes per panel of composite_gauss_legendre
+_MAX_NODES = 2 ** 18  # largest composite rule tried
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,29 +91,25 @@ def _refine_legendre_root(x: float, n: int) -> tuple[float, float]:
     return t / one, (2 << 3 * s) / ((one - (t * t >> s)) * dp * dp)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
-                     max_depth: int = 48) -> float:
-    """Adaptive Simpson quadrature of f on [a, b] to absolute tol."""
-    if a == b:
-        return 0.0
+def composite_gauss_legendre(integrate, a: float, b: float, tol: float,
+                             panels: int = 1):
+    """Integral over [a, b] by the composite 16-point Gauss-Legendre rule.
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return (recurse(x0, x1, f0, flm, f1, left, eps / 2.0, depth - 1)
-                + recurse(x1, x2, f1, frm, f2, right, eps / 2.0, depth - 1))
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
+    integrate(u, w) gets the nodes u and weights w of one composite rule
+    and returns sum(w * g(u)) for the integrand g: a float, or an array
+    of integrals that are all checked at once.  The rule starts from
+    `panels` equal panels and doubles them until two successive results
+    agree within the absolute tol everywhere; a rule past _MAX_NODES
+    nodes raises NonConvergence.
+    """
+    t, w = gauss_legendre(_PANEL_ORDER)
+    coarse = None
+    while panels * _PANEL_ORDER <= _MAX_NODES:
+        h = (b - a) / panels
+        u = a + (h * (np.arange(panels)[:, None] + 0.5 * (t + 1.0))).ravel()
+        fine = integrate(u, np.tile(0.5 * h * w, panels))
+        if coarse is not None and np.abs(fine - coarse).max(initial=0.0) <= tol:
+            return fine
+        coarse, panels = fine, 2 * panels
+    raise NonConvergence(f"integral not within {tol} at {_MAX_NODES} nodes "
+                         f"on [{a}, {b}]")

@@ -28,8 +28,8 @@ from .exceptions import (ArbitrageInInput, DeflatorError, SingularGram,
                          SpecFileError)
 from .filtration import SimpleFunction, product, restrict
 from .market_files import display, load_market_spec, render_document
-from .models import (_normal_piecewise_expectation, bachelier_put,
-                     cdf_from_charfn, gbm_put, levy_put)
+from .models import (_normal_piecewise_expectation, bachelier_moments,
+                     bachelier_put, cdf_from_charfn, gbm_put, levy_put)
 from .multi_period import NodeArbitrage, find_tree_deflator
 from .one_period import least_squares_hedge, price_payoff
 from .rates import Schedule, bond_price, forward_rate, par_coupon, swap_par
@@ -92,6 +92,23 @@ def _parse_payoff(text) -> Payoff:
 
 def _tol(args, spec) -> float:
     return args.tol if args.tol is not None else spec.tolerance
+
+
+# Call minus put for each model kind, in the units its pricer quotes.
+_PARITY = {"bachelier": lambda p, k: p.s - k / p.R,
+           "gbm": lambda p, k: p.forward - k,
+           "levy": lambda p, k: p.s * math.exp(p.r * p.t) - k}
+
+
+def _call_put(spec, payoff, command):
+    """Strike of a model spec's --payoff, and what its call adds to the
+    put the model quotes: (k, delta shift, value shift), zero for a put."""
+    if payoff.kind not in ("call", "put"):
+        raise SpecFileError(f"model {command} needs --payoff 'call K' or 'put K'")
+    k = payoff.strike
+    if payoff.kind == "put":
+        return k, 0.0, 0.0
+    return k, 1.0, _PARITY[spec.kind](spec.payload, k)
 
 
 # ---------------------------------------------------------------------------
@@ -213,63 +230,31 @@ def cmd_price(args):
                          "display": [display(p) for p in prices]}
         return doc, EXIT_OK
 
+    if spec.kind not in _PARITY:
+        raise SpecFileError(f"price does not support kind {spec.kind!r}")
+    params = spec.payload
+    k, call_delta, call_value = _call_put(spec, payoff, "pricing")
     if spec.kind == "bachelier":
-        params, k = spec.payload, payoff.strike
-        if payoff.kind not in ("call", "put"):
-            raise SpecFileError("model pricing needs --payoff 'call K' or 'put K'")
         quote = bachelier_put(params, k)
+        value = shown = quote.price + call_value
         f = params.forward
-        if payoff.kind == "put":
-            value, delta = quote.price, quote.delta
-            target = lambda x: np.maximum(k - x, 0.0)
-        else:
-            value, delta = quote.price + params.s - k / params.R, quote.delta + 1.0
-            target = lambda x: np.maximum(x - k, 0.0)
         quadrature = _normal_piecewise_expectation(
-            target, f, f * params.sigma, kinks=(k,)) / params.R
-        doc["prices"] = {"value": value, "delta": delta,
-                         "quadrature": quadrature,
-                         "residual": abs(value - quadrature),
-                         "display": display(value)}
-        return doc, EXIT_OK
-
-    if spec.kind == "gbm":
-        params, k = spec.payload, payoff.strike
-        if payoff.kind not in ("call", "put"):
-            raise SpecFileError("model pricing needs --payoff 'call K' or 'put K'")
+            payoff.on_underlying, f, f * params.sigma, kinks=(k,)) / params.R
+        prices = {"value": value, "delta": quote.delta + call_delta}
+    elif spec.kind == "gbm":
         quote = gbm_put(params, k)
-        discount = math.exp(-params.r * params.t)
-        forward_value = quote.forward_value
-        quadrature = _lognormal_put_quadrature(params, k)
-        delta, gamma = quote.delta, quote.gamma
-        if payoff.kind == "call":
-            forward_value += params.forward - k
-            quadrature += params.forward - k
-            delta += 1.0
-        doc["prices"] = {"forward_value": forward_value,
-                         "pv": discount * forward_value,
-                         "delta": delta, "gamma": gamma,
-                         "quadrature": quadrature,
-                         "residual": abs(forward_value - quadrature),
-                         "display": display(discount * forward_value)}
-        return doc, EXIT_OK
-
-    if spec.kind == "levy":
-        params, k = spec.payload, payoff.strike
-        if payoff.kind not in ("call", "put"):
-            raise SpecFileError("model pricing needs --payoff 'call K' or 'put K'")
-        value = levy_put(params, k, smoothing=spec.smoothing)
-        quadrature = _levy_put_quadrature(params, k, spec.smoothing)
-        if payoff.kind == "call":
-            shift = params.s * math.exp(params.r * params.t) - k
-            value += shift
-            quadrature += shift
-        doc["prices"] = {"forward_value": value, "quadrature": quadrature,
-                         "residual": abs(value - quadrature),
-                         "display": display(value)}
-        return doc, EXIT_OK
-
-    raise SpecFileError(f"price does not support kind {spec.kind!r}")
+        value = quote.forward_value + call_value
+        quadrature = _lognormal_put_quadrature(params, k) + call_value
+        shown = math.exp(-params.r * params.t) * value
+        prices = {"forward_value": value, "pv": shown,
+                  "delta": quote.delta + call_delta, "gamma": quote.gamma}
+    else:
+        value = shown = levy_put(params, k, smoothing=spec.smoothing) + call_value
+        quadrature = _levy_put_quadrature(params, k, spec.smoothing) + call_value
+        prices = {"forward_value": value}
+    doc["prices"] = dict(prices, quadrature=quadrature,
+                         residual=abs(value - quadrature), display=display(shown))
+    return doc, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +305,11 @@ def cmd_hedge(args):
         return doc, EXIT_OK
 
     if spec.kind == "bachelier":
-        params, k = spec.payload, payoff.strike
-        if payoff.kind not in ("call", "put"):
-            raise SpecFileError("model hedging needs --payoff 'call K' or 'put K'")
-        sign = 1.0 if payoff.kind == "call" else -1.0
-        target = lambda x: np.maximum(sign * (x - k), 0.0)
+        params = spec.payload
+        k, _, _ = _call_put(spec, payoff, "hedging")
+        mean_v, var_v, cov_sv = bachelier_moments(
+            params, payoff.on_underlying, kinks=(k,))
         f = params.forward
-        moments = lambda g: _normal_piecewise_expectation(
-            g, f, f * params.sigma, kinks=(k,))
-        mean_v = moments(target)
-        var_v = moments(lambda x: (target(x) - mean_v) ** 2)
-        cov_sv = moments(lambda x: (x - f) * target(x))
         var_s = (f * params.sigma) ** 2
         shares = cov_sv / var_s
         bond = (mean_v - shares * f) / params.R
@@ -344,11 +323,9 @@ def cmd_hedge(args):
         return doc, EXIT_OK
 
     if spec.kind == "gbm":
-        params, k = spec.payload, payoff.strike
-        if payoff.kind not in ("call", "put"):
-            raise SpecFileError("model hedging needs --payoff 'call K' or 'put K'")
-        quote = gbm_put(params, k)
-        delta = quote.delta + (1.0 if payoff.kind == "call" else 0.0)
+        k, call_delta, _ = _call_put(spec, payoff, "hedging")
+        quote = gbm_put(spec.payload, k)
+        delta = quote.delta + call_delta
         doc["hedge"] = {"delta": delta, "gamma": quote.gamma, "pv": quote.pv,
                         "display": {"delta": display(delta)}}
         return doc, EXIT_OK
@@ -371,8 +348,6 @@ def _parse_schedule(text) -> Schedule:
             times_part, fractions = text, None
         times = tuple(float(x) for x in times_part.split(","))
         return Schedule(times, fractions)
-    except SpecFileError:
-        raise
     except Exception as exc:
         raise SpecFileError(f"bad schedule {text!r}: {exc}") from exc
 

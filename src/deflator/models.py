@@ -6,9 +6,9 @@ exposes the bits the hedging story needs: deltas, gammas, correlation
 and least squared error estimates.
 
 The numerics are in-tree and need only numpy: the normal law comes
-from math.erf / math.erfc, the cross-check quadratures use the
-correctly rounded Gauss-Legendre rules of _quadrature, and the
-inversion sums one composite Gauss-Legendre rule over the whole grid.
+from math.erf / math.erfc, and every quadrature, the inversion too,
+uses the correctly rounded Gauss-Legendre rules of _quadrature; the
+inversion sums one composite rule over the whole grid.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import gauss_hermite, gauss_legendre
-from .exceptions import DimensionMismatch, NonConvergence, TruncationFailure
+from ._quadrature import composite_gauss_legendre, gauss_legendre
+from .exceptions import DimensionMismatch, TruncationFailure
 
 # ---------------------------------------------------------------------------
 # standard normal law
@@ -166,8 +166,21 @@ class HedgeErrorEstimate:
     zero_slope: bool
 
 
-def hedge_error_estimate(params: BachelierParams, payoff, d1=None, d2=None,
-                         nodes: int = 301) -> HedgeErrorEstimate:
+def bachelier_moments(params: BachelierParams, payoff, kinks=()):
+    """E p(S), Var p(S) and Cov(S, p(S)) for the Bachelier terminal stock
+    S and a payoff p smooth between the given kinks, by
+    _normal_piecewise_expectation."""
+    f = params.forward
+    moment = lambda g: _normal_piecewise_expectation(
+        g, f, f * params.sigma, kinks=kinks)
+    mean = moment(payoff)
+    var = moment(lambda x: (payoff(x) - mean) ** 2)
+    cov = moment(lambda x: (x - f) * payoff(x))
+    return mean, var, cov
+
+
+def hedge_error_estimate(params: BachelierParams, payoff, d1=None,
+                         d2=None) -> HedgeErrorEstimate:
     """Correlation and least squared error of the stock hedge of payoff.
 
     The exact values integrate the payoff against the terminal normal
@@ -183,12 +196,7 @@ def hedge_error_estimate(params: BachelierParams, payoff, d1=None, d2=None,
     """
     f = params.forward
     sigma, R = params.sigma, params.R
-    z, w = gauss_hermite(nodes)
-    s_nodes = f * (1.0 + sigma * z)
-    p_nodes = np.asarray(payoff(s_nodes), dtype=float)
-    mean_p = float(w @ p_nodes)
-    var_p = float(w @ (p_nodes - mean_p) ** 2)
-    cov_sp = float(w @ ((s_nodes - f) * (p_nodes - mean_p)))
+    _, var_p, cov_sp = bachelier_moments(params, payoff)
     var_s = (f * sigma) ** 2
     if var_p > 0.0:
         corr = cov_sp / math.sqrt(var_s * var_p)
@@ -216,7 +224,9 @@ def normal_cov_identity_check(rho: float, f, f_prime, nodes: int = 96) -> float:
     standard normals with Cov(N, M) = rho, both sides by quadrature."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must be a correlation")
-    z, w = gauss_hermite(nodes)
+    x, w = gauss_legendre(nodes)
+    z = 14.0 * x
+    w = 14.0 * w * np.exp(-0.5 * z * z) / _SQRT_2PI
     m = z[:, None]
     n = rho * z[:, None] + math.sqrt(1.0 - rho ** 2) * z[None, :]
     w2 = w[:, None] * w[None, :]
@@ -285,18 +295,17 @@ def gbm_put(params: GBMParams, k: float) -> GBMPutQuote:
 
 
 def _exp_remainder(a: np.ndarray) -> np.ndarray:
-    """(exp(a) - 1 - a) / a^2, stable near zero via the series."""
-    a = np.asarray(a, dtype=float)
+    """(exp(a) - 1 - a) / a^2 for real or complex a, by its series where
+    |a| < 0.5 and the direct form would cancel."""
     out = np.empty_like(a)
     small = np.abs(a) < 0.5
-    big = ~small
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out[big] = (np.expm1(a[big]) - a[big]) / a[big] ** 2
-    term = np.full(a[small].shape, 0.5)
-    acc = term.copy()
-    for n in range(3, 22):
-        term = term * a[small] / n
-        acc += term
+    big = a[~small]
+    out[~small] = (np.exp(big) - 1.0 - big) / big ** 2
+    a = a[small]  # indexed once, not per term: this loop is the inversion's hot path
+    term = acc = np.full(a.shape, 0.5, dtype=a.dtype)
+    for n in range(3, 26):
+        term = term * a / n
+        acc = acc + term
     out[small] = acc
     return out
 
@@ -339,14 +348,9 @@ class KolmogorovLaw:
     def char_exponent(self, u):
         """log E exp(iuX), vectorized over u."""
         u = np.asarray(u, dtype=float)
+        # K_u(x) = -u^2 * (e^{iux} - 1 - iux) / (iux)^2
         a = 1j * u[..., None] * self.nodes
-        # K_u(x) = -u^2 * (e^{iux} - 1 - iux) / (iux)^2, stable via series
-        k = np.empty_like(a)
-        small = np.abs(a) < 0.5
-        big = ~small
-        k[big] = (np.exp(a[big]) - 1.0 - a[big]) / a[big] ** 2
-        k[small] = _complex_exp_remainder(a[small])
-        body = -(u[..., None] ** 2) * k
+        body = -(u[..., None] ** 2) * _exp_remainder(a)
         return 1j * u * self.mean + body @ self.weights
 
     def charfn(self, u):
@@ -355,9 +359,7 @@ class KolmogorovLaw:
 
     def log_mgf(self, sigma: float) -> float:
         """log E exp(sigma X) = mean sigma + sum (e^{sx}-1-sx)/x^2 w."""
-        a = sigma * self.nodes
-        vals = np.where(self.nodes == 0.0, 0.5 * sigma ** 2,
-                        _exp_remainder(a) * sigma ** 2)
+        vals = _exp_remainder(sigma * self.nodes) * sigma ** 2
         return float(self.mean * sigma + vals @ self.weights)
 
     def tilt(self, sigma: float) -> "KolmogorovLaw":
@@ -382,19 +384,6 @@ class KolmogorovLaw:
                              weights=t * self.weights)
 
 
-def _complex_exp_remainder(a):
-    """(exp(a) - 1 - a) / a^2 for complex a with |a| < 0.5, by series."""
-    a = np.asarray(a, dtype=complex)
-    term = np.full(a.shape, 0.5, dtype=complex)
-    acc = term.copy()
-    for n in range(3, 26):
-        term = term * a / n
-        acc = acc + term
-    return acc
-
-
-_PANEL_ORDER = 16     # Gauss-Legendre nodes per panel of the inversion rule
-_MAX_NODES = 2 ** 18  # largest inversion rule tried
 _BLOCK = 2 ** 17      # entries of one x-by-u block of the inversion sum
 
 
@@ -413,10 +402,10 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0,
     The truncated integral is smooth, so one composite Gauss-Legendre
     rule on [0, U] serves the whole grid: phi is evaluated once per
     rule, on all its nodes, and the integrals at every x are sums over
-    one matrix of e^{-iux}.  The rule starts from about U/2 equal panels
-    and doubles them until two successive integrals agree within
-    quad_tol at every grid point, so quad_tol is an absolute error
-    target on the integral; a rule past _MAX_NODES nodes raises
+    one matrix of e^{-iux}.  composite_gauss_legendre starts from about
+    U/2 equal panels and doubles them until two successive integrals
+    agree within quad_tol at every grid point, so quad_tol is an
+    absolute error target on the integral; past its node cap it raises
     NonConvergence.  Results are clipped to [0, 1] and made monotone by
     a running maximum, so x_grid must be nondecreasing.
     """
@@ -439,39 +428,22 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0,
                 f"|charfn| does not decay below {decay_threshold} by {u_cap}; "
                 "set a smoothing width for laws with atoms")
 
-    panels = max(1, int(U) // 2)
-    fine = _inversion_integral(phi, x_grid, U, panels)
-    while True:
-        panels *= 2
-        if panels * _PANEL_ORDER > _MAX_NODES:
-            raise NonConvergence(
-                f"inversion integral not within {quad_tol} at "
-                f"{_MAX_NODES} nodes on [0, {U}]")
-        coarse, fine = fine, _inversion_integral(phi, x_grid, U, panels)
-        if np.abs(fine - coarse).max(initial=0.0) <= quad_tol:
-            break
-    out = 0.5 - fine / math.pi
+    def integrate(u, w):
+        # Im(e^{-iux} g) = cos(ux) Im g - sin(ux) Re g, g = phi(u) w / u,
+        # summed over u for a block of rows of x at a time, in fixed order
+        g = phi(u) * w / u
+        out = np.empty(x_grid.shape)
+        rows = max(1, _BLOCK // u.size)
+        for i in range(0, x_grid.size, rows):
+            ux = np.multiply.outer(x_grid[i:i + rows], u)
+            out[i:i + rows] = (np.cos(ux) * g.imag
+                               - np.sin(ux) * g.real).sum(axis=1)
+        return out
+
+    integral = composite_gauss_legendre(integrate, 0.0, U, quad_tol,
+                                        panels=max(1, int(U) // 2))
+    out = 0.5 - integral / math.pi
     return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
-
-
-def _inversion_integral(phi, x, U, panels):
-    """int_0^U Im(e^{-iux} phi(u)) / u du at every x, by the composite
-    Gauss-Legendre rule on `panels` equal panels of [0, U].
-
-    With g = phi(u) w / u on the nodes, Im(e^{-iux} g) is
-    cos(ux) Im g - sin(ux) Re g; rows of x are summed a block at a time
-    in a fixed order.
-    """
-    t, w = gauss_legendre(_PANEL_ORDER)
-    h = U / panels
-    u = (h * (np.arange(panels)[:, None] + 0.5 * (t + 1.0))).ravel()
-    g = phi(u) * np.tile(0.5 * h * w, panels) / u
-    out = np.empty(x.shape)
-    rows = max(1, _BLOCK // u.size)
-    for i in range(0, x.size, rows):
-        ux = np.multiply.outer(x[i:i + rows], u)
-        out[i:i + rows] = (np.cos(ux) * g.imag - np.sin(ux) * g.real).sum(axis=1)
-    return out
 
 
 # ---------------------------------------------------------------------------

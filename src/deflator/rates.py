@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._quadrature import adaptive_simpson
+from ._quadrature import composite_gauss_legendre
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
                          InvalidInterval, MissingMaturity, NonpositiveRate,
                          NonPredictableDeflator)
@@ -425,6 +425,13 @@ class HoLeeParams:
         return float(self.sigma) * t
 
 
+def _integral(f, a: float, b: float, tol: float) -> float:
+    """int_a^b f by composite_gauss_legendre, for f mapping a float to a
+    float: it is called once per node."""
+    f = np.vectorize(f, otypes=[float])
+    return float(composite_gauss_legendre(lambda s, w: w @ f(s), a, b, tol))
+
+
 def ho_lee_discount(params: HoLeeParams, t: float, u: float, b_t: float,
                     quad_tol: float = 1e-10) -> float:
     """Price at time t of one unit at u >= t, given Brownian level b_t.
@@ -432,18 +439,19 @@ def ho_lee_discount(params: HoLeeParams, t: float, u: float, b_t: float,
     D_t(u) = exp(-int_t^u [phi(s) - (Sigma(s) - Sigma(u))^2 / 2] ds
                  + (Sigma(u) - Sigma(t)) b_t).
 
-    With constant sigma the volatility integral is sigma^2 (u-t)^3 / 6.
+    With constant sigma the volatility integral is sigma^2 (u-t)^3 / 6;
+    the others go by composite_gauss_legendre to the absolute quad_tol.
     """
     if u < t:
         raise InvalidInterval(f"maturity {u} before valuation {t}")
     if u == t:
         return 1.0
-    drift = adaptive_simpson(params.phi, t, u, tol=quad_tol)
+    drift = _integral(params.phi, t, u, quad_tol)
     if callable(params.sigma):
         s_u = params.vol_antiderivative(u)
-        convexity = adaptive_simpson(
+        convexity = _integral(
             lambda s: 0.5 * (params.vol_antiderivative(s) - s_u) ** 2,
-            t, u, tol=quad_tol)
+            t, u, quad_tol)
     else:
         convexity = float(params.sigma) ** 2 * (u - t) ** 3 / 6.0
     slope = params.vol_antiderivative(u) - params.vol_antiderivative(t)
@@ -479,6 +487,6 @@ def ho_lee_stochastic_discount(params: HoLeeParams, t: float, b_t: float) -> flo
         raise InvalidInterval("need t >= 0")
     if t == 0:
         return 1.0
-    drift = adaptive_simpson(params.phi, 0.0, t, tol=1e-10)
+    drift = _integral(params.phi, 0.0, t, 1e-10)
     sig = float(params.sigma)
     return float(np.exp(-drift + sig ** 2 * t ** 3 / 24.0 + sig * t * b_t / 2.0))

@@ -255,6 +255,28 @@ def test_normal_covariance_identity():
         normal_cov_identity_check(1.5, lambda x: x, lambda x: np.ones_like(x))
 
 
+def test_model_quadrature_needs_no_lapack_rule():
+    # numpy's Gauss-Hermite rule starts from a LAPACK eigensolve.  With it
+    # refused, in a fresh interpreter so that no rule is cached, the
+    # hedge and covariance checks above must still pass as pinned.
+    src = os.path.dirname(os.path.dirname(deflator.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    tests = [f"{__file__}::{name}" for name in (
+        "test_hedge_error_quadratic_payoff", "test_hedge_error_linear_payoff",
+        "test_hedge_error_approximations_tighten_as_vol_shrinks",
+        "test_normal_covariance_identity")]
+    code = ("import sys, numpy.polynomial.hermite as hermite, pytest\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('LAPACK-based hermgauss called')\n"
+            "hermite.hermgauss = refuse\n"
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n")
+    run = subprocess.run([sys.executable, "-c", code, *tests], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "4 passed" in run.stdout
+
+
 # --------------------------------------------------------------------- GBM
 
 

@@ -15,6 +15,7 @@ from deflator import (
     HoLeeParams,
     InvalidInterval,
     MissingMaturity,
+    NonConvergence,
     NonPredictableDeflator,
     NonpositiveRate,
     Schedule,
@@ -373,6 +374,41 @@ def test_ho_lee_discounted_bond_is_a_martingale():
         sd = np.array([ho_lee_stochastic_discount(params, t, bi) for bi in b])
         assert float(weights @ sd) == pytest.approx(
             ho_lee_discount(params, 0.0, t, 0.0), rel=1e-8)
+
+
+def test_ho_lee_drift_integral_matches_its_closed_form():
+    # phi(t) = 0.02 + 0.01 sin t integrates to
+    # 0.02 (u - t) - 0.01 (cos u - cos t).  math.sin takes one float, so
+    # this also checks that phi is called once per node.
+    params = HoLeeParams(phi=lambda t: 0.02 + 0.01 * math.sin(t), sigma=0.0)
+    drift = lambda t, u: 0.02 * (u - t) - 0.01 * (math.cos(u) - math.cos(t))
+    for t, u in [(0.0, 2.0), (0.5, 7.5), (3.0, 3.25)]:
+        assert -math.log(ho_lee_discount(params, t, u, b_t=0.4)) == pytest.approx(
+            drift(t, u), rel=1e-12)
+    assert -math.log(ho_lee_stochastic_discount(params, 4.0, b_t=-1.0)) == (
+        pytest.approx(drift(0.0, 4.0), rel=1e-12))
+
+
+def test_ho_lee_convexity_integral_matches_its_closed_form():
+    # sigma(t) = 0.01 + 0.02 t has Sigma(t) = 0.01 t + 0.01 t^2, and
+    # Sigma(s) - Sigma(u) = 0.01 d (d + c) with d = s - u, c = 2u + 1, so
+    # int_t^u (Sigma(s) - Sigma(u))^2 / 2 ds
+    #   = 0.5e-4 (L^5 / 5 - c L^4 / 2 + c^2 L^3 / 3), L = u - t
+    params = HoLeeParams(phi=flat_phi(0.0), sigma=lambda s: 0.01 + 0.02 * s,
+                         Sigma=lambda s: 0.01 * s + 0.01 * s * s)
+    for t, u in [(0.0, 2.0), (0.5, 6.0), (2.0, 2.5)]:
+        L, c = u - t, 2.0 * u + 1.0
+        convexity = 0.5e-4 * (L ** 5 / 5 - c * L ** 4 / 2 + c ** 2 * L ** 3 / 3)
+        assert math.log(ho_lee_discount(params, t, u, b_t=0.0)) == pytest.approx(
+            convexity, rel=1e-12)
+
+
+def test_ho_lee_integrals_have_a_node_cap():
+    # a jump in phi keeps the composite rule's error near the panel width
+    params = HoLeeParams(phi=lambda t: 0.02 if t < 1.0 / 3.0 else 0.03,
+                         sigma=0.01)
+    with pytest.raises(NonConvergence):
+        ho_lee_discount(params, 0.0, 1.0, b_t=0.0)
 
 
 def test_ho_lee_validation():
