@@ -20,10 +20,9 @@ from .exceptions import (AlgebraMismatch, ArbitrageInInput, DeflatorError,
                          NonpositiveRate, NonPredictableDeflator, NotClosedOut,
                          NotCoarser, NotSelfFinancing, SingularGram,
                          SpecFileError, TruncationFailure, ZeroCost)
-from .filtration import (Algebra, FAMeasure, Filtration, OutcomeSpace,
-                         SimpleFunction, binary_tree_filtration,
-                         conditional_price_check, pairing, product,
-                         random_walk, restrict)
+from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction,
+                         binary_tree_filtration, conditional_price_check,
+                         pairing, product, random_walk, restrict)
 from .market_files import (MarketSpec, load_market_spec, parse_document,
                            render_document)
 from .models import (BachelierParams, GBMParams, GBMPutQuote,

@@ -22,13 +22,12 @@ import sys
 import numpy as np
 
 from ._quadrature import gauss_legendre
-from .cone import (certificate_from_projection, deflator_from_projection,
-                   project_to_cone)
+from .cone import deflator_from_projection, project_to_cone
 from .exceptions import (ArbitrageInInput, DeflatorError, SingularGram,
                          SpecFileError)
 from .filtration import SimpleFunction, product, restrict
 from .market_files import display, load_market_spec, render_document
-from .models import (_normal_piecewise_expectation, bachelier_moments,
+from .models import (_normal_piecewise_expectation, bachelier_hedge,
                      bachelier_put, cdf_from_charfn, gbm_put, levy_put)
 from .multi_period import NodeArbitrage, find_tree_deflator
 from .one_period import least_squares_hedge, price_payoff
@@ -117,7 +116,7 @@ def _call_put(spec, payoff, command):
 
 def _one_period_deflator(market, tol):
     """Deflator weights, or raise ArbitrageInInput."""
-    deflator = deflator_from_projection(project_to_cone(market, tol), tol)
+    deflator = deflator_from_projection(project_to_cone(market, tol))
     if deflator is None:
         raise ArbitrageInInput("the market admits arbitrage; nothing prices it")
     return deflator
@@ -129,7 +128,7 @@ def cmd_detect(args):
     if spec.kind == "one_period":
         market = spec.payload
         projection = project_to_cone(market, tol)
-        certificate = certificate_from_projection(projection, market, tol)
+        certificate = projection.certificate
         doc = {"command": "detect", "kind": spec.kind,
                "diagnostics": {"tolerance": tol,
                                "residual_norm": projection.residual_norm}}
@@ -307,14 +306,9 @@ def cmd_hedge(args):
     if spec.kind == "bachelier":
         params = spec.payload
         k, _, _ = _call_put(spec, payoff, "hedging")
-        mean_v, var_v, cov_sv = bachelier_moments(
+        mean_v, shares, corr, lse = bachelier_hedge(
             params, payoff.on_underlying, kinks=(k,))
-        f = params.forward
-        var_s = (f * params.sigma) ** 2
-        shares = cov_sv / var_s
-        bond = (mean_v - shares * f) / params.R
-        corr = cov_sv / math.sqrt(var_s * var_v) if var_v > 0 else 0.0
-        lse = max(var_v - cov_sv ** 2 / var_s, 0.0) / params.R
+        bond = (mean_v - shares * params.forward) / params.R
         doc["hedge"] = {"gamma": [bond, shares],
                         "hedge_cost": mean_v / params.R,
                         "corr": corr,

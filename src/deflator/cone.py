@@ -65,22 +65,6 @@ class OnePeriodMarket:
 
 
 @dataclass(frozen=True)
-class ConeProjection:
-    """Nearest point of the payoff cone to the price vector.
-
-    weights       : nonnegative cone coordinates, one per outcome.
-    x_star        : the projected price vector, payoffs.T @ weights.
-    residual_norm : euclidean distance from prices to x_star.
-    prices        : the vector that was projected.
-    """
-
-    weights: np.ndarray
-    x_star: np.ndarray
-    residual_norm: float
-    prices: np.ndarray
-
-
-@dataclass(frozen=True)
 class ArbitrageCertificate:
     """A position gamma with gamma . x < 0 and nonnegative payoffs.
 
@@ -92,6 +76,26 @@ class ArbitrageCertificate:
     gamma: np.ndarray
     setup_gain: float
     min_payoff: float
+
+
+@dataclass(frozen=True)
+class ConeProjection:
+    """Nearest point of the payoff cone to the price vector, and the
+    verdict it gives.
+
+    weights       : nonnegative cone coordinates, one per outcome.
+    x_star        : the projected price vector, payoffs.T @ weights.
+    residual_norm : euclidean distance from prices to x_star.
+    prices        : the vector that was projected.
+    certificate   : the arbitrage, or None when the prices are inside
+                    the payoff cone (within the threshold).
+    """
+
+    weights: np.ndarray
+    x_star: np.ndarray
+    residual_norm: float
+    prices: np.ndarray
+    certificate: ArbitrageCertificate | None
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ class Deflator:
         return float(self.atom_weights.sum())
 
 
-def nnls(A, b, maxiter=None, tol=None):
+def nnls(A, b, maxiter=None):
     """Solve min ||A @ w - b|| subject to w >= 0 by an active set sweep.
 
     Lawson and Hanson's method (Solving Least Squares Problems, 1974,
@@ -136,13 +140,11 @@ def nnls(A, b, maxiter=None, tol=None):
     maxiter : int, optional
         Cap on least squares subproblem solves.  Defaults to
         10 * max(m, n); exceeding it raises NonConvergence.
-    tol : float, optional
-        Stop once every stationarity residual A.T @ (b - A @ w) is below
-        tol on the zero set.  By default the rule is relative, so the
-        verdict does not change when A and b are rescaled: stop once
-        every column j off the support has A_j . r <= 10 * eps *
-        max(m, n) * ||A_j|| * ||r||, r = b - A @ w, or once ||r|| <=
-        10 * eps * max(m, n) * ||b||.
+
+    The stopping rule is relative, so the verdict does not change when
+    A and b are rescaled: stop once every column j off the support has
+    A_j . r <= 10 * eps * max(m, n) * ||A_j|| * ||r||, r = b - A @ w,
+    or once ||r|| <= 10 * eps * max(m, n) * ||b||.
 
     Returns
     -------
@@ -173,13 +175,9 @@ def nnls(A, b, maxiter=None, tol=None):
     grad = A.T @ b
     rnorm = float(np.linalg.norm(b))
     while True:
-        if tol is None:
-            if rnorm <= r_floor:
-                break
-            above = grad > rel * col_norm * rnorm
-        else:
-            above = grad > tol
-        above &= ~passive & ~blocked
+        if rnorm <= r_floor:
+            break
+        above = (grad > rel * col_norm * rnorm) & ~passive & ~blocked
         if not above.any():
             break
         enter = np.flatnonzero(above)[np.argmax(grad[above])]
@@ -418,17 +416,23 @@ def _nnls_stack(A, b, maxiter=None):
     return w, rnorm
 
 
+def _threshold(prices, tol):
+    """tol * (1 + ||prices||), one per row of prices: prices whose
+    residual is at most this are inside the payoff cone."""
+    return tol * (1.0 + np.linalg.norm(prices, axis=-1))
+
+
 def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     """Cone projections of a stack of small one-period markets.
 
     Market i quotes prices[i] (m instruments) and pays the k payoff rows
     rows[children[i]].  Returns the cone weights (p, k) and whether each
-    market is inside its cone by the threshold of _inside.  When k == m
-    each chunk of markets is solved directly (unless LU meets an exact
-    zero pivot in it), and a market is inside when the solved weights
-    are nonnegative and reprice it within the threshold, with the
-    rounding of the repricing counted against it, as nnls would also
-    find; every other market goes through _nnls_stack.
+    market is inside its cone by _threshold, as project_to_cone decides.
+    When k == m each chunk of markets is solved directly (unless LU
+    meets an exact zero pivot in it), and a market is inside when the
+    solved weights are nonnegative and reprice it within the threshold,
+    with the rounding of the repricing counted against it, as nnls
+    would also find; every other market goes through _nnls_stack.
     """
     p, k = children.shape
     m = rows.shape[1]
@@ -436,7 +440,7 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     for lo in range(0, p, _STACK_CHUNK):
         A = rows[children[lo:lo + _STACK_CHUNK]].transpose(0, 2, 1)
         x = prices[lo:lo + _STACK_CHUNK]
-        threshold = tol * (1.0 + np.linalg.norm(x, axis=1))
+        threshold = _threshold(x, tol)
         w, ok = np.zeros((len(x), k)), np.zeros(len(x), dtype=bool)
         if k == m:
             try:
@@ -459,51 +463,47 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
 
 
 def project_to_cone(market: OnePeriodMarket, tol: float = DEFAULT_TOL) -> ConeProjection:
-    """Project the price vector onto the cone of payoff rows.
+    """Project the price vector onto the cone of payoff rows, and decide.
 
     The weights solve min ||payoffs.T @ w - prices|| over w >= 0; the
     resulting x_star is the unique nearest cone point and satisfies the
-    orthogonality identity (x_star - prices) . x_star = 0.
+    orthogonality identity (x_star - prices) . x_star = 0.  The prices
+    are inside the cone when the residual is at most tol * (1 +
+    ||prices||).  Otherwise the certificate is the normalized gap
+    direction x_star - prices: it costs -setup_gain to set up and pays
+    at least min_payoff >= -tol in every outcome.
     """
-    weights, rnorm = nnls(market.payoffs.T, market.prices)
+    prices = market.prices
+    weights, rnorm = nnls(market.payoffs.T, prices)
     x_star = market.payoffs.T @ weights
-    return ConeProjection(weights=weights, x_star=x_star,
-                          residual_norm=rnorm, prices=market.prices.copy())
-
-
-def _inside(projection: ConeProjection, tol: float) -> bool:
-    return projection.residual_norm <= tol * (1.0 + np.linalg.norm(projection.prices))
+    certificate = None
+    if rnorm > _threshold(prices, tol):
+        gap = x_star - prices
+        gamma = gap / np.linalg.norm(gap)
+        certificate = ArbitrageCertificate(
+            gamma=gamma, setup_gain=float(-(gamma @ prices)),
+            min_payoff=float((market.payoffs @ gamma).min()))
+    return ConeProjection(weights=weights, x_star=x_star, residual_norm=rnorm,
+                          prices=prices.copy(), certificate=certificate)
 
 
 def find_arbitrage(market: OnePeriodMarket, tol: float = DEFAULT_TOL):
-    """Return an ArbitrageCertificate, or None when the market has none.
-
-    The market is declared arbitrage-free when the projection residual
-    is below tol * (1 + ||prices||).  Otherwise the normalized gap
-    direction x_star - prices is returned; it costs -setup_gain to set
-    up and pays at least min_payoff >= -tol in every outcome.
-    """
-    return certificate_from_projection(project_to_cone(market, tol), market, tol)
+    """Return an ArbitrageCertificate, or None when the market has none:
+    the verdict of project_to_cone(market, tol)."""
+    return project_to_cone(market, tol).certificate
 
 
-def certificate_from_projection(projection: ConeProjection,
-                                market: OnePeriodMarket,
-                                tol: float = DEFAULT_TOL):
-    """The ArbitrageCertificate read off a projection of market's prices,
-    or None if they were (within tol) inside the payoff cone.
+def certificate_from_projection(projection: ConeProjection):
+    """The projection's ArbitrageCertificate, or None if the prices were
+    inside the payoff cone.  On one projection exactly one of this and
+    deflator_from_projection returns something."""
+    return projection.certificate
 
-    Uses the same threshold as deflator_from_projection, so on one
-    projection exactly one of the two returns something.
-    """
-    if _inside(projection, tol):
-        return None
-    gap = projection.x_star - projection.prices
-    gamma = gap / np.linalg.norm(gap)
-    return ArbitrageCertificate(
-        gamma=gamma,
-        setup_gain=float(-(gamma @ projection.prices)),
-        min_payoff=float((market.payoffs @ gamma).min()),
-    )
+
+def deflator_from_projection(projection: ConeProjection):
+    """The projection's weights as a Deflator, or None if the prices were
+    outside the payoff cone: the other view of certificate_from_projection."""
+    return Deflator(projection.weights.copy()) if projection.certificate is None else None
 
 
 @dataclass(frozen=True)
@@ -528,14 +528,3 @@ def verify_position(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) ->
     return PositionReport(cost=cost, min_payoff=min_payoff,
                           is_arbitrage=(cost < -slack and min_payoff >= -slack))
 
-
-def deflator_from_projection(projection: ConeProjection, tol: float = DEFAULT_TOL):
-    """Promote projection weights to a Deflator, or None if the prices
-    were not (within tol) inside the payoff cone.
-
-    Uses the same threshold as certificate_from_projection, so on one
-    projection exactly one of the two returns something.
-    """
-    if not _inside(projection, tol):
-        return None
-    return Deflator(atom_weights=projection.weights.copy())

@@ -10,25 +10,9 @@ period markets are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import AlgebraMismatch, DimensionMismatch, NotCoarser
-
-
-@dataclass(frozen=True)
-class OutcomeSpace:
-    """A finite set of outcomes, optionally labelled."""
-
-    atom_count: int
-    atom_labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.atom_count < 1:
-            raise ValueError("need at least one outcome")
-        if self.atom_labels is not None and len(self.atom_labels) != self.atom_count:
-            raise DimensionMismatch("one label per atom required")
 
 
 class Algebra:
@@ -308,7 +292,6 @@ class Filtration:
                 alg = Algebra._coarsening(levels[0], up)
             levels.insert(0, alg)
         self.algebras = levels
-        self.relaxed = relaxed
 
     @property
     def n_atoms(self) -> int:

@@ -112,14 +112,15 @@ def bachelier_put(params: BachelierParams, k: float) -> PutQuote:
     return PutQuote(price=price, delta=-_ndtr(z))
 
 
-def _normal_piecewise_expectation(f, mean, std, kinks=(), width=14.0, n=120):
+def _normal_piecewise_expectation(f, mean, std, kinks=()):
     """E f(X), X ~ N(mean, std^2), for f smooth between known kinks.
 
-    Fixed-order Gauss-Legendre on each smooth segment; with the kinks
-    supplied this is exact to machine precision for option payoffs.
+    120-point Gauss-Legendre on each smooth segment of mean +- 14 std;
+    with the kinks supplied this is exact to machine precision for
+    option payoffs.
     """
-    x_nodes, w_nodes = gauss_legendre(n)
-    lo, hi = mean - width * std, mean + width * std
+    x_nodes, w_nodes = gauss_legendre(120)
+    lo, hi = mean - 14.0 * std, mean + 14.0 * std
     edges = [lo] + sorted(k for k in kinks if lo < k < hi) + [hi]
     total = 0.0
     for a, b in zip(edges, edges[1:]):
@@ -166,17 +167,24 @@ class HedgeErrorEstimate:
     zero_slope: bool
 
 
-def bachelier_moments(params: BachelierParams, payoff, kinks=()):
-    """E p(S), Var p(S) and Cov(S, p(S)) for the Bachelier terminal stock
-    S and a payoff p smooth between the given kinks, by
-    _normal_piecewise_expectation."""
+def bachelier_hedge(params: BachelierParams, payoff, kinks=()):
+    """The stock hedge of a payoff p, smooth between the given kinks, of
+    the Bachelier terminal stock S: (E p(S), shares, corr, lse).
+
+    The moments are by _normal_piecewise_expectation.  shares is
+    Cov(S, p(S)) / Var S, corr the correlation of S and p(S) clipped to
+    [-1, 1] (0 when p(S) is constant), and lse the least squared error
+    max(Var p(S) - Cov(S, p(S))^2 / Var S, 0) / R, never negative.
+    """
     f = params.forward
     moment = lambda g: _normal_piecewise_expectation(
         g, f, f * params.sigma, kinks=kinks)
     mean = moment(payoff)
     var = moment(lambda x: (payoff(x) - mean) ** 2)
     cov = moment(lambda x: (x - f) * payoff(x))
-    return mean, var, cov
+    var_s = (f * params.sigma) ** 2
+    corr = max(-1.0, min(1.0, cov / math.sqrt(var_s * var))) if var > 0 else 0.0
+    return mean, cov / var_s, corr, max(var - cov ** 2 / var_s, 0.0) / params.R
 
 
 def hedge_error_estimate(params: BachelierParams, payoff, d1=None,
@@ -196,13 +204,7 @@ def hedge_error_estimate(params: BachelierParams, payoff, d1=None,
     """
     f = params.forward
     sigma, R = params.sigma, params.R
-    _, var_p, cov_sp = bachelier_moments(params, payoff)
-    var_s = (f * sigma) ** 2
-    if var_p > 0.0:
-        corr = cov_sp / math.sqrt(var_s * var_p)
-        lse = (1.0 - corr ** 2) * var_p / R
-    else:
-        corr, lse = 0.0, 0.0
+    _, _, corr, lse = bachelier_hedge(params, payoff)
 
     h = 1e-5 * f
     slope = float(d1(f)) if d1 is not None else (payoff(f + h) - payoff(f - h)) / (2 * h)
@@ -219,12 +221,13 @@ def hedge_error_estimate(params: BachelierParams, payoff, d1=None,
                               zero_slope=zero_slope)
 
 
-def normal_cov_identity_check(rho: float, f, f_prime, nodes: int = 96) -> float:
+def normal_cov_identity_check(rho: float, f, f_prime) -> float:
     """Residual of Cov(N, f(M)) = Cov(N, M) E f'(M) for correlated
-    standard normals with Cov(N, M) = rho, both sides by quadrature."""
+    standard normals with Cov(N, M) = rho, both sides by a 96-point
+    quadrature on [-14, 14]."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must be a correlation")
-    x, w = gauss_legendre(nodes)
+    x, w = gauss_legendre(96)
     z = 14.0 * x
     w = 14.0 * w * np.exp(-0.5 * z * z) / _SQRT_2PI
     m = z[:, None]
@@ -387,15 +390,13 @@ class KolmogorovLaw:
 _BLOCK = 2 ** 17      # entries of one x-by-u block of the inversion sum
 
 
-def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0,
-                    decay_threshold: float = 1e-12, u_cap: float = 1e6,
-                    quad_tol: float = 1e-11) -> np.ndarray:
+def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
     """Distribution function on a grid by characteristic function
     inversion: F(x) = 1/2 - (1/pi) int_0^U Im(e^{-iux} phi(u)) / u du.
 
     charfn must accept an array of u and return phi at each.  The
-    truncation point U doubles until |phi| stays below decay_threshold,
-    capped at u_cap (TruncationFailure beyond).  For laws with atoms phi
+    truncation point U doubles until |phi| stays below 1e-12, capped at
+    1e6 (TruncationFailure beyond).  For laws with atoms phi
     never decays; a positive smoothing width convolves with
     N(0, smoothing^2), which resolves the cdf up to steps of that width.
 
@@ -404,8 +405,8 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0,
     rule, on all its nodes, and the integrals at every x are sums over
     one matrix of e^{-iux}.  composite_gauss_legendre starts from about
     U/2 equal panels and doubles them until two successive integrals
-    agree within quad_tol at every grid point, so quad_tol is an
-    absolute error target on the integral; past its node cap it raises
+    agree within 1e-11 at every grid point, an absolute error target
+    on the integral; past its node cap it raises
     NonConvergence.  Results are clipped to [0, 1] and made monotone by
     a running maximum, so x_grid must be nondecreasing.
     """
@@ -421,11 +422,11 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0,
 
     probe = 1.0 + np.arange(5) / 16.0
     U = 1.0
-    while np.abs(phi(U * probe)).max() > decay_threshold:
+    while np.abs(phi(U * probe)).max() > 1e-12:
         U *= 2.0
-        if U > u_cap:
+        if U > 1e6:
             raise TruncationFailure(
-                f"|charfn| does not decay below {decay_threshold} by {u_cap}; "
+                "|charfn| does not decay below 1e-12 by 1e6; "
                 "set a smoothing width for laws with atoms")
 
     def integrate(u, w):
@@ -440,7 +441,7 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0,
                                - np.sin(ux) * g.real).sum(axis=1)
         return out
 
-    integral = composite_gauss_legendre(integrate, 0.0, U, quad_tol,
+    integral = composite_gauss_legendre(integrate, 0.0, U, 1e-11,
                                         panels=max(1, int(U) // 2))
     out = 0.5 - integral / math.pi
     return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
@@ -471,8 +472,7 @@ class LevyModelParams:
         return self.r - self.base.log_mgf(self.sigma)
 
 
-def levy_put(params: LevyModelParams, k: float, smoothing: float = 0.0,
-             **inversion_kwargs) -> float:
+def levy_put(params: LevyModelParams, k: float, smoothing: float = 0.0) -> float:
     """Forward value E (k - S_t)^+ = k P(S_t <= k) - s e^{rt} P(S*_t <= k).
 
     The starred law is the sigma-tilt of the time-t law; both
@@ -484,8 +484,7 @@ def levy_put(params: LevyModelParams, k: float, smoothing: float = 0.0,
         return 0.0
     threshold = (math.log(k / params.s) - params.drift * params.t) / params.sigma
     law_t = params.base.scale_time(params.t)
-    p_plain = cdf_from_charfn(law_t.charfn, [threshold], smoothing,
-                              **inversion_kwargs)[0]
+    p_plain = cdf_from_charfn(law_t.charfn, [threshold], smoothing)[0]
     p_tilted = cdf_from_charfn(law_t.tilt(params.sigma).charfn, [threshold],
-                               smoothing, **inversion_kwargs)[0]
+                               smoothing)[0]
     return float(k * p_plain - params.s * math.exp(params.r * params.t) * p_tilted)

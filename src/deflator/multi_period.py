@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import (DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket,
-                   _project_stack, certificate_from_projection, project_to_cone)
+                   _project_stack, project_to_cone)
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
                          InvalidInterval, NonConvergence, NotClosedOut,
                          NotSelfFinancing)
@@ -332,9 +332,9 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
             node_w, flagged = np.empty(child_parent.size), np.arange(prices.shape[0])
         for b in flagged.tolist():
             children = np.flatnonzero(child_parent == b)
-            local = OnePeriodMarket(prices=prices[b], payoffs=settle[children])
-            projection = project_to_cone(local, tol)
-            certificate = certificate_from_projection(projection, local, tol)
+            projection = project_to_cone(
+                OnePeriodMarket(prices=prices[b], payoffs=settle[children]), tol)
+            certificate = projection.certificate
             if certificate is not None:
                 strategy = Strategy.zero(panel)
                 strategy.trades[i].values[b] = certificate.gamma

@@ -425,33 +425,31 @@ class HoLeeParams:
         return float(self.sigma) * t
 
 
-def _integral(f, a: float, b: float, tol: float) -> float:
-    """int_a^b f by composite_gauss_legendre, for f mapping a float to a
-    float: it is called once per node."""
+def _integral(f, a: float, b: float) -> float:
+    """int_a^b f by composite_gauss_legendre to the absolute tolerance
+    1e-10, for f mapping a float to a float: it is called once per node."""
     f = np.vectorize(f, otypes=[float])
-    return float(composite_gauss_legendre(lambda s, w: w @ f(s), a, b, tol))
+    return float(composite_gauss_legendre(lambda s, w: w @ f(s), a, b, 1e-10))
 
 
-def ho_lee_discount(params: HoLeeParams, t: float, u: float, b_t: float,
-                    quad_tol: float = 1e-10) -> float:
+def ho_lee_discount(params: HoLeeParams, t: float, u: float, b_t: float) -> float:
     """Price at time t of one unit at u >= t, given Brownian level b_t.
 
     D_t(u) = exp(-int_t^u [phi(s) - (Sigma(s) - Sigma(u))^2 / 2] ds
                  + (Sigma(u) - Sigma(t)) b_t).
 
     With constant sigma the volatility integral is sigma^2 (u-t)^3 / 6;
-    the others go by composite_gauss_legendre to the absolute quad_tol.
+    the others go by composite_gauss_legendre to the absolute 1e-10.
     """
     if u < t:
         raise InvalidInterval(f"maturity {u} before valuation {t}")
     if u == t:
         return 1.0
-    drift = _integral(params.phi, t, u, quad_tol)
+    drift = _integral(params.phi, t, u)
     if callable(params.sigma):
         s_u = params.vol_antiderivative(u)
         convexity = _integral(
-            lambda s: 0.5 * (params.vol_antiderivative(s) - s_u) ** 2,
-            t, u, quad_tol)
+            lambda s: 0.5 * (params.vol_antiderivative(s) - s_u) ** 2, t, u)
     else:
         convexity = float(params.sigma) ** 2 * (u - t) ** 3 / 6.0
     slope = params.vol_antiderivative(u) - params.vol_antiderivative(t)
@@ -487,6 +485,6 @@ def ho_lee_stochastic_discount(params: HoLeeParams, t: float, b_t: float) -> flo
         raise InvalidInterval("need t >= 0")
     if t == 0:
         return 1.0
-    drift = _integral(params.phi, 0.0, t, 1e-10)
+    drift = _integral(params.phi, 0.0, t)
     sig = float(params.sigma)
     return float(np.exp(-drift + sig ** 2 * t ** 3 / 24.0 + sig * t * b_t / 2.0))

@@ -7,6 +7,7 @@ cost, no losing outcome) and a deflator must reproduce every quoted
 price.
 """
 
+import inspect
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -17,11 +18,16 @@ import scipy.optimize
 
 from deflator import (
     DEFAULT_TOL,
+    Algebra,
     Deflator,
     DeflatorSequence,
     DimensionMismatch,
+    Filtration,
+    MarketPanel,
+    NodeArbitrage,
     NonConvergence,
     OnePeriodMarket,
+    SimpleFunction,
     certificate_from_projection,
     deflator_from_projection,
     find_arbitrage,
@@ -222,7 +228,7 @@ def test_exactly_one_of_certificate_or_deflator():
         deflator = deflator_from_projection(projection)
         assert (certificate is None) != (deflator is None)
         # one projection gives the same verdict and witness
-        again = certificate_from_projection(projection, market)
+        again = certificate_from_projection(projection)
         assert (again is None) == (certificate is None)
         if certificate is not None:
             np.testing.assert_array_equal(again.gamma, certificate.gamma)
@@ -238,6 +244,59 @@ def test_exactly_one_of_certificate_or_deflator():
                 atol=1e-9 * (1.0 + np.abs(market.prices).max()))
     # the generator must exercise both branches for this test to mean much
     assert min(seen.values()) > 50
+
+
+def test_every_view_of_the_verdict_flips_at_its_threshold():
+    # tol just below and just above residual / (1 + ||prices||) of a
+    # market outside its cone: the projection's certificate,
+    # find_arbitrage, the deflator view, the stacked level solve and the
+    # tree search all change their verdict there, and together
+    rng = np.random.default_rng(67)
+    flips = witnessed = 0
+    for _ in range(40):
+        m, k = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        A, b = stacked_problems(int(rng.integers(2 ** 32)), "random", m, k,
+                                10.0 ** int(rng.integers(-6, 7)), p=6)
+        rows = A.transpose(0, 2, 1).reshape(-1, m)
+        children = np.arange(len(rows)).reshape(-1, k)
+        markets = [OnePeriodMarket(prices=b[i], payoffs=rows[c])
+                   for i, c in enumerate(children)]
+        residual = np.array([project_to_cone(market).residual_norm for market in markets])
+        edge = residual / (1.0 + np.linalg.norm(b, axis=1))
+        # residuals of the two solvers agree far within the 1e-6 margin
+        outside = np.flatnonzero(residual > 1e-6 * np.linalg.norm(b, axis=1))
+        for i in outside:
+            for inside, tol in ((False, edge[i] * (1.0 - 1e-6)),
+                                (True, edge[i] * (1.0 + 1e-6))):
+                projection = project_to_cone(markets[i], tol)
+                certificate = find_arbitrage(markets[i], tol)
+                assert (projection.certificate is None) == inside
+                assert certificate_from_projection(projection) is projection.certificate
+                assert (certificate is None) == inside
+                assert (deflator_from_projection(projection) is not None) == inside
+                assert cone._project_stack(rows, children, b, tol)[1][i] == inside
+                if not inside:
+                    np.testing.assert_array_equal(certificate.gamma,
+                                                  projection.certificate.gamma)
+            flips += 1
+        # the tree of these nodes flips at its worst node, which is its witness
+        if outside.size:
+            top = outside[edge[outside].argmax()]
+            filtration = Filtration([Algebra(np.repeat(np.arange(len(b)), k)),
+                                     Algebra(np.arange(len(rows)))])
+            panel = MarketPanel(times=(0.0, 1.0), filtration=filtration,
+                                prices=[SimpleFunction(filtration[0], b),
+                                        SimpleFunction(filtration[1], rows)])
+            tol = edge[top] * (1.0 - 1e-6)
+            if (edge[np.arange(len(b)) != top] < tol).all():
+                found = find_tree_deflator(panel, tol)
+                assert isinstance(found, NodeArbitrage) and found.block == top
+                np.testing.assert_array_equal(found.certificate.gamma,
+                                              find_arbitrage(markets[top], tol).gamma)
+                witnessed += 1
+            assert isinstance(find_tree_deflator(panel, edge[top] * (1.0 + 1e-6)),
+                              DeflatorSequence)
+    assert flips >= 50 and witnessed >= 20
 
 
 def test_certificate_is_unit_norm_and_scales_with_market():
@@ -508,7 +567,7 @@ def check_stacked_nnls(seed, kind, m, k, exponent):
         # the level verdict is project_to_cone's, and an inside verdict
         # comes with weights that reprice within the threshold
         market = OnePeriodMarket(prices=b[i], payoffs=a.T)
-        single = certificate_from_projection(project_to_cone(market), market)
+        single = certificate_from_projection(project_to_cone(market))
         assert inside[i] == (single is None)
         if inside[i]:
             assert (weights[i] >= 0.0).all()
@@ -702,6 +761,57 @@ def test_zero_steps_keep_the_verdicts_and_residuals_of_scipy():
     assert single >= 20 and stacked >= 20 and band <= 40
 
 
+def outer_step_factors(solve, A, b):
+    """Run solve(A, b) and return the passive columns, blocked columns
+    and thin QR factor of each problem at the head of every outer step:
+    (passive, blocked, cols, Qt, R) per problem and step."""
+    lines, start = inspect.getsourcelines(solve)
+    head = start + 1 + next(i for i, line in enumerate(lines)
+                            if line.strip() == "while True:")
+    steps = []
+
+    def lines_of(frame, event, arg):
+        if event == "line" and frame.f_lineno == head:
+            v = frame.f_locals
+            if solve is nnls:
+                k = v["cols"].size
+                steps.append((v["passive"].copy(), v["blocked"].copy(), v["cols"].copy(),
+                              v["Qt"][:k].copy(), v["R"][:k, :k].copy()))
+            else:
+                n = v["A"].shape[2]
+                for i, k in enumerate(v["nk"]):
+                    steps.append((v["passive"][i, :n].copy(), v["blocked"][i].copy(),
+                                  v["cols"][i].copy(), v["Qt"][i, :k].copy(),
+                                  v["R"][i, :k, :k].copy()))
+        return lines_of
+
+    sys.settrace(lambda frame, event, arg:
+                 lines_of if frame.f_code is solve.__code__ else None)
+    try:
+        solve(A, b)
+    finally:
+        sys.settrace(None)
+    return steps
+
+
+def test_factor_holds_the_passive_set_at_every_outer_step():
+    # a zero step must take the rejected entry out of the factor, or the
+    # next subproblem solves on a column that is no longer passive
+    rng = np.random.default_rng(53)
+    for _ in range(400):
+        A, b = near_duplicate_problem(rng)
+        for solve, a, y in ((nnls, A, b), (cone._nnls_stack, A[None], b[None])):
+            steps = outer_step_factors(solve, a, y)
+            assert steps
+            for passive, blocked, cols, Qt, R in steps:
+                n, k = passive.size, R.shape[0]
+                assert (cols[k:] == n).all()
+                np.testing.assert_array_equal(np.sort(cols[:k]), np.flatnonzero(passive))
+                assert not (blocked & passive).any()
+                np.testing.assert_allclose(Qt.T @ R, A[:, cols[:k]],
+                                           rtol=0, atol=1e-12 * np.abs(A).max())
+
+
 def square_stack(rng, m, p, scale, singular):
     """p square markets on shared payoff rows: children index k == m
     rows, prices are inside their cones (nonnegative weights) or outside
@@ -748,7 +858,7 @@ def test_square_stacks_give_the_node_verdicts():
             weights, inside = cone._project_stack(rows, children, prices)
             for i in range(len(prices)):
                 market = OnePeriodMarket(prices=prices[i], payoffs=rows[children[i]])
-                single = certificate_from_projection(project_to_cone(market), market)
+                single = certificate_from_projection(project_to_cone(market))
                 assert inside[i] == (single is None)
                 if inside[i]:
                     # weights near 1e9 make the rounding of this check

@@ -223,6 +223,23 @@ def test_hedge_error_linear_payoff():
     assert est.lse_approx == pytest.approx(0.0, abs=1e-12)
 
 
+def test_hedge_error_of_affine_payoffs_stays_in_range():
+    # an affine payoff is hedged exactly: rounding must not push the
+    # error below zero or the correlation past one
+    rng = np.random.default_rng(20191010)
+    for _ in range(80):
+        params = BachelierParams(R=float(rng.choice([1.0, 1.02, 1.05, 1.1])),
+                                 s=float(rng.choice([1.0, 50.0, 100.0, 1000.0])),
+                                 sigma=float(rng.choice([0.01, 0.05, 0.2, 0.5])))
+        a = float(rng.choice([-1.0, 1.0])) * rng.uniform(0.1, 3.0)
+        b = rng.uniform(-5.0, 5.0)
+        est = hedge_error_estimate(params, lambda x: a * x + b)
+        assert est.least_squared_error >= 0.0
+        assert -1.0 <= est.corr <= 1.0
+        assert est.corr == pytest.approx(math.copysign(1.0, a), abs=1e-12)
+        assert est.least_squared_error <= 1e-12 * (a * params.forward) ** 2
+
+
 def test_hedge_error_approximations_tighten_as_vol_shrinks():
     payoff = lambda x: np.exp(x / 105.0)
     d1 = lambda x: math.exp(x / 105.0) / 105.0

@@ -450,7 +450,7 @@ def per_node_search(panel, tol=DEFAULT_TOL):
             local = OnePeriodMarket(prices=panel.prices[i].values[b],
                                     payoffs=settle[children])
             projection = project_to_cone(local, tol)
-            certificate = certificate_from_projection(projection, local, tol)
+            certificate = certificate_from_projection(projection)
             if certificate is not None:
                 return i, b, certificate
             next_weights[children] = weights[i][b] * projection.weights
