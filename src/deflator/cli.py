@@ -26,7 +26,7 @@ from .cone import deflator_from_projection, project_to_cone
 from .exceptions import (ArbitrageInInput, DeflatorError, SingularGram,
                          SpecFileError)
 from .filtration import SimpleFunction, product, restrict
-from .market_files import display, load_market_spec, render_document
+from .market_files import check_tolerance, display, load_market_spec, render_document
 from .models import (_normal_piecewise_expectation, bachelier_hedge,
                      bachelier_put, cdf_from_charfn, gbm_put, levy_put)
 from .multi_period import NodeArbitrage, find_tree_deflator
@@ -90,7 +90,7 @@ def _parse_payoff(text) -> Payoff:
 
 
 def _tol(args, spec) -> float:
-    return args.tol if args.tol is not None else spec.tolerance
+    return spec.tolerance if args.tol is None else check_tolerance(args.tol, "--tol")
 
 
 # Call minus put for each model kind, in the units its pricer quotes.
@@ -261,7 +261,8 @@ def cmd_price(args):
 
 
 def _weighted_corr(weights, a, b):
-    """Correlation of two payoff vectors under normalized weights."""
+    """Correlation of two payoff vectors under normalized weights,
+    clipped to [-1, 1]."""
     mass = weights.sum()
     if mass <= 0:
         return 0.0
@@ -271,7 +272,7 @@ def _weighted_corr(weights, a, b):
     vb = p @ (b - bm) ** 2
     if va <= 0 or vb <= 0:
         return 1.0 if va == vb else 0.0
-    return float((p @ ((a - am) * (b - bm))) / math.sqrt(va * vb))
+    return max(-1.0, min(1.0, float((p @ ((a - am) * (b - bm))) / math.sqrt(va * vb))))
 
 
 def cmd_hedge(args):

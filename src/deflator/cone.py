@@ -14,7 +14,6 @@ yields either the deflator or the certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,297 +122,195 @@ def nnls(A, b, maxiter=None):
     """Solve min ||A @ w - b|| subject to w >= 0 by an active set sweep.
 
     Lawson and Hanson's method (Solving Least Squares Problems, 1974,
-    ch. 23-24) on a thin QR factor of the passive columns: an entering
-    column is appended by Gram-Schmidt with one reorthogonalisation,
-    leaving columns are removed by Givens rotations, and each
-    subproblem is one triangular solve.  An entering column whose new
-    diagonal entry of R is at most 10 * eps * max(m, n) * ||A_j|| lies
-    in the span of the passive columns; it is blocked without a solve.
-    Once the sweep stops, the final passive set is solved again by
-    np.linalg.lstsq, and that solution is returned when it is
-    nonnegative.
+    ch. 23-24), run by _nnls_stack on a stack of one problem.  Its
+    stopping rule is relative, so the verdict does not change when A and
+    b are rescaled.  Once the sweep stops, the final passive set is
+    solved again by np.linalg.lstsq, and that solution is returned when
+    it is nonnegative.
 
-    Parameters
-    ----------
-    A : ndarray (m, n)
-    b : ndarray (m,)
-    maxiter : int, optional
-        Cap on least squares subproblem solves.  Defaults to
-        10 * max(m, n); exceeding it raises NonConvergence.
-
-    The stopping rule is relative, so the verdict does not change when
-    A and b are rescaled: stop once every column j off the support has
-    A_j . r <= 10 * eps * max(m, n) * ||A_j|| * ||r||, r = b - A @ w,
-    or once ||r|| <= 10 * eps * max(m, n) * ||b||.
-
-    Returns
-    -------
-    w : ndarray (n,), the nonnegative solution.
-    rnorm : float, ||A @ w - b||.
+    A is (m, n) and b (m,).  maxiter caps the least squares subproblem
+    solves (default 10 * max(m, n)); exceeding it raises NonConvergence.
+    Returns w (n,), the nonnegative solution, and rnorm = ||A @ w - b||.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise DimensionMismatch("nnls needs A (m, n) and b (m,)")
-    m, n = A.shape
-    if maxiter is None:
-        maxiter = 10 * max(m, n)
-    rel = 10.0 * np.finfo(float).eps * max(m, n)
-    col_norm = np.sqrt(np.einsum("ij,ij->j", A, A))
-    r_floor = rel * np.linalg.norm(b)
-
-    w = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    # entries rejected at the current iterate (dependent columns and
-    # zero steps); cleared whenever w actually moves
-    blocked = np.zeros(n, dtype=bool)
-    # A[:, cols] = Qt[:k].T @ R[:k, :k], the passive columns in the
-    # order they entered
-    Qt, R = np.zeros((min(m, n), m)), np.zeros((min(m, n), min(m, n)))
-    cols = np.zeros(0, dtype=int)
-    solves = 0
-    grad = A.T @ b
-    rnorm = float(np.linalg.norm(b))
-    while True:
-        if rnorm <= r_floor:
-            break
-        above = (grad > rel * col_norm * rnorm) & ~passive & ~blocked
-        if not above.any():
-            break
-        enter = np.flatnonzero(above)[np.argmax(grad[above])]
-        if not _qr_append(Qt, R, cols.size, A[:, enter], rel * col_norm[enter]):
-            # in the span of the passive columns: it cannot improve the
-            # fit, and w does not move, so the gradient stands
-            blocked[enter] = True
-            continue
-        cols = np.append(cols, enter)
-        passive[enter] = True
-        moved = False
-        # Inner loop: solve unconstrained on the passive set, and walk
-        # back toward the previous iterate whenever that solution is
-        # infeasible, retiring the coordinates pinned at zero.
-        while True:
-            solves += 1
-            if solves > maxiter:
-                raise NonConvergence(
-                    f"nnls did not converge within {maxiter} subproblem solves")
-            k = cols.size
-            # R is upper triangular, so LU does no row exchanges and
-            # this is back substitution
-            z = np.linalg.solve(R[:k, :k], Qt[:k] @ b)
-            if z.min() > 0.0:
-                w[cols] = z
-                blocked[:] = False
-                moved = True
-                break
-            wp = w[cols]
-            ratios = np.full(k, np.inf)
-            limiting = (z <= 0.0) & (wp - z > 0.0)
-            ratios[limiting] = wp[limiting] / (wp[limiting] - z[limiting])
-            alpha = float(ratios.min())
-            if alpha == 0.0:
-                # zero step: the fresh entry cannot improve the fit, so
-                # reject it outright instead of cycling on it
-                drop = cols == enter
-            else:
-                w[cols] = wp + alpha * (z - wp)
-                drop = (ratios <= alpha) | (w[cols] <= 0.0)
-                moved = True
-            w[cols[drop]] = 0.0
-            passive[cols[drop]] = False
-            for i in np.flatnonzero(drop)[::-1]:
-                _qr_drop(Qt, R, k, i)
-                k -= 1
-            cols = cols[~drop]
-            if alpha == 0.0:
-                blocked[enter] = True
-                break
-        if not moved:
-            continue
-        r = b - A[:, cols] @ w[cols]
-        rnorm = float(np.linalg.norm(r))
-        grad = A.T @ r
-    if cols.size:
-        order = np.sort(cols)
-        z = np.linalg.lstsq(A[:, order], b, rcond=None)[0]
+    w = _nnls_stack(A[None], b[None], maxiter)[0][0]
+    # the passive set, in index order: every passive weight is positive
+    support = np.flatnonzero(w)
+    if support.size:
+        z = np.linalg.lstsq(A[:, support], b, rcond=None)[0]
         if z.min() >= 0.0:
             w[:] = 0.0
-            w[order] = z
-    rnorm = float(np.linalg.norm(b - A @ w))
-    return w, rnorm
-
-
-def _qr_append(Qt, R, k, a, cutoff) -> bool:
-    """Append column a to the thin QR factor Qt[:k].T @ R[:k, :k] by
-    Gram-Schmidt with one reorthogonalisation.  Returns False, and
-    leaves the factor as it was, when the new diagonal entry of R would
-    be at most cutoff (or the factor is already square)."""
-    if k == Qt.shape[1]:
-        return False
-    Q = Qt[:k]
-    h = Q @ a
-    v = a - Q.T @ h
-    h2 = Q @ v
-    v -= Q.T @ h2
-    d = float(np.linalg.norm(v))
-    if d <= cutoff:
-        return False
-    Qt[k] = v / d
-    R[:k, k] = h + h2
-    R[k, k] = d
-    return True
-
-
-def _qr_drop(Qt, R, k, i) -> None:
-    """Remove column i of the k-column thin QR factor Qt[:k].T @ R[:k, :k]
-    in place: shift the later columns left, then restore the triangle
-    with Givens rotations of neighbouring rows of R and of Qt."""
-    R[:k, i:k - 1] = R[:k, i + 1:k]
-    for j in range(i, k - 1):
-        c, s = R[j, j], R[j + 1, j]
-        h = math.hypot(c, s)
-        G = np.array([[c / h, s / h], [-s / h, c / h]])
-        R[j:j + 2, j:k - 1] = G @ R[j:j + 2, j:k - 1]
-        R[j + 1, j] = 0.0
-        Qt[j:j + 2] = G @ Qt[j:j + 2]
-    R[:k, k - 1] = 0.0
-    R[k - 1] = 0.0
+            w[support] = z
+    return w, float(np.linalg.norm(b - A @ w))
 
 
 # problems per stacked solve in _project_stack: bounds its temporaries
 _STACK_CHUNK = 512
+# held by _nnls_stack for a passive column: above every count of moves
+_PASSIVE = np.iinfo(int).max
 
 
-def _qr_append_stack(Qt, R, cols, nk, A, idx, j, cutoff):
-    """_qr_append on problem idx[i] of a stacked factor: append column
-    j[i] of A[idx[i]] at position nk[idx[i]], as _nnls_stack keeps it.
-    Qt is zero and R the identity past each problem's nk columns.
-    Returns which columns went in; a rejected one leaves its factor as
-    it was."""
-    a = A[idx, :, j]
-    Q = Qt[idx]
-    h = np.einsum("sqm,sm->sq", Q, a)
-    v = a - np.einsum("sqm,sq->sm", Q, h)
-    h2 = np.einsum("sqm,sm->sq", Q, v)
-    v -= np.einsum("sqm,sq->sm", Q, h2)
-    d = np.linalg.norm(v, axis=1)
+def _qr_append_stack(X, P, Qt, Ri, cols, nk, rows, n, j, cutoff):
+    """Append column X[i, j[i]] to the factor of every problem i (rows
+    holds 0..p-1, and n >= nk.max()) by Gram-Schmidt with one
+    reorthogonalisation.  Problem i's factor, as _nnls_stack keeps it,
+    is cols[i, :nk[i]], its columns in the order they entered;
+    P[i, :nk[i]], their rows of X; Qt[i], the rows of Q; and Ri[i] =
+    R^-1; Qt and Ri are zero past nk[i].  The new column (h, d) of R
+    borders R^-1 as [R^-1, -R^-1 h / d; 0, 1 / d].  A column whose new
+    diagonal entry d is at most cutoff[i] lies in the span of the
+    factor: it is rejected, and the factor stays as it was.  Returns
+    which columns went in."""
+    Q = Qt[:, :n]
+    Qs = Q.swapaxes(1, 2)
+    a = X[rows, j][:, None]
+    h = a @ Qs
+    v = a - h @ Q
+    h2 = v @ Qs
+    v -= h2 @ Q
+    h += h2
+    d = np.sqrt(v @ v.swapaxes(1, 2))[:, 0, 0]
     ok = d > cutoff
-    idx, at = idx[ok], nk[idx[ok]]
-    Qt[idx, at] = v[ok] / d[ok, None]
-    R[idx, :, at] = (h + h2)[ok]
-    R[idx, at, at] = d[ok]
-    cols[idx, at] = j[ok]
-    nk[idx] += 1
+    # 1 / d where the column goes in; 0 writes a rejected one into the
+    # zero padding (an entering column is nonzero, so cutoff > 0)
+    s = ok / np.maximum(d, cutoff)
+    Qt[rows, nk] = v[:, 0] * s[:, None]
+    Ri[rows, :n, nk] = -(h @ Ri[:, :n, :n].swapaxes(1, 2))[:, 0] * s[:, None]
+    Ri[rows, nk, nk] = s
+    P[rows, nk] = a[:, 0]
+    cols[rows, nk] = j
+    nk += ok
     return ok
 
 
-def _qr_drop_stack(Qt, R, cols, nk, A, idx, drop):
-    """Remove the factor positions drop[i] (at least one) of problem
-    idx[i] of a stacked factor kept by _qr_append_stack.  The columns
-    before the first one dropped keep their factor; the survivors after
-    it are appended again in entry order, with no dependence test: a
-    column independent of more columns is independent of fewer."""
-    q, k = Qt.shape[1], A.shape[2]
-    keep = (np.arange(q) < nk[idx, None]) & ~drop
-    first = drop.argmax(axis=1)
-    cols[idx] = np.take_along_axis(np.where(keep, cols[idx], k),
-                                   np.argsort(~keep, axis=1, kind="stable"), 1)
-    tail = np.arange(q) >= first[:, None]
-    Qt[idx] = np.where(tail[..., None], 0.0, Qt[idx])
-    R[idx] = np.where(tail[:, :, None] | tail[:, None, :], np.eye(q), R[idx])
-    nk[idx] = first
-    while (more := nk[idx] < keep.sum(axis=1)).any():
-        again = idx[more]
-        _qr_append_stack(Qt, R, cols, nk, A, again, cols[again, nk[again]], -1.0)
+def _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop):
+    """Remove the factor positions drop[s] (at least one) of problem
+    i[s], with their weights wf, from a stacked factor kept by
+    _qr_append_stack.  The surviving columns keep their order, and
+    their factor is computed again by one Householder QR."""
+    n = drop.shape[1]
+    keep = (np.arange(n) < nk[i, None]) & ~drop
+    order = np.argsort(~keep, axis=1, kind="stable")
+    nk[i] = keep.sum(axis=1)
+    pad = np.arange(n) >= nk[i, None]
+    at = i[:, None], order
+    cols[i, :n] = cols[at]
+    wf[i, :n] = np.where(pad, 0.0, wf[at])
+    P[i, :n] = kept = np.where(pad[..., None], 0.0, P[at])
+    # the padding gives R a unit diagonal, and Q and R^-1 zeros
+    Q, R = np.linalg.qr(kept.swapaxes(1, 2))
+    Qt[i, :n] = np.where(pad[..., None], 0.0, Q.swapaxes(1, 2))
+    Ri[i, :n, :n] = np.where(pad[:, None], 0.0, np.linalg.inv(R + pad[:, None] * np.eye(n)))
 
 
 def _nnls_stack(A, b, maxiter=None):
     """nnls on a stack of problems A[i] (m, k), b[i] (m,), in lockstep.
 
-    Every problem follows nnls rule for rule: the relative stopping
-    rule, the entering column (the largest gradient among the columns
-    above their own threshold), the dependent-column test on a thin QR
-    factor of its passive columns, the inner step back with the blocked
-    list, and NonConvergence once a problem needs more than maxiter
-    (default 10 * max(m, k)) subproblem solves.  The factors are kept
-    side by side, zero-padded to min(m, k) columns, so each round of
-    subproblems is one stacked triangular solve; a problem that drops
-    columns appends its surviving ones again from the first one dropped.
-    Returns the solutions (p, k) and residual norms (p,).
+    Each problem keeps a thin QR factor of its passive columns, in the
+    order they entered, padded to q = min(m, k) columns.  The entering
+    column has the largest gradient A_j . r among the free columns above
+    their threshold 10 * eps * max(m, k) * ||A_j|| * ||r||, r = b - A @ w.
+    A problem stops when there is none, when ||r|| <= 10 * eps *
+    max(m, k) * ||b||, or with q passive columns, and leaves the stack.
+    A column whose new diagonal entry of R is at most 10 * eps *
+    max(m, k) * ||A_j|| lies in the span of the passive columns
+    (_qr_append_stack): it is blocked, until w moves, without a solve.
+    Each round of subproblems is one stacked product z = R^-1 Qt b.  An
+    infeasible z steps back toward the previous iterate and retires the
+    coordinates pinned at zero, and the survivors are factored again
+    (_qr_drop_stack); a step of length zero blocks the fresh entry
+    alone.  NonConvergence is raised once a problem needs more than
+    maxiter (default 10 * max(m, k)) subproblem solves.  Returns the
+    solutions (p, k) and residual norms (p,).
     """
     p, m, k = A.shape
     q = min(m, k)
+    if not p * q:
+        # no column can enter
+        return np.zeros((p, k)), np.linalg.norm(b, axis=1)
     if maxiter is None:
         maxiter = 10 * max(m, k)
     rel = 10.0 * np.finfo(float).eps * max(m, k)
-    col_norm = np.sqrt(np.einsum("pmk,pmk->pk", A, A))
+    # X[i, j] is column j of A[i]; cut[i, j] * ||r|| is its threshold
+    X = A.transpose(0, 2, 1)
+    cut = rel * np.sqrt(np.einsum("pkm,pkm->pk", X, X))
     r_floor = rel * np.linalg.norm(b, axis=1)
-    # column k of w and of passive absorbs the writes of unused factor
-    # positions, whose cols entry is k
-    w = np.zeros((p, k + 1))
-    passive = np.zeros((p, k + 1), dtype=bool)
-    blocked = np.zeros((p, k), dtype=bool)
-    Qt, R = np.zeros((p, q, m)), np.tile(np.eye(q), (p, 1, 1))
-    cols, nk = np.full((p, q), k), np.zeros(p, dtype=int)
-    solves = np.zeros(p, dtype=int)
-    live = np.arange(p)
+    # column k of w absorbs the padding -1 of cols
+    w, res, live, rows = np.zeros((p, k + 1)), np.zeros(p), np.arange(p), np.arange(p)
+    # column j of problem i may enter while held[i, j] < moves[i], the
+    # count of w's moves: held is 0 while j is free, moves[i] while it is
+    # blocked at the current iterate, and _PASSIVE while it is passive
+    held, moves = np.zeros((p, k), dtype=int), np.ones(p, dtype=int)
+    Qt, Ri = np.zeros((p, q, m)), np.zeros((p, q, q))
+    # the passive columns, their rows of X and their weights, in factor
+    # order
+    cols, P, wf = np.full((p, q), -1), np.zeros((p, q, m)), np.zeros((p, q))
+    nk, solves = np.zeros(p, dtype=int), np.zeros(p, dtype=int)
+    # n bounds nk; rounds bounds solves
+    n, rounds, moved = 0, 0, True
     while True:
-        Al, bl = (A, b) if live.size == p else (A[live], b[live])
-        r = bl - (Al @ w[live, :k, None])[..., 0]
-        rnorm = np.linalg.norm(r, axis=1)
-        grad = (r[:, None] @ Al)[:, 0]
-        above = ((grad > rel * col_norm[live] * rnorm[:, None])
-                 & ~passive[live, :k] & ~blocked[live])
-        # a problem with m passive columns stops: nnls blocks every
-        # further column as dependent
-        above &= ((rnorm > r_floor[live]) & (nk[live] < q))[:, None]
-        go = above.any(axis=1)
-        live = live[go]
-        if not live.size:
-            break
-        enter = np.where(above[go], grad[go], -np.inf).argmax(axis=1)
-        added = _qr_append_stack(Qt, R, cols, nk, A, live, enter,
-                                 rel * col_norm[live, enter])
-        blocked[live[~added], enter[~added]] = True
-        act, enter = live[added], enter[added]
-        passive[act, enter] = True
-        while act.size:
-            solves[act] += 1
-            if solves[act].max() > maxiter:
-                raise NonConvergence(
-                    f"nnls did not converge within {maxiter} subproblem solves")
-            # z is zero past each problem's passive columns
-            y = np.einsum("sqm,sm->sq", Qt[act], b[act])
-            z = np.linalg.solve(R[act], y[..., None])[..., 0]
-            c = cols[act]
-            feasible = np.where(c < k, z, np.inf).min(axis=1) > 0.0
-            w[act[feasible, None], c[feasible]] = z[feasible]
-            blocked[act[feasible]] = False
-            rest = ~feasible
-            if not rest.any():
+        if moved:
+            r = b - (wf[:, None, :n] @ P[:, :n])[:, 0]
+            rnorm = np.sqrt(r[:, None] @ r[..., None])[:, 0, 0]
+            grad = (X @ r[..., None])[..., 0]
+        # grad where a free column is above its threshold (so > 0), else 0
+        score = grad * ((grad > cut * rnorm[:, None]) & (held < moves[:, None]))
+        enter = score.argmax(axis=1)
+        # with min(m, k) passive columns, every further column depends
+        # on them
+        go = (score[rows, enter] > 0.0) & (rnorm > r_floor) & (nk < q)
+        if not go.all():
+            done = ~go
+            # cols past nk are stale: their weight 0 goes to column k
+            c = np.where(np.arange(q) < nk[done, None], cols[done], -1)
+            w[live[done, None], c] = wf[done]
+            res[live[done]] = rnorm[done]
+            live, rows = live[go], rows[:go.sum()]
+            if not live.size:
                 break
-            act, enter, c, z = act[rest], enter[rest], c[rest], z[rest]
-            wp = w[act[:, None], c]
-            limiting = (c < k) & (z <= 0.0) & (wp - z > 0.0)
-            ratios = np.full(z.shape, np.inf)
-            ratios[limiting] = wp[limiting] / (wp[limiting] - z[limiting])
+            (X, b, cut, r_floor, held, moves, Qt, Ri, cols, P, wf, nk, solves, rnorm, grad,
+             enter) = (v[go] for v in (X, b, cut, r_floor, held, moves, Qt, Ri, cols, P, wf, nk,
+                                       solves, rnorm, grad, enter))
+            n = int(nk.max())
+        act = _qr_append_stack(X, P, Qt, Ri, cols, nk, rows, n, enter, cut[rows, enter])
+        held[rows, enter] = np.where(act, _PASSIVE, moves)
+        n, moved = min(n + 1, q), False
+        # where no problem moves, its residual and gradient stand
+        while act.any():
+            moved = True
+            solves += act
+            rounds += 1
+            # R^-1 and Qt are zero past each problem's columns, so is z
+            z = (Ri[:, :n, :n] @ (Qt[:, :n] @ b[..., None]))[..., 0]
+            feasible = act & ((z > 0.0).sum(axis=1) == nk)
+            np.copyto(wf[:, :n], z, where=feasible[:, None])
+            moves += feasible
+            act ^= feasible
+            i = act.nonzero()[0]
+            if not i.size:
+                break
+            z, wp, c = z[i], wf[i, :n], cols[i, :n]
+            valid = np.arange(n) < nk[i, None]
+            ratios = np.divide(wp, wp - z, out=np.full(z.shape, np.inf),
+                               where=valid & (z <= 0.0) & (wp - z > 0.0))
             alpha = ratios.min(axis=1, keepdims=True)
             stuck = alpha[:, 0] == 0.0
-            blocked[act[stuck], enter[stuck]] = True
             # a zero step rejects the fresh entry alone and leaves w
-            step = wp + alpha * (z - wp)
-            drop = (c < k) & np.where(stuck[:, None], c == enter[:, None],
-                                      (ratios <= alpha) | (step <= 0.0))
-            step[drop] = 0.0
-            w[act[:, None], c] = step
-            passive[act[:, None], c] &= ~drop
-            hit = drop.any(axis=1)
-            if hit.any():
-                _qr_drop_stack(Qt, R, cols, nk, A, act[hit], drop[hit])
-            act, enter = act[~stuck], enter[~stuck]
-    w = w[:, :k]
-    rnorm = np.linalg.norm(b - (A @ w[..., None])[..., 0], axis=1)
-    return w, rnorm
+            wf[i, :n] = step = wp + alpha * (z - wp)
+            drop = valid & np.where(stuck[:, None], c == enter[i, None],
+                                    (ratios <= alpha) | (step <= 0.0))
+            s, t = np.nonzero(drop)
+            held[i[s], c[s, t]] = 0
+            held[i[stuck], enter[i[stuck]]] = moves[i[stuck]]
+            _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop)
+            act[i[stuck]] = False
+        if rounds > maxiter and solves.max() > maxiter:
+            raise NonConvergence(
+                f"nnls did not converge within {maxiter} subproblem solves")
+    return w[:, :k], res
 
 
 def _threshold(prices, tol):

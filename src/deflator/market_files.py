@@ -13,10 +13,11 @@ Spec files are JSON with a "kind" discriminator:
     gbm         r, s, sigma, t
     levy        r, s, sigma, t, base {mean, nodes, weights}, smoothing
 
-All kinds take an optional options.tolerance.  Numbers must be finite;
-NaN and Infinity literals are rejected.  Result documents are plain
-dictionaries serialized deterministically with full-precision floats,
-so they round-trip losslessly and rerun byte-identically.
+All kinds take an optional options.tolerance, finite and > 0.  Numbers
+must be finite; NaN and Infinity literals are rejected.  Result
+documents are plain dictionaries serialized deterministically with
+full-precision floats, so they round-trip losslessly and rerun
+byte-identically.
 """
 
 from __future__ import annotations
@@ -76,10 +77,18 @@ def _finite_scalar(doc, key, where, default=None):
     return float(value)
 
 
+def check_tolerance(value, where) -> float:
+    """value as the verdict tolerance: a finite number above zero."""
+    _require(bool(np.isfinite(value)) and value > 0.0,
+             f"{where}: the tolerance must be finite and > 0, not {value!r}")
+    return float(value)
+
+
 def _tolerance(doc):
     options = doc.get("options", {})
     _require(isinstance(options, dict), "options must be an object")
-    return _finite_scalar(options, "tolerance", "options", default=DEFAULT_TOL)
+    return check_tolerance(_finite_scalar(options, "tolerance", "options", default=DEFAULT_TOL),
+                           "options.tolerance")
 
 
 def _instruments(doc, with_prices):

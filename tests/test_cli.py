@@ -5,9 +5,10 @@ import math
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from deflator import atm_call_correlation, binomial_price, cone
+from deflator import atm_call_correlation, binomial_price, cli, cone
 from deflator.cli import main
 from deflator.market_files import load_market_spec, parse_document, render_document
 
@@ -242,6 +243,39 @@ def test_input_errors_exit_2(tmp_path, capsys):
                capsys)[0] == 2   # 0.25 is not a curve maturity
     assert run(["curve", "fair_binomial.json", "par", "--schedule", "1,2"],
                capsys)[0] == 2
+
+
+@pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(bad, tmp_path, capsys):
+    # a tolerance <= 0 called the fair market an arbitrage whose
+    # certificate costs money; a non-finite one failed after the solve
+    for argv in (["detect", "fair_binomial.json"],
+                 ["price", "fair_binomial.json", "--payoff", "call 100"],
+                 ["hedge", "fair_binomial.json", "--payoff", "call 100"]):
+        code, out, err = run(argv + ["--tol", bad], capsys)
+        assert (code, out) == (2, "")
+        assert "--tol: the tolerance must be finite and > 0" in err
+    spec = json.loads((FIXTURES / "fair_binomial.json").read_text())
+    spec["options"] = {"tolerance": float(bad)}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["detect", str(path)], capsys)
+    assert (code, out) == (2, "")
+    # JSON has no literal for nan or inf: the reader rejects those first
+    assert ("options.tolerance: the tolerance must be finite and > 0" in err
+            if math.isfinite(float(bad)) else "non-finite" in err)
+
+
+def test_one_period_hedge_correlation_stays_in_range():
+    # the hedge of an affine payoff is exact, so its correlation is +-1;
+    # rounding put it above 1 in 93 of these 400 draws
+    rng = np.random.default_rng(61)
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        weights = rng.gamma(2.0, size=n)
+        a = 100.0 * np.exp(rng.normal(scale=0.2, size=n))
+        b = 10.0 * rng.normal() + rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0) * a
+        assert -1.0 <= cli._weighted_corr(weights, a, b) <= 1.0
 
 
 def test_wrong_length_payoff_vector_exits_2(tmp_path, capsys):

@@ -143,37 +143,6 @@ def test_nnls_finds_fair_option_chains_inside_at_every_scale(i):
         assert isinstance(find_tree_deflator(panel_from_one_period(market)), DeflatorSequence)
 
 
-def test_qr_factor_follows_columns_in_and_out():
-    rng = np.random.default_rng(31)
-    m = 8
-    A = rng.normal(size=(m, 12)) * rng.lognormal(size=12)
-    A[:, 6] = 2.0 * A[:, 1] - A[:, 4]           # collinear with two others
-    Qt, R = np.zeros((m, m)), np.zeros((m, m))
-    cols = []
-    cutoff = 10.0 * np.finfo(float).eps * m
-    for j in rng.integers(0, 12, size=80).tolist():
-        if j in cols:
-            i = cols.index(j)
-            cone._qr_drop(Qt, R, len(cols), i)
-            cols.pop(i)
-        else:
-            before = Qt.copy(), R.copy()
-            dependent = len(cols) == m or j in {1, 4, 6} and len({1, 4, 6} & set(cols)) == 2
-            added = cone._qr_append(Qt, R, len(cols), A[:, j],
-                                    cutoff * np.linalg.norm(A[:, j]))
-            assert added != dependent
-            if not added:
-                assert np.array_equal(Qt, before[0]) and np.array_equal(R, before[1])
-                continue
-            cols.append(j)
-        k = len(cols)
-        Q = Qt[:k].T
-        np.testing.assert_allclose(Q @ R[:k, :k], A[:, cols], rtol=0.0,
-                                   atol=1e-14 * np.abs(A).max())
-        np.testing.assert_allclose(Q.T @ Q, np.eye(k), rtol=0.0, atol=1e-14)
-        assert not np.tril(R[:k, :k], -1).any() and not R[k:].any() and not R[:, k:].any()
-
-
 def test_nnls_verdict_does_not_change_with_scale():
     rng = np.random.default_rng(41)
     for _ in range(300):
@@ -510,7 +479,7 @@ def test_deflator_requires_nonnegative_weights_and_reports_mass():
 
 
 # ---------------------------------------------------------------------------
-# the stacked solver of the tree search
+# the one active-set solver: nnls runs _nnls_stack on a stack of one
 
 
 def stacked_problems(seed, kind, m, k, scale, p=8):
@@ -530,48 +499,114 @@ def stacked_problems(seed, kind, m, k, scale, p=8):
     return scale * A, scale * b
 
 
-def test_stacked_nnls_agrees_with_nnls():
+def traced_stack(A, b, maxiter=None):
+    """_nnls_stack(A, b, maxiter), and the count of subproblem solves of
+    each problem, read from the solver's solves and live arrays while
+    the problems are in the stack."""
+    counts = np.zeros(len(b), dtype=int)
+
+    def lines(frame, event, arg):
+        v = frame.f_locals
+        # between the compaction of live and of solves their sizes differ
+        if "solves" in v and len(v["solves"]) == len(v["live"]):
+            counts[v["live"]] = v["solves"]
+        return lines
+
+    sys.settrace(lambda frame, event, arg:
+                 lines if frame.f_code is cone._nnls_stack.__code__ else None)
+    try:
+        w, rnorm = cone._nnls_stack(A, b, maxiter)
+    finally:
+        sys.settrace(None)
+    return w, rnorm, counts
+
+
+def mixed_stack(rng):
+    """Eight problems (m, k) of the four kinds, two of each, at scales
+    1e-6 to 1e6; half of the b moved off the cone by a relative 1e-3 to
+    1e-12, where the rounding of A.T @ r can lift a column in the span
+    of the passive ones above its threshold."""
+    m, k = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+    parts = [stacked_problems(int(rng.integers(2 ** 32)), kind, m, k,
+                              10.0 ** int(rng.integers(-6, 7)), p=2)
+             for kind in ("random", "duplicated", "collinear", "zero")]
+    A = np.concatenate([a for a, _ in parts])
+    b = np.concatenate([y for _, y in parts])
+    for i in np.flatnonzero(rng.random(len(b)) < 0.5):
+        b[i] += 10.0 ** -int(rng.integers(3, 13)) * np.linalg.norm(b[i]) * rng.normal(size=m)
+    return A, b
+
+
+def test_a_problem_solves_alike_alone_and_in_a_mixed_stack():
+    # nnls is a stack of one: a problem must take the same path in a
+    # stack of other problems, also where columns repeat, depend on
+    # others or are zero.  Verdicts and supports are compared everywhere,
+    # weights where they are unique (the random kind).
     rng = np.random.default_rng(17)
-    kinds = ["random", "duplicated", "collinear", "zero"]
-    for _ in range(150):
-        seed = int(rng.integers(2 ** 32))
-        kind = kinds[int(rng.integers(len(kinds)))]
-        m, k = int(rng.integers(1, 6)), int(rng.integers(1, 7))
-        check_stacked_nnls(seed, kind, m, k, exponent=int(rng.integers(-6, 7)))
-
-
-def check_stacked_nnls(seed, kind, m, k, exponent):
-    A, b = stacked_problems(seed, kind, m, k, 10.0 ** exponent)
-    W, R = cone._nnls_stack(A, b)
-    rows = A.transpose(0, 2, 1).reshape(-1, m)
-    weights, inside = cone._project_stack(rows, np.arange(len(rows)).reshape(-1, k), b)
     eps = np.finfo(float).eps
-    for i in range(len(b)):
-        a = A[i]
-        w, r = nnls(a, b[i])
-        threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[i]))
-        # the same verdict, and residuals within the tolerance
-        assert (R[i] <= threshold) == (r <= threshold)
-        assert abs(R[i] - r) <= threshold
-        # rounding noise of b - A w, in units of its terms
-        noise = eps * max(m, k) * (np.abs(b[i]).max() + np.abs(a).max() * W[i].sum())
-        assert abs(R[i] - np.linalg.norm(b[i] - a @ W[i])) <= 100.0 * noise
-        # KKT: w >= 0, no ascent direction off the support, a flat
-        # gradient on it; nnls's own stopping tolerance bounds the first
-        assert (W[i] >= 0.0).all()
-        g = a.T @ (b[i] - a @ W[i])
-        unit = np.abs(a).max() * noise
-        stop = 10.0 * eps * max(m, k) * max(np.abs(a.T @ b[i]).max(), 1.0)
-        assert g.max() <= 100.0 * max(stop, unit)
-        assert np.abs(g[W[i] > 0.0]).max(initial=0.0) <= 100.0 * unit
-        # the level verdict is project_to_cone's, and an inside verdict
-        # comes with weights that reprice within the threshold
-        market = OnePeriodMarket(prices=b[i], payoffs=a.T)
-        single = certificate_from_projection(project_to_cone(market))
-        assert inside[i] == (single is None)
-        if inside[i]:
-            assert (weights[i] >= 0.0).all()
-            assert np.linalg.norm(a @ weights[i] - b[i]) <= threshold
+    for _ in range(150):
+        A, b = mixed_stack(rng)
+        p, m, k = A.shape
+        W, R, S = traced_stack(A, b)
+        # the stack stops at the least maxiter of its slowest problem
+        cap = int(S.max())
+        with pytest.raises(NonConvergence):
+            cone._nnls_stack(A, b, maxiter=cap - 1)
+        rows = A.transpose(0, 2, 1).reshape(-1, m)
+        weights, inside = cone._project_stack(rows, np.arange(len(rows)).reshape(-1, k), b)
+        for i in range(p):
+            a = A[i]
+            w, r, s = traced_stack(A[i:i + 1], b[i:i + 1])
+            threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[i]))
+            assert S[i] == s[0]
+            np.testing.assert_array_equal(W[i] > 0.0, w[0] > 0.0)
+            assert (R[i] <= threshold) == (r[0] <= threshold)
+            assert abs(R[i] - r[0]) <= threshold
+            # nnls's final solve keeps the support and the verdict
+            single, rnorm = nnls(a, b[i])
+            np.testing.assert_array_equal(single > 0.0, w[0] > 0.0)
+            assert (rnorm <= threshold) == (r[0] <= threshold)
+            assert abs(rnorm - R[i]) <= threshold
+            if i < 2:
+                for got in (w[0], single):
+                    np.testing.assert_allclose(W[i], got, rtol=1e-9,
+                                               atol=1e-12 * np.abs(got).max(initial=1.0))
+            # rounding noise of b - A w, in units of its terms
+            noise = eps * max(m, k) * (np.abs(b[i]).max() + np.abs(a).max() * W[i].sum())
+            assert abs(R[i] - np.linalg.norm(b[i] - a @ W[i])) <= 100.0 * noise
+            # KKT: w >= 0, no ascent direction off the support, a flat
+            # gradient on it; the solver's own stopping tolerance bounds
+            # the first
+            assert (W[i] >= 0.0).all()
+            g = a.T @ (b[i] - a @ W[i])
+            unit = np.abs(a).max() * noise
+            stop = 10.0 * eps * max(m, k) * max(np.abs(a.T @ b[i]).max(), 1.0)
+            assert g.max() <= 100.0 * max(stop, unit)
+            assert np.abs(g[W[i] > 0.0]).max(initial=0.0) <= 100.0 * unit
+            # the level verdict is project_to_cone's, and an inside
+            # verdict comes with weights that reprice within the threshold
+            market = OnePeriodMarket(prices=b[i], payoffs=a.T)
+            assert inside[i] == (certificate_from_projection(project_to_cone(market)) is None)
+            if inside[i]:
+                assert (weights[i] >= 0.0).all()
+                assert np.linalg.norm(a @ weights[i] - b[i]) <= threshold
+
+
+def check_factor(X, P, Qt, Ri, cols, nk, i):
+    """The factor of problem i holds its nk[i] columns cols[i, :nk[i]]:
+    P has their rows of X, the rows of Qt are an orthonormal basis of
+    their span, and R^-1 R = I for R = Qt P^T; past nk[i], Qt and R^-1
+    are zero."""
+    n = int(nk[i])
+    Q, Pn = Qt[i, :n], P[i, :n]
+    np.testing.assert_array_equal(Pn, X[i][cols[i, :n]])
+    np.testing.assert_allclose(Q @ Q.T, np.eye(n), rtol=0.0, atol=1e-14)
+    R = Q @ Pn.T
+    np.testing.assert_allclose(Q.T @ R, Pn.T, rtol=0.0, atol=1e-14 * np.abs(X[i]).max())
+    if n:
+        bound = 10.0 * np.finfo(float).eps * n * np.linalg.cond(R)
+        np.testing.assert_allclose(Ri[i, :n, :n] @ R, np.eye(n), rtol=0.0, atol=bound)
+    assert not Qt[i, n:].any() and not Ri[i, n:].any() and not Ri[i, :, n:].any()
 
 
 def test_stacked_qr_factor_follows_columns_in_and_out():
@@ -580,17 +615,30 @@ def test_stacked_qr_factor_follows_columns_in_and_out():
     A = rng.normal(size=(p, m, k)) * rng.lognormal(size=(p, 1, k))
     A[:, :, 7] = A[:, :, 2]                         # duplicated
     A[:, :, 8] = 2.0 * A[:, :, 1] - A[:, :, 4]      # collinear with two others
+    X = A.transpose(0, 2, 1)
     cutoff = 10.0 * np.finfo(float).eps * k * np.linalg.norm(A, axis=1)
-    Qt, R = np.zeros((p, m, m)), np.tile(np.eye(m), (p, 1, 1))
-    cols, nk = np.full((p, m), k), np.zeros(p, dtype=int)
+    # one slot past m: an append to a full factor is rejected as
+    # dependent, where the solver stops such a problem instead
+    P, Qt, Ri = np.zeros((p, m + 1, m)), np.zeros((p, m + 1, m)), np.zeros((p, m + 1, m + 1))
+    cols, nk, wf = np.full((p, m + 1), -1), np.zeros(p, dtype=int), np.zeros((p, m + 1))
+    rows = np.arange(p)
     entered = [[] for _ in range(p)]
     rejected = {"full": 0, "duplicated": 0, "collinear": 0}
     for _ in range(150):
         j = rng.integers(0, k, size=p)
         out = np.array([j[i] in entered[i] for i in range(p)])
         if out.any():
-            cone._qr_drop_stack(Qt, R, cols, nk, A, np.flatnonzero(out),
-                                cols[out] == j[out, None])
+            i = np.flatnonzero(out)
+            n = int(nk.max())
+            # weights tagged by column, to follow them through the drop
+            wf[rows[:, None], np.arange(m + 1)] = np.where(np.arange(m + 1) < nk[:, None],
+                                                           cols + 1.0, 0.0)
+            drop = (cols[i, :n] == j[i, None]) & (np.arange(n) < nk[i, None])
+            cone._qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop)
+            for s in i:
+                entered[s].remove(j[s])
+                np.testing.assert_array_equal(wf[s, :nk[s]], cols[s, :nk[s]] + 1.0)
+                assert not wf[s, nk[s]:].any()
         why = {}
         for i in np.flatnonzero(~out):
             if len(entered[i]) == m:
@@ -599,31 +647,27 @@ def test_stacked_qr_factor_follows_columns_in_and_out():
                 why[i] = "duplicated"
             elif j[i] in {1, 4, 8} and len({1, 4, 8} & set(entered[i])) == 2:
                 why[i] = "collinear"
-        for i in np.flatnonzero(out):
-            entered[i].remove(j[i])
-        idx = np.flatnonzero(~out)
-        before = Qt.copy(), R.copy(), cols.copy(), nk.copy()
-        added = cone._qr_append_stack(Qt, R, cols, nk, A, idx, j[idx], cutoff[idx, j[idx]])
-        for i, ok in zip(idx, added):
-            assert ok != (i in why)
+        before = Qt.copy(), Ri.copy(), cols.copy(), P.copy(), nk.copy()
+        # a problem that just dropped j must not take it again: an
+        # infinite cutoff rejects it
+        added = cone._qr_append_stack(X, P, Qt, Ri, cols, nk, rows, int(nk.max()), j,
+                                      np.where(out, np.inf, cutoff[rows, j]))
+        for i, ok in enumerate(added):
+            assert ok != (out[i] or i in why)
             if ok:
                 entered[i].append(j[i])
             else:
-                rejected[why[i]] += 1
-                for now, then in zip((Qt, R, cols, nk), before):
+                if i in why:
+                    rejected[why[i]] += 1
+                n = int(nk[i])
+                assert n == before[4][i]
+                for now, then in zip((Qt, Ri), before):
                     assert np.array_equal(now[i], then[i])
+                assert np.array_equal(cols[i, :n], before[2][i, :n])
+                assert np.array_equal(P[i, :n], before[3][i, :n])
         for i in range(p):
-            n = len(entered[i])
-            assert nk[i] == n and cols[i, :n].tolist() == entered[i]
-            assert (cols[i, n:] == k).all()
-            Q = Qt[i, :n].T
-            np.testing.assert_allclose(Q @ R[i, :n, :n], A[i][:, entered[i]], rtol=0.0,
-                                       atol=1e-14 * np.abs(A[i]).max())
-            np.testing.assert_allclose(Q.T @ Q, np.eye(n), rtol=0.0, atol=1e-14)
-            # zero and identity padding past the factor, as the solves need
-            assert not np.tril(R[i, :n, :n], -1).any() and not Qt[i, n:].any()
-            assert np.array_equal(R[i, n:, n:], np.eye(m - n))
-            assert not R[i, n:, :n].any() and not R[i, :n, n:].any()
+            assert nk[i] == len(entered[i]) and cols[i, :nk[i]].tolist() == entered[i]
+            check_factor(X, P, Qt, Ri, cols, nk, i)
     assert min(rejected.values()) > 0
 
 
@@ -638,44 +682,6 @@ def solves_needed(a, b):
             cap += 1
 
 
-def stacked_solves_needed(a, b):
-    """The least maxiter with which _nnls_stack solves (a, b) alone."""
-    cap = 1
-    while True:
-        try:
-            return cap, cone._nnls_stack(a[None], b[None], maxiter=cap)[0][0]
-        except NonConvergence:
-            cap += 1
-
-
-def test_nnls_counts_solves_like_the_stacked_solver():
-    # the single and the stacked QR factor take the same path, solve for
-    # solve, also where columns repeat, depend on others or are zero;
-    # weights are compared only where they are unique.  Moving half the
-    # b off the cone by a small relative distance leaves a residual at
-    # which the rounding of A.T @ r can lift a column in the span of the
-    # passive ones above its threshold: the dependent-column test.
-    rng = np.random.default_rng(23)
-    kinds = ["random", "duplicated", "collinear", "zero"]
-    for _ in range(400):
-        kind = kinds[int(rng.integers(len(kinds)))]
-        m, k = int(rng.integers(1, 6)), int(rng.integers(1, 8))
-        A, b = stacked_problems(int(rng.integers(2 ** 32)), kind, m, k,
-                                10.0 ** int(rng.integers(-6, 7)), p=1)
-        if rng.random() < 0.5:
-            b += 10.0 ** -int(rng.integers(3, 13)) * np.linalg.norm(b) * rng.normal(size=b.shape)
-        w, r = nnls(A[0], b[0])
-        need, W = stacked_solves_needed(A[0], b[0])
-        assert solves_needed(A[0], b[0]) == need
-        threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[0]))
-        R = np.linalg.norm(b[0] - A[0] @ W)
-        assert (R <= threshold) == (r <= threshold)
-        assert abs(R - r) <= threshold
-        if kind == "random":
-            np.testing.assert_allclose(w, W, rtol=1e-9,
-                                       atol=1e-12 * np.abs(W).max(initial=1.0))
-
-
 def test_nnls_enters_the_largest_gradient_above_its_threshold():
     # column 0 is huge and nearly orthogonal to b: its gradient 0.71 is
     # the largest and twice its own threshold, while column 1 exceeds
@@ -684,9 +690,8 @@ def test_nnls_enters_the_largest_gradient_above_its_threshold():
     A = np.array([[0.71, 0.5], [8e13, 0.866]])
     b = np.array([1.0, 0.0])
     assert solves_needed(A, b) == 3
-    need, w = stacked_solves_needed(A, b)
-    assert need == 3
-    for got in (w, nnls(A, b)[0]):
+    assert traced_stack(A[None], b[None])[2][0] == 3
+    for got in (cone._nnls_stack(A[None], b[None])[0][0], nnls(A, b)[0]):
         assert got[0] == 0.0 and got[1] == pytest.approx(0.5 / (A[:, 1] @ A[:, 1]), rel=1e-12)
 
 
@@ -705,18 +710,18 @@ def test_stacked_nnls_raises_nonconvergence_like_nnls():
 
 
 def zero_step_taken(solve, A, b):
-    """solve(A, b), and whether it took a zero step: a subproblem whose
-    step back had length zero (alpha == 0 in nnls, a stuck problem in
-    _nnls_stack), so that the fresh entry was rejected."""
+    """solve(A, b), and whether _nnls_stack took a zero step in it: a
+    subproblem whose step back had length zero, so that the fresh entry
+    was rejected."""
     hit = []
 
     def lines(frame, event, arg):
-        alpha, stuck = frame.f_locals.get("alpha"), frame.f_locals.get("stuck")
-        if (np.ndim(alpha) == 0 and alpha == 0.0) or np.any(stuck):
+        if np.any(frame.f_locals.get("stuck")):
             hit.append(True)
         return lines
 
-    sys.settrace(lambda frame, event, arg: lines if frame.f_code is solve.__code__ else None)
+    sys.settrace(lambda frame, event, arg:
+                 lines if frame.f_code is cone._nnls_stack.__code__ else None)
     try:
         out = solve(A, b)
     finally:
@@ -740,16 +745,15 @@ def near_duplicate_problem(rng):
 def test_zero_steps_keep_the_verdicts_and_residuals_of_scipy():
     # where a column nearly repeats a passive one, rounding can give the
     # fresh entry a nonpositive coefficient: a zero step, which rejects
-    # it.  Solve counts of the two solvers differ there by rounding, so
-    # only verdicts and residuals are compared.
+    # it.  The residuals of nnls (after its final solve) and of the
+    # stack it runs must both keep scipy's verdict.
     rng = np.random.default_rng(53)
-    single = stacked = band = 0
+    zero_steps = band = 0
     for _ in range(400):
         A, b = near_duplicate_problem(rng)
         (_, r), hit = zero_step_taken(nnls, A, b)
-        single += hit
-        (_, R), hit = zero_step_taken(cone._nnls_stack, A[None], b[None])
-        stacked += hit
+        zero_steps += hit
+        R = cone._nnls_stack(A[None], b[None])[1]
         want = np.linalg.norm(A @ scipy.optimize.nnls(A, b)[0] - b)
         threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b))
         if threshold / 4.0 < want < 4.0 * threshold:
@@ -758,14 +762,15 @@ def test_zero_steps_keep_the_verdicts_and_residuals_of_scipy():
         for got in (r, R[0]):
             assert (got <= threshold) == (want <= threshold)
             assert abs(got - want) <= threshold
-    assert single >= 20 and stacked >= 20 and band <= 40
+    assert zero_steps >= 20 and band <= 40
 
 
-def outer_step_factors(solve, A, b):
-    """Run solve(A, b) and return the passive columns, blocked columns
-    and thin QR factor of each problem at the head of every outer step:
-    (passive, blocked, cols, Qt, R) per problem and step."""
-    lines, start = inspect.getsourcelines(solve)
+def outer_step_factors(A, b):
+    """Run _nnls_stack on the one problem (A, b) and return, at the head
+    of every outer step, its passive columns by the solver's held mark,
+    its blocked columns, and its factor: (passive, blocked, X, P, Qt,
+    Ri, cols, nk) per step."""
+    lines, start = inspect.getsourcelines(cone._nnls_stack)
     head = start + 1 + next(i for i, line in enumerate(lines)
                             if line.strip() == "while True:")
     steps = []
@@ -773,22 +778,16 @@ def outer_step_factors(solve, A, b):
     def lines_of(frame, event, arg):
         if event == "line" and frame.f_lineno == head:
             v = frame.f_locals
-            if solve is nnls:
-                k = v["cols"].size
-                steps.append((v["passive"].copy(), v["blocked"].copy(), v["cols"].copy(),
-                              v["Qt"][:k].copy(), v["R"][:k, :k].copy()))
-            else:
-                n = v["A"].shape[2]
-                for i, k in enumerate(v["nk"]):
-                    steps.append((v["passive"][i, :n].copy(), v["blocked"][i].copy(),
-                                  v["cols"][i].copy(), v["Qt"][i, :k].copy(),
-                                  v["R"][i, :k, :k].copy()))
+            held, moves = v["held"][0], v["moves"][0]
+            steps.append((held == cone._PASSIVE, (held >= moves) & (held != cone._PASSIVE),
+                          v["X"][:1].copy(), v["P"][:1].copy(), v["Qt"][:1].copy(),
+                          v["Ri"][:1].copy(), v["cols"][:1].copy(), v["nk"][:1].copy()))
         return lines_of
 
     sys.settrace(lambda frame, event, arg:
-                 lines_of if frame.f_code is solve.__code__ else None)
+                 lines_of if frame.f_code is cone._nnls_stack.__code__ else None)
     try:
-        solve(A, b)
+        cone._nnls_stack(A[None], b[None])
     finally:
         sys.settrace(None)
     return steps
@@ -800,16 +799,13 @@ def test_factor_holds_the_passive_set_at_every_outer_step():
     rng = np.random.default_rng(53)
     for _ in range(400):
         A, b = near_duplicate_problem(rng)
-        for solve, a, y in ((nnls, A, b), (cone._nnls_stack, A[None], b[None])):
-            steps = outer_step_factors(solve, a, y)
-            assert steps
-            for passive, blocked, cols, Qt, R in steps:
-                n, k = passive.size, R.shape[0]
-                assert (cols[k:] == n).all()
-                np.testing.assert_array_equal(np.sort(cols[:k]), np.flatnonzero(passive))
-                assert not (blocked & passive).any()
-                np.testing.assert_allclose(Qt.T @ R, A[:, cols[:k]],
-                                           rtol=0, atol=1e-12 * np.abs(A).max())
+        steps = outer_step_factors(A, b)
+        assert steps
+        for passive, blocked, X, P, Qt, Ri, cols, nk in steps:
+            n = int(nk[0])
+            np.testing.assert_array_equal(np.sort(cols[0, :n]), np.flatnonzero(passive))
+            assert not np.isin(cols[0, :n], np.flatnonzero(blocked)).any()
+            check_factor(X, P, Qt, Ri, cols, nk, 0)
 
 
 def square_stack(rng, m, p, scale, singular):
