@@ -537,40 +537,30 @@ def mixed_stack(rng):
     return A, b
 
 
-def test_a_problem_solves_alike_alone_and_in_a_mixed_stack():
-    # nnls is a stack of one: a problem must take the same path in a
-    # stack of other problems, also where columns repeat, depend on
-    # others or are zero.  Verdicts and supports are compared everywhere,
-    # weights where they are unique (the random kind).
+def test_stacked_nnls_agrees_with_nnls():
+    # nnls is a stack of one, ending in a solve on its support: against
+    # a mixed stack it keeps the support and the verdict, with residuals
+    # within the threshold, also where columns repeat, depend on others
+    # or are zero; weights are compared where they are unique (the
+    # random kind).
     rng = np.random.default_rng(17)
     eps = np.finfo(float).eps
     for _ in range(150):
         A, b = mixed_stack(rng)
         p, m, k = A.shape
-        W, R, S = traced_stack(A, b)
-        # the stack stops at the least maxiter of its slowest problem
-        cap = int(S.max())
-        with pytest.raises(NonConvergence):
-            cone._nnls_stack(A, b, maxiter=cap - 1)
+        W, R = cone._nnls_stack(A, b)
         rows = A.transpose(0, 2, 1).reshape(-1, m)
         weights, inside = cone._project_stack(rows, np.arange(len(rows)).reshape(-1, k), b)
         for i in range(p):
             a = A[i]
-            w, r, s = traced_stack(A[i:i + 1], b[i:i + 1])
-            threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[i]))
-            assert S[i] == s[0]
-            np.testing.assert_array_equal(W[i] > 0.0, w[0] > 0.0)
-            assert (R[i] <= threshold) == (r[0] <= threshold)
-            assert abs(R[i] - r[0]) <= threshold
-            # nnls's final solve keeps the support and the verdict
             single, rnorm = nnls(a, b[i])
-            np.testing.assert_array_equal(single > 0.0, w[0] > 0.0)
-            assert (rnorm <= threshold) == (r[0] <= threshold)
+            threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[i]))
+            np.testing.assert_array_equal(single > 0.0, W[i] > 0.0)
+            assert (rnorm <= threshold) == (R[i] <= threshold)
             assert abs(rnorm - R[i]) <= threshold
             if i < 2:
-                for got in (w[0], single):
-                    np.testing.assert_allclose(W[i], got, rtol=1e-9,
-                                               atol=1e-12 * np.abs(got).max(initial=1.0))
+                np.testing.assert_allclose(W[i], single, rtol=1e-9,
+                                           atol=1e-12 * np.abs(single).max(initial=1.0))
             # rounding noise of b - A w, in units of its terms
             noise = eps * max(m, k) * (np.abs(b[i]).max() + np.abs(a).max() * W[i].sum())
             assert abs(R[i] - np.linalg.norm(b[i] - a @ W[i])) <= 100.0 * noise
@@ -590,6 +580,31 @@ def test_a_problem_solves_alike_alone_and_in_a_mixed_stack():
             if inside[i]:
                 assert (weights[i] >= 0.0).all()
                 assert np.linalg.norm(a @ weights[i] - b[i]) <= threshold
+
+
+def test_nnls_counts_solves_like_the_stacked_solver():
+    # a problem alone, as nnls solves it, takes the same path as in a
+    # stack of other problems, solve for solve, with the same support
+    # and verdict; weights are compared on the random kind only.
+    rng = np.random.default_rng(23)
+    for _ in range(150):
+        A, b = mixed_stack(rng)
+        p = len(b)
+        W, R, S = traced_stack(A, b)
+        # the stack stops at the least maxiter of its slowest problem
+        cap = int(S.max())
+        with pytest.raises(NonConvergence):
+            cone._nnls_stack(A, b, maxiter=cap - 1)
+        for i in range(p):
+            w, r, s = traced_stack(A[i:i + 1], b[i:i + 1])
+            threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[i]))
+            assert S[i] == s[0]
+            np.testing.assert_array_equal(W[i] > 0.0, w[0] > 0.0)
+            assert (R[i] <= threshold) == (r[0] <= threshold)
+            assert abs(R[i] - r[0]) <= threshold
+            if i < 2:
+                np.testing.assert_allclose(W[i], w[0], rtol=1e-9,
+                                           atol=1e-12 * np.abs(w[0]).max(initial=1.0))
 
 
 def check_factor(X, P, Qt, Ri, cols, nk, i):
