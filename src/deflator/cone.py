@@ -15,6 +15,7 @@ yields either the deflator or the certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -147,10 +148,19 @@ def nnls(A, b, maxiter=None):
     return w, float(np.linalg.norm(b - A @ w))
 
 
-# problems per stacked solve in _project_stack: bounds its temporaries
-_STACK_CHUNK = 512
+# payoff entries p * k * m per stack of _project_stack: bounds its temporaries
+_STACK_ENTRIES = 2 ** 13
 # held by _nnls_stack for a passive column: above every count of moves
 _PASSIVE = np.iinfo(int).max
+
+
+def _products(m, k):
+    """Stacked M v, v M and u . v of problems (m, k), by shape alone:
+    np.einsum (streams along the stack) under 64 entries, else matmul."""
+    if m * k < 64:
+        return [partial(np.einsum, s) for s in ("pij,pj->pi", "pi,pij->pj", "pi,pi->p")]
+    return (lambda M, v: (M @ v[..., None])[..., 0], lambda v, M: (v[:, None] @ M)[:, 0],
+            lambda u, v: (u[:, None] @ v[..., None])[:, 0, 0])
 
 
 def _qr_append_stack(X, P, Qt, Ri, cols, nk, rows, n, j, cutoff):
@@ -164,23 +174,24 @@ def _qr_append_stack(X, P, Qt, Ri, cols, nk, rows, n, j, cutoff):
     diagonal entry d is at most cutoff[i] lies in the span of the
     factor: it is rejected, and the factor stays as it was.  Returns
     which columns went in."""
+    _, vm, vv = _products(X.shape[2], X.shape[1])
     Q = Qt[:, :n]
     Qs = Q.swapaxes(1, 2)
-    a = X[rows, j][:, None]
-    h = a @ Qs
-    v = a - h @ Q
-    h2 = v @ Qs
-    v -= h2 @ Q
+    a = X[rows, j]
+    h = vm(a, Qs)
+    v = a - vm(h, Q)
+    h2 = vm(v, Qs)
+    v -= vm(h2, Q)
     h += h2
-    d = np.sqrt(v @ v.swapaxes(1, 2))[:, 0, 0]
+    d = np.sqrt(vv(v, v))
     ok = d > cutoff
     # 1 / d where the column goes in; 0 writes a rejected one into the
     # zero padding (an entering column is nonzero, so cutoff > 0)
     s = ok / np.maximum(d, cutoff)
-    Qt[rows, nk] = v[:, 0] * s[:, None]
-    Ri[rows, :n, nk] = -(h @ Ri[:, :n, :n].swapaxes(1, 2))[:, 0] * s[:, None]
+    Qt[rows, nk] = v * s[:, None]
+    Ri[rows, :n, nk] = -vm(h, Ri[:, :n, :n].swapaxes(1, 2)) * s[:, None]
     Ri[rows, nk, nk] = s
-    P[rows, nk] = a[:, 0]
+    P[rows, nk] = a
     cols[rows, nk] = j
     nk += ok
     return ok
@@ -234,6 +245,7 @@ def _nnls_stack(A, b, maxiter=None):
     if maxiter is None:
         maxiter = 10 * max(m, k)
     rel = 10.0 * np.finfo(float).eps * max(m, k)
+    mv, vm, vv = _products(m, k)
     # X[i, j] is column j of A[i]; cut[i, j] * ||r|| is its threshold
     X = A.transpose(0, 2, 1)
     cut = rel * np.sqrt(np.einsum("pkm,pkm->pk", X, X))
@@ -253,9 +265,9 @@ def _nnls_stack(A, b, maxiter=None):
     n, rounds, moved = 0, 0, True
     while True:
         if moved:
-            r = b - (wf[:, None, :n] @ P[:, :n])[:, 0]
-            rnorm = np.sqrt(r[:, None] @ r[..., None])[:, 0, 0]
-            grad = (X @ r[..., None])[..., 0]
+            r = b - vm(wf[:, :n], P[:, :n])
+            rnorm = np.sqrt(vv(r, r))
+            grad = mv(X, r)
         # grad where a free column is above its threshold (so > 0), else 0
         score = grad * ((grad > cut * rnorm[:, None]) & (held < moves[:, None]))
         enter = score.argmax(axis=1)
@@ -284,7 +296,7 @@ def _nnls_stack(A, b, maxiter=None):
             solves += act
             rounds += 1
             # R^-1 and Qt are zero past each problem's columns, so is z
-            z = (Ri[:, :n, :n] @ (Qt[:, :n] @ b[..., None]))[..., 0]
+            z = mv(Ri[:, :n, :n], mv(Qt[:, :n], b))
             feasible = act & ((z > 0.0).sum(axis=1) == nk)
             np.copyto(wf[:, :n], z, where=feasible[:, None])
             moves += feasible
@@ -325,37 +337,38 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     Market i quotes prices[i] (m instruments) and pays the k payoff rows
     rows[children[i]].  Returns the cone weights (p, k) and whether each
     market is inside its cone by _threshold, as project_to_cone decides.
-    When k == m each chunk of markets is solved directly (unless LU
-    meets an exact zero pivot in it), and a market is inside when the
-    solved weights are nonnegative and reprice it within the threshold,
-    with the rounding of the repricing counted against it, as nnls
-    would also find; every other market goes through _nnls_stack.
+    A stack holds at most _STACK_ENTRIES payoff entries.  When k == m each
+    market is solved directly (unless LU meets an exact zero pivot in
+    it), and it is inside when the solved weights are nonnegative and
+    reprice it within the threshold, with the rounding of the repricing
+    counted against it, as nnls would also find; every other market goes
+    through _nnls_stack.
     """
     p, k = children.shape
     m = rows.shape[1]
     weights, inside = np.empty((p, k)), np.empty(p, dtype=bool)
-    for lo in range(0, p, _STACK_CHUNK):
-        A = rows[children[lo:lo + _STACK_CHUNK]].transpose(0, 2, 1)
-        x = prices[lo:lo + _STACK_CHUNK]
-        threshold = _threshold(x, tol)
-        w, ok = np.zeros((len(x), k)), np.zeros(len(x), dtype=bool)
+    step = max(1, _STACK_ENTRIES // (k * m))
+    for lo in range(0, p, step):
+        A, x = rows[children[lo:lo + step]].transpose(0, 2, 1), prices[lo:lo + step]
+        threshold, w, ok = _threshold(x, tol), np.empty((len(x), k)), np.zeros(len(x), bool)
         if k == m:
             try:
-                ws = np.linalg.solve(A, x[..., None])[..., 0]
+                w = np.linalg.solve(A, x[..., None])[..., 0]
             except np.linalg.LinAlgError:
-                # an exact zero pivot: NaN weights fail the checks below
-                ws = np.full((len(x), k), np.nan)
-            resid = np.linalg.norm(np.einsum("pmk,pk->pm", A, ws) - x, axis=1)
-            # the rounding of A @ ws, large for huge weights, counts against it
-            noise = 10.0 * np.finfo(float).eps * m * np.linalg.norm(A, axis=(1, 2))
-            resid += noise * np.linalg.norm(ws, axis=1)
-            good = (ws >= 0.0).all(axis=1) & (resid <= threshold)
-            w[good], ok[good] = ws[good], True
+                # exact zero pivots: NaN weights fail the checks below
+                w = np.full((len(x), k), np.nan)
+                regular = np.linalg.slogdet(A)[0] != 0.0
+                w[regular] = np.linalg.solve(A[regular], x[regular, :, None])[..., 0]
+            resid = np.linalg.norm(np.einsum("pmk,pk->pm", A, w) - x, axis=1)
+            # the rounding of A @ w, large for huge weights, counts against it
+            noise = 10.0 * np.finfo(float).eps * m * np.sqrt(np.einsum("pmk,pmk->p", A, A))
+            resid += noise * np.linalg.norm(w, axis=1)
+            ok = (w >= 0.0).all(axis=1) & (resid <= threshold)
         rest = np.flatnonzero(~ok)
         if rest.size:
             w[rest], rnorm = _nnls_stack(A[rest], x[rest])
             ok[rest] = rnorm <= threshold[rest]
-        weights[lo:lo + _STACK_CHUNK], inside[lo:lo + _STACK_CHUNK] = w, ok
+        weights[lo:lo + step], inside[lo:lo + step] = w, ok
     return weights, inside
 
 

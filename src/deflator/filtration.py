@@ -40,10 +40,9 @@ class Algebra:
 
     @classmethod
     def _coarsening(cls, finer: "Algebra", up) -> "Algebra":
-        """The algebra whose block up[f] holds block f of finer; up must
-        map the blocks of finer onto 0..B-1."""
+        """The algebra whose block up[f] holds block f of finer; up, a
+        map from the blocks of finer onto 0..B-1, is kept as it is."""
         alg = cls.__new__(cls)
-        up.setflags(write=False)
         alg._block_of, alg._finer, alg._up = None, finer, up
         alg.n_blocks, alg.n_atoms = int(up.max()) + 1, finer.n_atoms
         return alg
@@ -90,7 +89,7 @@ class Algebra:
         (-1 when self refines coarser)."""
         fine, coarse = self.block_of, coarser.block_of
         _, first = np.unique(fine, return_index=True)
-        parent = coarse[first]
+        parent = _frozen(coarse[first])
         bad = np.flatnonzero(parent[fine] != coarse)
         return parent, int(bad[0]) if bad.size else -1
 
@@ -131,6 +130,18 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.n_blocks} blocks on {self.n_atoms} atoms)"
+
+
+def _frozen(up) -> np.ndarray:
+    """A read-only view of block map up; _bincount counts up itself."""
+    view = up.view()
+    view.setflags(write=False)
+    return view
+
+
+def _bincount(up, weights=None, minlength=0) -> np.ndarray:
+    # np.bincount copies read-only input
+    return np.bincount(up if up.flags.writeable else up.base, weights, minlength)
 
 
 def _block_values(algebra: Algebra, values) -> np.ndarray:
@@ -219,10 +230,10 @@ def restrict(mu: FAMeasure, coarser: Algebra) -> FAMeasure:
     coarse block adding its fine blocks' weights in block order."""
     fine_to_coarse, w = mu.algebra.coarse_block_map(coarser), mu.weights
     if w.ndim == 1:
-        return FAMeasure(coarser, np.bincount(fine_to_coarse, w, coarser.n_blocks))
+        return FAMeasure(coarser, _bincount(fine_to_coarse, w, coarser.n_blocks))
     out = np.empty((coarser.n_blocks, w.shape[1]))
     for c in range(w.shape[1]):
-        out[:, c] = np.bincount(fine_to_coarse, w[:, c], coarser.n_blocks)
+        out[:, c] = _bincount(fine_to_coarse, w[:, c], coarser.n_blocks)
     return FAMeasure(coarser, out)
 
 
@@ -316,7 +327,7 @@ def binary_tree_filtration(n_periods: int) -> Filtration:
         raise ValueError("need at least one period")
     levels = [Algebra.discrete(2 ** n_periods)]
     for j in range(n_periods, 0, -1):
-        levels.insert(0, Algebra._coarsening(levels[0], np.arange(2 ** j) >> 1))
+        levels.insert(0, Algebra._coarsening(levels[0], _frozen(np.arange(2 ** j) >> 1)))
     return Filtration(levels)
 
 

@@ -22,7 +22,7 @@ from .cone import (DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket,
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
                          InvalidInterval, NonConvergence, NotClosedOut,
                          NotSelfFinancing)
-from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction,
+from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction, _bincount,
                          _walk_levels, binary_tree_filtration, pairing, product,
                          restrict)
 
@@ -80,9 +80,10 @@ class MarketPanel:
         return len(self.filtration) - 1
 
     def scale(self) -> float:
-        """max |price| + max |cash flow|, the tolerance unit for checks."""
-        return (max(float(np.abs(f.values).max()) for f in self.prices)
-                + max(float(np.abs(f.values).max()) for f in self.cashflows))
+        """max |price| + max |cash flow|, the tolerance unit for checks
+        (each a max of max and -min: np.abs would copy every level)."""
+        return (max(float(max(f.values.max(), -f.values.min())) for f in self.prices)
+                + max(float(max(f.values.max(), -f.values.min())) for f in self.cashflows))
 
     def settle(self, j: int) -> SimpleFunction:
         """Cash flow plus price at time j: what holding into t_j delivers.
@@ -286,13 +287,13 @@ def _solve_level(child_parent, settle, prices, tol):
     prices are outside their cone, in increasing order."""
     # children grouped by parent, each group in block order
     order = np.argsort(child_parent, kind="stable")
-    counts = np.bincount(child_parent, minlength=prices.shape[0])
+    counts = _bincount(child_parent, minlength=prices.shape[0])
     node_w = np.empty(child_parent.size)
     flagged = []
-    for k in np.unique(counts):
+    # a level of one child count copies neither its children nor its prices
+    one = (counts == counts[0]).all()
+    for k in counts[:1] if one else np.unique(counts):
         nodes = np.flatnonzero(counts == k)
-        # a level of one stack copies neither its children nor its prices
-        one = nodes.size == counts.size
         children = (order if one else order[np.repeat(counts == k, counts)]).reshape(-1, k)
         node_w[children], inside = _project_stack(
             settle, children, prices if one else prices[nodes], tol)

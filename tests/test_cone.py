@@ -521,12 +521,13 @@ def traced_stack(A, b, maxiter=None):
     return w, rnorm, counts
 
 
-def mixed_stack(rng):
+def mixed_stack(rng, shape=None):
     """Eight problems (m, k) of the four kinds, two of each, at scales
     1e-6 to 1e6; half of the b moved off the cone by a relative 1e-3 to
     1e-12, where the rounding of A.T @ r can lift a column in the span
-    of the passive ones above its threshold."""
-    m, k = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+    of the passive ones above its threshold.  The shape is drawn when
+    not given."""
+    m, k = shape or (int(rng.integers(1, 6)), int(rng.integers(1, 8)))
     parts = [stacked_problems(int(rng.integers(2 ** 32)), kind, m, k,
                               10.0 ** int(rng.integers(-6, 7)), p=2)
              for kind in ("random", "duplicated", "collinear", "zero")]
@@ -537,6 +538,11 @@ def mixed_stack(rng):
     return A, b
 
 
+# one shape on each side of the size cut of cone._products: einsum
+# under 64 payoff entries, matmul from 64 on
+CUT_SHAPES = [(7, 9), (8, 8)]
+
+
 def test_stacked_nnls_agrees_with_nnls():
     # nnls is a stack of one, ending in a solve on its support: against
     # a mixed stack it keeps the support and the verdict, with residuals
@@ -545,8 +551,8 @@ def test_stacked_nnls_agrees_with_nnls():
     # random kind).
     rng = np.random.default_rng(17)
     eps = np.finfo(float).eps
-    for _ in range(150):
-        A, b = mixed_stack(rng)
+    for shape in [None] * 150 + CUT_SHAPES:
+        A, b = mixed_stack(rng, shape)
         p, m, k = A.shape
         W, R = cone._nnls_stack(A, b)
         rows = A.transpose(0, 2, 1).reshape(-1, m)
@@ -587,8 +593,8 @@ def test_nnls_counts_solves_like_the_stacked_solver():
     # stack of other problems, solve for solve, with the same support
     # and verdict; weights are compared on the random kind only.
     rng = np.random.default_rng(23)
-    for _ in range(150):
-        A, b = mixed_stack(rng)
+    for shape in [None] * 150 + CUT_SHAPES:
+        A, b = mixed_stack(rng, shape)
         p = len(b)
         W, R, S = traced_stack(A, b)
         # the stack stops at the least maxiter of its slowest problem
@@ -823,6 +829,63 @@ def test_factor_holds_the_passive_set_at_every_outer_step():
             check_factor(X, P, Qt, Ri, cols, nk, 0)
 
 
+def blocked_then_needed(seed):
+    """A problem (3, 4), turned by a seeded rotation, whose column 2 is
+    1e14 (a_0 / 10 - a_1) / sqrt(2): in the span of columns 0 and 1 but
+    outside their cone.  Columns 0 and 1 enter first; at their solution
+    the gradient of column 2 is rounding noise, which, where it is
+    positive, beats the gradient of the small column 3, so column 2 is
+    blocked as dependent.  Column 3 then enters and retires column 1,
+    and b is in the cone only with column 2 again:
+    b = 0.03 a_0 + 100 a_3 + 1e-15 sqrt(2) a_2."""
+    rotation = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+    h = 1e14 * np.sqrt(0.5)
+    A = np.array([[10.0, 0.0, h, 0.0], [0.0, 1.0, -h, 6e-3], [0.0, 0.0, 0.0, 1e-6]])
+    return rotation @ A, rotation @ np.array([0.4, 0.5, 1e-4])
+
+
+def column_states(A, b):
+    """Solve (A, b) by _nnls_stack, and return the states that column 2
+    passed through at the solver's lines: free, blocked or passive."""
+    states = []
+
+    def lines(frame, event, arg):
+        v = frame.f_locals
+        if "moves" in v and len(v["held"]):
+            held = v["held"][0, 2]
+            state = ("passive" if held == cone._PASSIVE
+                     else "blocked" if held >= v["moves"][0] else "free")
+            if not states or states[-1] != state:
+                states.append(state)
+        return lines
+
+    sys.settrace(lambda frame, event, arg:
+                 lines if frame.f_code is cone._nnls_stack.__code__ else None)
+    try:
+        cone._nnls_stack(A[None], b[None])
+    finally:
+        sys.settrace(None)
+    return states
+
+
+def test_a_blocked_column_enters_again_once_w_moves():
+    # a column blocked at one iterate may be needed at a later one: the
+    # solver frees it when w moves, or it stops outside the cone
+    blocked = 0
+    for seed in range(40):
+        A, b = blocked_then_needed(seed)
+        w, rnorm = nnls(A, b)
+        threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b))
+        assert rnorm <= threshold and w[2] > 0.0
+        market = OnePeriodMarket(prices=b, payoffs=A.T)
+        assert certificate_from_projection(project_to_cone(market)) is None
+        states = column_states(A, b)
+        if "blocked" in states:
+            blocked += 1
+            assert states[-1] == "passive"
+    assert blocked >= 10
+
+
 def square_stack(rng, m, p, scale, singular):
     """p square markets on shared payoff rows: children index k == m
     rows, prices are inside their cones (nonnegative weights) or outside
@@ -878,3 +941,40 @@ def test_square_stacks_give_the_node_verdicts():
                     assert (weights[i] >= 0.0).all()
                     residual = np.linalg.norm(market.payoffs.T @ weights[i] - prices[i])
                     assert residual <= 2.0 * threshold
+
+
+def test_splitting_a_level_changes_no_result(monkeypatch):
+    # a market's weights and verdict are its own: a level solved in
+    # stacks of one or three markets gives the bits of one stack, on
+    # square nodes (also where LU meets an exact zero pivot) and on
+    # nodes that go through _nnls_stack, under the size cut
+    rng = np.random.default_rng(67)
+    levels = [square_stack(rng, m, 24, 1.0, singular)
+              for m in (2, 3, 5) for singular in (False, True)]
+    for shape in [None] * 20 + CUT_SHAPES[:1]:
+        A, b = mixed_stack(rng, shape)
+        p, m, k = A.shape
+        levels.append((A.transpose(0, 2, 1).reshape(-1, m), np.arange(p * k).reshape(p, k), b))
+    kinds = set()
+    for rows, children, prices in levels:
+        (p, k), m = children.shape, rows.shape[1]
+        monkeypatch.setattr(cone, "_STACK_ENTRIES", p * k * m)
+        weights, inside = cone._project_stack(rows, children, prices)
+        for height in (1, 3):
+            monkeypatch.setattr(cone, "_STACK_ENTRIES", height * k * m)
+            w, ok = cone._project_stack(rows, children, prices)
+            assert w.tobytes() == weights.tobytes()
+            np.testing.assert_array_equal(ok, inside)
+        if k == m:
+            try:
+                np.linalg.solve(rows[children].transpose(0, 2, 1), prices[..., None])
+            except np.linalg.LinAlgError:
+                kinds.add("zero pivot")
+            kinds.add("square")
+        else:
+            kinds.add("nnls")
+        if inside.any():
+            kinds.add("inside")
+        if not inside.all():
+            kinds.add("outside")
+    assert kinds == {"square", "zero pivot", "nnls", "inside", "outside"}

@@ -5,6 +5,8 @@ tests drive it with the one process where everything is computable by
 hand: the symmetric random walk on a binary tree.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,32 @@ def test_binary_tree_stores_parent_maps_only():
     for j, parent in enumerate(filtration.parent):
         np.testing.assert_array_equal(parent, np.arange(2 ** (j + 1)) >> 1)
     np.testing.assert_array_equal(filtration[3].block_of, np.arange(2 ** 16) >> 13)
+
+
+def test_parent_maps_are_read_only_and_counted_without_a_copy():
+    # np.bincount copies read-only input: restrict, once per column,
+    # would copy the 2 MB parent map of the finest level each time
+    filtration = binary_tree_filtration(18)
+    fine, coarse = filtration[18], filtration[17]
+    up = fine.coarse_block_map(coarse)
+    for parent in (up, filtration.parent[17]):
+        assert not parent.flags.writeable
+        with pytest.raises(ValueError):
+            parent[0] = 1
+    for shape in ((fine.n_blocks,), (fine.n_blocks, 2)):
+        mu = FAMeasure(fine, np.ones(shape))
+        tracemalloc.start()
+        try:
+            out = restrict(mu, coarse).weights
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out, 2.0)
+        # the result and one counted column; a column of vector weights
+        # is also copied, as np.bincount takes its weights contiguous
+        column = coarse.n_blocks * 8 + (fine.n_blocks * 8 if len(shape) == 2 else 0)
+        assert peak < out.nbytes + column + up.nbytes // 4
+    np.testing.assert_array_equal(up, np.arange(2 ** 18) >> 1)
 
 
 def test_algebra_is_equal_to_itself_without_composing_atoms(monkeypatch):
