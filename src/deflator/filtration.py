@@ -273,15 +273,13 @@ def conditional_price_check(y: SimpleFunction, p: FAMeasure,
 class Filtration:
     """An increasing sequence of algebras on one outcome space.
 
-    By default consecutive algebras must refine their predecessors.
-    relaxed=True skips that check; restriction between levels then
-    fails only where an actual block containment is violated.  Each
-    level that the next one refines is stored as its parent map
-    parent[j] (blocks of j + 1 to blocks of j); only the finest level,
-    and a relaxed level that the next one does not refine, keep atoms.
+    Each algebra must refine the one before (NotCoarser otherwise).
+    Every level but the finest is stored as its parent map from the
+    blocks of the next finer level, so only the finest keeps atoms;
+    filtration[j + 1].coarse_block_map(filtration[j]) hands out map j.
     """
 
-    def __init__(self, algebras, relaxed: bool = False):
+    def __init__(self, algebras):
         algebras = list(algebras)
         if not algebras:
             raise ValueError("a filtration needs at least one algebra")
@@ -289,20 +287,15 @@ class Filtration:
         for alg in algebras:
             if alg.n_atoms != n:
                 raise AlgebraMismatch("all algebras must share the atom set")
-        # None where a relaxed level is not refined by the next
-        self.parent = []
-        for j, (alg, finer) in enumerate(zip(algebras, algebras[1:])):
+        self.algebras = algebras[-1:]
+        for j in range(len(algebras) - 2, -1, -1):
+            alg, finer = algebras[j], algebras[j + 1]
             up, bad = (alg._up, -1) if alg._finer is finer else finer._parents(alg)
-            if bad >= 0 and not relaxed:
-                raise NotCoarser(f"algebra {j + 1} does not refine algebra {j}; "
-                                 "pass relaxed=True to allow this")
-            self.parent.append(up if bad < 0 else None)
-        levels = algebras[-1:]
-        for alg, up in zip(algebras[-2::-1], self.parent[::-1]):
-            if up is not None and alg._finer is not levels[0]:
-                alg = Algebra._coarsening(levels[0], up)
-            levels.insert(0, alg)
-        self.algebras = levels
+            if bad >= 0:
+                raise NotCoarser(f"algebra {j + 1} does not refine algebra {j}")
+            if alg._finer is not self.algebras[0]:
+                alg = Algebra._coarsening(self.algebras[0], up)
+            self.algebras.insert(0, alg)
 
     @property
     def n_atoms(self) -> int:

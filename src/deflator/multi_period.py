@@ -110,17 +110,6 @@ class Strategy:
                                              panel.n_instruments)))
                     for j in range(panel.n_periods + 1)])
 
-    def positions(self, filtration: Filtration) -> list[SimpleFunction]:
-        """Cumulative holdings Xi_j = sum of trades up to j, on algebra j."""
-        out = []
-        current = self.trades[0].values.copy()
-        out.append(SimpleFunction(filtration[0], current))
-        for j in range(1, len(self.trades)):
-            lifted = out[-1].lift(filtration[j]).values
-            current = lifted + self.trades[j].values
-            out.append(SimpleFunction(filtration[j], current))
-        return out
-
 
 def _row_dot(a: SimpleFunction, b: SimpleFunction) -> np.ndarray:
     return np.einsum("bm,bm->b", a.values, b.values)
@@ -130,9 +119,10 @@ def _row_dot(a: SimpleFunction, b: SimpleFunction) -> np.ndarray:
 class AccountProcess:
     """entries[j] is the cash generated at time j: trades at t_0 cost
     -trade . price, later entries collect position . cashflow minus the
-    cost of the new trade."""
+    cost of the new trade; position is Xi_n, held after the last trade."""
 
     entries: list[SimpleFunction]
+    position: np.ndarray
 
 
 def account_process(panel: MarketPanel, strategy: Strategy) -> AccountProcess:
@@ -151,7 +141,20 @@ def account_process(panel: MarketPanel, strategy: Strategy) -> AccountProcess:
         entries.append(SimpleFunction(panel.filtration[j], earned - spent))
         position = SimpleFunction(panel.filtration[j],
                                   carried.values + strategy.trades[j].values)
-    return AccountProcess(entries=entries)
+    return AccountProcess(entries=entries, position=position.values)
+
+
+def _closed_account(panel: MarketPanel, strategy: Strategy, tol: float,
+                    not_closed: str):
+    """The account entries of a strategy and the slack of the checks on
+    them, tol * scale * max(1, trade scale).  Trades after the last
+    nonzero one are zero, so Xi_n is as large as the position after the
+    last trade: NotClosedOut unless it is within tol * max(1, trade scale)."""
+    account = account_process(panel, strategy)
+    trade_scale = max(1.0, max(float(np.abs(g.values).max()) for g in strategy.trades))
+    if np.abs(account.position).max() > tol * trade_scale:
+        raise NotClosedOut(not_closed)
+    return account.entries, tol * panel.scale() * trade_scale
 
 
 @dataclass(frozen=True)
@@ -171,24 +174,19 @@ def is_arbitrage_strategy(panel: MarketPanel, strategy: Strategy,
     each up to tol * scale.  The witness is the first violating
     (time, block).
     """
-    account = account_process(panel, strategy)
+    entries, slack = _closed_account(panel, strategy, tol,
+                                     "position after the last trade is not zero")
     active = [j for j, g in enumerate(strategy.trades) if np.any(g.values != 0.0)]
     if not active:
         return ArbitrageVerdict(False, None)
-    trade_scale = max(float(np.abs(g.values).max()) for g in strategy.trades)
-    slack = tol * panel.scale() * max(1.0, trade_scale)
-    positions = strategy.positions(panel.filtration)
-    if np.abs(positions[active[-1]].values).max() > tol * max(1.0, trade_scale):
-        raise NotClosedOut("position after the last trade is not zero")
     j0 = active[0]
-    opening = account.entries[j0].values
+    opening = entries[j0].values
     traded = np.any(strategy.trades[j0].values != 0.0, axis=1)
     for b in np.flatnonzero(traded):
         if not opening[b] > slack:
             return ArbitrageVerdict(False, (j0, int(b)))
     for j in range(j0 + 1, panel.n_periods + 1):
-        entries = account.entries[j].values
-        bad = np.flatnonzero(entries < -slack)
+        bad = np.flatnonzero(entries[j].values < -slack)
         if bad.size:
             return ArbitrageVerdict(False, (j, int(bad[0])))
     return ArbitrageVerdict(True, None)
@@ -317,9 +315,7 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
     NonConvergence, that level's nodes are projected one by one in
     block order instead, so an arbitrage at a lower block is still the
     witness; NonConvergence propagates only from a node that no lower
-    arbitrage precedes.  Each algebra must refine the one before; the
-    first step that does not raises NotCoarser when the search reaches
-    it.
+    arbitrage precedes.
     """
     filtration = panel.filtration
     weights = [np.ones(filtration[0].n_blocks)]
@@ -369,21 +365,17 @@ def replication_cost(panel: MarketPanel, deflators: DeflatorSequence,
     <cost, Pi_0> = <terminal, Pi_n>, which is verified against the
     supplied deflators.
     """
-    account = account_process(panel, strategy)
-    trade_scale = max(float(np.abs(g.values).max()) for g in strategy.trades)
-    slack = tol * panel.scale() * max(1.0, trade_scale)
-    positions = strategy.positions(panel.filtration)
-    if np.abs(positions[-1].values).max() > tol * max(1.0, trade_scale):
-        raise NotClosedOut("strategy does not close out at the horizon")
+    entries, slack = _closed_account(panel, strategy, tol,
+                                     "strategy does not close out at the horizon")
     for j in range(1, panel.n_periods):
-        entries = account.entries[j].values
-        bad = np.flatnonzero(np.abs(entries) > slack)
+        entry = entries[j].values
+        bad = np.flatnonzero(np.abs(entry) > slack)
         if bad.size:
             raise NotSelfFinancing(
-                f"interior account entry {entries[bad[0]]} at time {j}, "
+                f"interior account entry {entry[bad[0]]} at time {j}, "
                 f"block {bad[0]}", time=j, block=int(bad[0]))
-    cost = SimpleFunction(panel.filtration[0], -account.entries[0].values)
-    terminal = account.entries[-1]
+    cost = SimpleFunction(panel.filtration[0], -entries[0].values)
+    terminal = entries[-1]
     lhs = pairing(cost, deflators[0])
     rhs = pairing(terminal, deflators[len(deflators) - 1])
     gap = abs(lhs - rhs)
@@ -429,11 +421,11 @@ def deterministic_panel(times, price_rows, cashflow_rows=None) -> MarketPanel:
                        cashflows=cashflows)
 
 
-def panel_from_one_period(market: OnePeriodMarket, times=(0.0, 1.0)) -> MarketPanel:
+def panel_from_one_period(market: OnePeriodMarket) -> MarketPanel:
     """Embed a one-period market as a two-time panel whose terminal
     algebra separates the outcomes."""
     n = market.n_outcomes
     filtration = Filtration([Algebra.trivial(n), Algebra.discrete(n)])
     prices = [SimpleFunction(filtration[0], market.prices[None, :]),
               SimpleFunction(filtration[1], market.payoffs)]
-    return MarketPanel(times=times, filtration=filtration, prices=prices)
+    return MarketPanel(times=np.arange(2.0), filtration=filtration, prices=prices)

@@ -124,19 +124,21 @@ class Schedule:
         return float(sum(self.fractions[j:k]))
 
 
+def _annuity(curve: DiscountCurve, schedule: Schedule) -> float:
+    """sum_j delta_j D(t_j) over the payment times t_1..t_n."""
+    return sum(f * curve.discount(t)
+               for f, t in zip(schedule.fractions, schedule.calc_times[1:]))
+
+
 def bond_price(curve: DiscountCurve, schedule: Schedule, coupon: float) -> float:
     """Price of the bond paying coupon * fraction at t_1..t_n plus one
     at t_n: c * sum_j delta_j D(t_j) + D(t_n)."""
-    annuity = sum(f * curve.discount(t)
-                  for f, t in zip(schedule.fractions, schedule.calc_times[1:]))
-    return coupon * annuity + curve.discount(schedule.calc_times[-1])
+    return coupon * _annuity(curve, schedule) + curve.discount(schedule.calc_times[-1])
 
 
 def par_coupon(curve: DiscountCurve, schedule: Schedule) -> float:
     """The coupon making the bond price exactly one."""
-    annuity = sum(f * curve.discount(t)
-                  for f, t in zip(schedule.fractions, schedule.calc_times[1:]))
-    return (1.0 - curve.discount(schedule.calc_times[-1])) / annuity
+    return (1.0 - curve.discount(schedule.calc_times[-1])) / _annuity(curve, schedule)
 
 
 def swap_par(curve: DiscountCurve, schedule: Schedule, t: float = 0.0) -> float:
@@ -148,10 +150,8 @@ def swap_par(curve: DiscountCurve, schedule: Schedule, t: float = 0.0) -> float:
     """
     if t > schedule.calc_times[0]:
         raise InvalidInterval("valuation after the swap start")
-    annuity = sum(f * curve.discount(u)
-                  for f, u in zip(schedule.fractions, schedule.calc_times[1:]))
     return (curve.discount(schedule.calc_times[0])
-            - curve.discount(schedule.calc_times[-1])) / annuity
+            - curve.discount(schedule.calc_times[-1])) / _annuity(curve, schedule)
 
 
 def forward_price(spot: float, curve: DiscountCurve, maturity: float,
@@ -223,8 +223,8 @@ def deflators_from_short_rate(filtration: Filtration, short_rate: ShortRateProce
     return DeflatorSequence(measures)
 
 
-def short_rate_panel(filtration: Filtration, short_rate: ShortRateProcess,
-                     times=None) -> MarketPanel:
+def short_rate_panel(filtration: Filtration,
+                     short_rate: ShortRateProcess) -> MarketPanel:
     """The panel of one-period deposits implied by a short rate.
 
     Deposit j trades at price one exactly at time j and is worthless at
@@ -233,8 +233,6 @@ def short_rate_panel(filtration: Filtration, short_rate: ShortRateProcess,
     time-0 price instead of a cash flow.
     """
     n = short_rate.n_periods
-    if times is None:
-        times = np.arange(n + 1.0)
     prices, cashflows = [], []
     for i in range(n + 1):
         blocks = filtration[i].n_blocks
@@ -248,8 +246,8 @@ def short_rate_panel(filtration: Filtration, short_rate: ShortRateProcess,
             cf[:, i - 1] = short_rate.rates[i - 1].lift(filtration[i]).values
         prices.append(SimpleFunction(filtration[i], px))
         cashflows.append(SimpleFunction(filtration[i], cf))
-    return MarketPanel(times=times, filtration=filtration, prices=prices,
-                       cashflows=cashflows)
+    return MarketPanel(times=np.arange(n + 1.0), filtration=filtration,
+                       prices=prices, cashflows=cashflows)
 
 
 def zcb_price(deflators: DeflatorSequence, j: int, k: int) -> SimpleFunction:
@@ -355,14 +353,11 @@ def futures_quotes(deflators: DeflatorSequence, underlying: SimpleFunction,
 
 
 def futures_panel(deflators: DeflatorSequence, underlying: SimpleFunction,
-                  expiry: int, times=None) -> MarketPanel:
+                  expiry: int) -> MarketPanel:
     """One-instrument panel for the futures contract: price identically
     zero, cash flow the quote change Phi_j - Phi_{j-1} each period."""
     quotes = futures_quotes(deflators, underlying, expiry)
-    filtration = Filtration([mu.algebra for mu in deflators.measures],
-                            relaxed=True)
-    if times is None:
-        times = np.arange(len(deflators), dtype=float)
+    filtration = Filtration([mu.algebra for mu in deflators.measures])
     prices, cashflows = [], []
     for j in range(len(deflators)):
         blocks = filtration[j].n_blocks
@@ -372,8 +367,8 @@ def futures_panel(deflators: DeflatorSequence, underlying: SimpleFunction,
             cashflows.append(SimpleFunction(filtration[j], change[:, None]))
         else:
             cashflows.append(SimpleFunction(filtration[j], np.zeros((blocks, 1))))
-    return MarketPanel(times=times, filtration=filtration, prices=prices,
-                       cashflows=cashflows)
+    return MarketPanel(times=np.arange(len(deflators), dtype=float),
+                       filtration=filtration, prices=prices, cashflows=cashflows)
 
 
 def futures_convexity(forward_payoffs, discounts, weights=None) -> float:

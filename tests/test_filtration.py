@@ -180,28 +180,26 @@ def test_product_requires_shared_algebra():
 # filtrations and the random walk
 
 
-def test_filtration_requires_refinement_unless_relaxed():
+def test_filtration_requires_refinement():
     coarse = Algebra.trivial(4)
     crossing = Algebra.from_blocks([[0, 2], [1, 3]])
     middle = Algebra.from_blocks([[0, 1], [2, 3]])
     with pytest.raises(NotCoarser):
         Filtration([middle, crossing])
-    relaxed = Filtration([middle, crossing], relaxed=True)
-    assert len(relaxed) == 2
     Filtration([coarse, middle])    # fine
 
 
-def random_chain(rng, relaxed):
+def random_chain(rng, scrambled):
     """Algebras on one atom set, each a random merge of the next finer
-    one; with relaxed, one coarse level is replaced by an arbitrary
-    partition, which the next level usually does not refine."""
+    one; when scrambled, one level is replaced by an arbitrary
+    partition, which usually breaks the refinement next to it."""
     n = int(rng.integers(1, 60))
     chain = [random_partition(rng, n, int(rng.integers(1, n + 1)))]
     for _ in range(int(rng.integers(1, 6))):
         merge = random_partition(rng, chain[0].n_blocks,
                                  int(rng.integers(1, chain[0].n_blocks + 1)))
         chain.insert(0, Algebra(merge.block_of[chain[0].block_of]))
-    if relaxed:
+    if scrambled:
         j = int(rng.integers(len(chain)))
         chain[j] = random_partition(rng, n, int(rng.integers(1, n + 1)))
     return chain
@@ -209,31 +207,39 @@ def random_chain(rng, relaxed):
 
 def test_stored_parent_maps_match_the_atom_maps():
     rng = np.random.default_rng(41)
-    straddles = unlinked = 0
+    straddles = refused = 0
     for trial in range(200):
-        relaxed = trial % 2 == 1
-        chain = random_chain(rng, relaxed)
-        filtration = Filtration(chain, relaxed=relaxed)
-        missing = sum(parent is None for parent in filtration.parent)
-        assert relaxed or missing == 0
-        unlinked += missing
-        for j, algebra in enumerate(chain):
-            np.testing.assert_array_equal(filtration[j].block_of, algebra.block_of)
-            assert filtration[j] == algebra and filtration[j].n_blocks == algebra.n_blocks
-        for j, parent in enumerate(filtration.parent):
-            if parent is not None:
+        chain = random_chain(rng, trial % 2 == 1)
+        steps = [loop_block_map(chain[j + 1], chain[j]) for j in range(len(chain) - 1)]
+        broken = [j for j, want in enumerate(steps) if isinstance(want, str)]
+        assert trial % 2 == 1 or not broken
+        levels = chain
+        if broken:
+            # the first step found, walking back from the finest level
+            refused += 1
+            with pytest.raises(NotCoarser) as exc:
+                Filtration(chain)
+            assert str(exc.value) == (f"algebra {broken[-1] + 1} does not refine "
+                                      f"algebra {broken[-1]}")
+        else:
+            filtration = Filtration(chain)
+            levels = filtration.algebras
+            for j, algebra in enumerate(chain):
+                np.testing.assert_array_equal(filtration[j].block_of, algebra.block_of)
+                assert filtration[j] == algebra and filtration[j].n_blocks == algebra.n_blocks
+            for j, want in enumerate(steps):
                 np.testing.assert_array_equal(
-                    parent, chain[j + 1].coarse_block_map(chain[j]))
+                    filtration[j + 1].coarse_block_map(filtration[j]), want)
         for i in range(len(chain)):
             for j in range(i, len(chain)):
                 want = loop_block_map(chain[j], chain[i])
                 if isinstance(want, str):
                     straddles += 1
                     with pytest.raises(NotCoarser) as exc:
-                        filtration[j].coarse_block_map(filtration[i])
+                        chain[j].coarse_block_map(chain[i])
                     assert str(exc.value) == want
                     continue
-                got = filtration[j].coarse_block_map(filtration[i])
+                got = levels[j].coarse_block_map(levels[i])
                 np.testing.assert_array_equal(got, want)
                 # restrict adds each coarse block's fine weights in fine
                 # block order, bit for bit
@@ -242,10 +248,10 @@ def test_stored_parent_maps_match_the_atom_maps():
                     by_hand = np.zeros((chain[i].n_blocks,) + shape[1:])
                     for f in range(chain[j].n_blocks):
                         by_hand[want[f]] = by_hand[want[f]] + weights[f]
-                    out = restrict(FAMeasure(filtration[j], weights), filtration[i]).weights
+                    out = restrict(FAMeasure(levels[j], weights), levels[i]).weights
                     assert out.shape == by_hand.shape
                     assert out.tobytes() == by_hand.tobytes()
-    assert straddles > 20 and unlinked > 20
+    assert straddles > 20 and refused > 20
 
 
 def test_binary_tree_stores_parent_maps_only():
@@ -256,10 +262,11 @@ def test_binary_tree_stores_parent_maps_only():
             value = getattr(algebra, slot, None)
             if isinstance(value, np.ndarray):
                 arrays[id(value)] = value
-    for parent in filtration.parent:
+    parents = [filtration[j + 1].coarse_block_map(filtration[j]) for j in range(16)]
+    for parent in parents:
         arrays[id(parent)] = parent
     assert sum(a.size for a in arrays.values()) <= 3 * 2 ** 16
-    for j, parent in enumerate(filtration.parent):
+    for j, parent in enumerate(parents):
         np.testing.assert_array_equal(parent, np.arange(2 ** (j + 1)) >> 1)
     np.testing.assert_array_equal(filtration[3].block_of, np.arange(2 ** 16) >> 13)
 
@@ -270,7 +277,7 @@ def test_parent_maps_are_read_only_and_counted_without_a_copy():
     filtration = binary_tree_filtration(18)
     fine, coarse = filtration[18], filtration[17]
     up = fine.coarse_block_map(coarse)
-    for parent in (up, filtration.parent[17]):
+    for parent in (up, coarse._up):
         assert not parent.flags.writeable
         with pytest.raises(ValueError):
             parent[0] = 1

@@ -282,6 +282,49 @@ def test_replication_requires_close_out():
         replication_cost(panel, deflators, strategy)
 
 
+def refuses_to_close_out(check, *args):
+    """True when check raises NotClosedOut; the checks it reaches after a
+    passing close-out check may refuse the strategy on other grounds."""
+    try:
+        check(*args)
+    except NotClosedOut:
+        return True
+    except (NotSelfFinancing, ValueError):
+        pass
+    return False
+
+
+def test_both_checks_refuse_the_same_residual_positions():
+    # a residual just above or just below tol * max(1, trade scale), left
+    # at the last active trade, which is sometimes before the horizon
+    rng = np.random.default_rng(61)
+    for trial in range(40):
+        if trial % 2:
+            children = [np.full(3 ** i, 3) for i in range(int(rng.integers(1, 4)))]
+            panel = tree_panel(children, rng, dividends=bool(rng.integers(2)))
+        else:
+            panel = fair_binomial_panel(int(rng.integers(1, 5)))[0]
+        deflators = find_tree_deflator(panel)
+        filtration, n = panel.filtration, panel.n_periods
+        k = int(rng.integers(1, n + 1))
+        i = int(rng.integers(0, k))
+        strategy = Strategy.zero(panel)
+        opening = strategy.trades[i].values
+        opening[:] = rng.normal(size=opening.shape) * 10.0 ** rng.uniform(-3, 3)
+        up = filtration[k].coarse_block_map(filtration[i])
+        strategy.trades[k].values[:] = -opening[up]
+        trade_scale = max(1.0, float(np.abs(opening).max()))
+        above = trial % 4 < 2
+        residual = (1.01 if above else 0.99) * DEFAULT_TOL * trade_scale
+        b = int(rng.integers(filtration[k].n_blocks))
+        strategy.trades[k].values[b, int(rng.integers(2))] += residual
+        position = account_process(panel, strategy).position
+        assert (np.abs(position).max() > DEFAULT_TOL * trade_scale) == above
+        arbitrage = refuses_to_close_out(is_arbitrage_strategy, panel, strategy)
+        replication = refuses_to_close_out(replication_cost, panel, deflators, strategy)
+        assert arbitrage == replication == above
+
+
 def test_random_self_financing_strategies_satisfy_pairing():
     rng = np.random.default_rng(7)
     panel, _ = fair_binomial_panel(4)
@@ -477,8 +520,7 @@ def assert_matches_per_node_search(panel):
     return got
 
 
-def tree_panel(children, rng, R=1.04, s=100.0, dividends=False, relaxed=False,
-               leaves=None):
+def tree_panel(children, rng, R=1.04, s=100.0, dividends=False, leaves=None):
     """A fair bond-and-stock panel on a tree: children[i][b] is the
     number of children of block b at time i.  Terminal stock prices are
     `leaves` or drawn, and every node is priced by positive weights
@@ -489,7 +531,7 @@ def tree_panel(children, rng, R=1.04, s=100.0, dividends=False, relaxed=False,
     block_of = [np.arange(n_leaves)]
     for parent in reversed(parents):
         block_of.insert(0, parent[block_of[0]])
-    filtration = Filtration([Algebra(b) for b in block_of], relaxed=relaxed)
+    filtration = Filtration([Algebra(b) for b in block_of])
     stock = [None] * (n + 1)
     cash = [np.zeros(len(b)) for b in [np.zeros(1)] + parents]
     stock[n] = (s * rng.lognormal(0.0, 0.3, size=n_leaves) if leaves is None
@@ -540,7 +582,7 @@ def test_tree_search_with_one_two_and_three_children_in_a_level():
     rng = np.random.default_rng(17)
     children = [np.array([3]), np.array([1, 2, 3]), np.array([2, 1, 3, 1, 2, 3])]
     for dividends in (False, True):
-        panel = tree_panel(children, rng, dividends=dividends, relaxed=True)
+        panel = tree_panel(children, rng, dividends=dividends)
         assert_matches_per_node_search(panel)
 
 
@@ -590,14 +632,11 @@ def test_tree_search_projects_only_the_witness_on_its_own(monkeypatch):
 
 
 def test_tree_search_needs_a_refining_filtration():
+    # a panel lives on a Filtration, which refuses a chain that stops refining
     middle = Algebra.from_blocks([[0, 1], [2, 3]])
     crossing = Algebra.from_blocks([[0, 2], [1, 3]])
-    filtration = Filtration([Algebra.trivial(4), middle, crossing], relaxed=True)
-    prices = [SimpleFunction(filtration[j], np.ones((filtration[j].n_blocks, 1)))
-              for j in range(3)]
-    panel = MarketPanel(times=[0.0, 1.0, 2.0], filtration=filtration, prices=prices)
     with pytest.raises(NotCoarser):
-        find_tree_deflator(panel)
+        Filtration([Algebra.trivial(4), middle, crossing])
 
 
 def test_tree_search_propagates_nonconvergence(monkeypatch):

@@ -18,6 +18,7 @@ from deflator import (
     NonConvergence,
     NonPredictableDeflator,
     NonpositiveRate,
+    NotCoarser,
     Schedule,
     ShortRateProcess,
     SimpleFunction,
@@ -288,6 +289,20 @@ def test_futures_panel_is_priced_by_the_deflators():
     underlying = SimpleFunction(filtration[4], rng.uniform(80.0, 120.0, size=16))
     panel = futures_panel(deflators, underlying, expiry=4)
     assert check_deflator(panel, deflators, tol=1e-12).ok
+
+
+def test_futures_panel_needs_deflators_on_a_filtration():
+    # the quotes stop at the expiry, but the panel spans every deflator,
+    # and the last algebra does not refine the one before it
+    filtration = binary_tree_filtration(2)
+    crossing = Algebra.from_blocks([[0, 3], [1, 2]])
+    deflators = DeflatorSequence([FAMeasure(filtration[0], [1.0]),
+                                  FAMeasure(filtration[1], [0.5, 0.5]),
+                                  FAMeasure(crossing, [0.25, 0.25])])
+    underlying = SimpleFunction(filtration[1], [90.0, 110.0])
+    assert futures_quotes(deflators, underlying, expiry=1)[0].values[0] == 100.0
+    with pytest.raises(NotCoarser):
+        futures_panel(deflators, underlying, expiry=1)
 
 
 def test_futures_convexity_sign_and_value():
