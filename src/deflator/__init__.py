@@ -12,8 +12,8 @@ models.
 
 from .cone import (DEFAULT_TOL, ArbitrageCertificate, ConeProjection,
                    Deflator, OnePeriodMarket, PositionReport,
-                   certificate_from_projection, deflator_from_projection,
-                   find_arbitrage, nnls, project_to_cone, verify_position)
+                   deflator_from_projection, find_arbitrage, nnls,
+                   project_to_cone, verify_position)
 from .exceptions import (AlgebraMismatch, ArbitrageInInput, DeflatorError,
                          DeflatorZeroBlock, DimensionMismatch, InvalidInterval,
                          MissingMaturity, NoArbitrageViolation, NonConvergence,

@@ -89,80 +89,84 @@ def _parse_payoff(text) -> Payoff:
                         "'call K', 'put K', 'const c', or a JSON file path")
 
 
-def _tol(args, spec) -> float:
-    return spec.tolerance if args.tol is None else check_tolerance(args.tol, "--tol")
-
-
 # Call minus put for each model kind, in the units its pricer quotes.
 _PARITY = {"bachelier": lambda p, k: p.s - k / p.R,
            "gbm": lambda p, k: p.forward - k,
            "levy": lambda p, k: p.s * math.exp(p.r * p.t) - k}
 
 
-def _call_put(spec, payoff, command):
-    """Strike of a model spec's --payoff, and what its call adds to the
-    put the model quotes: (k, delta shift, value shift), zero for a put."""
+def _model_quote(spec, payoff, command):
+    """A model spec's --payoff 'call K' or 'put K': (strike, parity
+    shift, quote).  The quote is the model's put turned into the
+    requested option by _PARITY: its value (a present value for
+    bachelier, a forward value otherwise) and whichever of delta, pv
+    and gamma the model gives."""
     if payoff.kind not in ("call", "put"):
         raise SpecFileError(f"model {command} needs --payoff 'call K' or 'put K'")
-    k = payoff.strike
-    if payoff.kind == "put":
-        return k, 0.0, 0.0
-    return k, 1.0, _PARITY[spec.kind](spec.payload, k)
+    k, params = payoff.strike, spec.payload
+    delta_shift, shift = ((1.0, _PARITY[spec.kind](params, k))
+                          if payoff.kind == "call" else (0.0, 0.0))
+    if spec.kind == "bachelier":
+        put = bachelier_put(params, k)
+        return k, shift, {"value": put.price + shift,
+                          "delta": put.delta + delta_shift}
+    if spec.kind == "gbm":
+        put = gbm_put(params, k)
+        value = put.forward_value + shift
+        return k, shift, {"value": value,
+                          "pv": math.exp(-params.r * params.t) * value,
+                          "delta": put.delta + delta_shift, "gamma": put.gamma}
+    return k, shift, {"value": levy_put(params, k, smoothing=spec.smoothing) + shift}
+
+
+def _one_period_payoff(spec, payoff, tol):
+    """A one-period spec's market, its deflator, and the payoff on its
+    last instrument; ArbitrageInInput when no deflator prices it."""
+    market = spec.payload
+    deflator = deflator_from_projection(project_to_cone(market, tol))
+    if deflator is None:
+        raise ArbitrageInInput("the market admits arbitrage; nothing prices it")
+    return market, deflator, payoff.on_underlying(market.payoffs[:, -1])
 
 
 # ---------------------------------------------------------------------------
 # detect
 
 
-def _one_period_deflator(market, tol):
-    """Deflator weights, or raise ArbitrageInInput."""
-    deflator = deflator_from_projection(project_to_cone(market, tol))
-    if deflator is None:
-        raise ArbitrageInInput("the market admits arbitrage; nothing prices it")
-    return deflator
+def _certificate(spec, certificate, **fields):
+    """An arbitrage certificate on the spec's instruments, as detect
+    prints it."""
+    return {"instruments": list(spec.names), "gamma": certificate.gamma,
+            "setup_gain": certificate.setup_gain,
+            "min_payoff": certificate.min_payoff, **fields}
 
 
-def cmd_detect(args):
-    spec = load_market_spec(args.spec)
-    tol = _tol(args, spec)
+def cmd_detect(args, spec, tol):
     if spec.kind == "one_period":
-        market = spec.payload
-        projection = project_to_cone(market, tol)
+        projection = project_to_cone(spec.payload, tol)
         certificate = projection.certificate
-        doc = {"command": "detect", "kind": spec.kind,
-               "diagnostics": {"tolerance": tol,
+        # in place of main's diagnostics: the tolerance and the residual
+        doc = {"diagnostics": {"tolerance": tol,
                                "residual_norm": projection.residual_norm}}
         if certificate is None:
-            doc["verdict"] = "deflator"
-            doc["weights"] = {"atoms": list(market.labels),
-                              "weights": projection.weights}
-            return doc, EXIT_OK
-        doc["verdict"] = "arbitrage"
-        doc["certificate"] = {
-            "instruments": list(spec.names),
-            "gamma": certificate.gamma,
-            "setup_gain": certificate.setup_gain,
-            "min_payoff": certificate.min_payoff,
-            "display": {"setup_gain": display(certificate.setup_gain)}}
-        return doc, EXIT_ARBITRAGE
+            return dict(doc, verdict="deflator",
+                        weights={"atoms": list(spec.payload.labels),
+                                 "weights": projection.weights}), EXIT_OK
+        shown = {"setup_gain": display(certificate.setup_gain)}
+        return dict(doc, verdict="arbitrage", certificate=_certificate(
+            spec, certificate, display=shown)), EXIT_ARBITRAGE
     if spec.kind == "panel":
         result = find_tree_deflator(spec.payload, tol)
-        doc = {"command": "detect", "kind": spec.kind,
-               "diagnostics": {"tolerance": tol}}
         if isinstance(result, NodeArbitrage):
-            doc["verdict"] = "arbitrage"
-            doc["certificate"] = {
-                "time": result.time,
-                "block": result.block,
-                "instruments": list(spec.names),
-                "gamma": result.certificate.gamma,
-                "setup_gain": result.certificate.setup_gain,
-                "min_payoff": result.certificate.min_payoff}
-            doc["strategy"] = [g.values for g in result.strategy.trades]
-            return doc, EXIT_ARBITRAGE
-        doc["verdict"] = "deflator"
-        doc["weights"] = [measure.weights for measure in result.measures]
-        return doc, EXIT_OK
+            return {"verdict": "arbitrage",
+                    "certificate": _certificate(spec, result.certificate,
+                                                time=result.time,
+                                                block=result.block),
+                    "strategy": [g.values for g in result.strategy.trades]
+                    }, EXIT_ARBITRAGE
+        return {"verdict": "deflator",
+                "weights": [measure.weights for measure in result.measures]
+                }, EXIT_OK
     raise SpecFileError(f"detect expects a one_period or panel spec, "
                         f"got {spec.kind!r}")
 
@@ -200,20 +204,13 @@ def _levy_put_quadrature(params, k, smoothing):
     return 0.5 * k * float(w @ cdf)
 
 
-def cmd_price(args):
-    spec = load_market_spec(args.spec)
-    tol = _tol(args, spec)
+def cmd_price(args, spec, tol):
     payoff = _parse_payoff(args.payoff)
-    doc = {"command": "price", "kind": spec.kind,
-           "diagnostics": {"tolerance": tol}}
 
     if spec.kind == "one_period":
-        market = spec.payload
-        deflator = _one_period_deflator(market, tol)
-        values = payoff.on_underlying(market.payoffs[:, -1])
+        market, deflator, values = _one_period_payoff(spec, payoff, tol)
         price = price_payoff(market, deflator, values)
-        doc["prices"] = {"value": price, "display": display(price)}
-        return doc, EXIT_OK
+        return {"prices": {"value": price, "display": display(price)}}, EXIT_OK
 
     if spec.kind == "panel":
         panel = spec.payload
@@ -225,35 +222,27 @@ def cmd_price(args):
         underlying = panel.settle(panel.n_periods).values[:, -1]
         values = payoff.on_underlying(underlying)
         prices = _panel_terminal_price(panel, result, values)
-        doc["prices"] = {"per_block": prices,
-                         "display": [display(p) for p in prices]}
-        return doc, EXIT_OK
+        return {"prices": {"per_block": prices,
+                           "display": [display(p) for p in prices]}}, EXIT_OK
 
     if spec.kind not in _PARITY:
         raise SpecFileError(f"price does not support kind {spec.kind!r}")
     params = spec.payload
-    k, call_delta, call_value = _call_put(spec, payoff, "pricing")
+    k, shift, prices = _model_quote(spec, payoff, "pricing")
+    value = prices["value"]
     if spec.kind == "bachelier":
-        quote = bachelier_put(params, k)
-        value = shown = quote.price + call_value
         f = params.forward
         quadrature = _normal_piecewise_expectation(
             payoff.on_underlying, f, f * params.sigma, kinks=(k,)) / params.R
-        prices = {"value": value, "delta": quote.delta + call_delta}
-    elif spec.kind == "gbm":
-        quote = gbm_put(params, k)
-        value = quote.forward_value + call_value
-        quadrature = _lognormal_put_quadrature(params, k) + call_value
-        shown = math.exp(-params.r * params.t) * value
-        prices = {"forward_value": value, "pv": shown,
-                  "delta": quote.delta + call_delta, "gamma": quote.gamma}
     else:
-        value = shown = levy_put(params, k, smoothing=spec.smoothing) + call_value
-        quadrature = _levy_put_quadrature(params, k, spec.smoothing) + call_value
-        prices = {"forward_value": value}
-    doc["prices"] = dict(prices, quadrature=quadrature,
-                         residual=abs(value - quadrature), display=display(shown))
-    return doc, EXIT_OK
+        # gbm and levy quote forward values
+        prices["forward_value"] = prices.pop("value")
+        check = (_lognormal_put_quadrature(params, k) if spec.kind == "gbm"
+                 else _levy_put_quadrature(params, k, spec.smoothing))
+        quadrature = check + shift
+    return {"prices": dict(prices, quadrature=quadrature,
+                           residual=abs(value - quadrature),
+                           display=display(prices.get("pv", value)))}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +264,11 @@ def _weighted_corr(weights, a, b):
     return max(-1.0, min(1.0, float((p @ ((a - am) * (b - bm))) / math.sqrt(va * vb))))
 
 
-def cmd_hedge(args):
-    spec = load_market_spec(args.spec)
-    tol = _tol(args, spec)
+def cmd_hedge(args, spec, tol):
     payoff = _parse_payoff(args.payoff)
-    doc = {"command": "hedge", "kind": spec.kind,
-           "diagnostics": {"tolerance": tol}}
 
     if spec.kind == "one_period":
-        market = spec.payload
-        deflator = _one_period_deflator(market, tol)
-        values = payoff.on_underlying(market.payoffs[:, -1])
+        market, deflator, values = _one_period_payoff(spec, payoff, tol)
         try:
             result = least_squares_hedge(market, deflator, values)
         except SingularGram as exc:
@@ -296,36 +279,30 @@ def cmd_hedge(args):
             raise
         corr = _weighted_corr(deflator.atom_weights,
                               market.payoffs @ result.gamma, values)
-        doc["hedge"] = {"instruments": list(spec.names),
-                        "gamma": result.gamma,
-                        "hedge_cost": result.hedge_cost,
-                        "least_squared_error": result.least_squared_error,
-                        "corr": corr,
-                        "display": {"hedge_cost": display(result.hedge_cost)}}
-        return doc, EXIT_OK
+        return {"hedge": {"instruments": list(spec.names),
+                          "gamma": result.gamma,
+                          "hedge_cost": result.hedge_cost,
+                          "least_squared_error": result.least_squared_error,
+                          "corr": corr,
+                          "display": {"hedge_cost": display(result.hedge_cost)}}
+                }, EXIT_OK
 
-    if spec.kind == "bachelier":
-        params = spec.payload
-        k, _, _ = _call_put(spec, payoff, "hedging")
-        mean_v, shares, corr, lse = bachelier_hedge(
-            params, payoff.on_underlying, kinks=(k,))
-        bond = (mean_v - shares * params.forward) / params.R
-        doc["hedge"] = {"gamma": [bond, shares],
-                        "hedge_cost": mean_v / params.R,
-                        "corr": corr,
-                        "least_squared_error": lse,
-                        "display": {"corr": display(corr)}}
-        return doc, EXIT_OK
-
+    if spec.kind not in ("bachelier", "gbm"):
+        raise SpecFileError(f"hedge does not support kind {spec.kind!r}")
+    k, _, quote = _model_quote(spec, payoff, "hedging")
     if spec.kind == "gbm":
-        k, call_delta, _ = _call_put(spec, payoff, "hedging")
-        quote = gbm_put(spec.payload, k)
-        delta = quote.delta + call_delta
-        doc["hedge"] = {"delta": delta, "gamma": quote.gamma, "pv": quote.pv,
-                        "display": {"delta": display(delta)}}
-        return doc, EXIT_OK
-
-    raise SpecFileError(f"hedge does not support kind {spec.kind!r}")
+        return {"hedge": {"delta": quote["delta"], "gamma": quote["gamma"],
+                          "pv": quote["pv"],
+                          "display": {"delta": display(quote["delta"])}}}, EXIT_OK
+    params = spec.payload
+    mean_v, shares, corr, lse = bachelier_hedge(
+        params, payoff.on_underlying, kinks=(k,))
+    bond = (mean_v - shares * params.forward) / params.R
+    return {"hedge": {"gamma": [bond, shares],
+                      "hedge_cost": mean_v / params.R,
+                      "corr": corr,
+                      "least_squared_error": lse,
+                      "display": {"corr": display(corr)}}}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +324,12 @@ def _parse_schedule(text) -> Schedule:
         raise SpecFileError(f"bad schedule {text!r}: {exc}") from exc
 
 
-def cmd_curve(args):
-    spec = load_market_spec(args.curve)
+def cmd_curve(args, spec, tol):
     if spec.kind != "curve":
         raise SpecFileError(f"curve expects a curve file, got {spec.kind!r}")
     curve = spec.payload
     schedule = _parse_schedule(args.schedule)
-    doc = {"command": "curve", "action": args.action,
+    doc = {"action": args.action,
            "schedule": {"calc_times": list(schedule.calc_times),
                         "fractions": list(schedule.fractions)}}
     if args.action == "par":
@@ -368,9 +344,7 @@ def cmd_curve(args):
         if len(args.args) != 1:
             raise SpecFileError("curve price needs exactly one coupon argument")
         value = bond_price(curve, schedule, args.args[0])
-    doc["value"] = value
-    doc["display"] = display(value)
-    return doc, EXIT_OK
+    return dict(doc, value=value, display=display(value)), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +358,19 @@ def _parser() -> argparse.ArgumentParser:
                     "market specification files.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    detect = sub.add_parser("detect", help="classify a market: deflator "
-                                           "(exit 0) or arbitrage (exit 3)")
-    detect.add_argument("spec")
-    detect.add_argument("--tol", type=float, default=None)
-
-    for name, helptext in (("price", "price a payoff under the deflator"),
+    for name, helptext in (("detect", "classify a market: deflator "
+                                      "(exit 0) or arbitrage (exit 3)"),
+                           ("price", "price a payoff under the deflator"),
                            ("hedge", "least squares hedge of a payoff")):
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("spec")
-        cmd.add_argument("--payoff", default=None,
-                         help="'call K', 'put K', 'const c', or a JSON file")
+        if name != "detect":
+            cmd.add_argument("--payoff", default=None,
+                             help="'call K', 'put K', 'const c', or a JSON file")
         cmd.add_argument("--tol", type=float, default=None)
 
     curve = sub.add_parser("curve", help="discount curve analytics")
-    curve.add_argument("curve")
+    curve.add_argument("spec", metavar="curve")
     curve.add_argument("action", choices=("par", "swap", "fra", "price"))
     curve.add_argument("args", nargs="*", type=float)
     curve.add_argument("--schedule", default=None,
@@ -411,9 +383,14 @@ _COMMANDS = {"detect": cmd_detect, "price": cmd_price, "hedge": cmd_hedge,
 
 
 def main(argv=None) -> int:
+    """Parse the spec and the tolerance, solve the command, render its
+    document."""
     args = _parser().parse_args(argv)
     try:
-        doc, code = _COMMANDS[args.command](args)
+        spec = load_market_spec(args.spec)
+        tol = (spec.tolerance if getattr(args, "tol", None) is None
+               else check_tolerance(args.tol, "--tol"))
+        fields, code = _COMMANDS[args.command](args, spec, tol)
     except ArbitrageInInput as exc:
         print(f"deflator: {exc}", file=sys.stderr)
         return EXIT_ARBITRAGE
@@ -423,7 +400,11 @@ def main(argv=None) -> int:
     except (DeflatorError, ValueError, OSError) as exc:
         print(f"deflator: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    sys.stdout.write(render_document(doc))
+    doc = {"command": args.command}
+    if args.command != "curve":
+        # a market document names its kind and the tolerance it used
+        doc.update(kind=spec.kind, diagnostics={"tolerance": tol})
+    sys.stdout.write(render_document(dict(doc, **fields)))
     return code
 
 

@@ -403,16 +403,9 @@ def find_arbitrage(market: OnePeriodMarket, tol: float = DEFAULT_TOL):
     return project_to_cone(market, tol).certificate
 
 
-def certificate_from_projection(projection: ConeProjection):
-    """The projection's ArbitrageCertificate, or None if the prices were
-    inside the payoff cone.  On one projection exactly one of this and
-    deflator_from_projection returns something."""
-    return projection.certificate
-
-
 def deflator_from_projection(projection: ConeProjection):
     """The projection's weights as a Deflator, or None if the prices were
-    outside the payoff cone: the other view of certificate_from_projection."""
+    outside the payoff cone: exactly when its certificate is None."""
     return Deflator(projection.weights.copy()) if projection.certificate is None else None
 
 

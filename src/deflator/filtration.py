@@ -49,12 +49,17 @@ class Algebra:
 
     @property
     def block_of(self) -> np.ndarray:
-        finest = self
-        while finest._block_of is None:
-            finest = finest._finer
-        if finest is self:
-            return self._block_of
-        return finest.coarse_block_map(self)[finest._block_of]
+        finest, up = self._walk(None)
+        return finest._block_of if up is None else up[finest._block_of]
+
+    def _walk(self, finer):
+        """The level reached walking from self to finer (or the finest
+        level), and the composed map from its blocks to self's."""
+        up, level = None, self
+        while level is not finer and level._finer is not None:
+            up = level._up if up is None else up[level._up]
+            level = level._finer
+        return level, up
 
     @classmethod
     def trivial(cls, n_atoms: int) -> "Algebra":
@@ -105,10 +110,7 @@ class Algebra:
         compares atoms.  Raises NotCoarser when the containment fails
         for some block.
         """
-        up, level = None, coarser
-        while level is not self and level._finer is not None:
-            up = level._up if up is None else up[level._up]
-            level = level._finer
+        level, up = coarser._walk(self)
         if level is self:
             return np.arange(self.n_blocks) if up is None else up
         if coarser.n_atoms != self.n_atoms:

@@ -15,7 +15,7 @@ Spec files are JSON with a "kind" discriminator:
 
 All kinds take an optional options.tolerance, finite and > 0.  Numbers
 must be finite; NaN and Infinity literals are rejected.  Result
-documents are plain dictionaries serialized deterministically with
+documents are dictionaries that json serializes deterministically with
 full-precision floats, so they round-trip losslessly and rerun
 byte-identically.
 """
@@ -23,6 +23,8 @@ byte-identically.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -155,9 +157,9 @@ def _panel(doc):
         out = []
         for j, level in enumerate(raw):
             arr = _finite_array(level, (0, 0), f"{field}[{j}]")
-            _require(arr.shape == (algebras[j].n_blocks, m),
+            _require(arr.shape == (filtration[j].n_blocks, m),
                      f"{field}[{j}]: need one row of {m} values per block")
-            out.append(SimpleFunction(algebras[j], arr))
+            out.append(SimpleFunction(filtration[j], arr))
         return out
 
     try:
@@ -178,19 +180,13 @@ def _curve(doc):
     return MarketSpec("curve", curve, None, _tolerance(doc))
 
 
-def _bachelier(doc):
-    params = BachelierParams(R=_finite_scalar(doc, "R", "bachelier"),
-                             s=_finite_scalar(doc, "s", "bachelier"),
-                             sigma=_finite_scalar(doc, "sigma", "bachelier"))
-    return MarketSpec("bachelier", params, None, _tolerance(doc))
-
-
-def _gbm(doc):
-    params = GBMParams(r=_finite_scalar(doc, "r", "gbm"),
-                       s=_finite_scalar(doc, "s", "gbm"),
-                       sigma=_finite_scalar(doc, "sigma", "gbm"),
-                       t=_finite_scalar(doc, "t", "gbm"))
-    return MarketSpec("gbm", params, None, _tolerance(doc))
+def _model(cls, doc, **given):
+    """A model spec of cls: the given fields, and a finite number from
+    doc for each of its others."""
+    kind = doc["kind"]
+    params = cls(**given, **{f.name: _finite_scalar(doc, f.name, kind)
+                             for f in fields(cls) if f.name not in given})
+    return MarketSpec(kind, params, None, _tolerance(doc))
 
 
 def _levy(doc):
@@ -200,17 +196,14 @@ def _levy(doc):
                         nodes=_finite_array(base.get("nodes"), (0,), "base.nodes"),
                         weights=_finite_array(base.get("weights"), (0,),
                                               "base.weights"))
-    params = LevyModelParams(r=_finite_scalar(doc, "r", "levy"),
-                             s=_finite_scalar(doc, "s", "levy"),
-                             sigma=_finite_scalar(doc, "sigma", "levy"),
-                             t=_finite_scalar(doc, "t", "levy"), base=law)
-    return MarketSpec("levy", params, None, _tolerance(doc),
-                      smoothing=_finite_scalar(doc, "smoothing", "levy",
-                                               default=0.0))
+    spec = _model(LevyModelParams, doc, base=law)
+    spec.smoothing = _finite_scalar(doc, "smoothing", "levy", default=0.0)
+    return spec
 
 
 _LOADERS = {"one_period": _one_period, "panel": _panel, "curve": _curve,
-            "bachelier": _bachelier, "gbm": _gbm, "levy": _levy}
+            "bachelier": partial(_model, BachelierParams),
+            "gbm": partial(_model, GBMParams), "levy": _levy}
 
 
 def load_market_spec(path) -> MarketSpec:
@@ -249,33 +242,17 @@ def load_market_spec(path) -> MarketSpec:
 # result documents
 
 
-def _plain(value):
-    """Recursively convert arrays and numpy scalars to JSON-ready types."""
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def display(value) -> str:
     """A number at the 12 significant digits the tool displays."""
     return f"{float(value):.12g}"
 
 
 def render_document(doc: dict) -> str:
-    """Serialize a result document: sorted keys, full-precision floats,
-    one trailing newline.  Deterministic for identical inputs."""
-    return json.dumps(_plain(doc), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    """Serialize a result document by json: sorted keys, full-precision
+    floats, numpy arrays and scalars by their tolist(), one trailing
+    newline.  Deterministic for identical inputs."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False,
+                      default=lambda value: value.tolist()) + "\n"
 
 
 def parse_document(text: str) -> dict:

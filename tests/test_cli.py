@@ -293,3 +293,88 @@ def test_usage_errors_raise_system_exit():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["curve", "x", "frobnicate"])
+
+
+# ----------------------------------------------- one quote, one document
+
+
+@pytest.mark.parametrize("option", ["call 100", "put 100", "call 80", "put 130"])
+def test_gbm_hedge_reports_the_priced_option(option, capsys):
+    # hedge reported the put's pv next to the call's delta
+    priced = run(["price", "gbm.json", "--payoff", option], capsys)
+    hedged = run(["hedge", "gbm.json", "--payoff", option], capsys)
+    assert priced[0] == hedged[0] == 0
+    prices = parse_document(priced[1])["prices"]
+    hedge = parse_document(hedged[1])["hedge"]
+    assert (hedge["pv"], hedge["delta"], hedge["gamma"]) == (
+        prices["pv"], prices["delta"], prices["gamma"])
+
+
+def arbitrage_panel(tmp_path):
+    """binomial_panel.json with the stock at block 1 of time 1 quoted at
+    1.5 times its up child: (spec path, children of that block)."""
+    spec = json.loads((FIXTURES / "binomial_panel.json").read_text())
+    node = set(spec["blocks"][1][1])
+    children = [c for c, atoms in enumerate(spec["blocks"][2]) if set(atoms) <= node]
+    spec["prices"][1][1][1] = 1.5 * max(spec["prices"][2][c][1] for c in children)
+    path = tmp_path / "arbitrage_panel.json"
+    path.write_text(json.dumps(spec))
+    return path, children
+
+
+def test_detect_names_the_planted_panel_arbitrage(tmp_path, capsys):
+    path, children = arbitrage_panel(tmp_path)
+    code, out, _ = run(["detect", str(path)], capsys)
+    assert code == 3
+    doc = parse_document(out)
+    assert (doc["verdict"], doc["kind"]) == ("arbitrage", "panel")
+    certificate = doc["certificate"]
+    assert (certificate["time"], certificate["block"]) == (1, 1)
+    assert certificate["instruments"] == ["bond", "stock"]
+    assert certificate["setup_gain"] > 0.0
+    gamma = certificate["gamma"]
+    expected = [np.zeros((len(level), 2))
+                for level in json.loads(path.read_text())["blocks"]]
+    expected[1][1] = gamma
+    expected[2][children] = np.negative(gamma)
+    assert [np.asarray(trade).tolist() for trade in doc["strategy"]] == [
+        level.tolist() for level in expected]
+    # the rerun prints the same bytes
+    assert run(["detect", str(path)], capsys)[:2] == (code, out)
+
+
+def test_pricing_a_panel_with_an_arbitrage_node_exits_3(tmp_path, capsys):
+    path, _ = arbitrage_panel(tmp_path)
+    code, out, err = run(["price", str(path), "--payoff", "call 100"], capsys)
+    assert (code, out) == (3, "")
+    assert "arbitrage node at time 1, block 1" in err
+
+
+def test_curve_schedule_with_explicit_fractions(capsys):
+    code, out, _ = run(["curve", "curve.txt", "par", "--schedule", "0,0.5,1;0.5,0.5"],
+                       capsys)
+    assert code == 0
+    # fractions equal to the year differences change nothing
+    assert out == run(["curve", "curve.txt", "par", "--schedule", "0,0.5,1"], capsys)[1]
+    code, out, _ = run(["curve", "curve.txt", "par", "--schedule", "0,0.5,1;0.25,0.75"],
+                       capsys)
+    doc = parse_document(out)
+    assert code == 0
+    assert doc["schedule"] == {"calc_times": [0.0, 0.5, 1.0], "fractions": [0.25, 0.75]}
+    assert abs(doc["value"] - (1.0 - 0.975) / (0.25 * 0.990 + 0.75 * 0.975)) <= 1e-15
+
+
+def test_json_curve_spec_gives_the_text_curve_document(tmp_path, capsys):
+    spec = tmp_path / "curve.json"
+    spec.write_text(json.dumps({"kind": "curve", "maturities": [0.5, 1.0, 1.5, 2.0],
+                                "discounts": [0.990, 0.975, 0.958, 0.940]}))
+    for name in ("curve_par", "curve_swap", "curve_fra", "curve_price"):
+        argv = [str(spec) if a == "curve.txt" else a for a in CASES[name][1]]
+        assert run(argv, capsys)[:2] == (0, golden(name))
+
+
+def test_spec_panels_live_on_their_filtration_levels():
+    panel = load_market_spec(FIXTURES / "binomial_panel.json").payload
+    for j, level in enumerate(panel.filtration.algebras):
+        assert panel.prices[j].algebra is level
+        assert panel.cashflows[j].algebra is level

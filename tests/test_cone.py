@@ -28,7 +28,6 @@ from deflator import (
     NonConvergence,
     OnePeriodMarket,
     SimpleFunction,
-    certificate_from_projection,
     deflator_from_projection,
     find_arbitrage,
     find_tree_deflator,
@@ -197,7 +196,7 @@ def test_exactly_one_of_certificate_or_deflator():
         deflator = deflator_from_projection(projection)
         assert (certificate is None) != (deflator is None)
         # one projection gives the same verdict and witness
-        again = certificate_from_projection(projection)
+        again = projection.certificate
         assert (again is None) == (certificate is None)
         if certificate is not None:
             np.testing.assert_array_equal(again.gamma, certificate.gamma)
@@ -240,7 +239,6 @@ def test_every_view_of_the_verdict_flips_at_its_threshold():
                 projection = project_to_cone(markets[i], tol)
                 certificate = find_arbitrage(markets[i], tol)
                 assert (projection.certificate is None) == inside
-                assert certificate_from_projection(projection) is projection.certificate
                 assert (certificate is None) == inside
                 assert (deflator_from_projection(projection) is not None) == inside
                 assert cone._project_stack(rows, children, b, tol)[1][i] == inside
@@ -582,7 +580,7 @@ def test_stacked_nnls_agrees_with_nnls():
             # the level verdict is project_to_cone's, and an inside
             # verdict comes with weights that reprice within the threshold
             market = OnePeriodMarket(prices=b[i], payoffs=a.T)
-            assert inside[i] == (certificate_from_projection(project_to_cone(market)) is None)
+            assert inside[i] == (project_to_cone(market).certificate is None)
             if inside[i]:
                 assert (weights[i] >= 0.0).all()
                 assert np.linalg.norm(a @ weights[i] - b[i]) <= threshold
@@ -878,7 +876,7 @@ def test_a_blocked_column_enters_again_once_w_moves():
         threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b))
         assert rnorm <= threshold and w[2] > 0.0
         market = OnePeriodMarket(prices=b, payoffs=A.T)
-        assert certificate_from_projection(project_to_cone(market)) is None
+        assert project_to_cone(market).certificate is None
         states = column_states(A, b)
         if "blocked" in states:
             blocked += 1
@@ -932,7 +930,7 @@ def test_square_stacks_give_the_node_verdicts():
             weights, inside = cone._project_stack(rows, children, prices)
             for i in range(len(prices)):
                 market = OnePeriodMarket(prices=prices[i], payoffs=rows[children[i]])
-                single = certificate_from_projection(project_to_cone(market))
+                single = project_to_cone(market).certificate
                 assert inside[i] == (single is None)
                 if inside[i]:
                     # weights near 1e9 make the rounding of this check

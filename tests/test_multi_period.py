@@ -25,7 +25,6 @@ from deflator import (
     Strategy,
     account_process,
     binomial_stock_panel,
-    certificate_from_projection,
     check_deflator,
     deflator_from_projection,
     deterministic_panel,
@@ -492,7 +491,7 @@ def per_node_search(panel, tol=DEFAULT_TOL):
             local = OnePeriodMarket(prices=panel.prices[i].values[b],
                                     payoffs=settle[children])
             projection = project_to_cone(local, tol)
-            certificate = certificate_from_projection(projection)
+            certificate = projection.certificate
             if certificate is not None:
                 return i, b, certificate
             next_weights[children] = weights[i][b] * projection.weights
