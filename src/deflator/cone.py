@@ -331,42 +331,49 @@ def _threshold(prices, tol):
     return tol * (1.0 + np.linalg.norm(prices, axis=-1))
 
 
+def _solve_pairs(u, v, x, threshold):
+    """Weights w (p, 2) with w[:, :1] * u + w[:, 1:] * v = x, by partial
+    pivoting LU written out elementwise, and whether they are
+    nonnegative and reprice x within threshold, with the rounding of
+    that repricing, 10 * eps * m * ||A||_F * ||w||, counted against
+    them.  An exact zero pivot or an overflow gives non-finite weights,
+    which fail."""
+    # rows (a, b | y0), (c, d | y1) of A w = x, the pivot first: |a| >= |c|
+    swap = np.abs(u[:, 1]) > np.abs(u[:, 0])
+    (a, c), (b, d), (y0, y1) = (np.where(swap, t[:, ::-1].T, t.T) for t in (u, v, x))
+    with np.errstate(all="ignore"):
+        l = c / a
+        w1 = (y1 - l * y0) / (d - l * b)
+        w0 = (y0 - b * w1) / a
+        resid = np.hypot(a * w0 + b * w1 - y0, c * w0 + d * w1 - y1)
+        noise = 10.0 * np.finfo(float).eps * 2 * np.hypot(np.hypot(a, b), np.hypot(c, d))
+        resid += noise * np.hypot(w0, w1)
+        ok = (w0 >= 0.0) & (w1 >= 0.0) & (resid <= threshold)
+    return np.stack((w0, w1), axis=1), ok
+
+
 def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     """Cone projections of a stack of small one-period markets.
 
     Market i quotes prices[i] (m instruments) and pays the k payoff rows
     rows[children[i]].  Returns the cone weights (p, k) and whether each
     market is inside its cone by _threshold, as project_to_cone decides.
-    A stack holds at most _STACK_ENTRIES payoff entries.  When k == m each
-    market is solved directly (unless LU meets an exact zero pivot in
-    it), and it is inside when the solved weights are nonnegative and
-    reprice it within the threshold, with the rounding of the repricing
-    counted against it, as nnls would also find; every other market goes
-    through _nnls_stack.
+    A stack holds at most _STACK_ENTRIES payoff entries.  A market with
+    k == m == 2 is solved directly, element by element (_solve_pairs), so
+    its bits depend on neither the stack nor the BLAS build.  Every other
+    market, and one whose direct weights fail, goes through _nnls_stack.
     """
-    p, k = children.shape
-    m = rows.shape[1]
+    (p, k), m = children.shape, rows.shape[1]
     weights, inside = np.empty((p, k)), np.empty(p, dtype=bool)
     step = max(1, _STACK_ENTRIES // (k * m))
     for lo in range(0, p, step):
-        A, x = rows[children[lo:lo + step]].transpose(0, 2, 1), prices[lo:lo + step]
-        threshold, w, ok = _threshold(x, tol), np.empty((len(x), k)), np.zeros(len(x), bool)
-        if k == m:
-            try:
-                w = np.linalg.solve(A, x[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                # exact zero pivots: NaN weights fail the checks below
-                w = np.full((len(x), k), np.nan)
-                regular = np.linalg.slogdet(A)[0] != 0.0
-                w[regular] = np.linalg.solve(A[regular], x[regular, :, None])[..., 0]
-            resid = np.linalg.norm(np.einsum("pmk,pk->pm", A, w) - x, axis=1)
-            # the rounding of A @ w, large for huge weights, counts against it
-            noise = 10.0 * np.finfo(float).eps * m * np.sqrt(np.einsum("pmk,pmk->p", A, A))
-            resid += noise * np.linalg.norm(w, axis=1)
-            ok = (w >= 0.0).all(axis=1) & (resid <= threshold)
+        c, x = children[lo:lo + step], prices[lo:lo + step]
+        threshold = _threshold(x, tol)
+        w, ok = (_solve_pairs(rows[c[:, 0]], rows[c[:, 1]], x, threshold) if k == m == 2
+                 else (np.empty((len(x), k)), np.zeros(len(x), bool)))
         rest = np.flatnonzero(~ok)
         if rest.size:
-            w[rest], rnorm = _nnls_stack(A[rest], x[rest])
+            w[rest], rnorm = _nnls_stack(rows[c[rest]].transpose(0, 2, 1), x[rest])
             ok[rest] = rnorm <= threshold[rest]
         weights[lo:lo + step], inside[lo:lo + step] = w, ok
     return weights, inside

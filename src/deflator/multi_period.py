@@ -306,9 +306,12 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
     vector is projected onto the cone of its children's settlement
     rows.  The nodes of a level are independent, so nodes with the
     same number of children are projected together, as one stack of
-    cone._project_stack.  If every projection lands inside, the node
-    weights multiply along paths into a DeflatorSequence with weight
-    one per time-0 block.  Otherwise the witness is the lowest
+    cone._project_stack: a node with two children and two instruments
+    is solved there in closed form, by partial-pivoting LU written out
+    elementwise, and every other node, or one whose direct weights
+    fail, by the active-set solver.  If every projection lands inside,
+    the node weights multiply along paths into a DeflatorSequence with
+    weight one per time-0 block.  Otherwise the witness is the lowest
     failing block of the first failing level: that node is projected
     again on its own, and its certificate and the strategy that plays
     it make the NodeArbitrage.  If a stack of a level raises

@@ -245,6 +245,15 @@ def test_input_errors_exit_2(tmp_path, capsys):
                capsys)[0] == 2
 
 
+@pytest.mark.parametrize("command, spec, verb", [("price", "bach.json", "pricing"),
+                                                 ("hedge", "gbm.json", "hedging")])
+def test_models_take_only_calls_and_puts(command, spec, verb, capsys):
+    # "const c" applies to the last instrument of a market, never to a model
+    code, out, err = run([command, spec, "--payoff", "const 1"], capsys)
+    assert (code, out) == (2, "")
+    assert f"model {verb} needs --payoff 'call K' or 'put K'" in err
+
+
 @pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf"])
 def test_tolerance_must_be_finite_and_positive(bad, tmp_path, capsys):
     # a tolerance <= 0 called the fair market an arbitrage whose

@@ -8,7 +8,9 @@ price.
 """
 
 import inspect
+import math
 import sys
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -908,10 +910,10 @@ def square_stack(rng, m, p, scale, singular):
 
 
 def test_square_stacks_give_the_node_verdicts():
-    # one LU per node when every node is regular; when one is exactly
-    # singular, every node of the stack goes through nnls; nodes whose
-    # determinant under- or overflows are solved directly on the first
-    # path
+    # two-child nodes are solved directly, and go through nnls where a
+    # direct solve meets an exact zero pivot or fails its check; the
+    # square nodes of 3, 5 and 60 children, whose determinants under- or
+    # overflow at 60, all go through nnls
     rng = np.random.default_rng(59)
     cases = [(m, 1.0, singular) for m in (2, 3, 5) for singular in (False, True)]
     cases += [(60, scale, singular) for scale in (1e-6, 1e6) for singular in (False, True)]
@@ -944,8 +946,8 @@ def test_square_stacks_give_the_node_verdicts():
 def test_splitting_a_level_changes_no_result(monkeypatch):
     # a market's weights and verdict are its own: a level solved in
     # stacks of one or three markets gives the bits of one stack, on
-    # square nodes (also where LU meets an exact zero pivot) and on
-    # nodes that go through _nnls_stack, under the size cut
+    # square nodes (also exactly singular ones) and on nodes that go
+    # through _nnls_stack, under the size cut
     rng = np.random.default_rng(67)
     levels = [square_stack(rng, m, 24, 1.0, singular)
               for m in (2, 3, 5) for singular in (False, True)]
@@ -976,3 +978,109 @@ def test_splitting_a_level_changes_no_result(monkeypatch):
         if not inside.all():
             kinds.add("outside")
     assert kinds == {"square", "zero pivot", "nnls", "inside", "outside"}
+
+
+# two-child, two-instrument nodes: the direct solve of _solve_pairs
+
+
+def binomial_pairs(rng, p):
+    """p well-conditioned binomial nodes on their own payoff rows: the
+    bond pays R**(j + 1) in both children and costs R**j, and the stock
+    costs s, within a factor 2 of R**j, and pays d*s < R*s < u*s, with
+    u / R from 1.5 to 2.5 and d / R from 1e-6 to 0.63.  The children
+    and the two instruments come in either order, so either row of a
+    node may hold the pivot, and a solve without row exchanges loses
+    the small stock payoff of many nodes."""
+    R = rng.uniform(1.0, 1.1, size=p)
+    j = rng.integers(0, 30, size=p)
+    s = R ** j * 10.0 ** rng.uniform(-0.3, 0.3, size=p)
+    up, down = R * rng.uniform(1.5, 2.5, size=p), R * 10.0 ** rng.uniform(-6.0, -0.2, size=p)
+    bond = R ** (j + 1)
+    first, second = np.stack((bond, up * s), axis=1), np.stack((bond, down * s), axis=1)
+    prices = np.stack((R ** j, s), axis=1)
+    flip = rng.random(p) < 0.5
+    first[flip], second[flip] = second[flip], first[flip].copy()
+    swap = rng.random(p) < 0.5
+    for t in (first, second, prices):
+        t[swap] = t[swap, ::-1]
+    rows = np.concatenate((first, second))
+    return rows, np.stack((np.arange(p), p + np.arange(p)), axis=1), prices
+
+
+def cramer(u, v, x):
+    """The exact weights of w0 * u + w1 * v = x on the float inputs."""
+    (a, c), (b, d), (x0, x1) = ([Fraction(t) for t in r] for r in (u, v, x))
+    det = a * d - b * c
+    return (x0 * d - b * x1) / det, (a * x1 - x0 * c) / det
+
+
+def test_two_child_nodes_are_within_8_ulp_of_cramer():
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        rows, children, prices = binomial_pairs(rng, 200)
+        weights, inside = cone._project_stack(rows, children, prices)
+        w, ok = cone._solve_pairs(rows[children[:, 0]], rows[children[:, 1]], prices,
+                                  cone._threshold(prices, DEFAULT_TOL))
+        # every node is solved directly, and these weights are the result
+        assert inside.all() and ok.all()
+        assert w.tobytes() == weights.tobytes()
+        for i, (c0, c1) in enumerate(children):
+            for got, want in zip(weights[i], cramer(rows[c0], rows[c1], prices[i])):
+                assert abs(Fraction(got) - want) <= 8 * math.ulp(float(want))
+
+
+def test_two_child_weights_keep_their_bits_under_power_of_two_scaling():
+    rng = np.random.default_rng(73)
+    rows, children, prices = binomial_pairs(rng, 500)
+    weights, inside = cone._project_stack(rows, children, prices)
+    assert inside.all()
+    for e in range(-30, 31):
+        w, ok = cone._project_stack(rows * 2.0 ** e, children, prices * 2.0 ** e)
+        assert ok.all()
+        assert w.tobytes() == weights.tobytes()
+
+
+def test_two_child_zero_pivots_and_overflow_get_the_node_verdicts():
+    # a repeated child row of powers of two, or a zero child row, makes
+    # an exact zero pivot; a tiny second pivot under a large price makes
+    # the direct weights overflow.  Each goes through nnls, silently
+    rng = np.random.default_rng(79)
+    rows, children, prices = [], [], []
+    for i in range(120):
+        kind = i % 4
+        r = rng.choice([-1.0, 1.0], size=2) * 2.0 ** rng.integers(-4, 5, size=2)
+        if kind == 0:
+            pair = [r, r]
+        elif kind == 1:
+            pair = [r, np.zeros(2)]
+        elif kind == 2:
+            pair = [np.zeros(2), r]
+        else:
+            pair = [np.array([1.0, 0.0]), np.array([rng.uniform(0.5, 2.0), 1e-300])]
+        inside = rng.random() < 0.5
+        if kind == 3:
+            x = np.array([1.0, 10.0 ** rng.uniform(9.0, 12.0)])
+        elif inside:
+            x = rng.uniform(0.0, 2.0) * r
+        else:
+            x = rng.normal(size=2) * 3.0
+        children.append([len(rows), len(rows) + 1])
+        rows += pair
+        prices.append(x)
+    rows, children, prices = np.array(rows), np.array(children), np.array(prices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w, ok = cone._solve_pairs(rows[children[:, 0]], rows[children[:, 1]], prices,
+                                  cone._threshold(prices, DEFAULT_TOL))
+        weights, inside = cone._project_stack(rows, children, prices)
+    # no direct solve got through
+    assert not np.isfinite(w).all(axis=1).any() and not ok.any()
+    assert inside.any() and not inside.all()
+    for i in range(len(prices)):
+        market = OnePeriodMarket(prices=prices[i], payoffs=rows[children[i]])
+        projection = project_to_cone(market)
+        assert inside[i] == (projection.certificate is None)
+        if inside[i]:
+            assert (weights[i] >= 0.0).all()
+            residual = np.linalg.norm(market.payoffs.T @ weights[i] - prices[i])
+            assert residual <= DEFAULT_TOL * (1.0 + np.linalg.norm(prices[i]))
