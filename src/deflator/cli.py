@@ -256,12 +256,12 @@ def _weighted_corr(weights, a, b):
     if mass <= 0:
         return 0.0
     p = weights / mass
-    am, bm = p @ a, p @ b
-    va = p @ (a - am) ** 2
-    vb = p @ (b - bm) ** 2
+    am, bm = math.fsum(p * a), math.fsum(p * b)
+    va = math.fsum(p * (a - am) ** 2)
+    vb = math.fsum(p * (b - bm) ** 2)
     if va <= 0 or vb <= 0:
         return 1.0 if va == vb else 0.0
-    return max(-1.0, min(1.0, float((p @ ((a - am) * (b - bm))) / math.sqrt(va * vb))))
+    return max(-1.0, min(1.0, math.fsum(p * (a - am) * (b - bm)) / math.sqrt(va * vb)))
 
 
 def cmd_hedge(args, spec, tol):
@@ -278,7 +278,7 @@ def cmd_hedge(args, spec, tol):
                     index=exc.index) from exc
             raise
         corr = _weighted_corr(deflator.atom_weights,
-                              market.payoffs @ result.gamma, values)
+                              np.einsum("ij,j->i", market.payoffs, result.gamma), values)
         return {"hedge": {"instruments": list(spec.names),
                           "gamma": result.gamma,
                           "hedge_cost": result.hedge_cost,

@@ -123,11 +123,8 @@ def nnls(A, b, maxiter=None):
     """Solve min ||A @ w - b|| subject to w >= 0 by an active set sweep.
 
     Lawson and Hanson's method (Solving Least Squares Problems, 1974,
-    ch. 23-24), run by _nnls_stack on a stack of one problem.  Its
-    stopping rule is relative, so the verdict does not change when A and
-    b are rescaled.  Once the sweep stops, the final passive set is
-    solved again by np.linalg.lstsq, and that solution is returned when
-    it is nonnegative.
+    ch. 23-24), run by _nnls_stack on a stack of one.  Its stopping rule
+    is relative, so the verdict does not change when A and b are rescaled.
 
     A is (m, n) and b (m,).  maxiter caps the least squares subproblem
     solves (default 10 * max(m, n)); exceeding it raises NonConvergence.
@@ -137,15 +134,8 @@ def nnls(A, b, maxiter=None):
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise DimensionMismatch("nnls needs A (m, n) and b (m,)")
-    w = _nnls_stack(A[None], b[None], maxiter)[0][0]
-    # the passive set, in index order: every passive weight is positive
-    support = np.flatnonzero(w)
-    if support.size:
-        z = np.linalg.lstsq(A[:, support], b, rcond=None)[0]
-        if z.min() >= 0.0:
-            w[:] = 0.0
-            w[support] = z
-    return w, float(np.linalg.norm(b - A @ w))
+    w, rnorm = _nnls_stack(A[None], b[None], maxiter)
+    return w[0], float(rnorm[0])
 
 
 # payoff entries p * k * m per stack of _project_stack: bounds its temporaries
@@ -163,21 +153,19 @@ def _products(m, k):
             lambda u, v: (u[:, None] @ v[..., None])[:, 0, 0])
 
 
-def _qr_append_stack(X, P, Qt, Ri, cols, nk, rows, n, j, cutoff):
-    """Append column X[i, j[i]] to the factor of every problem i (rows
+def _qr_append_stack(Qt, Ri, nk, rows, n, a, cutoff, k):
+    """Append column a[i] (m,) to the factor of every problem i (rows
     holds 0..p-1, and n >= nk.max()) by Gram-Schmidt with one
-    reorthogonalisation.  Problem i's factor, as _nnls_stack keeps it,
-    is cols[i, :nk[i]], its columns in the order they entered;
-    P[i, :nk[i]], their rows of X; Qt[i], the rows of Q; and Ri[i] =
-    R^-1; Qt and Ri are zero past nk[i].  The new column (h, d) of R
+    reorthogonalisation, in the products _products(m, k) picks.  Problem
+    i's factor is Qt[i], the rows of Q, and Ri[i] = R^-1, both zero past
+    nk[i]; the caller keeps its columns.  The new column (h, d) of R
     borders R^-1 as [R^-1, -R^-1 h / d; 0, 1 / d].  A column whose new
     diagonal entry d is at most cutoff[i] lies in the span of the
     factor: it is rejected, and the factor stays as it was.  Returns
     which columns went in."""
-    _, vm, vv = _products(X.shape[2], X.shape[1])
+    _, vm, vv = _products(a.shape[1], k)
     Q = Qt[:, :n]
     Qs = Q.swapaxes(1, 2)
-    a = X[rows, j]
     h = vm(a, Qs)
     v = a - vm(h, Q)
     h2 = vm(v, Qs)
@@ -186,35 +174,38 @@ def _qr_append_stack(X, P, Qt, Ri, cols, nk, rows, n, j, cutoff):
     d = np.sqrt(vv(v, v))
     ok = d > cutoff
     # 1 / d where the column goes in; 0 writes a rejected one into the
-    # zero padding (an entering column is nonzero, so cutoff > 0)
-    s = ok / np.maximum(d, cutoff)
+    # zero padding
+    s = np.divide(1.0, d, out=np.zeros_like(d), where=ok)
     Qt[rows, nk] = v * s[:, None]
     Ri[rows, :n, nk] = -vm(h, Ri[:, :n, :n].swapaxes(1, 2)) * s[:, None]
     Ri[rows, nk, nk] = s
-    P[rows, nk] = a
-    cols[rows, nk] = j
     nk += ok
     return ok
 
 
-def _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop):
+def _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, k):
     """Remove the factor positions drop[s] (at least one) of problem
-    i[s], with their weights wf, from a stacked factor kept by
-    _qr_append_stack.  The surviving columns keep their order, and
-    their factor is computed again by one Householder QR."""
+    i[s], with their weights wf, from a stacked factor of problems (m, k)
+    kept by _qr_append_stack.  The survivors keep their order: those
+    before the first retired position keep their factor, and those
+    after it are appended to it again, one position per round."""
     n = drop.shape[1]
     keep = (np.arange(n) < nk[i, None]) & ~drop
     order = np.argsort(~keep, axis=1, kind="stable")
-    nk[i] = keep.sum(axis=1)
-    pad = np.arange(n) >= nk[i, None]
+    count = keep.sum(axis=1)
+    pad = np.arange(n) >= count[:, None]
     at = i[:, None], order
     cols[i, :n] = cols[at]
     wf[i, :n] = np.where(pad, 0.0, wf[at])
     P[i, :n] = kept = np.where(pad[..., None], 0.0, P[at])
-    # the padding gives R a unit diagonal, and Q and R^-1 zeros
-    Q, R = np.linalg.qr(kept.swapaxes(1, 2))
-    Qt[i, :n] = np.where(pad[..., None], 0.0, Q.swapaxes(1, 2))
-    Ri[i, :n, :n] = np.where(pad[:, None], 0.0, np.linalg.inv(R + pad[:, None] * np.eye(n)))
+    Q, R, nq = Qt[i, :n], Ri[i, :n, :n], drop.argmax(axis=1)
+    for t in range(nq.min(), count.max()):
+        # a factor of t columns takes its survivor; an infinite cutoff, no other
+        _qr_append_stack(Q, R, nq, np.arange(len(i)), t, kept[:, t],
+                         np.where((nq == t) & (t < count), 0.0, np.inf), k)
+    Qt[i, :n] = np.where(pad[..., None], 0.0, Q)
+    Ri[i, :n, :n] = np.where(pad[:, None] | pad[..., None], 0.0, R)
+    nk[i] = nq
 
 
 def _nnls_stack(A, b, maxiter=None):
@@ -231,11 +222,11 @@ def _nnls_stack(A, b, maxiter=None):
     (_qr_append_stack): it is blocked, until w moves, without a solve.
     Each round of subproblems is one stacked product z = R^-1 Qt b.  An
     infeasible z steps back toward the previous iterate and retires the
-    coordinates pinned at zero, and the survivors are factored again
-    (_qr_drop_stack); a step of length zero blocks the fresh entry
-    alone.  NonConvergence is raised once a problem needs more than
-    maxiter (default 10 * max(m, k)) subproblem solves.  Returns the
-    solutions (p, k) and residual norms (p,).
+    coordinates pinned at zero; the survivors after the first of them
+    are appended again (_qr_drop_stack).  A step of length zero blocks
+    the fresh entry alone.  NonConvergence is raised once a problem
+    needs more than maxiter (default 10 * max(m, k)) subproblem solves.
+    Returns the solutions (p, k) and residual norms (p,).
     """
     p, m, k = A.shape
     q = min(m, k)
@@ -287,7 +278,9 @@ def _nnls_stack(A, b, maxiter=None):
              enter) = (v[go] for v in (X, b, cut, r_floor, held, moves, Qt, Ri, cols, P, wf, nk,
                                        solves, rnorm, grad, enter))
             n = int(nk.max())
-        act = _qr_append_stack(X, P, Qt, Ri, cols, nk, rows, n, enter, cut[rows, enter])
+        # a rejected column lands past nk, in the padding
+        P[rows, nk], cols[rows, nk] = X[rows, enter], enter
+        act = _qr_append_stack(Qt, Ri, nk, rows, n, P[rows, nk], cut[rows, enter], k)
         held[rows, enter] = np.where(act, _PASSIVE, moves)
         n, moved = min(n + 1, q), False
         # where no problem moves, its residual and gradient stand
@@ -317,7 +310,7 @@ def _nnls_stack(A, b, maxiter=None):
             s, t = np.nonzero(drop)
             held[i[s], c[s, t]] = 0
             held[i[stuck], enter[i[stuck]]] = moves[i[stuck]]
-            _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop)
+            _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, k)
             act[i[stuck]] = False
         if rounds > maxiter and solves.max() > maxiter:
             raise NonConvergence(
@@ -353,19 +346,20 @@ def _solve_pairs(u, v, x, threshold):
 
 
 def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
-    """Cone projections of a stack of small one-period markets.
+    """Cone projections of a stack of one-period markets: the nodes of a
+    tree level, or for project_to_cone a stack of one.
 
     Market i quotes prices[i] (m instruments) and pays the k payoff rows
     rows[children[i]].  Returns the cone weights (p, k) and whether each
-    market is inside its cone by _threshold, as project_to_cone decides.
-    A stack holds at most _STACK_ENTRIES payoff entries.  A market with
-    k == m == 2 is solved directly, element by element (_solve_pairs), so
-    its bits depend on neither the stack nor the BLAS build.  Every other
-    market, and one whose direct weights fail, goes through _nnls_stack.
+    market is inside its cone by _threshold.  A stack holds at most
+    _STACK_ENTRIES payoff entries.  A market with k == m == 2 is solved
+    directly, element by element (_solve_pairs), so its bits depend on
+    neither the stack nor the BLAS build.  Every other market, and one
+    whose direct weights fail, goes through _nnls_stack.
     """
     (p, k), m = children.shape, rows.shape[1]
     weights, inside = np.empty((p, k)), np.empty(p, dtype=bool)
-    step = max(1, _STACK_ENTRIES // (k * m))
+    step = max(1, _STACK_ENTRIES // max(1, k * m))
     for lo in range(0, p, step):
         c, x = children[lo:lo + step], prices[lo:lo + step]
         threshold = _threshold(x, tol)
@@ -384,23 +378,25 @@ def project_to_cone(market: OnePeriodMarket, tol: float = DEFAULT_TOL) -> ConePr
 
     The weights solve min ||payoffs.T @ w - prices|| over w >= 0; the
     resulting x_star is the unique nearest cone point and satisfies the
-    orthogonality identity (x_star - prices) . x_star = 0.  The prices
-    are inside the cone when the residual is at most tol * (1 +
-    ||prices||).  Otherwise the certificate is the normalized gap
-    direction x_star - prices: it costs -setup_gain to set up and pays
-    at least min_payoff >= -tol in every outcome.
+    orthogonality identity (x_star - prices) . x_star = 0.  The market
+    is decided as a tree node is, by _project_stack on a stack of one.
+    Outside the cone the certificate is the normalized gap direction
+    x_star - prices: it costs -setup_gain to set up and pays at least
+    min_payoff >= -tol in every outcome.
     """
-    prices = market.prices
-    weights, rnorm = nnls(market.payoffs.T, prices)
-    x_star = market.payoffs.T @ weights
+    payoffs, prices = market.payoffs, market.prices
+    weights, inside = _project_stack(payoffs, np.arange(len(payoffs))[None], prices[None], tol)
+    mv, vm, vv = _products(*payoffs.shape)  # each on a stack of one
+    x_star = vm(weights, payoffs[None])[0]
+    gap = x_star - prices
+    rnorm = float(np.sqrt(vv(gap[None], gap[None])[0]))
     certificate = None
-    if rnorm > _threshold(prices, tol):
-        gap = x_star - prices
-        gamma = gap / np.linalg.norm(gap)
+    if not inside[0]:
+        gamma = gap / rnorm
         certificate = ArbitrageCertificate(
-            gamma=gamma, setup_gain=float(-(gamma @ prices)),
-            min_payoff=float((market.payoffs @ gamma).min()))
-    return ConeProjection(weights=weights, x_star=x_star, residual_norm=rnorm,
+            gamma=gamma, setup_gain=float(-vv(gamma[None], prices[None])[0]),
+            min_payoff=float(mv(payoffs[None], gamma[None])[0].min()))
+    return ConeProjection(weights=weights[0], x_star=x_star, residual_norm=rnorm,
                           prices=prices.copy(), certificate=certificate)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import DEFAULT_TOL, Deflator, OnePeriodMarket
+from .cone import DEFAULT_TOL, Deflator, OnePeriodMarket, _products
 from .exceptions import (DimensionMismatch, NoArbitrageViolation, SingularGram,
                          ZeroCost)
 
@@ -29,7 +29,7 @@ def price_payoff(market: OnePeriodMarket, deflator: Deflator, payoff) -> float:
     v = _payoff_vector(market, payoff)
     if deflator.atom_weights.shape[0] != market.n_outcomes:
         raise DimensionMismatch("deflator must weight every outcome")
-    return float(v @ deflator.atom_weights)
+    return float(np.einsum("i,i->", v, deflator.atom_weights))
 
 
 def realized_return(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -67,35 +67,39 @@ def least_squares_hedge(market: OnePeriodMarket, deflator: Deflator,
                         payoff) -> HedgeResult:
     """Minimize <(V - X gamma)^2, Pi> over positions gamma.
 
-    Solves the normal equations <X X.T, Pi> gamma = <X V, Pi>.  Raises
-    SingularGram when the Gram matrix has a pivot below 1e-12 of its
-    largest diagonal entry, i.e. when instruments are collinear under
-    the deflator.
+    Solves the normal equations <X X.T, Pi> gamma = <X V, Pi> by
+    substitution with their Cholesky factor.  Raises SingularGram when
+    the Gram matrix has a pivot below 1e-12 of its largest diagonal
+    entry, i.e. when instruments are collinear under the deflator.
     """
     v = _payoff_vector(market, payoff)
     pi = deflator.atom_weights
     if pi.shape[0] != market.n_outcomes:
         raise DimensionMismatch("deflator must weight every outcome")
     X = market.payoffs                      # (N, m): rows are outcomes
-    gram = X.T @ (pi[:, None] * X)          # <X X.T, Pi>
-    rhs = X.T @ (pi * v)                    # <X V, Pi>
+    _, vm, vv = _products(*X.shape)         # picked by the market's shape
+    dot = lambda a, b: vv(a[None], b[None])[0]
+    gram = vm(X.T * pi, X[None])            # <X X.T, Pi>, a row per instrument
+    rhs = vv(X.T * pi, v[None])             # <X V, Pi>
     diag_cap = float(np.abs(np.diag(gram)).max(initial=0.0))
-    # factor by hand so a degenerate pivot names the offending instrument
+    # factor by hand, so a degenerate pivot names its instrument, and solve chol y = rhs
     m = gram.shape[0]
-    chol = np.zeros_like(gram)
+    chol, y, gamma = np.zeros_like(gram), np.zeros(m), np.zeros(m)
     for j in range(m):
-        pivot = gram[j, j] - chol[j, :j] @ chol[j, :j]
+        pivot = gram[j, j] - dot(chol[j, :j], chol[j, :j])
         if pivot <= 1e-12 * diag_cap:
             raise SingularGram(
                 "instruments are collinear under the deflator "
                 f"(Gram pivot {j} is degenerate)", index=j)
         chol[j, j] = np.sqrt(pivot)
-        chol[j + 1:, j] = (gram[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
-    gamma = np.linalg.solve(gram, rhs)
-    lse = float(pi @ v ** 2 - rhs @ gamma)
+        chol[j + 1:, j] = (gram[j + 1:, j] - vv(chol[j + 1:, :j], chol[None, j, :j])) / chol[j, j]
+        y[j] = (rhs[j] - dot(chol[j, :j], y[:j])) / chol[j, j]
+    for j in reversed(range(m)):            # chol.T gamma = y
+        gamma[j] = (y[j] - dot(chol[j + 1:, j], gamma[j + 1:])) / chol[j, j]
+    lse = float(dot(pi, v ** 2) - dot(rhs, gamma))
     return HedgeResult(gamma=gamma,
                        least_squared_error=max(lse, 0.0),
-                       hedge_cost=float(gamma @ market.prices))
+                       hedge_cost=float(dot(gamma, market.prices)))
 
 
 def binomial_price(R: float, s: float, d: float, u: float, payoff) -> dict:

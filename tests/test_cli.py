@@ -57,8 +57,9 @@ def golden(name):
 @pytest.mark.parametrize("name", ["detect_ex5", "detect_fair_binomial"])
 def test_one_period_detect_solves_once(name, capsys, monkeypatch):
     calls = []
-    solve = cone.nnls
-    monkeypatch.setattr(cone, "nnls", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    solve = cone._project_stack
+    monkeypatch.setattr(cone, "_project_stack",
+                        lambda *a, **k: calls.append(a) or solve(*a, **k))
     code, out, _ = run(CASES[name][1], capsys)
     assert (code, out) == (CASES[name][0], golden(name))
     assert len(calls) == 1
@@ -73,6 +74,18 @@ def test_golden_output(name, capsys):
     # rerun is byte-identical
     code2, out2, _ = run(argv, capsys)
     assert (code2, out2) == (code, out)
+
+
+def test_golden_cases_call_no_lapack_solver(capsys, monkeypatch):
+    # every factor is built in-tree, so no golden holds the bits of one
+    # LAPACK or BLAS build
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg solver called")
+
+    for name in ("lstsq", "qr", "inv", "solve", "svd", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for name, (want_code, argv) in sorted(CASES.items()):
+        assert run(argv, capsys)[:2] == (want_code, golden(name)), name
 
 
 def test_documents_round_trip_losslessly():

@@ -184,6 +184,14 @@ def test_projection_weights_reprice_inside_markets():
     assert proj.residual_norm <= 1e-10
 
 
+def test_projection_of_markets_without_outcomes_or_instruments():
+    # an empty cone holds only the zero price vector
+    for prices, payoffs in (([], np.zeros((3, 0))), ([0.0], np.zeros((0, 1)))):
+        proj = project_to_cone(OnePeriodMarket(prices=prices, payoffs=payoffs))
+        assert proj.certificate is None and proj.residual_norm == 0.0
+        assert proj.weights.shape == (len(payoffs),) and not proj.weights.any()
+
+
 # ---------------------------------------------------------------------------
 # the dichotomy
 
@@ -655,7 +663,7 @@ def test_stacked_qr_factor_follows_columns_in_and_out():
             wf[rows[:, None], np.arange(m + 1)] = np.where(np.arange(m + 1) < nk[:, None],
                                                            cols + 1.0, 0.0)
             drop = (cols[i, :n] == j[i, None]) & (np.arange(n) < nk[i, None])
-            cone._qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop)
+            cone._qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, k)
             for s in i:
                 entered[s].remove(j[s])
                 np.testing.assert_array_equal(wf[s, :nk[s]], cols[s, :nk[s]] + 1.0)
@@ -671,8 +679,10 @@ def test_stacked_qr_factor_follows_columns_in_and_out():
         before = Qt.copy(), Ri.copy(), cols.copy(), P.copy(), nk.copy()
         # a problem that just dropped j must not take it again: an
         # infinite cutoff rejects it
-        added = cone._qr_append_stack(X, P, Qt, Ri, cols, nk, rows, int(nk.max()), j,
-                                      np.where(out, np.inf, cutoff[rows, j]))
+        # the caller records the column; a rejected one lands in the padding
+        P[rows, nk], cols[rows, nk] = X[rows, j], j
+        added = cone._qr_append_stack(Qt, Ri, nk, rows, int(nk.max()), X[rows, j],
+                                      np.where(out, np.inf, cutoff[rows, j]), k)
         for i, ok in enumerate(added):
             assert ok != (out[i] or i in why)
             if ok:
