@@ -21,16 +21,14 @@ from .exceptions import (AlgebraMismatch, ArbitrageInInput, DeflatorError,
                          NotCoarser, NotSelfFinancing, SingularGram,
                          SpecFileError, TruncationFailure, ZeroCost)
 from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction,
-                         binary_tree_filtration, conditional_price_check,
-                         pairing, product, random_walk, restrict)
+                         binary_tree_filtration, pairing, product, random_walk,
+                         restrict)
 from .market_files import (MarketSpec, load_market_spec, parse_document,
                            render_document)
 from .models import (BachelierParams, GBMParams, GBMPutQuote,
                      HedgeErrorEstimate, KolmogorovLaw, LevyModelParams,
-                     ParityCheck, PutQuote, atm_call_correlation,
-                     bachelier_call_put_consistency, bachelier_put,
-                     cdf_from_charfn, gbm_put, hedge_error_estimate,
-                     levy_put, normal_cov_identity_check)
+                     PutQuote, atm_call_correlation, bachelier_put,
+                     cdf_from_charfn, gbm_put, hedge_error_estimate, levy_put)
 from .multi_period import (AccountProcess, ArbitrageVerdict, CheckResult,
                            DeflatorSequence, MarketPanel, NodeArbitrage,
                            ReplicationResult, Strategy, account_process,

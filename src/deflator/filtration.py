@@ -258,20 +258,6 @@ def pairing(f: SimpleFunction, mu: FAMeasure):
     return mw.T @ fv
 
 
-def conditional_price_check(y: SimpleFunction, p: FAMeasure,
-                            x: SimpleFunction, q: FAMeasure,
-                            tol: float = 1e-9) -> bool:
-    """Does Y P equal the restriction of X Q to Y's algebra, blockwise?
-
-    Y and P must share a coarse algebra, X and Q a finer one.  This is
-    the conditional-price identity: Y is the price on coarse blocks of
-    the payoff X priced by Q on fine blocks.
-    """
-    lhs = product(y, p)
-    rhs = restrict(product(x, q), y.algebra)
-    return bool(np.max(np.abs(lhs.weights - rhs.weights)) <= tol)
-
-
 class Filtration:
     """An increasing sequence of algebras on one outcome space.
 

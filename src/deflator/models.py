@@ -130,25 +130,6 @@ def _normal_piecewise_expectation(f, mean, std, kinks=()):
     return total
 
 
-@dataclass(frozen=True)
-class ParityCheck:
-    call: float
-    quadrature_call: float
-    residual: float
-
-
-def bachelier_call_put_consistency(params: BachelierParams, k: float) -> ParityCheck:
-    """Call from parity, call = put + s - k/R, against direct quadrature
-    of E (S - k)^+ / R over the terminal normal law."""
-    call = bachelier_put(params, k).price + params.s - k / params.R
-    f = params.forward
-    quadrature = _normal_piecewise_expectation(
-        lambda x: np.maximum(x - k, 0.0), mean=f, std=f * params.sigma,
-        kinks=(k,)) / params.R
-    return ParityCheck(call=float(call), quadrature_call=float(quadrature),
-                       residual=float(abs(call - quadrature)))
-
-
 def atm_call_correlation() -> float:
     """Correlation between the stock and the at the money call payoff
     under a normal terminal law: 1 / sqrt(2 - 2/pi), about 0.8563."""
@@ -219,24 +200,6 @@ def hedge_error_estimate(params: BachelierParams, payoff, d1=None,
     return HedgeErrorEstimate(corr=corr, least_squared_error=lse,
                               corr_approx=corr_approx, lse_approx=lse_approx,
                               zero_slope=zero_slope)
-
-
-def normal_cov_identity_check(rho: float, f, f_prime) -> float:
-    """Residual of Cov(N, f(M)) = Cov(N, M) E f'(M) for correlated
-    standard normals with Cov(N, M) = rho, both sides by a 96-point
-    quadrature on [-14, 14]."""
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError("rho must be a correlation")
-    x, w = gauss_legendre(96)
-    z = 14.0 * x
-    w = 14.0 * w * np.exp(-0.5 * z * z) / _SQRT_2PI
-    m = z[:, None]
-    n = rho * z[:, None] + math.sqrt(1.0 - rho ** 2) * z[None, :]
-    w2 = w[:, None] * w[None, :]
-    f_m = np.asarray(f(m), dtype=float) * np.ones_like(n)
-    lhs = float((w2 * n * f_m).sum()) - float((w2 * n).sum()) * float((w2 * f_m).sum())
-    rhs = rho * float(w @ np.asarray(f_prime(z), dtype=float))
-    return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

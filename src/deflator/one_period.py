@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import DEFAULT_TOL, Deflator, OnePeriodMarket, _products
+from .cone import (DEFAULT_TOL, Deflator, OnePeriodMarket, _products,
+                   _qr_append_stack)
 from .exceptions import (DimensionMismatch, NoArbitrageViolation, SingularGram,
                          ZeroCost)
 
@@ -65,41 +66,38 @@ class HedgeResult:
 
 def least_squares_hedge(market: OnePeriodMarket, deflator: Deflator,
                         payoff) -> HedgeResult:
-    """Minimize <(V - X gamma)^2, Pi> over positions gamma.
+    """Minimize <(V - X gamma)^2, Pi> = ||sqrt(Pi) (V - X gamma)||^2 over
+    positions gamma.
 
-    Solves the normal equations <X X.T, Pi> gamma = <X V, Pi> by
-    substitution with their Cholesky factor.  Raises SingularGram when
-    the Gram matrix has a pivot below 1e-12 of its largest diagonal
-    entry, i.e. when instruments are collinear under the deflator.
+    The weighted instrument columns sqrt(Pi) X_j enter a thin QR factor
+    one at a time (cone._qr_append_stack), and gamma = R^-1 Q.T
+    sqrt(Pi) V.  Raises SingularGram at the first column whose new
+    diagonal entry of R is at most 1e-6 of the largest weighted column
+    norm, i.e. whose Gram pivot is at most 1e-12 of the largest Gram
+    diagonal entry: the instruments are collinear under the deflator.
     """
     v = _payoff_vector(market, payoff)
     pi = deflator.atom_weights
     if pi.shape[0] != market.n_outcomes:
         raise DimensionMismatch("deflator must weight every outcome")
-    X = market.payoffs                      # (N, m): rows are outcomes
-    _, vm, vv = _products(*X.shape)         # picked by the market's shape
-    dot = lambda a, b: vv(a[None], b[None])[0]
-    gram = vm(X.T * pi, X[None])            # <X X.T, Pi>, a row per instrument
-    rhs = vv(X.T * pi, v[None])             # <X V, Pi>
-    diag_cap = float(np.abs(np.diag(gram)).max(initial=0.0))
-    # factor by hand, so a degenerate pivot names its instrument, and solve chol y = rhs
-    m = gram.shape[0]
-    chol, y, gamma = np.zeros_like(gram), np.zeros(m), np.zeros(m)
+    n, m = market.payoffs.shape
+    mv, vm, vv = _products(n, m)            # picked by the market's shape
+    root = np.sqrt(pi)
+    A = market.payoffs.T * root             # row j is the weighted column j
+    cutoff = np.full(1, 1e-6 * np.sqrt(vv(A, A).max(initial=0.0)))
+    Qt, Ri = np.zeros((1, m, n)), np.zeros((1, m, m))
+    nk, rows = np.zeros(1, int), np.zeros(1, int)
     for j in range(m):
-        pivot = gram[j, j] - dot(chol[j, :j], chol[j, :j])
-        if pivot <= 1e-12 * diag_cap:
+        if not _qr_append_stack(Qt, Ri, nk, rows, j, A[None, j], cutoff, m)[0]:
             raise SingularGram(
                 "instruments are collinear under the deflator "
                 f"(Gram pivot {j} is degenerate)", index=j)
-        chol[j, j] = np.sqrt(pivot)
-        chol[j + 1:, j] = (gram[j + 1:, j] - vv(chol[j + 1:, :j], chol[None, j, :j])) / chol[j, j]
-        y[j] = (rhs[j] - dot(chol[j, :j], y[:j])) / chol[j, j]
-    for j in reversed(range(m)):            # chol.T gamma = y
-        gamma[j] = (y[j] - dot(chol[j + 1:, j], gamma[j + 1:])) / chol[j, j]
-    lse = float(dot(pi, v ** 2) - dot(rhs, gamma))
-    return HedgeResult(gamma=gamma,
-                       least_squared_error=max(lse, 0.0),
-                       hedge_cost=float(dot(gamma, market.prices)))
+    b = (root * v)[None]
+    gamma = mv(Ri, mv(Qt, b))
+    r = b - vm(gamma, A[None])
+    return HedgeResult(gamma=gamma[0],
+                       least_squared_error=float(vv(r, r)[0]),
+                       hedge_cost=float(vv(gamma, market.prices[None])[0]))
 
 
 def binomial_price(R: float, s: float, d: float, u: float, payoff) -> dict:

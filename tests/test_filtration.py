@@ -13,12 +13,14 @@ import pytest
 from deflator import (
     Algebra,
     AlgebraMismatch,
+    DeflatorSequence,
     FAMeasure,
     Filtration,
+    MarketPanel,
     NotCoarser,
     SimpleFunction,
     binary_tree_filtration,
-    conditional_price_check,
+    check_deflator,
     pairing,
     product,
     random_walk,
@@ -345,8 +347,18 @@ def test_random_walk_one_step_conditional_prices():
                                 0.5 * (f(walk[j].values - 1.0)
                                        + f(walk[j].values + 1.0)))
         next_f = SimpleFunction(filtration[j + 1], f(walk[j + 1].values))
-        assert conditional_price_check(target, measures[j],
-                                       next_f, measures[j + 1])
+        assert conditional_price_check(filtration, j, target, next_f, measures).ok
+
+
+def conditional_price_check(filtration, j, y, x, measures):
+    """check_deflator on the one-period panel from level j to j + 1 that
+    quotes y and pays x: Y P_j must equal the restriction of X P_{j+1}
+    to level j, blockwise."""
+    levels = Filtration([filtration[j], filtration[j + 1]])
+    panel = MarketPanel([0.0, 1.0], levels,
+                        [SimpleFunction(levels[i], f.values[:, None])
+                         for i, f in enumerate((y, x))])
+    return check_deflator(panel, DeflatorSequence(measures[j:j + 2]))
 
 
 def test_conditional_price_check_detects_violations():
@@ -354,4 +366,4 @@ def test_conditional_price_check_detects_violations():
     measures = [restrict(prob, filtration[j]) for j in range(3)]
     wrong = SimpleFunction(filtration[0], [0.123])
     z1 = SimpleFunction(filtration[1], walk[1].values)
-    assert not conditional_price_check(wrong, measures[0], z1, measures[1])
+    assert not conditional_price_check(filtration, 0, wrong, z1, measures).ok

@@ -23,13 +23,11 @@ from deflator import (
     NonConvergence,
     TruncationFailure,
     atm_call_correlation,
-    bachelier_call_put_consistency,
     bachelier_put,
     cdf_from_charfn,
     gbm_put,
     hedge_error_estimate,
     levy_put,
-    normal_cov_identity_check,
 )
 from deflator._quadrature import gauss_legendre
 from deflator.cli import main
@@ -174,11 +172,14 @@ def test_bachelier_delta_is_fixed_absolute_vol_slope():
 
 
 def test_call_put_consistency_residual():
+    """Call from parity, call = put + s - k/R, against direct quadrature
+    of E (S - k)^+ / R over the terminal normal law."""
     params = BachelierParams(R=1.02, s=120.0, sigma=0.3)
     for k in (60.0, 120.0, 122.4, 200.0):
-        check = bachelier_call_put_consistency(params, k)
-        assert check.residual <= 1e-12
-        assert check.call == pytest.approx(check.quadrature_call, abs=1e-12)
+        call = bachelier_put(params, k).price + params.s - k / params.R
+        mean = models.bachelier_hedge(params, lambda x: np.maximum(x - k, 0.0),
+                                      kinks=(k,))[0]
+        assert abs(call - mean / params.R) <= 1e-12
 
 
 def test_atm_call_correlation_constant_and_quadrature():
@@ -258,6 +259,24 @@ def test_hedge_error_approximations_tighten_as_vol_shrinks():
     an = hedge_error_estimate(BachelierParams(1.05, 100.0, 0.02), payoff,
                               d1=d1, d2=d2)
     assert fd.lse_approx == pytest.approx(an.lse_approx, rel=1e-4)
+
+
+def normal_cov_identity_check(rho, f, f_prime):
+    """Residual of Cov(N, f(M)) = Cov(N, M) E f'(M) for correlated
+    standard normals with Cov(N, M) = rho, both sides by a 96-point
+    quadrature on [-14, 14]."""
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError("rho must be a correlation")
+    x, w = gauss_legendre(96)
+    z = 14.0 * x
+    w = 14.0 * w * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    m = z[:, None]
+    n = rho * z[:, None] + math.sqrt(1.0 - rho ** 2) * z[None, :]
+    w2 = w[:, None] * w[None, :]
+    f_m = np.asarray(f(m), dtype=float) * np.ones_like(n)
+    lhs = float((w2 * n * f_m).sum()) - float((w2 * n).sum()) * float((w2 * f_m).sum())
+    rhs = rho * float(w @ np.asarray(f_prime(z), dtype=float))
+    return abs(lhs - rhs)
 
 
 def test_normal_covariance_identity():

@@ -5,6 +5,10 @@ regression and against brute perturbation (no nearby position does
 better), and the binomial pricer against its replication algebra.
 """
 
+import math
+import pathlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,9 @@ from deflator import (
     realized_return,
     verify_position,
 )
+from deflator.market_files import load_market_spec
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def fair_binomial(R=1.05, s=100.0, d=0.9, u=1.2):
@@ -130,6 +137,62 @@ def test_collinear_instruments_raise_singular_gram():
     with pytest.raises(SingularGram) as excinfo:
         least_squares_hedge(market, deflator, omegas)
     assert excinfo.value.index is not None
+
+
+def near_collinear_market(distance):
+    """Bond, stock and a third instrument whose deflator-weighted
+    distance from their span is distance times the largest weighted
+    column norm."""
+    omegas = np.array([80.0, 95.0, 105.0, 130.0])
+    pi = np.array([0.2, 0.3, 0.25, 0.2])
+    root = np.sqrt(pi)
+    two = np.column_stack([np.ones(4), omegas])
+    bump = np.array([1.0, -2.0, 0.5, 3.0])
+    coef = np.linalg.lstsq(two * root[:, None], bump * root, rcond=None)[0]
+    bump = bump - two @ coef            # weighted-orthogonal to bond and stock
+    bump /= np.linalg.norm(bump * root)
+    scale = np.linalg.norm(omegas * root)
+    third = 0.5 + 0.01 * omegas + distance * scale * bump
+    assert np.linalg.norm(third * root) < scale
+    payoffs = np.column_stack([two, third])
+    return (OnePeriodMarket(prices=payoffs.T @ pi, payoffs=payoffs),
+            Deflator(atom_weights=pi))
+
+
+def test_singular_gram_cutoff_is_a_millionth_of_the_largest_column():
+    # a Gram pivot at most 1e-12 of the largest Gram diagonal entry is a
+    # diagonal entry of R at most 1e-6 of the largest weighted column norm
+    market, deflator = near_collinear_market(1e-7)
+    with pytest.raises(SingularGram) as excinfo:
+        least_squares_hedge(market, deflator, market.payoffs[:, 1] ** 2)
+    assert excinfo.value.index == 2
+    market, deflator = near_collinear_market(1e-5)
+    result = least_squares_hedge(market, deflator, market.payoffs[:, 1] ** 2)
+    assert np.isfinite(result.gamma).all()
+
+
+def test_more_instruments_than_outcomes_raise_at_the_first_extra():
+    rng = np.random.default_rng(23)
+    payoffs = rng.uniform(0.5, 2.0, size=(3, 5))
+    pi = rng.uniform(0.1, 0.4, size=3)
+    market = OnePeriodMarket(prices=payoffs.T @ pi, payoffs=payoffs)
+    with pytest.raises(SingularGram) as excinfo:
+        least_squares_hedge(market, Deflator(atom_weights=pi), np.ones(3))
+    assert excinfo.value.index == market.n_outcomes
+
+
+def test_fair_binomial_call_hedge_is_the_exact_replication():
+    """Two outcomes and two instruments replicate the call exactly: the
+    hedge is Cramer's rule on the fixture's floats, to a few ulp."""
+    market = load_market_spec(FIXTURES / "fair_binomial.json").payload
+    deflator = deflator_from_projection(project_to_cone(market))
+    call = np.maximum(market.payoffs[:, 1] - 100.0, 0.0)
+    gamma = least_squares_hedge(market, deflator, call).gamma
+    (a, b), (c, d) = [[Fraction(x) for x in row] for row in market.payoffs.tolist()]
+    v0, v1 = (Fraction(x) for x in call.tolist())
+    det = a * d - b * c
+    for got, exact in zip(gamma.tolist(), ((v0 * d - b * v1) / det, (a * v1 - c * v0) / det)):
+        assert abs(Fraction(got) - exact) <= 4 * math.ulp(float(exact))
 
 
 # ---------------------------------------------------------------------------
