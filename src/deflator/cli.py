@@ -14,7 +14,6 @@ codes: 0 success / deflator found, 2 input error, 3 arbitrage,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -23,10 +22,10 @@ import numpy as np
 
 from ._quadrature import gauss_legendre
 from .cone import deflator_from_projection, project_to_cone
-from .exceptions import (ArbitrageInInput, DeflatorError, SingularGram,
-                         SpecFileError)
+from .exceptions import ArbitrageInInput, DeflatorError, SingularGram, SpecFileError
 from .filtration import SimpleFunction, product, restrict
-from .market_files import check_tolerance, display, load_market_spec, render_document
+from .market_files import (check_tolerance, display, load_market_spec, load_payoff_file,
+                           render_document)
 from .models import (_normal_piecewise_expectation, bachelier_hedge,
                      bachelier_put, cdf_from_charfn, gbm_put, levy_put)
 from .multi_period import NodeArbitrage, find_tree_deflator
@@ -70,15 +69,7 @@ def _parse_payoff(text) -> Payoff:
     if text is None:
         raise SpecFileError("this command needs --payoff")
     if os.path.exists(text):
-        try:
-            with open(text) as handle:
-                raw = json.load(handle)
-            vector = np.asarray(raw, dtype=float)
-        except (OSError, ValueError) as exc:
-            raise SpecFileError(f"bad payoff file {text}: {exc}") from exc
-        if vector.ndim != 1 or not np.isfinite(vector).all():
-            raise SpecFileError("payoff file must hold a flat list of numbers")
-        return Payoff("vector", vector=vector)
+        return Payoff("vector", vector=load_payoff_file(text))
     parts = text.split()
     if len(parts) == 2 and parts[0] in ("call", "put", "const"):
         try:
@@ -146,8 +137,7 @@ def cmd_detect(args, spec, tol):
         projection = project_to_cone(spec.payload, tol)
         certificate = projection.certificate
         # in place of main's diagnostics: the tolerance and the residual
-        doc = {"diagnostics": {"tolerance": tol,
-                               "residual_norm": projection.residual_norm}}
+        doc = {"diagnostics": {"tolerance": tol, "residual_norm": projection.residual_norm}}
         if certificate is None:
             return dict(doc, verdict="deflator",
                         weights={"atoms": list(spec.payload.labels),
@@ -159,16 +149,13 @@ def cmd_detect(args, spec, tol):
         result = find_tree_deflator(spec.payload, tol)
         if isinstance(result, NodeArbitrage):
             return {"verdict": "arbitrage",
-                    "certificate": _certificate(spec, result.certificate,
-                                                time=result.time,
+                    "certificate": _certificate(spec, result.certificate, time=result.time,
                                                 block=result.block),
                     "strategy": [g.values for g in result.strategy.trades]
                     }, EXIT_ARBITRAGE
         return {"verdict": "deflator",
-                "weights": [measure.weights for measure in result.measures]
-                }, EXIT_OK
-    raise SpecFileError(f"detect expects a one_period or panel spec, "
-                        f"got {spec.kind!r}")
+                "weights": [measure.weights for measure in result.measures]}, EXIT_OK
+    raise SpecFileError(f"detect expects a one_period or panel spec, got {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +166,7 @@ def _panel_terminal_price(panel, deflators, values):
     """Time-0 price per block of the terminal payoff `values`."""
     terminal = SimpleFunction(panel.filtration[-1], values)
     coarse = panel.filtration[0]
-    num = restrict(product(terminal, deflators[len(deflators) - 1]),
-                   coarse).weights
+    num = restrict(product(terminal, deflators[len(deflators) - 1]), coarse).weights
     return num / deflators[0].weights
 
 
@@ -222,8 +208,7 @@ def cmd_price(args, spec, tol):
         underlying = panel.settle(panel.n_periods).values[:, -1]
         values = payoff.on_underlying(underlying)
         prices = _panel_terminal_price(panel, result, values)
-        return {"prices": {"per_block": prices,
-                           "display": [display(p) for p in prices]}}, EXIT_OK
+        return {"prices": {"per_block": prices, "display": [display(p) for p in prices]}}, EXIT_OK
 
     if spec.kind not in _PARITY:
         raise SpecFileError(f"price does not support kind {spec.kind!r}")
@@ -337,7 +322,9 @@ def cmd_curve(args, spec, tol):
     elif args.action == "swap":
         value = swap_par(curve, schedule)
     elif args.action == "fra":
-        j, k = (int(a) for a in args.args) if args.args else (0, 1)
+        if len(args.args) != 2 or not all(a.is_integer() for a in args.args):
+            raise SpecFileError("curve fra needs two integer schedule indices j k")
+        j, k = (int(a) for a in args.args)
         value = forward_rate(curve, 0, j, k, schedule)
         doc["interval"] = [j, k]
     else:

@@ -134,7 +134,10 @@ def nnls(A, b, maxiter=None):
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise DimensionMismatch("nnls needs A (m, n) and b (m,)")
+    maxiter = _cap(maxiter, *A.shape)
     w, rnorm = _nnls_stack(A[None], b[None], maxiter)
+    if np.isnan(rnorm[0]):
+        raise NonConvergence(f"nnls did not converge within {maxiter} subproblem solves")
     return w[0], float(rnorm[0])
 
 
@@ -208,6 +211,11 @@ def _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, k):
     nk[i] = nq
 
 
+def _cap(maxiter, m, k):
+    """nnls's subproblem solve cap on (m, k): maxiter, by default 10 * max(m, k)."""
+    return 10 * max(m, k) if maxiter is None else maxiter
+
+
 def _nnls_stack(A, b, maxiter=None):
     """nnls on a stack of problems A[i] (m, k), b[i] (m,), in lockstep.
 
@@ -224,8 +232,8 @@ def _nnls_stack(A, b, maxiter=None):
     infeasible z steps back toward the previous iterate and retires the
     coordinates pinned at zero; the survivors after the first of them
     are appended again (_qr_drop_stack).  A step of length zero blocks
-    the fresh entry alone.  NonConvergence is raised once a problem
-    needs more than maxiter (default 10 * max(m, k)) subproblem solves.
+    the fresh entry alone.  A problem past maxiter (default 10 * max(m,
+    k)) subproblem solves leaves the stack with NaN weights and residual.
     Returns the solutions (p, k) and residual norms (p,).
     """
     p, m, k = A.shape
@@ -233,8 +241,7 @@ def _nnls_stack(A, b, maxiter=None):
     if not p * q:
         # no column can enter
         return np.zeros((p, k)), np.linalg.norm(b, axis=1)
-    if maxiter is None:
-        maxiter = 10 * max(m, k)
+    maxiter = _cap(maxiter, m, k)
     rel = 10.0 * np.finfo(float).eps * max(m, k)
     mv, vm, vv = _products(m, k)
     # X[i, j] is column j of A[i]; cut[i, j] * ||r|| is its threshold
@@ -252,8 +259,8 @@ def _nnls_stack(A, b, maxiter=None):
     # order
     cols, P, wf = np.full((p, q), -1), np.zeros((p, q, m)), np.zeros((p, q))
     nk, solves = np.zeros(p, dtype=int), np.zeros(p, dtype=int)
-    # n bounds nk; rounds bounds solves
-    n, rounds, moved = 0, 0, True
+    # n bounds nk
+    n, moved = 0, True
     while True:
         if moved:
             r = b - vm(wf[:, :n], P[:, :n])
@@ -264,13 +271,15 @@ def _nnls_stack(A, b, maxiter=None):
         enter = score.argmax(axis=1)
         # with min(m, k) passive columns, every further column depends
         # on them
-        go = (score[rows, enter] > 0.0) & (rnorm > r_floor) & (nk < q)
+        go = (score[rows, enter] > 0.0) & (rnorm > r_floor) & (nk < q) & (solves <= maxiter)
         if not go.all():
             done = ~go
             # cols past nk are stale: their weight 0 goes to column k
             c = np.where(np.arange(q) < nk[done, None], cols[done], -1)
             w[live[done, None], c] = wf[done]
             res[live[done]] = rnorm[done]
+            over = live[solves > maxiter]
+            w[over] = res[over] = np.nan
             live, rows = live[go], rows[:go.sum()]
             if not live.size:
                 break
@@ -287,7 +296,6 @@ def _nnls_stack(A, b, maxiter=None):
         while act.any():
             moved = True
             solves += act
-            rounds += 1
             # R^-1 and Qt are zero past each problem's columns, so is z
             z = mv(Ri[:, :n, :n], mv(Qt[:, :n], b))
             feasible = act & ((z > 0.0).sum(axis=1) == nk)
@@ -312,9 +320,6 @@ def _nnls_stack(A, b, maxiter=None):
             held[i[stuck], enter[i[stuck]]] = moves[i[stuck]]
             _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, k)
             act[i[stuck]] = False
-        if rounds > maxiter and solves.max() > maxiter:
-            raise NonConvergence(
-                f"nnls did not converge within {maxiter} subproblem solves")
     return w[:, :k], res
 
 
@@ -355,7 +360,7 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     _STACK_ENTRIES payoff entries.  A market with k == m == 2 is solved
     directly, element by element (_solve_pairs), so its bits depend on
     neither the stack nor the BLAS build.  Every other market, and one
-    whose direct weights fail, goes through _nnls_stack.
+    whose direct weights fail, goes through _nnls_stack (NaN past its cap).
     """
     (p, k), m = children.shape, rows.shape[1]
     weights, inside = np.empty((p, k)), np.empty(p, dtype=bool)
@@ -373,31 +378,44 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     return weights, inside
 
 
+def _projection(payoffs, prices, weights, inside):
+    """The ConeProjection of prices with _project_stack's cone weights of
+    the payoff rows and verdict inside.  Outside, the certificate is the
+    unit gap direction x_star - prices, which costs -setup_gain and pays
+    at least min_payoff; non-finite prices or payoffs raise ValueError,
+    and NaN weights (a solve past its cap) NonConvergence."""
+    mv, vm, vv = _products(*payoffs.shape)  # each on a stack of one
+    x_star = vm(weights[None], payoffs[None])[0]
+    gap = x_star - prices
+    rnorm = float(np.sqrt(vv(gap[None], gap[None])[0]))
+    certificate = None
+    if not inside:
+        if not (np.isfinite(prices).all() and np.isfinite(payoffs).all()):
+            raise ValueError("prices and payoffs must be finite")
+        if np.isnan(weights).any():
+            raise NonConvergence("nnls did not converge within its subproblem cap")
+        gamma = gap / rnorm
+        certificate = ArbitrageCertificate(
+            gamma=gamma, setup_gain=float(-vv(gamma[None], prices[None])[0]),
+            min_payoff=float(mv(payoffs[None], gamma[None])[0].min()))
+    return ConeProjection(weights=weights, x_star=x_star, residual_norm=rnorm,
+                          prices=prices.copy(), certificate=certificate)
+
+
 def project_to_cone(market: OnePeriodMarket, tol: float = DEFAULT_TOL) -> ConeProjection:
     """Project the price vector onto the cone of payoff rows, and decide.
 
     The weights solve min ||payoffs.T @ w - prices|| over w >= 0; the
     resulting x_star is the unique nearest cone point and satisfies the
     orthogonality identity (x_star - prices) . x_star = 0.  The market
-    is decided as a tree node is, by _project_stack on a stack of one.
-    Outside the cone the certificate is the normalized gap direction
-    x_star - prices: it costs -setup_gain to set up and pays at least
-    min_payoff >= -tol in every outcome.
+    is decided as a tree node is, by _project_stack on a stack of one,
+    and _projection builds the result: outside the cone, a certificate
+    with min_payoff >= -tol.  NonConvergence if the solve passes its
+    subproblem cap.
     """
     payoffs, prices = market.payoffs, market.prices
     weights, inside = _project_stack(payoffs, np.arange(len(payoffs))[None], prices[None], tol)
-    mv, vm, vv = _products(*payoffs.shape)  # each on a stack of one
-    x_star = vm(weights, payoffs[None])[0]
-    gap = x_star - prices
-    rnorm = float(np.sqrt(vv(gap[None], gap[None])[0]))
-    certificate = None
-    if not inside[0]:
-        gamma = gap / rnorm
-        certificate = ArbitrageCertificate(
-            gamma=gamma, setup_gain=float(-vv(gamma[None], prices[None])[0]),
-            min_payoff=float(mv(payoffs[None], gamma[None])[0].min()))
-    return ConeProjection(weights=weights[0], x_star=x_star, residual_norm=rnorm,
-                          prices=prices.copy(), certificate=certificate)
+    return _projection(payoffs, prices, weights[0], inside[0])
 
 
 def find_arbitrage(market: OnePeriodMarket, tol: float = DEFAULT_TOL):

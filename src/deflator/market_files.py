@@ -40,8 +40,7 @@ class MarketSpec:
     """A parsed spec file: the kind tag, the built domain object, the
     instrument names, and the requested tolerance."""
 
-    def __init__(self, kind, payload, names=None, tolerance=DEFAULT_TOL,
-                 smoothing=0.0):
+    def __init__(self, kind, payload, names=None, tolerance=DEFAULT_TOL, smoothing=0.0):
         self.kind = kind
         self.payload = payload
         self.names = names
@@ -58,25 +57,41 @@ def _require(cond, msg):
         raise SpecFileError(msg)
 
 
+def _numbers(raw):
+    """Whether raw is a number or nested lists of them: not a string or a bool."""
+    return (all(map(_numbers, raw)) if isinstance(raw, list)
+            else isinstance(raw, (int, float)) and not isinstance(raw, bool))
+
+
+_SHAPES = ("a number", "a flat list of numbers", "a list of equal-length lists of numbers")
+
+
 def _finite_array(raw, shape_hint, where):
+    _require(_numbers(raw), f"{where}: only numbers allowed")
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SpecFileError(f"{where}: not numeric ({exc})") from exc
+    except ValueError as exc:
+        raise SpecFileError(f"{where}: not a regular array ({exc})") from exc
     _require(np.isfinite(arr).all(), f"{where}: entries must be finite")
-    _require(arr.ndim == len(shape_hint), f"{where}: expected {shape_hint}")
+    _require(arr.ndim == len(shape_hint), f"{where}: expected {_SHAPES[len(shape_hint)]}")
     return arr
+
+
+def load_payoff_file(path) -> np.ndarray:
+    """A payoff file's flat list of finite numbers; SpecFileError on any problem."""
+    try:
+        with open(path) as handle:
+            raw = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SpecFileError(f"bad payoff file {path}: {exc}") from exc
+    return _finite_array(raw, (0,), f"payoff file {path}")
 
 
 def _finite_scalar(doc, key, where, default=None):
     if key not in doc:
         _require(default is not None, f"{where}: missing field '{key}'")
         return default
-    value = doc[key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{where}: '{key}' must be a number")
-    _require(np.isfinite(value), f"{where}: '{key}' must be finite")
-    return float(value)
+    return float(_finite_array(doc[key], (), f"{where}.{key}"))
 
 
 def check_tolerance(value, where) -> float:
@@ -113,8 +128,7 @@ def _one_period(doc):
     payoffs = _finite_array(doc.get("payoffs"), (0, 0), "payoffs")
     _require(payoffs.shape == (len(atoms), len(names)),
              "payoffs: need one row per atom and one column per instrument")
-    market = OnePeriodMarket(prices=prices, payoffs=payoffs,
-                             labels=tuple(str(a) for a in atoms))
+    market = OnePeriodMarket(prices=prices, payoffs=payoffs, labels=tuple(str(a) for a in atoms))
     return MarketSpec("one_period", market, names, _tolerance(doc))
 
 
@@ -124,8 +138,8 @@ def _partition(raw, n_atoms, where):
     for b, block in enumerate(raw):
         _require(isinstance(block, list) and block, f"{where}[{b}]: empty block")
         for idx in block:
-            _require(isinstance(idx, int) and 0 <= idx < n_atoms,
-                     f"{where}[{b}]: atom index {idx!r} out of range")
+            _require(type(idx) is int and 0 <= idx < n_atoms,
+                     f"{where}[{b}]: atom index {idx!r} is not an integer in [0, {n_atoms})")
             _require(block_of[idx] < 0, f"{where}: atom {idx} in two blocks")
             block_of[idx] = b
     _require((block_of >= 0).all(), f"{where}: blocks must cover every atom")
@@ -163,8 +177,7 @@ def _panel(doc):
         return out
 
     try:
-        panel = MarketPanel(times, filtration, rows("prices", True),
-                            rows("cashflows", False))
+        panel = MarketPanel(times, filtration, rows("prices", True), rows("cashflows", False))
     except Exception as exc:
         raise SpecFileError(f"invalid panel: {exc}") from exc
     return MarketSpec("panel", panel, names, _tolerance(doc))
@@ -194,8 +207,7 @@ def _levy(doc):
     _require(isinstance(base, dict), "levy: need a 'base' law object")
     law = KolmogorovLaw(mean=_finite_scalar(base, "mean", "base"),
                         nodes=_finite_array(base.get("nodes"), (0,), "base.nodes"),
-                        weights=_finite_array(base.get("weights"), (0,),
-                                              "base.weights"))
+                        weights=_finite_array(base.get("weights"), (0,), "base.weights"))
     spec = _model(LevyModelParams, doc, base=law)
     spec.smoothing = _finite_scalar(doc, "smoothing", "levy", default=0.0)
     return spec
@@ -213,23 +225,19 @@ def load_market_spec(path) -> MarketSpec:
             text = handle.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if not stripped.startswith("{"):
+    if not text.lstrip().startswith("{"):
         # bare curve rows: "(maturity, discount)" per line
         try:
-            return MarketSpec("curve", load_discount_curve(path), None,
-                              DEFAULT_TOL)
+            return MarketSpec("curve", load_discount_curve(path), None, DEFAULT_TOL)
         except Exception as exc:
-            raise SpecFileError(f"{path}: not JSON and not a curve file "
-                                f"({exc})") from exc
+            raise SpecFileError(f"{path}: not JSON and not a curve file ({exc})") from exc
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}: invalid JSON ({exc})") from exc
     _require(isinstance(doc, dict), "spec must be a JSON object")
     kind = doc.get("kind")
-    _require(kind in _LOADERS,
-             f"unknown kind {kind!r}; expected one of {sorted(_LOADERS)}")
+    _require(kind in _LOADERS, f"unknown kind {kind!r}; expected one of {sorted(_LOADERS)}")
     try:
         return _LOADERS[kind](doc)
     except SpecFileError:

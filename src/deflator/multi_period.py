@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import (DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket,
-                   _project_stack, project_to_cone)
+from .cone import DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket, _project_stack, _projection
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
-                         InvalidInterval, NonConvergence, NotClosedOut,
-                         NotSelfFinancing)
+                         InvalidInterval, NotClosedOut, NotSelfFinancing)
 from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction, _bincount,
                          _walk_levels, binary_tree_filtration, pairing, product,
                          restrict)
@@ -281,13 +279,13 @@ class NodeArbitrage:
 def _solve_level(child_parent, settle, prices, tol):
     """Project every node of one tree level onto the cone of its
     children's settlement rows, in stacks of nodes with equal child
-    counts.  Returns the weight of each child and the blocks whose
-    prices are outside their cone, in increasing order."""
+    counts.  Returns the weight of each child and the lowest block not
+    inside its cone (outside, or NaN past the solver's cap), or None."""
     # children grouped by parent, each group in block order
     order = np.argsort(child_parent, kind="stable")
     counts = _bincount(child_parent, minlength=prices.shape[0])
     node_w = np.empty(child_parent.size)
-    flagged = []
+    failed = []
     # a level of one child count copies neither its children nor its prices
     one = (counts == counts[0]).all()
     for k in counts[:1] if one else np.unique(counts):
@@ -295,8 +293,8 @@ def _solve_level(child_parent, settle, prices, tol):
         children = (order if one else order[np.repeat(counts == k, counts)]).reshape(-1, k)
         node_w[children], inside = _project_stack(
             settle, children, prices if one else prices[nodes], tol)
-        flagged.append(nodes[~inside])
-    return node_w, np.sort(np.concatenate(flagged))
+        failed.extend(nodes[~inside][:1].tolist())
+    return node_w, min(failed, default=None)
 
 
 def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
@@ -304,21 +302,16 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
 
     At each block b of each non-terminal algebra, the node's price
     vector is projected onto the cone of its children's settlement
-    rows.  The nodes of a level are independent, so nodes with the
-    same number of children are projected together, as one stack of
-    cone._project_stack: a node with two children and two instruments
-    is solved there in closed form, by partial-pivoting LU written out
-    elementwise, and every other node, or one whose direct weights
-    fail, by the active-set solver.  If every projection lands inside,
-    the node weights multiply along paths into a DeflatorSequence with
-    weight one per time-0 block.  Otherwise the witness is the lowest
-    failing block of the first failing level: that node is projected
-    again on its own, and its certificate and the strategy that plays
-    it make the NodeArbitrage.  If a stack of a level raises
-    NonConvergence, that level's nodes are projected one by one in
-    block order instead, so an arbitrage at a lower block is still the
-    witness; NonConvergence propagates only from a node that no lower
-    arbitrage precedes.
+    rows, once.  The nodes of a level are independent, so nodes with
+    the same number of children are projected together, as one stack
+    of cone._project_stack.  If every projection lands inside, the node
+    weights multiply along paths into a DeflatorSequence with weight
+    one per time-0 block.  Otherwise the witness is the lowest failing
+    block of the first failing level: the certificate built from its
+    weights in the level solve, and the strategy that plays it, make
+    the NodeArbitrage.  A node whose solve passed the subproblem cap
+    fails with NaN weights, and raises NonConvergence if it is the
+    witness: only when no lower arbitrage precedes it.
     """
     filtration = panel.filtration
     weights = [np.ones(filtration[0].n_blocks)]
@@ -326,22 +319,15 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
         child_parent = filtration[i + 1].coarse_block_map(filtration[i])
         settle = panel.settle(i + 1).values
         prices = panel.prices[i].values
-        try:
-            node_w, flagged = _solve_level(child_parent, settle, prices, tol)
-        except NonConvergence:
-            node_w, flagged = np.empty(child_parent.size), np.arange(prices.shape[0])
-        for b in flagged.tolist():
+        node_w, b = _solve_level(child_parent, settle, prices, tol)
+        if b is not None:
             children = np.flatnonzero(child_parent == b)
-            projection = project_to_cone(
-                OnePeriodMarket(prices=prices[b], payoffs=settle[children]), tol)
-            certificate = projection.certificate
-            if certificate is not None:
-                strategy = Strategy.zero(panel)
-                strategy.trades[i].values[b] = certificate.gamma
-                strategy.trades[i + 1].values[children] = -certificate.gamma
-                return NodeArbitrage(time=i, block=b, certificate=certificate,
-                                     strategy=strategy)
-            node_w[children] = projection.weights
+            certificate = _projection(settle[children], prices[b], node_w[children],
+                                      False).certificate
+            strategy = Strategy.zero(panel)
+            strategy.trades[i].values[b] = certificate.gamma
+            strategy.trades[i + 1].values[children] = -certificate.gamma
+            return NodeArbitrage(time=i, block=b, certificate=certificate, strategy=strategy)
         node_w *= weights[i][child_parent]
         weights.append(node_w)
     return DeflatorSequence([FAMeasure(filtration[j], weights[j])

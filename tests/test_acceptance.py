@@ -378,6 +378,7 @@ CLI_CASES = {
     "detect_ex5": (3, ["detect", "ex5.json"]),
     "detect_fair_binomial": (0, ["detect", "fair_binomial.json"]),
     "detect_panel": (0, ["detect", "binomial_panel.json"]),
+    "detect_panel_arbitrage": (3, ["detect", "binomial_panel_arbitrage.json"]),
     "price_fair_binomial_call": (0, ["price", "fair_binomial.json",
                                      "--payoff", "call 100"]),
     "price_panel_call": (0, ["price", "binomial_panel.json",
@@ -419,5 +420,5 @@ def test_criterion_11_cli(announce, capsys, tmp_path):
     bad.write_text("{ not json")
     assert run(["detect", str(bad)])[0] == 2
     assert run(["hedge", "collinear.json", "--payoff", "call 100"])[0] == 4
-    announce("criterion 11 PASS  15 CLI golden files byte-identical on "
+    announce("criterion 11 PASS  16 CLI golden files byte-identical on "
              "rerun; exit codes 0/2/3/4 observed")

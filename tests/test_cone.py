@@ -605,10 +605,22 @@ def test_nnls_counts_solves_like_the_stacked_solver():
         A, b = mixed_stack(rng, shape)
         p = len(b)
         W, R, S = traced_stack(A, b)
-        # the stack stops at the least maxiter of its slowest problem
+        # one short of the slowest problem's solves, exactly the problems
+        # that need them come back NaN, where nnls raises, and the others
+        # keep the weights of a stack without them, bit for bit, and its
+        # verdicts; matmul rounds a residual by the widest factor in the
+        # stack, so residuals agree within the threshold
         cap = int(S.max())
-        with pytest.raises(NonConvergence):
-            cone._nnls_stack(A, b, maxiter=cap - 1)
+        short, fast = np.flatnonzero(S == cap), np.flatnonzero(S < cap)
+        w_cut, r_cut = cone._nnls_stack(A, b, maxiter=cap - 1)
+        assert np.isnan(w_cut[short]).all() and np.isnan(r_cut[short]).all()
+        w_fast, r_fast = cone._nnls_stack(A[fast], b[fast], maxiter=cap - 1)
+        assert w_cut[fast].tobytes() == w_fast.tobytes()
+        threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[fast], axis=1))
+        np.testing.assert_array_equal(r_cut[fast] <= threshold, r_fast <= threshold)
+        assert (np.abs(r_cut[fast] - r_fast) <= threshold).all()
+        with pytest.raises(NonConvergence, match=f"within {cap - 1} subproblem solves"):
+            nnls(A[short[0]], b[short[0]], maxiter=cap - 1)
         for i in range(p):
             w, r, s = traced_stack(A[i:i + 1], b[i:i + 1])
             threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[i]))
@@ -726,17 +738,23 @@ def test_nnls_enters_the_largest_gradient_above_its_threshold():
         assert got[0] == 0.0 and got[1] == pytest.approx(0.5 / (A[:, 1] @ A[:, 1]), rel=1e-12)
 
 
-def test_stacked_nnls_raises_nonconvergence_like_nnls():
+def test_stacked_nnls_leaves_nan_where_nnls_raises():
     A, b = stacked_problems(11, "random", 4, 6, 1.0)
     need = np.array([solves_needed(A[i], b[i]) for i in range(len(b))])
     cap = int(need.max()) - 1
     fast = np.flatnonzero(need <= cap)
     assert 0 < fast.size < len(b)
-    # one slow problem is enough to stop the whole stack
-    with pytest.raises(NonConvergence):
-        cone._nnls_stack(A, b, maxiter=cap)
-    W, _ = cone._nnls_stack(A[fast], b[fast], maxiter=cap)
-    for i, w in zip(fast, W):
+    # a slow problem stops alone: NaN weights and residual, where nnls
+    # raises, and the others keep the bits of a stack without it
+    W, R = cone._nnls_stack(A, b, maxiter=cap)
+    slow = np.setdiff1d(np.arange(len(b)), fast)
+    assert np.isnan(W[slow]).all() and np.isnan(R[slow]).all()
+    for i in slow:
+        with pytest.raises(NonConvergence):
+            nnls(A[i], b[i], maxiter=cap)
+    W_fast, R_fast = cone._nnls_stack(A[fast], b[fast], maxiter=cap)
+    assert W[fast].tobytes() == W_fast.tobytes() and R[fast].tobytes() == R_fast.tobytes()
+    for i, w in zip(fast, W_fast):
         np.testing.assert_allclose(w, nnls(A[i], b[i])[0], atol=1e-12)
 
 

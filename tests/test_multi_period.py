@@ -505,7 +505,8 @@ def assert_matches_per_node_search(panel):
         time, block, certificate = want
         assert isinstance(got, NodeArbitrage)
         assert (got.time, got.block) == (time, block)
-        # the witness node is projected on its own: the same bits
+        # the witness's weights in its level solve are its own: the
+        # certificate has the bits of the node projected alone
         np.testing.assert_array_equal(got.certificate.gamma, certificate.gamma)
         assert got.certificate.setup_gain == certificate.setup_gain
         assert got.certificate.min_payoff == certificate.min_payoff
@@ -619,15 +620,30 @@ def test_tree_search_witness_is_the_lowest_failing_block():
     assert (node.time, node.block) == (2, 3)
 
 
-def test_tree_search_projects_only_the_witness_on_its_own(monkeypatch):
-    calls = []
-    single = multi_period.project_to_cone
-    monkeypatch.setattr(multi_period, "project_to_cone",
-                        lambda *a, **k: calls.append(a) or single(*a, **k))
+def test_tree_search_witness_is_the_lowest_block_across_child_counts():
+    # a level is solved in stacks of equal child count, the 1-child
+    # stack first; the witness is still the lowest failing block
+    rng = np.random.default_rng(17)
+    panel = tree_panel([np.array([3]), np.array([3, 1, 2])], rng)
+    for block, children in ((0, [0, 1, 2]), (1, [3])):
+        panel.prices[1].values[block, 1] = 1.25 * panel.prices[2].values[children, 1].max() / 1.04
+    node = assert_matches_per_node_search(panel)
+    assert (node.time, node.block) == (1, 0)
+
+
+def test_tree_search_solves_each_node_once(monkeypatch):
+    # the witness is built from its level solve: no node is projected
+    # again, by project_to_cone or otherwise, on a fair panel or on one
+    # that fails at its last node
+    solved, stack = [], cone._project_stack
+    for module in (cone, multi_period):
+        monkeypatch.setattr(module, "_project_stack", lambda rows, children, *a:
+                            solved.append(len(children)) or stack(rows, children, *a))
     assert isinstance(find_tree_deflator(fair_binomial_panel(8)[0]), DeflatorSequence)
-    assert calls == []
+    assert sum(solved) == 2 ** 8 - 1
+    solved.clear()
     assert isinstance(find_tree_deflator(planted_binomial(6, [(5, 31)])), NodeArbitrage)
-    assert len(calls) == 1
+    assert sum(solved) == 2 ** 6 - 1
 
 
 def test_tree_search_needs_a_refining_filtration():
@@ -641,8 +657,8 @@ def test_tree_search_needs_a_refining_filtration():
 def test_tree_search_propagates_nonconvergence(monkeypatch):
     rng = np.random.default_rng(3)
     panel = tree_panel([np.full(3 ** i, 3) for i in range(3)], rng)
-    # the one solver gives up, in the level stacks and in the node-by-node
-    # solves of the fallback alike
+    # the one solver gives up on every node past one subproblem solve:
+    # the lowest such node of the first level is the witness, and raises
     stack = cone._nnls_stack
     monkeypatch.setattr(cone, "_nnls_stack", lambda A, b, maxiter=None: stack(A, b, 1))
     with pytest.raises(NonConvergence):
@@ -652,21 +668,18 @@ def test_tree_search_propagates_nonconvergence(monkeypatch):
 def test_tree_search_nonconvergence_keeps_the_lowest_block_witness(monkeypatch):
     rng = np.random.default_rng(3)
     panel = tree_panel([np.full(3 ** i, 3) for i in range(3)], rng)
-    stack, single = cone._nnls_stack, multi_period.project_to_cone
+    stack = cone._nnls_stack
     stuck = panel.prices[1].values[2].copy()
 
     def stack_stuck(A, b, maxiter=None):
-        if (b == stuck).all(axis=1).any():
-            raise NonConvergence("block 2 of time 1 does not converge")
-        return stack(A, b, maxiter)
-
-    def single_stuck(market, tol=DEFAULT_TOL):
-        if np.array_equal(market.prices, stuck):
-            raise NonConvergence("block 2 of time 1 does not converge")
-        return single(market, tol)
+        # block 2 of time 1 passes its subproblem cap: NaN, as the solver
+        # leaves it
+        w, rnorm = stack(A, b, maxiter)
+        hit = (b == stuck).all(axis=1)
+        w[hit], rnorm[hit] = np.nan, np.nan
+        return w, rnorm
 
     monkeypatch.setattr(cone, "_nnls_stack", stack_stuck)
-    monkeypatch.setattr(multi_period, "project_to_cone", single_stuck)
     # nothing below the stuck node fails: the search reaches it
     with pytest.raises(NonConvergence):
         find_tree_deflator(panel)
@@ -674,6 +687,16 @@ def test_tree_search_nonconvergence_keeps_the_lowest_block_witness(monkeypatch):
     panel.prices[1].values[0, 1] = 1.25 * panel.prices[2].values[:3, 1].max() / 1.04
     node = assert_matches_per_node_search(panel)
     assert (node.time, node.block) == (1, 0)
+
+
+def test_tree_search_refuses_prices_made_infinite_after_the_panel_was_built():
+    # a panel checks its prices once; the witness of a level refuses them
+    # again, and gives no certificate of NaN.  The level solve meets inf -
+    # inf on the way, as it did when the witness was solved again alone.
+    panel = binomial_stock_panel(3, R=1.05, s=100.0, mu=0.0, sigma=0.2)
+    panel.prices[1].values[1, 1] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
+        find_tree_deflator(panel)
 
 
 def test_tree_search_on_a_wide_node():
