@@ -333,21 +333,47 @@ def _solve_pairs(u, v, x, threshold):
     """Weights w (p, 2) with w[:, :1] * u + w[:, 1:] * v = x, by partial
     pivoting LU written out elementwise, and whether they are
     nonnegative and reprice x within threshold, with the rounding of
-    that repricing, 10 * eps * m * ||A||_F * ||w||, counted against
-    them.  An exact zero pivot or an overflow gives non-finite weights,
-    which fail."""
+    that repricing, rel * ||A||_F * ||w||, rel = 10 * eps * m, counted
+    against them, and the second pivot is above rel * max|v| (else u and
+    v are at a sine of at most rel, a pair _nnls_stack would not take).
+    An exact zero pivot or an overflow gives non-finite weights, which fail."""
     # rows (a, b | y0), (c, d | y1) of A w = x, the pivot first: |a| >= |c|
     swap = np.abs(u[:, 1]) > np.abs(u[:, 0])
     (a, c), (b, d), (y0, y1) = (np.where(swap, t[:, ::-1].T, t.T) for t in (u, v, x))
+    rel = 10.0 * np.finfo(float).eps * 2
     with np.errstate(all="ignore"):
         l = c / a
-        w1 = (y1 - l * y0) / (d - l * b)
+        pivot = d - l * b
+        w1 = (y1 - l * y0) / pivot
         w0 = (y0 - b * w1) / a
         resid = np.hypot(a * w0 + b * w1 - y0, c * w0 + d * w1 - y1)
-        noise = 10.0 * np.finfo(float).eps * 2 * np.hypot(np.hypot(a, b), np.hypot(c, d))
-        resid += noise * np.hypot(w0, w1)
-        ok = (w0 >= 0.0) & (w1 >= 0.0) & (resid <= threshold)
+        resid += rel * np.hypot(np.hypot(a, b), np.hypot(c, d)) * np.hypot(w0, w1)
+        ok = ((w0 >= 0.0) & (w1 >= 0.0) & (resid <= threshold)
+              & (np.abs(pivot) > rel * np.maximum(np.abs(b), np.abs(d))))
     return np.stack((w0, w1), axis=1), ok
+
+
+def _solve_direct(rows, children, x, threshold):
+    """_solve_pairs on the two children that _nnls_stack enters first for
+    the two-instrument markets x[i] paying rows rows[children[i]], k >= 2:
+    0 then 1 when k == 2, else j1 of largest A^T x, then j2 of largest
+    gradient A^T r over the others, r = x less its projection on row j1.
+    Returns the weights (p, k), 0 off the pair, and _solve_pairs's check."""
+    p, k = children.shape
+    if k == 2:
+        return _solve_pairs(rows[children[:, 0]], rows[children[:, 1]], x, threshold)
+    X, i, w = rows[children], np.arange(p), np.zeros((p, k))
+    g = np.einsum("pkm,pm->pk", X, x)
+    j1 = g.argmax(axis=1)
+    a = X[i, j1]
+    with np.errstate(all="ignore"):
+        r = x - (g[i, j1] / np.einsum("pm,pm->p", a, a))[:, None] * a
+    g = np.einsum("pkm,pm->pk", X, r)
+    g[i, j1] = -np.inf
+    j2 = g.argmax(axis=1)
+    pair, ok = _solve_pairs(a, X[i, j2], x, threshold)
+    w[i, j1], w[i, j2] = pair.T
+    return w, ok
 
 
 def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
@@ -357,8 +383,8 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     Market i quotes prices[i] (m instruments) and pays the k payoff rows
     rows[children[i]].  Returns the cone weights (p, k) and whether each
     market is inside its cone by _threshold.  A stack holds at most
-    _STACK_ENTRIES payoff entries.  A market with k == m == 2 is solved
-    directly, element by element (_solve_pairs), so its bits depend on
+    _STACK_ENTRIES payoff entries.  A market with m == 2 <= k is solved
+    directly, element by element (_solve_direct), so its bits depend on
     neither the stack nor the BLAS build.  Every other market, and one
     whose direct weights fail, goes through _nnls_stack (NaN past its cap).
     """
@@ -368,7 +394,7 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     for lo in range(0, p, step):
         c, x = children[lo:lo + step], prices[lo:lo + step]
         threshold = _threshold(x, tol)
-        w, ok = (_solve_pairs(rows[c[:, 0]], rows[c[:, 1]], x, threshold) if k == m == 2
+        w, ok = (_solve_direct(rows, c, x, threshold) if m == 2 <= k
                  else (np.empty((len(x), k)), np.zeros(len(x), bool)))
         rest = np.flatnonzero(~ok)
         if rest.size:

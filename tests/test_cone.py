@@ -1112,3 +1112,144 @@ def test_two_child_zero_pivots_and_overflow_get_the_node_verdicts():
             assert (weights[i] >= 0.0).all()
             residual = np.linalg.norm(market.payoffs.T @ weights[i] - prices[i])
             assert residual <= DEFAULT_TOL * (1.0 + np.linalg.norm(prices[i]))
+
+
+# two-instrument nodes of more than two children: _solve_direct on the
+# pair that the active-set solver enters first
+
+NODE_KINDS = ("fair", "arbitrage", "zero row", "duplicated", "one ray", "extreme ray")
+
+
+def two_instrument_nodes(rng, p, k):
+    """p two-instrument nodes of k children on their own payoff rows, of
+    the six NODE_KINDS at random: prices inside the cone of positive weights
+    (some of them 0), prices drawn anywhere, a zero child row, a child
+    duplicated, all children on one ray, and prices a power of two times
+    the child row of largest angle, exactly on an extreme ray when the
+    cone is pointed.  Half the nodes pay positive rows, as a bond and a
+    stock do, the others rows of any sign.  Returns the rows, children,
+    prices and each node's kind."""
+    X = rng.normal(size=(p, k, 2)) * rng.lognormal(size=(p, k, 1))
+    positive = rng.random(p) < 0.5
+    X[positive] = np.abs(X[positive])
+    kind = rng.integers(len(NODE_KINDS), size=p)
+    X[kind == 2, 0] = 0.0
+    X[kind == 3, 1] = X[kind == 3, 0]
+    ray = kind == 4
+    X[ray] = X[ray, :1] * rng.uniform(0.1, 2.0, size=(ray.sum(), k, 1))
+    q = rng.uniform(0.0, 1.0, size=(p, k)) * (rng.random((p, k)) < 0.8)
+    x = np.einsum("pkm,pk->pm", X, q)
+    arb = kind == 1
+    x[arb] = rng.normal(size=(arb.sum(), 2)) * np.abs(x[arb]).max(axis=1, keepdims=True)
+    edge = np.flatnonzero(kind == 5)
+    j = np.arctan2(X[edge, :, 1], X[edge, :, 0]).argmax(axis=1)
+    x[edge] = X[edge, j] * 2.0 ** rng.integers(-2, 3, size=(edge.size, 1))
+    return X.reshape(-1, 2), np.arange(p * k).reshape(p, k), x, kind
+
+
+def test_two_instrument_nodes_get_the_verdicts_and_weights_of_nnls():
+    # the direct pair is the one _nnls_stack ends on, or the node goes to
+    # it: same verdict, and on inside nodes weights within the rounding
+    # of two backward-stable solves of the pair, 8 eps cond (under 1e-13
+    # relative for a pair of condition up to 56); nodes that fall back
+    # have its bits
+    rng = np.random.default_rng(83)
+    seen = {name: [0, 0] for name in NODE_KINDS}
+    eps = np.finfo(float).eps
+    for k in (3, 4, 5, 6):
+        for _ in range(3):
+            rows, children, x, kind = two_instrument_nodes(rng, 300, k)
+            threshold = cone._threshold(x, DEFAULT_TOL)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                weights, inside = cone._project_stack(rows, children, x)
+                _, direct = cone._solve_direct(rows, children, x, threshold)
+            W, rnorm = cone._nnls_stack(rows[children].transpose(0, 2, 1), x)
+            np.testing.assert_array_equal(inside, rnorm <= threshold)
+            assert weights[~direct].tobytes() == W[~direct].tobytes()
+            for i in np.flatnonzero(direct):
+                pair = rows[children[i, (weights[i] != 0.0) | (W[i] != 0.0)]]
+                cond = np.linalg.cond(pair) if len(pair) == 2 else 1.0
+                gap = np.abs(weights[i] - W[i]).max()
+                assert gap <= 8.0 * eps * cond * np.abs(W[i]).max()
+            for name, s in zip(NODE_KINDS, np.arange(len(NODE_KINDS))[:, None] == kind):
+                seen[name][0] += (s & direct).sum()
+                seen[name][1] += (s & ~inside).sum()
+    # every kind but one ray has directly solved nodes; a pair on one
+    # ray has no direct solution, and only the drawn prices lie outside
+    assert all(seen[name][0] > 0 for name in NODE_KINDS if name != "one ray")
+    assert seen["one ray"][0] == 0
+    assert seen["arbitrage"][1] > 0
+    assert sum(outside for _, outside in seen.values()) == seen["arbitrage"][1]
+
+
+def test_planted_trinomial_node_takes_its_certificate_from_nnls(monkeypatch):
+    # the stock costs more than every child pays over R: no direct pair
+    # reprices the node, so its weights, verdict and certificate are those
+    # of the active-set solver, alone and as the root of a tree
+    payoffs = np.array([[1.05, 80.0], [1.05, 100.0], [1.05, 125.0]])
+    market = OnePeriodMarket(prices=np.array([1.0, 130.0]), payoffs=payoffs)
+    prices = market.prices[None]
+    _, direct = cone._solve_direct(payoffs, np.arange(3)[None], prices,
+                                   cone._threshold(prices, DEFAULT_TOL))
+    assert not direct.any()
+    stack, solved = cone._nnls_stack, []
+
+    def counted(A, b, maxiter=None):
+        solved.append(len(A))
+        return stack(A, b, maxiter)
+
+    monkeypatch.setattr(cone, "_nnls_stack", counted)
+    projection = project_to_cone(market)
+    assert solved == [1]
+    W = stack(payoffs.T[None], prices)[0][0]
+    assert projection.weights.tobytes() == W.tobytes()
+    want = cone._projection(payoffs, market.prices, W, False).certificate
+    certificate = projection.certificate
+    assert certificate.gamma.tobytes() == want.gamma.tobytes()
+    assert (certificate.setup_gain, certificate.min_payoff) == (want.setup_gain, want.min_payoff)
+    assert verify_position(market, certificate.gamma).is_arbitrage
+    node = find_tree_deflator(panel_from_one_period(market))
+    assert isinstance(node, NodeArbitrage) and (node.time, node.block) == (0, 0)
+    assert node.certificate.gamma.tobytes() == want.gamma.tobytes()
+    assert solved == [1, 1]
+
+
+def trinomial_nodes(rng, p, k):
+    """p fair bond-and-stock nodes of k children on their own payoff
+    rows, shaped as binomial_pairs's: the bond pays R**(j + 1) and costs
+    R**j, one child's stock pays u*s, one d*s and the others m*s, with
+    u / R from 1.5 to 2.5, d / R from 1e-6 to 0.63 and m / R from 0.63 to
+    1.5, in random order, priced by positive weights.  The two
+    instruments come in either order."""
+    R = rng.uniform(1.0, 1.1, size=(p, 1))
+    j = rng.integers(0, 30, size=(p, 1))
+    s = R ** j * 10.0 ** rng.uniform(-0.3, 0.3, size=(p, 1))
+    moves = rng.uniform(0.63, 1.5, size=(p, k))
+    moves[:, 0] = rng.uniform(1.5, 2.5, size=p)
+    moves[:, 1] = 10.0 ** rng.uniform(-6.0, -0.2, size=p)
+    X = np.stack((np.broadcast_to(R ** (j + 1), (p, k)), rng.permuted(moves, axis=1) * R * s),
+                 axis=2)
+    x = np.einsum("pkm,pk->pm", X, rng.uniform(0.2, 1.0, size=(p, k)))
+    swap = rng.random(p) < 0.5
+    X[swap], x[swap] = X[swap, :, ::-1], x[swap, ::-1]
+    return X.reshape(-1, 2), np.arange(p * k).reshape(p, k), x
+
+
+def test_many_child_nodes_are_within_8_ulp_of_cramer_on_their_pair():
+    rng = np.random.default_rng(89)
+    for k in (3, 4, 5, 6):
+        for _ in range(3):
+            rows, children, prices = trinomial_nodes(rng, 200, k)
+            weights, inside = cone._project_stack(rows, children, prices)
+            w, ok = cone._solve_direct(rows, children, prices,
+                                       cone._threshold(prices, DEFAULT_TOL))
+            # every node is solved directly on two children
+            assert inside.all() and ok.all()
+            assert w.tobytes() == weights.tobytes()
+            assert ((weights > 0.0).sum(axis=1) == 2).all()
+            for i in range(len(prices)):
+                c0, c1 = children[i, weights[i] > 0.0]
+                pair = weights[i, weights[i] > 0.0]
+                for got, want in zip(pair, cramer(rows[c0], rows[c1], prices[i])):
+                    assert abs(Fraction(got) - want) <= 8 * math.ulp(float(want))

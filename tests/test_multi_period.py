@@ -654,9 +654,20 @@ def test_tree_search_needs_a_refining_filtration():
         Filtration([Algebra.trivial(4), middle, crossing])
 
 
+def with_bond_plus_stock(panel):
+    """panel with a third instrument, one bond plus one stock: still fair,
+    and its three-instrument nodes go through the active-set solver,
+    where two-instrument nodes are solved directly."""
+    def widen(fs):
+        return [SimpleFunction(f.algebra, np.column_stack([f.values, f.values.sum(axis=1)]))
+                for f in fs]
+    return MarketPanel(times=panel.times, filtration=panel.filtration,
+                       prices=widen(panel.prices), cashflows=widen(panel.cashflows))
+
+
 def test_tree_search_propagates_nonconvergence(monkeypatch):
     rng = np.random.default_rng(3)
-    panel = tree_panel([np.full(3 ** i, 3) for i in range(3)], rng)
+    panel = with_bond_plus_stock(tree_panel([np.full(3 ** i, 3) for i in range(3)], rng))
     # the one solver gives up on every node past one subproblem solve:
     # the lowest such node of the first level is the witness, and raises
     stack = cone._nnls_stack
@@ -667,7 +678,7 @@ def test_tree_search_propagates_nonconvergence(monkeypatch):
 
 def test_tree_search_nonconvergence_keeps_the_lowest_block_witness(monkeypatch):
     rng = np.random.default_rng(3)
-    panel = tree_panel([np.full(3 ** i, 3) for i in range(3)], rng)
+    panel = with_bond_plus_stock(tree_panel([np.full(3 ** i, 3) for i in range(3)], rng))
     stack = cone._nnls_stack
     stuck = panel.prices[1].values[2].copy()
 
@@ -697,6 +708,23 @@ def test_tree_search_refuses_prices_made_infinite_after_the_panel_was_built():
     panel.prices[1].values[1, 1] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
         find_tree_deflator(panel)
+
+
+def test_fair_trinomial_tree_needs_neither_nnls_nor_lapack(monkeypatch):
+    # every node of a bond-and-stock tree is solved directly on two of
+    # its three children: no node reaches the active-set solver, and no
+    # LAPACK solver is called, so the weights hold no BLAS kernel's bits
+    def refuse(*args, **kwargs):
+        raise AssertionError("solver called")
+
+    rng = np.random.default_rng(97)
+    panel = tree_panel([np.full(3 ** i, 3) for i in range(6)], rng)
+    monkeypatch.setattr(cone, "_nnls_stack", refuse)
+    for name in ("lstsq", "qr", "inv", "solve", "svd", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    deflators = find_tree_deflator(panel)
+    assert isinstance(deflators, DeflatorSequence)
+    assert check_deflator(panel, deflators).ok
 
 
 def test_tree_search_on_a_wide_node():
