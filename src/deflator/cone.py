@@ -329,17 +329,31 @@ def _threshold(prices, tol):
     return tol * (1.0 + np.linalg.norm(prices, axis=-1))
 
 
-def _solve_pairs(u, v, x, threshold):
-    """Weights w (p, 2) with w[:, :1] * u + w[:, 1:] * v = x, by partial
-    pivoting LU written out elementwise, and whether they are
-    nonnegative and reprice x within threshold, with the rounding of
-    that repricing, rel * ||A||_F * ||w||, rel = 10 * eps * m, counted
-    against them, and the second pivot is above rel * max|v| (else u and
-    v are at a sine of at most rel, a pair _nnls_stack would not take).
-    An exact zero pivot or an overflow gives non-finite weights, which fail."""
-    # rows (a, b | y0), (c, d | y1) of A w = x, the pivot first: |a| >= |c|
-    swap = np.abs(u[:, 1]) > np.abs(u[:, 0])
-    (a, c), (b, d), (y0, y1) = (np.where(swap, t[:, ::-1].T, t.T) for t in (u, v, x))
+def _solve_direct(rows, children, x, threshold):
+    """Weights w (p, k) of the two-instrument markets x[i] paying rows
+    rows[children[i]], k >= 2, 0 off the pair (u, v) _nnls_stack enters
+    first: children 0, 1 if k == 2, else j1 of largest A^T x, then j2 of
+    largest A^T r over the others, r = x less its projection on row j1.
+    Partial pivoting LU written out elementwise solves it.  ok: w >= 0,
+    w reprices x within threshold less the rounding rel * ||A||_F * ||w||
+    of that, rel = 10 * eps * m, and the second pivot is above rel * max|v|
+    (else u, v are at a sine <= rel, which _nnls_stack would not split).
+    An exact zero pivot or an overflow gives non-finite weights: they fail."""
+    (p, k), i, j1, j2 = children.shape, np.arange(len(x)), 0, 1
+    if k > 2:
+        X = np.take(rows, children, axis=0)
+        g = np.einsum("pkm,pm->pk", X, x)
+        j1 = g.argmax(axis=1)
+        first = X[i, j1]
+        with np.errstate(all="ignore"):
+            r = x - (g[i, j1] / np.einsum("pm,pm->p", first, first))[:, None] * first
+        g = np.einsum("pkm,pm->pk", X, r)
+        g[i, j1] = -np.inf
+        j2 = g.argmax(axis=1)
+    u, v = (np.take(rows, children[i, j], axis=0) for j in (j1, j2))
+    # rows (a, b | y0), (c, d | y1) of A w = x, |a| >= |c|: entries top, top ^ 1 of u, v, x raveled
+    top = 2 * i + (np.abs(u[:, 1]) > np.abs(u[:, 0]))
+    (a, b, y0), (c, d, y1) = ([t.ravel()[e] for t in (u, v, x)] for e in (top, top ^ 1))
     rel = 10.0 * np.finfo(float).eps * 2
     with np.errstate(all="ignore"):
         l = c / a
@@ -350,29 +364,8 @@ def _solve_pairs(u, v, x, threshold):
         resid += rel * np.hypot(np.hypot(a, b), np.hypot(c, d)) * np.hypot(w0, w1)
         ok = ((w0 >= 0.0) & (w1 >= 0.0) & (resid <= threshold)
               & (np.abs(pivot) > rel * np.maximum(np.abs(b), np.abs(d))))
-    return np.stack((w0, w1), axis=1), ok
-
-
-def _solve_direct(rows, children, x, threshold):
-    """_solve_pairs on the two children that _nnls_stack enters first for
-    the two-instrument markets x[i] paying rows rows[children[i]], k >= 2:
-    0 then 1 when k == 2, else j1 of largest A^T x, then j2 of largest
-    gradient A^T r over the others, r = x less its projection on row j1.
-    Returns the weights (p, k), 0 off the pair, and _solve_pairs's check."""
-    p, k = children.shape
-    if k == 2:
-        return _solve_pairs(rows[children[:, 0]], rows[children[:, 1]], x, threshold)
-    X, i, w = rows[children], np.arange(p), np.zeros((p, k))
-    g = np.einsum("pkm,pm->pk", X, x)
-    j1 = g.argmax(axis=1)
-    a = X[i, j1]
-    with np.errstate(all="ignore"):
-        r = x - (g[i, j1] / np.einsum("pm,pm->p", a, a))[:, None] * a
-    g = np.einsum("pkm,pm->pk", X, r)
-    g[i, j1] = -np.inf
-    j2 = g.argmax(axis=1)
-    pair, ok = _solve_pairs(a, X[i, j2], x, threshold)
-    w[i, j1], w[i, j2] = pair.T
+    w = np.zeros((p, k))
+    w[i, j1], w[i, j2] = w0, w1
     return w, ok
 
 
@@ -386,7 +379,9 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     _STACK_ENTRIES payoff entries.  A market with m == 2 <= k is solved
     directly, element by element (_solve_direct), so its bits depend on
     neither the stack nor the BLAS build.  Every other market, and one
-    whose direct weights fail, goes through _nnls_stack (NaN past its cap).
+    whose direct weights fail, goes through _nnls_stack (NaN past its
+    cap), whose weights alone can depend on the stack, and is decided
+    by the residual _projection reports on them (_reprice).
     """
     (p, k), m = children.shape, rows.shape[1]
     weights, inside = np.empty((p, k)), np.empty(p, dtype=bool)
@@ -398,10 +393,26 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
                  else (np.empty((len(x), k)), np.zeros(len(x), bool)))
         rest = np.flatnonzero(~ok)
         if rest.size:
-            w[rest], rnorm = _nnls_stack(rows[c[rest]].transpose(0, 2, 1), x[rest])
-            ok[rest] = rnorm <= threshold[rest]
+            X = rows[c[rest]]
+            w[rest] = _nnls_stack(X.transpose(0, 2, 1), x[rest])[0]
+            ok[rest] = _reprice(w[rest], X, x[rest])[2] <= threshold[rest]
         weights[lo:lo + step], inside[lo:lo + step] = w, ok
     return weights, inside
+
+
+def _reprice(w, X, x):
+    """x_star = w X, gap x_star - x and residual ||gap|| of weights w (p, k)
+    of markets paying X (p, k, m) at prices x (p, m), by _products(k, m)."""
+    _, vm, vv = _products(*X.shape[1:])
+    x_star = vm(w, X)
+    gap = x_star - x
+    return x_star, gap, np.sqrt(vv(gap, gap))
+
+
+def _position(payoffs, prices, gamma):
+    """Cost gamma . prices and payoffs X gamma, by the products _products picks."""
+    mv, _, vv = _products(*payoffs.shape)   # each on a stack of one
+    return float(vv(gamma[None], prices[None])[0]), mv(payoffs[None], gamma[None])[0]
 
 
 def _projection(payoffs, prices, weights, inside):
@@ -410,10 +421,7 @@ def _projection(payoffs, prices, weights, inside):
     unit gap direction x_star - prices, which costs -setup_gain and pays
     at least min_payoff; non-finite prices or payoffs raise ValueError,
     and NaN weights (a solve past its cap) NonConvergence."""
-    mv, vm, vv = _products(*payoffs.shape)  # each on a stack of one
-    x_star = vm(weights[None], payoffs[None])[0]
-    gap = x_star - prices
-    rnorm = float(np.sqrt(vv(gap[None], gap[None])[0]))
+    x_star, gap, rnorm = (v[0] for v in _reprice(weights[None], payoffs[None], prices[None]))
     certificate = None
     if not inside:
         if not (np.isfinite(prices).all() and np.isfinite(payoffs).all()):
@@ -421,10 +429,10 @@ def _projection(payoffs, prices, weights, inside):
         if np.isnan(weights).any():
             raise NonConvergence("nnls did not converge within its subproblem cap")
         gamma = gap / rnorm
-        certificate = ArbitrageCertificate(
-            gamma=gamma, setup_gain=float(-vv(gamma[None], prices[None])[0]),
-            min_payoff=float(mv(payoffs[None], gamma[None])[0].min()))
-    return ConeProjection(weights=weights, x_star=x_star, residual_norm=rnorm,
+        cost, payoff = _position(payoffs, prices, gamma)
+        certificate = ArbitrageCertificate(gamma=gamma, setup_gain=-cost,
+                                           min_payoff=float(payoff.min()))
+    return ConeProjection(weights=weights, x_star=x_star, residual_norm=float(rnorm),
                           prices=prices.copy(), certificate=certificate)
 
 
@@ -467,12 +475,13 @@ def verify_position(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) ->
     """Check a candidate position: arbitrage means strictly negative
     cost together with no losing outcome, both up to the slack
     tol * (max|prices| + max|payoffs|) * max(1, max|gamma|), which
-    scales with the market and the position."""
+    scales with the market and the position.  A certificate's products
+    (_position) give cost -setup_gain and its min_payoff to the bit."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != market.prices.shape:
         raise DimensionMismatch("gamma must hold one position per instrument")
-    cost = float(gamma @ market.prices)
-    min_payoff = float((market.payoffs @ gamma).min())
+    cost, payoff = _position(market.payoffs, market.prices, gamma)
+    min_payoff = float(payoff.min())
     slack = float(tol * (np.abs(market.prices).max() + np.abs(market.payoffs).max())
                   * max(1.0, np.abs(gamma).max()))
     return PositionReport(cost=cost, min_payoff=min_payoff,

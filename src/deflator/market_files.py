@@ -157,10 +157,7 @@ def _panel(doc):
              "blocks: need one partition per time")
     algebras = [_partition(blocks[j], len(atoms), f"blocks[{j}]")
                 for j in range(times.size)]
-    try:
-        filtration = Filtration(algebras)
-    except Exception as exc:
-        raise SpecFileError(f"blocks do not refine over time: {exc}") from exc
+    filtration = Filtration(algebras)
 
     def rows(field, required):
         raw = doc.get(field)
@@ -176,21 +173,14 @@ def _panel(doc):
             out.append(SimpleFunction(filtration[j], arr))
         return out
 
-    try:
-        panel = MarketPanel(times, filtration, rows("prices", True), rows("cashflows", False))
-    except Exception as exc:
-        raise SpecFileError(f"invalid panel: {exc}") from exc
+    panel = MarketPanel(times, filtration, rows("prices", True), rows("cashflows", False))
     return MarketSpec("panel", panel, names, _tolerance(doc))
 
 
 def _curve(doc):
     maturities = _finite_array(doc.get("maturities"), (0,), "maturities")
     discounts = _finite_array(doc.get("discounts"), (0,), "discounts")
-    try:
-        curve = DiscountCurve(maturities, discounts)
-    except Exception as exc:
-        raise SpecFileError(f"invalid curve: {exc}") from exc
-    return MarketSpec("curve", curve, None, _tolerance(doc))
+    return MarketSpec("curve", DiscountCurve(maturities, discounts), None, _tolerance(doc))
 
 
 def _model(cls, doc, **given):

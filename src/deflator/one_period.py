@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import (DEFAULT_TOL, Deflator, OnePeriodMarket, _products,
+from .cone import (DEFAULT_TOL, Deflator, OnePeriodMarket, _position, _products,
                    _qr_append_stack)
 from .exceptions import (DimensionMismatch, NoArbitrageViolation, SingularGram,
                          ZeroCost)
@@ -42,11 +42,11 @@ def realized_return(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) ->
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != market.prices.shape:
         raise DimensionMismatch("gamma must hold one position per instrument")
-    cost = float(gamma @ market.prices)
+    cost, payoff = _position(market.payoffs, market.prices, gamma)
     scale = max(1.0, float(np.abs(market.prices).max()) * float(np.abs(gamma).max()))
     if abs(cost) <= tol * scale:
         raise ZeroCost(f"position cost {cost} is within tolerance of zero")
-    return (market.payoffs @ gamma) / cost
+    return payoff / cost
 
 
 @dataclass(frozen=True)

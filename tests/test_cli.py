@@ -292,6 +292,18 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "blocks[3][1]: atom index True is not an integer in [0, 8)" in err
 
+    # a domain object's own error reaches the CLI as an invalid spec of its kind
+    code, out, err = edited("binomial_panel.json",
+                            lambda s: s["blocks"].__setitem__(2, [[0, 4], [1, 2], [3, 5], [6, 7]]))
+    assert (code, out) == (2, "")
+    assert "invalid panel spec: algebra 2 does not refine algebra 1" in err
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"kind": "curve", "maturities": [1.0, 2.0],
+                                 "discounts": [0.95, -0.9]}))
+    code, out, err = run(["curve", str(curve), "par", "--schedule", "1,2"], capsys)
+    assert (code, out) == (2, "")
+    assert "invalid curve spec: discount factors must be positive" in err
+
 
 @pytest.mark.parametrize("command, spec, verb", [("price", "bach.json", "pricing"),
                                                  ("hedge", "gbm.json", "hedging")])

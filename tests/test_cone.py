@@ -13,6 +13,7 @@ import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,9 @@ from deflator import (
     verify_position,
 )
 from deflator import cone
+from deflator.market_files import load_market_spec
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def random_market(rng, with_labels=False):
@@ -276,6 +280,56 @@ def test_every_view_of_the_verdict_flips_at_its_threshold():
     assert flips >= 50 and witnessed >= 20
 
 
+def near_fair_nodes(rng, p, m, k):
+    """p markets of k outcomes and m instruments priced inside their cone
+    by nonnegative weights, some 0: their residuals are rounding noise."""
+    payoffs = rng.normal(size=(p, k, m)) * rng.lognormal(size=(p, k, m))
+    q = rng.uniform(0.0, 1.0, size=(p, k)) * (rng.random((p, k)) < 0.8)
+    return payoffs, np.einsum("pkm,pk->pm", payoffs, q)
+
+
+def test_the_reported_residual_decides_the_verdict():
+    # the active-set solver's own residual and the one the projection
+    # reports are rounding noise on near-fair markets, and often differ
+    # in their bits; with the threshold strictly between the two, the
+    # verdict follows the reported one, alone and in a tree level
+    rng = np.random.default_rng(7)
+    ties, witnessed = {True: 0, False: 0}, 0
+    for _ in range(400):
+        m, k = int(rng.integers(3, 6)), int(rng.integers(3, 9))
+        payoffs, prices = near_fair_nodes(rng, 4, m, k)
+        own = cone._nnls_stack(payoffs[:1].transpose(0, 2, 1), prices[:1])[1][0]
+        reported = project_to_cone(OnePeriodMarket(prices[0], payoffs[0])).residual_norm
+        lo, hi = sorted((own, reported))
+        tol = 0.5 * (lo + hi) / (1.0 + np.linalg.norm(prices[0]))
+        if not lo < cone._threshold(prices[0], tol) < hi:
+            continue
+        markets = [OnePeriodMarket(prices=x, payoffs=X) for x, X in zip(prices, payoffs)]
+        projections = [project_to_cone(market, tol) for market in markets]
+        outside = [projection.residual_norm > cone._threshold(market.prices, tol)
+                   for projection, market in zip(projections, markets)]
+        for projection, out in zip(projections, outside):
+            assert (projection.certificate is None) == (not out)
+        ties[not outside[0]] += 1
+        # the tie node is block 0, so a tree of these nodes fails exactly
+        # where the reported residuals say, whatever the others are
+        filtration = Filtration([Algebra(np.repeat(np.arange(4), k)),
+                                 Algebra(np.arange(4 * k))])
+        panel = MarketPanel(times=(0.0, 1.0), filtration=filtration,
+                            prices=[SimpleFunction(filtration[0], prices),
+                                    SimpleFunction(filtration[1], payoffs.reshape(-1, m))])
+        found = find_tree_deflator(panel, tol)
+        if any(outside):
+            block = outside.index(True)
+            assert isinstance(found, NodeArbitrage) and found.block == block
+            assert (found.certificate.gamma.tobytes()
+                    == projections[block].certificate.gamma.tobytes())
+            witnessed += block == 0
+        else:
+            assert isinstance(found, DeflatorSequence)
+    assert min(ties.values()) >= 50 and witnessed >= 50
+
+
 def test_certificate_is_unit_norm_and_scales_with_market():
     """Doubling all prices and payoffs doubles the certificate's gain."""
     prices = np.array([100.0, 9.1])
@@ -436,6 +490,27 @@ def test_verify_position_accepts_certificates_of_large_markets():
         assert verify_position(market, certificate.gamma).is_arbitrage
         noisy += certificate.min_payoff < -1e-9
     assert noisy >= 20
+
+
+def test_verify_position_reports_a_certificate_to_the_bit():
+    # verify_position forms gamma . x and X gamma with the certificate's
+    # products, on small markets (einsum) and large ones (BLAS), so a
+    # certificate reports cost -setup_gain and its min_payoff exactly
+    rng = np.random.default_rng(11)
+    markets = [load_market_spec(FIXTURES / "ex5.json").payload]
+    for n, m in ((4, 2), (7, 3), (12, 5), (40, 4), (300, 12), (2000, 60)):
+        for _ in range(20):
+            payoffs = np.abs(rng.normal(size=(n, m))) * rng.lognormal(size=m)
+            markets.append(OnePeriodMarket(prices=rng.normal(size=m), payoffs=payoffs))
+    certified = 0
+    for market in markets:
+        certificate = find_arbitrage(market)
+        if certificate is not None:
+            report = verify_position(market, certificate.gamma)
+            assert report.cost == -certificate.setup_gain
+            assert report.min_payoff == certificate.min_payoff
+            certified += 1
+    assert certified >= 100
 
 
 def payoffs_near_250():
@@ -1008,7 +1083,7 @@ def test_splitting_a_level_changes_no_result(monkeypatch):
     assert kinds == {"square", "zero pivot", "nnls", "inside", "outside"}
 
 
-# two-child, two-instrument nodes: the direct solve of _solve_pairs
+# two-child, two-instrument nodes: the direct solve of _solve_direct
 
 
 def binomial_pairs(rng, p):
@@ -1047,8 +1122,7 @@ def test_two_child_nodes_are_within_8_ulp_of_cramer():
     for _ in range(10):
         rows, children, prices = binomial_pairs(rng, 200)
         weights, inside = cone._project_stack(rows, children, prices)
-        w, ok = cone._solve_pairs(rows[children[:, 0]], rows[children[:, 1]], prices,
-                                  cone._threshold(prices, DEFAULT_TOL))
+        w, ok = cone._solve_direct(rows, children, prices, cone._threshold(prices, DEFAULT_TOL))
         # every node is solved directly, and these weights are the result
         assert inside.all() and ok.all()
         assert w.tobytes() == weights.tobytes()
@@ -1098,8 +1172,7 @@ def test_two_child_zero_pivots_and_overflow_get_the_node_verdicts():
     rows, children, prices = np.array(rows), np.array(children), np.array(prices)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        w, ok = cone._solve_pairs(rows[children[:, 0]], rows[children[:, 1]], prices,
-                                  cone._threshold(prices, DEFAULT_TOL))
+        w, ok = cone._solve_direct(rows, children, prices, cone._threshold(prices, DEFAULT_TOL))
         weights, inside = cone._project_stack(rows, children, prices)
     # no direct solve got through
     assert not np.isfinite(w).all(axis=1).any() and not ok.any()

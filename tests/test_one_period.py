@@ -29,6 +29,7 @@ from deflator import (
     realized_return,
     verify_position,
 )
+from deflator import cone
 from deflator.market_files import load_market_spec
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -71,6 +72,30 @@ def test_realized_return_rejects_zero_cost_positions():
     market, _ = fair_binomial()
     with pytest.raises(ZeroCost):
         realized_return(market, [100.0, -1.0])
+
+
+def test_realized_return_divides_the_certificate_products():
+    # X gamma and gamma . x are formed as for the certificate: a
+    # certificate's returns are its payoffs over -setup_gain, and the
+    # best of them its min_payoff over that cost, to the bit
+    rng = np.random.default_rng(13)
+    markets = [load_market_spec(FIXTURES / "ex5.json").payload]
+    for n, m in ((4, 2), (7, 3), (12, 5), (300, 12)):
+        for _ in range(20):
+            payoffs = np.abs(rng.normal(size=(n, m))) * rng.lognormal(size=m)
+            markets.append(OnePeriodMarket(prices=rng.normal(size=m), payoffs=payoffs))
+    certified = 0
+    for market in markets:
+        certificate = find_arbitrage(market)
+        if certificate is None:
+            continue
+        returns = realized_return(market, certificate.gamma)
+        mv = cone._products(*market.payoffs.shape)[0]
+        payoff = mv(market.payoffs[None], certificate.gamma[None])[0]
+        assert returns.tobytes() == (payoff / -certificate.setup_gain).tobytes()
+        assert returns.max() == certificate.min_payoff / -certificate.setup_gain
+        certified += 1
+    assert certified >= 60
 
 
 # ---------------------------------------------------------------------------
