@@ -16,10 +16,10 @@ from .cone import (DEFAULT_TOL, ArbitrageCertificate, ConeProjection,
                    project_to_cone, verify_position)
 from .exceptions import (AlgebraMismatch, ArbitrageInInput, DeflatorError,
                          DeflatorZeroBlock, DimensionMismatch, InvalidInterval,
-                         MissingMaturity, NoArbitrageViolation, NonConvergence,
-                         NonpositiveRate, NonPredictableDeflator, NotClosedOut,
-                         NotCoarser, NotSelfFinancing, SingularGram,
-                         SpecFileError, TruncationFailure, ZeroCost)
+                         MissingMaturity, NonConvergence, NonpositiveRate,
+                         NonPredictableDeflator, NotClosedOut, NotCoarser,
+                         NotSelfFinancing, SingularGram, SpecFileError,
+                         TruncationFailure, ZeroCost)
 from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction,
                          binary_tree_filtration, pairing, product, random_walk,
                          restrict)
@@ -36,11 +36,9 @@ from .multi_period import (AccountProcess, ArbitrageVerdict, CheckResult,
                            deterministic_panel, find_tree_deflator,
                            is_arbitrage_strategy, panel_from_one_period,
                            propagate_prices, replication_cost)
-from .one_period import (HedgeResult, MarketFixture, binomial_price,
-                         binomial_price_states, least_squares_hedge,
-                         parity_and_carry_fixtures, price_payoff,
+from .one_period import (HedgeResult, least_squares_hedge, price_payoff,
                          realized_return)
-from .rates import (DiscountCurve, FloatingLegCheck, HoLeeParams, Schedule,
+from .rates import (DiscountCurve, HoLeeParams, Schedule,
                     ShortRateProcess, bond_price, deflators_from_short_rate,
                     floating_leg_value, forward_price, forward_rate,
                     futures_convexity, futures_panel, futures_quotes,

@@ -124,7 +124,8 @@ def nnls(A, b, maxiter=None):
 
     Lawson and Hanson's method (Solving Least Squares Problems, 1974,
     ch. 23-24), run by _nnls_stack on a stack of one.  Its stopping rule
-    is relative, so the verdict does not change when A and b are rescaled.
+    is relative, and so is the threshold that decides a projection
+    (_threshold): neither changes when A and b are rescaled.
 
     A is (m, n) and b (m,).  maxiter caps the least squares subproblem
     solves (default 10 * max(m, n)); exceeding it raises NonConvergence.
@@ -223,8 +224,10 @@ def _nnls_stack(A, b, maxiter=None):
     order they entered, padded to q = min(m, k) columns.  The entering
     column has the largest gradient A_j . r among the free columns above
     their threshold 10 * eps * max(m, k) * ||A_j|| * ||r||, r = b - A @ w.
-    A problem stops when there is none, when ||r|| <= 10 * eps *
-    max(m, k) * ||b||, or with q passive columns, and leaves the stack.
+    A problem stops when there is none, by the gradients of r and again
+    by those of r less its part in the span of the passive columns, when
+    ||r|| <= 10 * eps * max(m, k) * ||b||, or with q passive columns, and
+    leaves the stack.
     A column whose new diagonal entry of R is at most 10 * eps *
     max(m, k) * ||A_j|| lies in the span of the passive columns
     (_qr_append_stack): it is blocked, until w moves, without a solve.
@@ -267,8 +270,19 @@ def _nnls_stack(A, b, maxiter=None):
             rnorm = np.sqrt(vv(r, r))
             grad = mv(X, r)
         # grad where a free column is above its threshold (so > 0), else 0
-        score = grad * ((grad > cut * rnorm[:, None]) & (held < moves[:, None]))
+        free, thresh = held < moves[:, None], cut * rnorm[:, None]
+        score = grad * ((grad > thresh) & free)
         enter = score.argmax(axis=1)
+        # r rounds by about eps * ||b|| in the span of the passive columns,
+        # which can hide a column nearly in it: a problem about to stop
+        # looks again with r off that span
+        stall = (score[rows, enter] <= 0.0) & (nk > 0) & (rnorm > r_floor) & (nk < q)
+        if stall.any():
+            Q = Qt[:, :n]
+            g = mv(X, r - vm(mv(Q, r), Q))
+            again = g * ((g > thresh) & free)
+            grad, score = np.where(stall[:, None], g, grad), np.where(stall[:, None], again, score)
+            enter = score.argmax(axis=1)
         # with min(m, k) passive columns, every further column depends
         # on them
         go = (score[rows, enter] > 0.0) & (rnorm > r_floor) & (nk < q) & (solves <= maxiter)
@@ -283,9 +297,9 @@ def _nnls_stack(A, b, maxiter=None):
             live, rows = live[go], rows[:go.sum()]
             if not live.size:
                 break
-            (X, b, cut, r_floor, held, moves, Qt, Ri, cols, P, wf, nk, solves, rnorm, grad,
+            (X, b, cut, r_floor, held, moves, Qt, Ri, cols, P, wf, nk, solves, r, rnorm, grad,
              enter) = (v[go] for v in (X, b, cut, r_floor, held, moves, Qt, Ri, cols, P, wf, nk,
-                                       solves, rnorm, grad, enter))
+                                       solves, r, rnorm, grad, enter))
             n = int(nk.max())
         # a rejected column lands past nk, in the padding
         P[rows, nk], cols[rows, nk] = X[rows, enter], enter
@@ -324,9 +338,11 @@ def _nnls_stack(A, b, maxiter=None):
 
 
 def _threshold(prices, tol):
-    """tol * (1 + ||prices||), one per row of prices: prices whose
-    residual is at most this are inside the payoff cone."""
-    return tol * (1.0 + np.linalg.norm(prices, axis=-1))
+    """tol * ||prices||, one per row of prices: prices whose residual is
+    at most this are inside the payoff cone.  Its unit is the prices'
+    own, so a rescaled market keeps its verdict, and a zero price vector
+    is inside only when it is projected exactly."""
+    return tol * np.linalg.norm(prices, axis=-1)
 
 
 def _solve_direct(rows, children, x, threshold):
@@ -415,6 +431,14 @@ def _position(payoffs, prices, gamma):
     return float(vv(gamma[None], prices[None])[0]), mv(payoffs[None], gamma[None])[0]
 
 
+def _slack(payoffs, prices, gamma, tol):
+    """tol * (max|prices| + max|payoffs|) * max|gamma|: the slack of a
+    check on position gamma's cost or payoffs (_position), in the
+    market's unit times the position's, so it is 0 for gamma = 0."""
+    return float(tol * (np.abs(prices).max(initial=0.0) + np.abs(payoffs).max(initial=0.0))
+                 * np.abs(gamma).max(initial=0.0))
+
+
 def _projection(payoffs, prices, weights, inside):
     """The ConeProjection of prices with _project_stack's cone weights of
     the payoff rows and verdict inside.  Outside, the certificate is the
@@ -473,17 +497,17 @@ class PositionReport:
 
 def verify_position(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) -> PositionReport:
     """Check a candidate position: arbitrage means strictly negative
-    cost together with no losing outcome, both up to the slack
-    tol * (max|prices| + max|payoffs|) * max(1, max|gamma|), which
-    scales with the market and the position.  A certificate's products
-    (_position) give cost -setup_gain and its min_payoff to the bit."""
+    cost together with no losing outcome, both up to the slack _slack,
+    tol * (max|prices| + max|payoffs|) * max|gamma|, so c * gamma gets
+    gamma's verdict for every c > 0, and so does a rescaled market.  A
+    certificate's products (_position) give cost -setup_gain and its
+    min_payoff to the bit."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != market.prices.shape:
         raise DimensionMismatch("gamma must hold one position per instrument")
     cost, payoff = _position(market.payoffs, market.prices, gamma)
     min_payoff = float(payoff.min())
-    slack = float(tol * (np.abs(market.prices).max() + np.abs(market.payoffs).max())
-                  * max(1.0, np.abs(gamma).max()))
+    slack = _slack(market.payoffs, market.prices, gamma, tol)
     return PositionReport(cost=cost, min_payoff=min_payoff,
                           is_arbitrage=(cost < -slack and min_payoff >= -slack))
 

@@ -31,10 +31,6 @@ class SingularGram(DeflatorError):
         self.index = index
 
 
-class NoArbitrageViolation(DeflatorError):
-    """Model parameters violate a no-arbitrage precondition."""
-
-
 class AlgebraMismatch(DeflatorError):
     """Two objects that must share an algebra do not."""
 

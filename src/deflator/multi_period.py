@@ -78,7 +78,7 @@ class MarketPanel:
         return len(self.filtration) - 1
 
     def scale(self) -> float:
-        """max |price| + max |cash flow|, the tolerance unit for checks
+        """max |price| + max |cash flow|, the market's unit in the checks
         (each a max of max and -min: np.abs would copy every level)."""
         return (max(float(max(f.values.max(), -f.values.min())) for f in self.prices)
                 + max(float(max(f.values.max(), -f.values.min())) for f in self.cashflows))
@@ -145,11 +145,12 @@ def account_process(panel: MarketPanel, strategy: Strategy) -> AccountProcess:
 def _closed_account(panel: MarketPanel, strategy: Strategy, tol: float,
                     not_closed: str):
     """The account entries of a strategy and the slack of the checks on
-    them, tol * scale * max(1, trade scale).  Trades after the last
+    them, tol * panel.scale() * max|trades|: the market's unit times the
+    position's, as cone._slack is for one period.  Trades after the last
     nonzero one are zero, so Xi_n is as large as the position after the
-    last trade: NotClosedOut unless it is within tol * max(1, trade scale)."""
+    last trade: NotClosedOut unless it is within tol * max|trades|."""
     account = account_process(panel, strategy)
-    trade_scale = max(1.0, max(float(np.abs(g.values).max()) for g in strategy.trades))
+    trade_scale = max(float(np.abs(g.values).max()) for g in strategy.trades)
     if np.abs(account.position).max() > tol * trade_scale:
         raise NotClosedOut(not_closed)
     return account.entries, tol * panel.scale() * trade_scale
@@ -169,8 +170,8 @@ def is_arbitrage_strategy(panel: MarketPanel, strategy: Strategy,
     must be zero (NotClosedOut otherwise).  It is an arbitrage when the
     account entry at the first trading time is strictly positive on
     every block actually traded, and all later entries are nonnegative,
-    each up to tol * scale.  The witness is the first violating
-    (time, block).
+    each up to the account slack of _closed_account.  The witness is the
+    first violating (time, block).
     """
     entries, slack = _closed_account(panel, strategy, tol,
                                      "position after the last trade is not zero")
@@ -224,24 +225,29 @@ def check_deflator(panel: MarketPanel, deflators: DeflatorSequence,
     """Verify X_i Pi_i = (C_{i+1} + X_{i+1}) Pi_{i+1} restricted, for all i.
 
     Each side is a vector measure on the i-th algebra; the violation is
-    the largest blockwise component gap, compared against tol * scale.
+    the largest blockwise component gap.  Level i's gap is held to
+    tol * panel.scale() * max(max Pi_i, max Pi_{i+1}): the market's unit
+    times the deflator's, so c * Pi gets Pi's verdict for every c > 0.
     """
     if len(deflators) != panel.n_periods + 1:
         raise DimensionMismatch("need one deflator measure per time")
     for j in range(panel.n_periods + 1):
         if deflators[j].algebra != panel.filtration[j]:
             raise AlgebraMismatch(f"deflator {j} lives off the filtration")
-    worst = 0.0
+    unit, worst, ok = tol * panel.scale(), 0.0, True
+    size = [float(mu.weights.max()) for mu in deflators.measures]
     # finest level first and one instrument at a time: no other level,
     # and no vector measure on the finer level, is held meanwhile
     for i in reversed(range(panel.n_periods)):
         lhs = product(panel.prices[i], deflators[i]).weights
         settle = panel.settle(i + 1)
+        bound = unit * max(size[i], size[i + 1])
         for c in range(panel.n_instruments):
             column = SimpleFunction(settle.algebra, settle.values[:, c])
             rhs = restrict(product(column, deflators[i + 1]), panel.filtration[i])
-            worst = max(worst, float(np.abs(lhs[:, c] - rhs.weights).max()))
-    return CheckResult(ok=(worst <= tol * panel.scale()), max_violation=worst)
+            gap = float(np.abs(lhs[:, c] - rhs.weights).max())
+            worst, ok = max(worst, gap), ok and gap <= bound
+    return CheckResult(ok=ok, max_violation=worst)
 
 
 def propagate_prices(panel: MarketPanel, deflators: DeflatorSequence,
@@ -352,7 +358,8 @@ def replication_cost(panel: MarketPanel, deflators: DeflatorSequence,
     interior cash (NotSelfFinancing with the offending time and block
     otherwise).  The two sides then satisfy the pairing identity
     <cost, Pi_0> = <terminal, Pi_n>, which is verified against the
-    supplied deflators.
+    supplied deflators, to the account slack times their time-0 mass
+    and the number of times.
     """
     entries, slack = _closed_account(panel, strategy, tol,
                                      "strategy does not close out at the horizon")
@@ -368,8 +375,7 @@ def replication_cost(panel: MarketPanel, deflators: DeflatorSequence,
     lhs = pairing(cost, deflators[0])
     rhs = pairing(terminal, deflators[len(deflators) - 1])
     gap = abs(lhs - rhs)
-    mass = float(np.sum(deflators[0].weights))
-    if gap > slack * max(1.0, mass) * (panel.n_periods + 1):
+    if gap > slack * float(np.sum(deflators[0].weights)) * (panel.n_periods + 1):
         raise ValueError(
             f"pairing identity fails by {gap}; the deflators do not price "
             "this panel")

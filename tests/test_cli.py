@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deflator import atm_call_correlation, binomial_price, cli, cone
+from deflator import atm_call_correlation, cli, cone
 from deflator.cli import main
 from deflator.market_files import load_market_spec, parse_document, render_document
 
@@ -98,6 +98,8 @@ def test_documents_round_trip_losslessly():
 
 
 def test_fair_binomial_call_price_is_the_binomial_formula():
+    # imported here: bench/test_bench.py loads this module by file, off the tests' path
+    from _fixtures import binomial_price
     doc = parse_document(golden("price_fair_binomial_call"))
     oracle = binomial_price(R=1.05, s=100.0, d=0.95, u=1.15,
                             payoff=lambda x: max(x - 100.0, 0.0))

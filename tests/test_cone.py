@@ -142,7 +142,7 @@ def test_nnls_finds_fair_option_chains_inside_at_every_scale(i):
     for scale in (1e-6, 1.0, 1e6):
         market = OnePeriodMarket(prices=scale * x, payoffs=scale * X)
         projection = project_to_cone(market)
-        assert projection.residual_norm <= 1e-3 * DEFAULT_TOL * (1.0 + np.linalg.norm(market.prices))
+        assert projection.residual_norm <= 1e-3 * cone._threshold(market.prices, DEFAULT_TOL)
         assert find_arbitrage(market) is None
         # one node of 4000 children: the stacked solver at full size
         assert isinstance(find_tree_deflator(panel_from_one_period(market)), DeflatorSequence)
@@ -196,6 +196,21 @@ def test_projection_of_markets_without_outcomes_or_instruments():
         assert proj.weights.shape == (len(payoffs),) and not proj.weights.any()
 
 
+def test_a_zero_price_vector_projects_exactly():
+    # its threshold tol * ||prices|| is 0: the direct two-instrument
+    # path, the active-set solver and a tree node all reach the zero
+    # weights exactly, so no certificate comes out
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 5):
+        for k in (1, 2, 4, 7):
+            market = OnePeriodMarket(prices=np.zeros(m), payoffs=rng.normal(size=(k, m)))
+            projection = project_to_cone(market)
+            assert projection.certificate is None and projection.residual_norm == 0.0
+            assert not projection.weights.any()
+            found = find_tree_deflator(panel_from_one_period(market))
+            assert isinstance(found, DeflatorSequence) and not found[1].weights.any()
+
+
 # ---------------------------------------------------------------------------
 # the dichotomy
 
@@ -229,7 +244,7 @@ def test_exactly_one_of_certificate_or_deflator():
 
 
 def test_every_view_of_the_verdict_flips_at_its_threshold():
-    # tol just below and just above residual / (1 + ||prices||) of a
+    # tol just below and just above residual / ||prices|| of a
     # market outside its cone: the projection's certificate,
     # find_arbitrage, the deflator view, the stacked level solve and the
     # tree search all change their verdict there, and together
@@ -244,7 +259,7 @@ def test_every_view_of_the_verdict_flips_at_its_threshold():
         markets = [OnePeriodMarket(prices=b[i], payoffs=rows[c])
                    for i, c in enumerate(children)]
         residual = np.array([project_to_cone(market).residual_norm for market in markets])
-        edge = residual / (1.0 + np.linalg.norm(b, axis=1))
+        edge = residual / np.linalg.norm(b, axis=1)
         # residuals of the two solvers agree far within the 1e-6 margin
         outside = np.flatnonzero(residual > 1e-6 * np.linalg.norm(b, axis=1))
         for i in outside:
@@ -301,7 +316,7 @@ def test_the_reported_residual_decides_the_verdict():
         own = cone._nnls_stack(payoffs[:1].transpose(0, 2, 1), prices[:1])[1][0]
         reported = project_to_cone(OnePeriodMarket(prices[0], payoffs[0])).residual_norm
         lo, hi = sorted((own, reported))
-        tol = 0.5 * (lo + hi) / (1.0 + np.linalg.norm(prices[0]))
+        tol = 0.5 * (lo + hi) / np.linalg.norm(prices[0])
         if not lo < cone._threshold(prices[0], tol) < hi:
             continue
         markets = [OnePeriodMarket(prices=x, payoffs=X) for x, X in zip(prices, payoffs)]
@@ -431,7 +446,7 @@ def test_verdicts_match_the_exact_oracle_on_degenerate_cones():
         for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             market = OnePeriodMarket(prices=c * prices.astype(float),
                                      payoffs=c * payoffs.astype(float))
-            threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(market.prices))
+            threshold = cone._threshold(market.prices, DEFAULT_TOL)
             # scaling rounds the inputs by far less than the threshold,
             # so c * distance is the scaled market's distance
             if threshold / 4.0 < c * distance < 4.0 * threshold:
@@ -643,7 +658,7 @@ def test_stacked_nnls_agrees_with_nnls():
         for i in range(p):
             a = A[i]
             single, rnorm = nnls(a, b[i])
-            threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[i]))
+            threshold = cone._threshold(b[i], DEFAULT_TOL)
             np.testing.assert_array_equal(single > 0.0, W[i] > 0.0)
             assert (rnorm <= threshold) == (R[i] <= threshold)
             assert abs(rnorm - R[i]) <= threshold
@@ -691,14 +706,14 @@ def test_nnls_counts_solves_like_the_stacked_solver():
         assert np.isnan(w_cut[short]).all() and np.isnan(r_cut[short]).all()
         w_fast, r_fast = cone._nnls_stack(A[fast], b[fast], maxiter=cap - 1)
         assert w_cut[fast].tobytes() == w_fast.tobytes()
-        threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[fast], axis=1))
+        threshold = cone._threshold(b[fast], DEFAULT_TOL)
         np.testing.assert_array_equal(r_cut[fast] <= threshold, r_fast <= threshold)
         assert (np.abs(r_cut[fast] - r_fast) <= threshold).all()
         with pytest.raises(NonConvergence, match=f"within {cap - 1} subproblem solves"):
             nnls(A[short[0]], b[short[0]], maxiter=cap - 1)
         for i in range(p):
             w, r, s = traced_stack(A[i:i + 1], b[i:i + 1])
-            threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b[i]))
+            threshold = cone._threshold(b[i], DEFAULT_TOL)
             assert S[i] == s[0]
             np.testing.assert_array_equal(W[i] > 0.0, w[0] > 0.0)
             assert (R[i] <= threshold) == (r[0] <= threshold)
@@ -879,7 +894,7 @@ def test_zero_steps_keep_the_verdicts_and_residuals_of_scipy():
         zero_steps += hit
         R = cone._nnls_stack(A[None], b[None])[1]
         want = np.linalg.norm(A @ scipy.optimize.nnls(A, b)[0] - b)
-        threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b))
+        threshold = cone._threshold(b, DEFAULT_TOL)
         if threshold / 4.0 < want < 4.0 * threshold:
             band += 1
             continue
@@ -978,7 +993,7 @@ def test_a_blocked_column_enters_again_once_w_moves():
     for seed in range(40):
         A, b = blocked_then_needed(seed)
         w, rnorm = nnls(A, b)
-        threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(b))
+        threshold = cone._threshold(b, DEFAULT_TOL)
         assert rnorm <= threshold and w[2] > 0.0
         market = OnePeriodMarket(prices=b, payoffs=A.T)
         assert project_to_cone(market).certificate is None
@@ -987,6 +1002,22 @@ def test_a_blocked_column_enters_again_once_w_moves():
             blocked += 1
             assert states[-1] == "passive"
     assert blocked >= 10
+
+
+def test_a_column_nearly_in_the_passive_span_enters_before_the_solver_stops():
+    # a tree node of three children whose rows are coplanar to 5e-9,
+    # priced inside their cone by weights 0.354, 0.363 and 0.252; at the
+    # solution on the two outer rows, r rounds by about eps * ||b|| in
+    # their span, which turned the inner row's gradient negative, and the
+    # solver stopped at residual 0.299, above the threshold 0.137
+    A = np.array([[1032476.7454486034, 100265142.95562097, 101297619.70106958],
+                  [1032474.1794898207, 86050696.83255062, 87083168.3064601],
+                  [1032476.7454486033, 117018831.63853317, 118051308.38398178]]).T
+    b = np.array([999999.069659281, 96184880.00904807, 97184878.09774399])
+    w, rnorm = nnls(A, b)
+    assert (w > 0.0).all() and rnorm <= 1e-3 * cone._threshold(b, DEFAULT_TOL)
+    np.testing.assert_allclose(w, [0.354, 0.363, 0.252], atol=1e-3)
+    assert project_to_cone(OnePeriodMarket(prices=b, payoffs=A.T)).certificate is None
 
 
 def square_stack(rng, m, p, scale, singular):
@@ -1040,7 +1071,7 @@ def test_square_stacks_give_the_node_verdicts():
                 if inside[i]:
                     # weights near 1e9 make the rounding of this check
                     # about as large as the threshold
-                    threshold = DEFAULT_TOL * (1.0 + np.linalg.norm(prices[i]))
+                    threshold = cone._threshold(prices[i], DEFAULT_TOL)
                     assert (weights[i] >= 0.0).all()
                     residual = np.linalg.norm(market.payoffs.T @ weights[i] - prices[i])
                     assert residual <= 2.0 * threshold
@@ -1184,7 +1215,7 @@ def test_two_child_zero_pivots_and_overflow_get_the_node_verdicts():
         if inside[i]:
             assert (weights[i] >= 0.0).all()
             residual = np.linalg.norm(market.payoffs.T @ weights[i] - prices[i])
-            assert residual <= DEFAULT_TOL * (1.0 + np.linalg.norm(prices[i]))
+            assert residual <= cone._threshold(prices[i], DEFAULT_TOL)
 
 
 # two-instrument nodes of more than two children: _solve_direct on the

@@ -10,6 +10,7 @@ from deflator import (
     DEFAULT_TOL,
     Algebra,
     ArbitrageInInput,
+    ArbitrageVerdict,
     DeflatorSequence,
     DimensionMismatch,
     FAMeasure,
@@ -121,10 +122,18 @@ def test_mispriced_bond_gives_arbitrage_strategy():
 
 
 def test_zero_strategy_is_not_arbitrage():
-    panel, _ = fair_binomial_panel(2)
-    verdict = is_arbitrage_strategy(panel, Strategy.zero(panel))
-    assert not verdict.is_arbitrage
-    assert verdict.first_violation is None
+    # its slack is 0, and so is its position: neither check refuses it
+    # as not closed out, at any market scale
+    panel, _ = fair_binomial_panel(3)
+    deflators = find_tree_deflator(panel)
+    for c in (1e-6, 1.0, 1e6):
+        scaled = MarketPanel(times=panel.times, filtration=panel.filtration,
+                             prices=[SimpleFunction(f.algebra, c * f.values)
+                                     for f in panel.prices])
+        zero = Strategy.zero(scaled)
+        assert is_arbitrage_strategy(scaled, zero) == ArbitrageVerdict(False, None)
+        result = replication_cost(scaled, deflators, zero)
+        assert not result.cost.values.any() and result.pairing_gap == 0.0
 
 
 # ------------------------------------------------------------- deflators
@@ -294,7 +303,7 @@ def refuses_to_close_out(check, *args):
 
 
 def test_both_checks_refuse_the_same_residual_positions():
-    # a residual just above or just below tol * max(1, trade scale), left
+    # a residual just above or just below tol * trade scale, left
     # at the last active trade, which is sometimes before the horizon
     rng = np.random.default_rng(61)
     for trial in range(40):
@@ -312,7 +321,7 @@ def test_both_checks_refuse_the_same_residual_positions():
         opening[:] = rng.normal(size=opening.shape) * 10.0 ** rng.uniform(-3, 3)
         up = filtration[k].coarse_block_map(filtration[i])
         strategy.trades[k].values[:] = -opening[up]
-        trade_scale = max(1.0, float(np.abs(opening).max()))
+        trade_scale = float(np.abs(opening).max())
         above = trial % 4 < 2
         residual = (1.01 if above else 0.99) * DEFAULT_TOL * trade_scale
         b = int(rng.integers(filtration[k].n_blocks))

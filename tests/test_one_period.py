@@ -14,16 +14,12 @@ import pytest
 
 from deflator import (
     Deflator,
-    NoArbitrageViolation,
     OnePeriodMarket,
     SingularGram,
     ZeroCost,
-    binomial_price,
-    binomial_price_states,
     deflator_from_projection,
     find_arbitrage,
     least_squares_hedge,
-    parity_and_carry_fixtures,
     price_payoff,
     project_to_cone,
     realized_return,
@@ -31,6 +27,9 @@ from deflator import (
 )
 from deflator import cone
 from deflator.market_files import load_market_spec
+
+from _fixtures import (NoArbitrageViolation, binomial_price, binomial_price_states,
+                       parity_and_carry_fixtures)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -69,9 +68,16 @@ def test_realized_return_of_the_bond_is_its_rate():
 
 
 def test_realized_return_rejects_zero_cost_positions():
+    # the slack is in units of the position: no position, and one that
+    # costs nothing, raise at every market scale, while a bond position
+    # of 1e-12 has its return
     market, _ = fair_binomial()
-    with pytest.raises(ZeroCost):
-        realized_return(market, [100.0, -1.0])
+    for c in (1e-6, 1.0, 1e6):
+        scaled = OnePeriodMarket(prices=c * market.prices, payoffs=c * market.payoffs)
+        for gamma in ([100.0, -1.0], [0.0, 0.0]):
+            with pytest.raises(ZeroCost):
+                realized_return(scaled, gamma)
+        np.testing.assert_allclose(realized_return(scaled, [1e-12, 0.0]), [1.05, 1.05])
 
 
 def test_realized_return_divides_the_certificate_products():
