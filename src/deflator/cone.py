@@ -342,7 +342,9 @@ def _threshold(prices, tol):
     at most this are inside the payoff cone.  Its unit is the prices'
     own, so a rescaled market keeps its verdict, and a zero price vector
     is inside only when it is projected exactly."""
-    return tol * np.linalg.norm(prices, axis=-1)
+    # np.linalg.norm's sum of squares: its bits, with a pair's sum written out
+    s = prices * prices
+    return tol * np.sqrt(s[..., 0] + s[..., 1] if s.shape[-1] == 2 else s.sum(axis=-1))
 
 
 def _solve_direct(rows, children, x, threshold):
@@ -351,7 +353,7 @@ def _solve_direct(rows, children, x, threshold):
     first: children 0, 1 if k == 2, else j1 of largest A^T x, then j2 of
     largest A^T r over the others, r = x less its projection on row j1.
     Partial pivoting LU written out elementwise solves it.  ok: w >= 0,
-    w reprices x within threshold less the rounding rel * ||A||_F * ||w||
+    w reprices x within threshold less the rounding rel * max|A| * max|w|
     of that, rel = 10 * eps * m, and the second pivot is above rel * max|v|
     (else u, v are at a sine <= rel, which _nnls_stack would not split).
     An exact zero pivot or an overflow gives non-finite weights: they fail."""
@@ -366,20 +368,23 @@ def _solve_direct(rows, children, x, threshold):
         g = np.einsum("pkm,pm->pk", X, r)
         g[i, j1] = -np.inf
         j2 = g.argmax(axis=1)
-    u, v = (np.take(rows, children[i, j], axis=0) for j in (j1, j2))
-    # rows (a, b | y0), (c, d | y1) of A w = x, |a| >= |c|: entries top, top ^ 1 of u, v, x raveled
-    top = 2 * i + (np.abs(u[:, 1]) > np.abs(u[:, 0]))
-    (a, b, y0), (c, d, y1) = ([t.ravel()[e] for t in (u, v, x)] for e in (top, top ^ 1))
+    u, v = (np.take(rows, children[:, j] if k == 2 else children[i, j], axis=0) for j in (j1, j2))
+    # rows (a, b | y0), (c, d | y1) of A w = x, |a| >= |c|: rows top, 1 - top of (u, v | x)
+    top = np.abs(u[:, 1]) > np.abs(u[:, 0])
+    (a, b, y0), (c, d, y1) = ([np.where(top, t[:, 1 - e], t[:, e]) for t in (u, v, x)]
+                              for e in (0, 1))
     rel = 10.0 * np.finfo(float).eps * 2
     with np.errstate(all="ignore"):
         l = c / a
         pivot = d - l * b
         w1 = (y1 - l * y0) / pivot
         w0 = (y0 - b * w1) / a
+        bd = np.maximum(np.abs(b), np.abs(d))   # max|A| is max(|a|, bd): |c| <= |a|
         resid = np.hypot(a * w0 + b * w1 - y0, c * w0 + d * w1 - y1)
-        resid += rel * np.hypot(np.hypot(a, b), np.hypot(c, d)) * np.hypot(w0, w1)
-        ok = ((w0 >= 0.0) & (w1 >= 0.0) & (resid <= threshold)
-              & (np.abs(pivot) > rel * np.maximum(np.abs(b), np.abs(d))))
+        resid += rel * np.maximum(np.abs(a), bd) * np.maximum(np.abs(w0), np.abs(w1))
+        ok = (w0 >= 0.0) & (w1 >= 0.0) & (resid <= threshold) & (np.abs(pivot) > rel * bd)
+    if k == 2:
+        return np.stack([w0, w1], 1), ok
     w = np.zeros((p, k))
     w[i, j1], w[i, j2] = w0, w1
     return w, ok
@@ -409,7 +414,7 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
                  else (np.empty((len(x), k)), np.zeros(len(x), bool)))
         rest = np.flatnonzero(~ok)
         if rest.size:
-            X = rows[c[rest]]
+            X = np.take(rows, c[rest], axis=0)
             w[rest] = _nnls_stack(X.transpose(0, 2, 1), x[rest])[0]
             ok[rest] = _reprice(w[rest], X, x[rest])[2] <= threshold[rest]
         weights[lo:lo + step], inside[lo:lo + step] = w, ok

@@ -239,6 +239,18 @@ def restrict(mu: FAMeasure, coarser: Algebra) -> FAMeasure:
     return FAMeasure(coarser, out)
 
 
+def _restrict_product(f: SimpleFunction, mu: FAMeasure, coarser: Algebra) -> np.ndarray:
+    """restrict(product(f, mu), coarser).weights, one column of the vector
+    f at a time: neither f mu nor a strided copy of its column is held."""
+    if f.algebra != mu.algebra:
+        raise AlgebraMismatch("function and measure live on different algebras")
+    up, n = f.algebra.coarse_block_map(coarser), coarser.n_blocks
+    out = np.empty((n, f.values.shape[1]))
+    for c in range(out.shape[1]):
+        out[:, c] = _bincount(up, f.values[:, c] * mu.weights, n)
+    return FAMeasure(coarser, out).weights
+
+
 def pairing(f: SimpleFunction, mu: FAMeasure):
     """The dual pairing <f, mu> = sum over blocks of f(b) mu(b).
 

@@ -21,8 +21,8 @@ from .cone import DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket, _project_s
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
                          InvalidInterval, NotClosedOut, NotSelfFinancing)
 from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction, _bincount,
-                         _walk_levels, binary_tree_filtration, pairing, product,
-                         restrict)
+                         _restrict_product, _walk_levels, binary_tree_filtration, pairing,
+                         product)
 
 
 def _vector_on(algebra: Algebra, f: SimpleFunction, what: str, m: int) -> None:
@@ -80,8 +80,8 @@ class MarketPanel:
     def scale(self) -> float:
         """max |price| + max |cash flow|, the market's unit in the checks
         (each a max of max and -min: np.abs would copy every level)."""
-        return (max(float(max(f.values.max(), -f.values.min())) for f in self.prices)
-                + max(float(max(f.values.max(), -f.values.min())) for f in self.cashflows))
+        return sum(max(float(max(f.values.max(), -f.values.min())) for f in fs)
+                   for fs in ((self.prices, self.cashflows) if self._pays else (self.prices,)))
 
     def settle(self, j: int) -> SimpleFunction:
         """Cash flow plus price at time j: what holding into t_j delivers.
@@ -237,16 +237,13 @@ def check_deflator(panel: MarketPanel, deflators: DeflatorSequence,
     unit, worst, ok = tol * panel.scale(), 0.0, True
     size = [float(mu.weights.max()) for mu in deflators.measures]
     # finest level first and one instrument at a time: no other level,
-    # and no vector measure on the finer level, is held meanwhile
+    # and no vector measure on the finer level, is held meanwhile; the
+    # gap takes the restriction's place, as |rhs - lhs| = |lhs - rhs|
     for i in reversed(range(panel.n_periods)):
-        lhs = product(panel.prices[i], deflators[i]).weights
-        settle = panel.settle(i + 1)
-        bound = unit * max(size[i], size[i + 1])
-        for c in range(panel.n_instruments):
-            column = SimpleFunction(settle.algebra, settle.values[:, c])
-            rhs = restrict(product(column, deflators[i + 1]), panel.filtration[i])
-            gap = float(np.abs(lhs[:, c] - rhs.weights).max())
-            worst, ok = max(worst, gap), ok and gap <= bound
+        diff = _restrict_product(panel.settle(i + 1), deflators[i + 1], panel.filtration[i])
+        diff -= product(panel.prices[i], deflators[i]).weights
+        gap = float(np.abs(diff, out=diff).max())
+        worst, ok = max(worst, gap), ok and gap <= unit * max(size[i], size[i + 1])
     return CheckResult(ok=ok, max_violation=worst)
 
 
@@ -256,15 +253,15 @@ def propagate_prices(panel: MarketPanel, deflators: DeflatorSequence,
 
     Blockwise on the j-th algebra this divides the accumulated measure
     sum_{j<i<k} C_i Pi_i + (C_k + X_k) Pi_k, restricted to level j, by
-    Pi_j.  DeflatorZeroBlock if Pi_j vanishes on some block.
+    Pi_j, one instrument at a time, with no C_i terms for a panel that
+    pays none.  DeflatorZeroBlock if Pi_j vanishes on some block.
     """
     if not 0 <= j < k <= panel.n_periods:
         raise InvalidInterval(f"need 0 <= j < k <= {panel.n_periods}")
     coarse = panel.filtration[j]
-    acc = restrict(product(panel.settle(k), deflators[k]), coarse).weights
-    for i in range(j + 1, k):
-        acc = acc + restrict(product(panel.cashflows[i], deflators[i]),
-                             coarse).weights
+    acc = _restrict_product(panel.settle(k), deflators[k], coarse)
+    for i in range(j + 1, k) if panel._pays else ():
+        acc += _restrict_product(panel.cashflows[i], deflators[i], coarse)
     den = deflators[j].weights
     if (den <= 0).any():
         raise DeflatorZeroBlock(f"deflator at time {j} vanishes on a block")

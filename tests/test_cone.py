@@ -1218,6 +1218,76 @@ def test_two_child_zero_pivots_and_overflow_get_the_node_verdicts():
             assert residual <= cone._threshold(prices[i], DEFAULT_TOL)
 
 
+def near_tie_pairs(rng, p):
+    """p two-child nodes on nearly opposite payoff rows u, v at an angle
+    pi - e, e from 1e-6 to 1e-4, priced by weights W + a, W with W up to
+    1e7 and |a| <= W e: the prices are about W e long, so the rounding
+    of the repricing, about eps * W, is near the threshold tol * W e and
+    a node's direct verdict turns on its rounding allowance.  Laid out
+    as binomial_pairs's."""
+    W, e = 10.0 ** rng.uniform(3.0, 7.0, size=p), 10.0 ** rng.uniform(-6.0, -4.0, size=p)
+    turn = rng.uniform(0.0, 2.0 * np.pi, size=p)
+    u = np.stack((np.cos(turn), np.sin(turn)), axis=1)
+    v = -np.stack((np.cos(turn + e), np.sin(turn + e)), axis=1)
+    prices = (W * (1.0 + e * rng.uniform(-1.0, 1.0, size=p)))[:, None] * u + W[:, None] * v
+    return np.concatenate((u, v)), np.stack((np.arange(p), p + np.arange(p)), axis=1), prices
+
+
+def frobenius_direct(rows, children, x, threshold):
+    """_solve_direct on two-child nodes with the Frobenius rounding
+    allowance rel * ||A||_F * ||w||_2, by four np.hypot calls, and the
+    pivot row picked by gathers from raveled copies."""
+    u, v = rows[children[:, 0]], rows[children[:, 1]]
+    top = 2 * np.arange(len(x)) + (np.abs(u[:, 1]) > np.abs(u[:, 0]))
+    (a, b, y0), (c, d, y1) = ([t.ravel()[e] for t in (u, v, x)] for e in (top, top ^ 1))
+    rel = 10.0 * np.finfo(float).eps * 2
+    with np.errstate(all="ignore"):
+        l = c / a
+        pivot = d - l * b
+        w1 = (y1 - l * y0) / pivot
+        w0 = (y0 - b * w1) / a
+        resid = np.hypot(a * w0 + b * w1 - y0, c * w0 + d * w1 - y1)
+        resid += rel * np.hypot(np.hypot(a, b), np.hypot(c, d)) * np.hypot(w0, w1)
+        ok = ((w0 >= 0.0) & (w1 >= 0.0) & (resid <= threshold)
+              & (np.abs(pivot) > rel * np.maximum(np.abs(b), np.abs(d))))
+    return np.stack([w0, w1], 1), ok
+
+
+def test_the_direct_rounding_allowance_is_never_larger_than_the_frobenius_one():
+    # rel * max|A_ij| * max|w_j| <= rel * ||A||_F * ||w||_2: every node
+    # the Frobenius allowance took directly is still taken, with the same
+    # weights.  A node only the smaller allowance takes went to the solver
+    # before: it gets the verdict the solver's reported residual gave it,
+    # and project_to_cone's, and its own reported residual is within the
+    # threshold
+    rng = np.random.default_rng(103)
+    flipped = 0
+    for draw in (binomial_pairs, near_tie_pairs):
+        for _ in range(5):
+            rows, children, x = draw(rng, 400)
+            scale = 10.0 ** rng.uniform(-6.0, 6.0, size=len(x))
+            rows, x = rows * np.concatenate((scale, scale))[:, None], x * scale[:, None]
+            threshold = cone._threshold(x, DEFAULT_TOL)
+            w, ok = cone._solve_direct(rows, children, x, threshold)
+            w_f, ok_f = frobenius_direct(rows, children, x, threshold)
+            assert not (ok_f & ~ok).any()
+            assert w.tobytes() == w_f.tobytes()
+            weights, inside = cone._project_stack(rows, children, x)
+            assert weights[ok].tobytes() == w[ok].tobytes() and inside[ok].all()
+            new = np.flatnonzero(ok & ~ok_f)
+            X = rows[children[new]]
+            W = cone._nnls_stack(X.transpose(0, 2, 1), x[new])[0]
+            assert (cone._reprice(W, X, x[new])[2] <= threshold[new]).all()
+            assert (cone._reprice(w[new], X, x[new])[2] <= threshold[new]).all()
+            for i in new:
+                market = OnePeriodMarket(prices=x[i], payoffs=rows[children[i]])
+                assert project_to_cone(market).certificate is None
+            flipped += new.size
+            if draw is binomial_pairs:
+                assert ok.all()
+    assert flipped > 0
+
+
 # two-instrument nodes of more than two children: _solve_direct on the
 # pair that the active-set solver enters first
 

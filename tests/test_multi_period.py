@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,54 @@ def test_propagate_prices_with_cashflows():
     assert check_deflator(panel, deflators, tol=1e-12).ok
     recovered = propagate_prices(panel, deflators, 0, 2)
     assert recovered.values[0, 1] == pytest.approx(bond, rel=1e-12)
+
+
+def propagated_by_measures(panel, deflators, j, k):
+    """propagate_prices as whole vector measures: restrict(product(...))
+    of settle(k) and of every cash flow between, divided by Pi_j."""
+    coarse = panel.filtration[j]
+    acc = restrict(product(panel.settle(k), deflators[k]), coarse).weights
+    for i in range(j + 1, k):
+        acc = acc + restrict(product(panel.cashflows[i], deflators[i]), coarse).weights
+    return acc / deflators[j].weights[:, None]
+
+
+def test_propagate_prices_keeps_the_bits_of_the_measure_products():
+    rng = np.random.default_rng(13)
+    for trial in range(10):
+        n = int(rng.integers(1, 7))
+        panel, _ = fair_binomial_panel(n)
+        if trial % 2:
+            flows = [SimpleFunction(alg, rng.normal(size=(alg.n_blocks, 2)) if j else
+                                    np.zeros((1, 2)))
+                     for j, alg in enumerate(panel.filtration.algebras)]
+            panel = MarketPanel(panel.times, panel.filtration, panel.prices, flows)
+        deflators = DeflatorSequence([FAMeasure(alg, rng.uniform(0.1, 1.0, alg.n_blocks))
+                                      for alg in panel.filtration.algebras])
+        for j in range(n):
+            for k in range(j + 1, n + 1):
+                got = propagate_prices(panel, deflators, j, k).values
+                assert got.tobytes() == propagated_by_measures(panel, deflators, j, k).tobytes()
+
+
+@pytest.mark.parametrize("j", [17, 0])
+def test_propagate_prices_holds_no_vector_measure_of_the_fine_level(j):
+    # one instrument at a time: the result, one product column of the
+    # finest level and its restriction, and for j < 17 the composed map;
+    # neither the (2**18, 2) product nor a strided copy of its column
+    panel = binomial_stock_panel(18, R=1.05, s=100.0, mu=0.0, sigma=0.2)
+    deflators = DeflatorSequence([FAMeasure(alg, np.full(alg.n_blocks, 0.5 ** i))
+                                  for i, alg in enumerate(panel.filtration.algebras)])
+    tracemalloc.start()
+    try:
+        out = propagate_prices(panel, deflators, j, 18).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fine, coarse = 2 ** 18 * 8, 2 ** j * 8
+    composed = fine if j < 17 else 0
+    assert peak < out.nbytes + fine + coarse + composed + 2 ** 16
+    assert out.tobytes() == propagated_by_measures(panel, deflators, j, 18).tobytes()
 
 
 # ------------------------------------------------------------ replication
@@ -717,6 +766,21 @@ def test_tree_search_refuses_prices_made_infinite_after_the_panel_was_built():
     panel.prices[1].values[1, 1] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
         find_tree_deflator(panel)
+
+
+def test_check_deflator_refuses_a_product_that_overflows():
+    # a finite price times a finite deflator weight can overflow; the
+    # check refuses it, as a product measure does, instead of holding an
+    # inf gap to a bound made inf by the same price.  A terminal price
+    # is only ever restricted, an interior one also priced at its node
+    for time, block in ((3, 5), (1, 1)):
+        panel, _ = fair_binomial_panel(3)
+        deflators = find_tree_deflator(panel)
+        large = DeflatorSequence([FAMeasure(mu.algebra, mu.weights * 1e10)
+                                  for mu in deflators.measures])
+        panel.prices[time].values[block, 1] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            check_deflator(panel, large)
 
 
 def test_fair_trinomial_tree_needs_neither_nnls_nor_lapack(monkeypatch):
