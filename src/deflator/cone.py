@@ -144,8 +144,6 @@ def nnls(A, b, maxiter=None):
 
 # payoff entries p * k * m per stack of _project_stack: bounds its temporaries
 _STACK_ENTRIES = 2 ** 13
-# held by _nnls_stack for a passive column: above every count of moves
-_PASSIVE = np.iinfo(int).max
 
 
 def _products(m, k):
@@ -221,22 +219,24 @@ def _nnls_stack(A, b, maxiter=None):
     """nnls on a stack of problems A[i] (m, k), b[i] (m,), in lockstep.
 
     Each problem keeps a thin QR factor of its passive columns, in the
-    order they entered, padded to q = min(m, k) columns.  The entering
-    column has the largest gradient A_j . r among the free columns above
-    their threshold 10 * eps * max(m, k) * ||A_j|| * ||r||, r = b - A @ w.
-    A problem stops when there is none, by the gradients of r and again
-    by those of r less its part in the span of the passive columns, when
-    ||r|| <= 10 * eps * max(m, k) * ||b||, or with q passive columns, and
-    leaves the stack.
-    A column whose new diagonal entry of R is at most 10 * eps *
-    max(m, k) * ||A_j|| lies in the span of the passive columns
-    (_qr_append_stack): it is blocked, until w moves, without a solve.
-    Each round of subproblems is one stacked product z = R^-1 Qt b.  An
-    infeasible z steps back toward the previous iterate and retires the
-    coordinates pinned at zero; the survivors after the first of them
-    are appended again (_qr_drop_stack).  A step of length zero blocks
-    the fresh entry alone.  A problem past maxiter (default 10 * max(m,
-    k)) subproblem solves leaves the stack with NaN weights and residual.
+    order they entered, padded to q = min(m, k) columns.  Every gradient
+    is taken on r less its part in the span of the passive columns, r =
+    b - A @ w: r is orthogonal to that span in exact arithmetic, but
+    rounds by about eps * ||b|| in it.  The entering column has the
+    largest gradient among the free columns above their threshold 10 *
+    eps * max(m, k) * ||A_j|| * ||r||.  A problem stops when there is
+    none, when ||r|| <= 10 * eps * max(m, k) * ||b||, or with q passive
+    columns, and leaves the stack.
+    By Cauchy-Schwarz a column above its threshold has a new diagonal
+    entry of R above 10 * eps * max(m, k) * ||A_j||, the cutoff below
+    which _qr_append_stack rejects an entry without a solve.  Each round of
+    subproblems is one stacked product z = R^-1 Qt b.  An infeasible z
+    steps back toward the previous iterate and retires the coordinates
+    pinned at zero; the survivors after the first of them are appended
+    again (_qr_drop_stack).  A step of length zero retires the fresh
+    entry alone.  A rejected entry counts as a solve, so a problem that
+    repeats one, and one past maxiter (default 10 * max(m, k))
+    subproblem solves, leaves the stack with NaN weights and residual.
     Returns the solutions (p, k) and residual norms (p,).
     """
     p, m, k = A.shape
@@ -253,36 +253,21 @@ def _nnls_stack(A, b, maxiter=None):
     r_floor = rel * np.linalg.norm(b, axis=1)
     # column k of w absorbs the padding -1 of cols
     w, res, live, rows = np.zeros((p, k + 1)), np.zeros(p), np.arange(p), np.arange(p)
-    # column j of problem i may enter while held[i, j] < moves[i], the
-    # count of w's moves: held is 0 while j is free, moves[i] while it is
-    # blocked at the current iterate, and _PASSIVE while it is passive
-    held, moves = np.zeros((p, k), dtype=int), np.ones(p, dtype=int)
-    Qt, Ri = np.zeros((p, q, m)), np.zeros((p, q, q))
+    Qt, Ri, passive = np.zeros((p, q, m)), np.zeros((p, q, q)), np.zeros((p, k), dtype=bool)
     # the passive columns, their rows of X and their weights, in factor
     # order
     cols, P, wf = np.full((p, q), -1), np.zeros((p, q, m)), np.zeros((p, q))
     nk, solves = np.zeros(p, dtype=int), np.zeros(p, dtype=int)
     # n bounds nk
-    n, moved = 0, True
+    n = 0
     while True:
-        if moved:
-            r = b - vm(wf[:, :n], P[:, :n])
-            rnorm = np.sqrt(vv(r, r))
-            grad = mv(X, r)
+        r = b - vm(wf[:, :n], P[:, :n])
+        rnorm = np.sqrt(vv(r, r))
+        Q = Qt[:, :n]
+        grad = mv(X, r - vm(mv(Q, r), Q))
         # grad where a free column is above its threshold (so > 0), else 0
-        free, thresh = held < moves[:, None], cut * rnorm[:, None]
-        score = grad * ((grad > thresh) & free)
+        score = grad * ((grad > cut * rnorm[:, None]) & ~passive)
         enter = score.argmax(axis=1)
-        # r rounds by about eps * ||b|| in the span of the passive columns,
-        # which can hide a column nearly in it: a problem about to stop
-        # looks again with r off that span
-        stall = (score[rows, enter] <= 0.0) & (nk > 0) & (rnorm > r_floor) & (nk < q)
-        if stall.any():
-            Q = Qt[:, :n]
-            g = mv(X, r - vm(mv(Q, r), Q))
-            again = g * ((g > thresh) & free)
-            grad, score = np.where(stall[:, None], g, grad), np.where(stall[:, None], again, score)
-            enter = score.argmax(axis=1)
         # with min(m, k) passive columns, every further column depends
         # on them
         go = (score[rows, enter] > 0.0) & (rnorm > r_floor) & (nk < q) & (solves <= maxiter)
@@ -297,24 +282,22 @@ def _nnls_stack(A, b, maxiter=None):
             live, rows = live[go], rows[:go.sum()]
             if not live.size:
                 break
-            (X, b, cut, r_floor, held, moves, Qt, Ri, cols, P, wf, nk, solves, r, rnorm, grad,
-             enter) = (v[go] for v in (X, b, cut, r_floor, held, moves, Qt, Ri, cols, P, wf, nk,
-                                       solves, r, rnorm, grad, enter))
+            X, b, cut, r_floor, passive, Qt, Ri, cols, P, wf, nk, solves, enter = (
+                v[go] for v in (X, b, cut, r_floor, passive, Qt, Ri, cols, P, wf, nk, solves,
+                                enter))
             n = int(nk.max())
         # a rejected column lands past nk, in the padding
         P[rows, nk], cols[rows, nk] = X[rows, enter], enter
         act = _qr_append_stack(Qt, Ri, nk, rows, n, P[rows, nk], cut[rows, enter], k)
-        held[rows, enter] = np.where(act, _PASSIVE, moves)
-        n, moved = min(n + 1, q), False
-        # where no problem moves, its residual and gradient stand
+        passive[rows, enter] = act
+        solves += ~act
+        n = min(n + 1, q)
         while act.any():
-            moved = True
             solves += act
             # R^-1 and Qt are zero past each problem's columns, so is z
             z = mv(Ri[:, :n, :n], mv(Qt[:, :n], b))
             feasible = act & ((z > 0.0).sum(axis=1) == nk)
             np.copyto(wf[:, :n], z, where=feasible[:, None])
-            moves += feasible
             act ^= feasible
             i = act.nonzero()[0]
             if not i.size:
@@ -324,16 +307,11 @@ def _nnls_stack(A, b, maxiter=None):
             ratios = np.divide(wp, wp - z, out=np.full(z.shape, np.inf),
                                where=valid & (z <= 0.0) & (wp - z > 0.0))
             alpha = ratios.min(axis=1, keepdims=True)
-            stuck = alpha[:, 0] == 0.0
-            # a zero step rejects the fresh entry alone and leaves w
             wf[i, :n] = step = wp + alpha * (z - wp)
-            drop = valid & np.where(stuck[:, None], c == enter[i, None],
-                                    (ratios <= alpha) | (step <= 0.0))
+            drop = valid & ((ratios <= alpha) | (step <= 0.0))
             s, t = np.nonzero(drop)
-            held[i[s], c[s, t]] = 0
-            held[i[stuck], enter[i[stuck]]] = moves[i[stuck]]
+            passive[i[s], c[s, t]] = False
             _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, k)
-            act[i[stuck]] = False
     return w[:, :k], res
 
 

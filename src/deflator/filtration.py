@@ -239,15 +239,19 @@ def restrict(mu: FAMeasure, coarser: Algebra) -> FAMeasure:
     return FAMeasure(coarser, out)
 
 
-def _restrict_product(f: SimpleFunction, mu: FAMeasure, coarser: Algebra) -> np.ndarray:
-    """restrict(product(f, mu), coarser).weights, one column of the vector
-    f at a time: neither f mu nor a strided copy of its column is held."""
-    if f.algebra != mu.algebra:
+def _restrict_product(fs, mu: FAMeasure, coarser: Algebra) -> np.ndarray:
+    """restrict(product(f, mu), coarser).weights for f the elementwise sum
+    of the vector functions fs, in their order, one column at a time in
+    one buffer: neither f, f mu nor a strided copy of a column is held."""
+    if any(f.algebra != mu.algebra for f in fs):
         raise AlgebraMismatch("function and measure live on different algebras")
-    up, n = f.algebra.coarse_block_map(coarser), coarser.n_blocks
-    out = np.empty((n, f.values.shape[1]))
+    up, n = mu.algebra.coarse_block_map(coarser), coarser.n_blocks
+    out, col = np.empty((n, fs[0].values.shape[1])), np.empty(len(up))
     for c in range(out.shape[1]):
-        out[:, c] = _bincount(up, f.values[:, c] * mu.weights, n)
+        np.copyto(col, fs[0].values[:, c])
+        for f in fs[1:]:
+            col += f.values[:, c]
+        out[:, c] = _bincount(up, np.multiply(col, mu.weights, out=col), n)
     return FAMeasure(coarser, out).weights
 
 

@@ -91,6 +91,11 @@ class MarketPanel:
         return SimpleFunction(self.filtration[j],
                               self.cashflows[j].values + self.prices[j].values)
 
+    def _settle_terms(self, j: int):
+        """The terms of settle(j), whose elementwise sum it is: cash flow
+        and price, or the price alone on a panel that pays none."""
+        return (self.cashflows[j], self.prices[j]) if self._pays else (self.prices[j],)
+
 
 class Strategy:
     """Trades per time: trades[j] adds to the position on each block of
@@ -240,7 +245,8 @@ def check_deflator(panel: MarketPanel, deflators: DeflatorSequence,
     # and no vector measure on the finer level, is held meanwhile; the
     # gap takes the restriction's place, as |rhs - lhs| = |lhs - rhs|
     for i in reversed(range(panel.n_periods)):
-        diff = _restrict_product(panel.settle(i + 1), deflators[i + 1], panel.filtration[i])
+        diff = _restrict_product(panel._settle_terms(i + 1), deflators[i + 1],
+                                panel.filtration[i])
         diff -= product(panel.prices[i], deflators[i]).weights
         gap = float(np.abs(diff, out=diff).max())
         worst, ok = max(worst, gap), ok and gap <= unit * max(size[i], size[i + 1])
@@ -259,9 +265,9 @@ def propagate_prices(panel: MarketPanel, deflators: DeflatorSequence,
     if not 0 <= j < k <= panel.n_periods:
         raise InvalidInterval(f"need 0 <= j < k <= {panel.n_periods}")
     coarse = panel.filtration[j]
-    acc = _restrict_product(panel.settle(k), deflators[k], coarse)
+    acc = _restrict_product(panel._settle_terms(k), deflators[k], coarse)
     for i in range(j + 1, k) if panel._pays else ():
-        acc += _restrict_product(panel.cashflows[i], deflators[i], coarse)
+        acc += _restrict_product(panel.cashflows[i:i + 1], deflators[i], coarse)
     den = deflators[j].weights
     if (den <= 0).any():
         raise DeflatorZeroBlock(f"deflator at time {j} vanishes on a block")

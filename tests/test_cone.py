@@ -850,12 +850,12 @@ def test_stacked_nnls_leaves_nan_where_nnls_raises():
 
 def zero_step_taken(solve, A, b):
     """solve(A, b), and whether _nnls_stack took a zero step in it: a
-    subproblem whose step back had length zero, so that the fresh entry
-    was rejected."""
+    subproblem whose step back toward the previous iterate had length
+    alpha == 0."""
     hit = []
 
     def lines(frame, event, arg):
-        if np.any(frame.f_locals.get("stuck")):
+        if np.any(frame.f_locals.get("alpha") == 0.0):
             hit.append(True)
         return lines
 
@@ -881,11 +881,12 @@ def near_duplicate_problem(rng):
     return scale * A, scale * b
 
 
-def test_zero_steps_keep_the_verdicts_and_residuals_of_scipy():
-    # where a column nearly repeats a passive one, rounding can give the
-    # fresh entry a nonpositive coefficient: a zero step, which rejects
-    # it.  The residuals of nnls (after its final solve) and of the
-    # stack it runs must both keep scipy's verdict.
+def test_near_duplicates_take_no_zero_step_and_keep_the_verdicts_of_scipy():
+    # where a column nearly repeats a passive one, a gradient taken on r
+    # itself can lift it above its threshold on rounding alone, and its
+    # coefficient then comes out nonpositive: a zero step.  Taken on r
+    # off the passive span, no gradient does, and the residuals of nnls
+    # and of the stack it runs both keep scipy's verdict.
     rng = np.random.default_rng(53)
     zero_steps = band = 0
     for _ in range(400):
@@ -901,14 +902,13 @@ def test_zero_steps_keep_the_verdicts_and_residuals_of_scipy():
         for got in (r, R[0]):
             assert (got <= threshold) == (want <= threshold)
             assert abs(got - want) <= threshold
-    assert zero_steps >= 20 and band <= 40
+    assert zero_steps == 0 and band <= 40
 
 
 def outer_step_factors(A, b):
     """Run _nnls_stack on the one problem (A, b) and return, at the head
-    of every outer step, its passive columns by the solver's held mark,
-    its blocked columns, and its factor: (passive, blocked, X, P, Qt,
-    Ri, cols, nk) per step."""
+    of every outer step, its passive columns by the solver's passive
+    mask and its factor: (passive, X, P, Qt, Ri, cols, nk) per step."""
     lines, start = inspect.getsourcelines(cone._nnls_stack)
     head = start + 1 + next(i for i, line in enumerate(lines)
                             if line.strip() == "while True:")
@@ -917,10 +917,8 @@ def outer_step_factors(A, b):
     def lines_of(frame, event, arg):
         if event == "line" and frame.f_lineno == head:
             v = frame.f_locals
-            held, moves = v["held"][0], v["moves"][0]
-            steps.append((held == cone._PASSIVE, (held >= moves) & (held != cone._PASSIVE),
-                          v["X"][:1].copy(), v["P"][:1].copy(), v["Qt"][:1].copy(),
-                          v["Ri"][:1].copy(), v["cols"][:1].copy(), v["nk"][:1].copy()))
+            steps.append(tuple(v[name][:1].copy()
+                               for name in ("passive", "X", "P", "Qt", "Ri", "cols", "nk")))
         return lines_of
 
     sys.settrace(lambda frame, event, arg:
@@ -933,17 +931,16 @@ def outer_step_factors(A, b):
 
 
 def test_factor_holds_the_passive_set_at_every_outer_step():
-    # a zero step must take the rejected entry out of the factor, or the
-    # next subproblem solves on a column that is no longer passive
+    # a retired column must leave the factor, or the next subproblem
+    # solves on a column that is no longer passive
     rng = np.random.default_rng(53)
     for _ in range(400):
         A, b = near_duplicate_problem(rng)
         steps = outer_step_factors(A, b)
         assert steps
-        for passive, blocked, X, P, Qt, Ri, cols, nk in steps:
+        for passive, X, P, Qt, Ri, cols, nk in steps:
             n = int(nk[0])
-            np.testing.assert_array_equal(np.sort(cols[0, :n]), np.flatnonzero(passive))
-            assert not np.isin(cols[0, :n], np.flatnonzero(blocked)).any()
+            np.testing.assert_array_equal(np.sort(cols[0, :n]), np.flatnonzero(passive[0]))
             check_factor(X, P, Qt, Ri, cols, nk, 0)
 
 
@@ -951,45 +948,40 @@ def blocked_then_needed(seed):
     """A problem (3, 4), turned by a seeded rotation, whose column 2 is
     1e14 (a_0 / 10 - a_1) / sqrt(2): in the span of columns 0 and 1 but
     outside their cone.  Columns 0 and 1 enter first; at their solution
-    the gradient of column 2 is rounding noise, which, where it is
-    positive, beats the gradient of the small column 3, so column 2 is
-    blocked as dependent.  Column 3 then enters and retires column 1,
-    and b is in the cone only with column 2 again:
-    b = 0.03 a_0 + 100 a_3 + 1e-15 sqrt(2) a_2."""
+    the gradient of column 2 on r is rounding noise, which, where it is
+    positive, beats the gradient of the small column 3.  Column 3 must
+    enter and retire column 1, and b is in the cone only with column 2
+    again: b = 0.03 a_0 + 100 a_3 + 1e-15 sqrt(2) a_2."""
     rotation = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
     h = 1e14 * np.sqrt(0.5)
     A = np.array([[10.0, 0.0, h, 0.0], [0.0, 1.0, -h, 6e-3], [0.0, 0.0, 0.0, 1e-6]])
     return rotation @ A, rotation @ np.array([0.4, 0.5, 1e-4])
 
 
-def column_states(A, b):
-    """Solve (A, b) by _nnls_stack, and return the states that column 2
-    passed through at the solver's lines: free, blocked or passive."""
-    states = []
+def solver_entries(monkeypatch, A, b):
+    """Solve (A, b) by _nnls_stack, and return the columns it tried to
+    enter, in order, each with whether its factor took it
+    (_qr_append_stack); the appends of a drop are not entries."""
+    append, tried = cone._qr_append_stack, []
 
-    def lines(frame, event, arg):
-        v = frame.f_locals
-        if "moves" in v and len(v["held"]):
-            held = v["held"][0, 2]
-            state = ("passive" if held == cone._PASSIVE
-                     else "blocked" if held >= v["moves"][0] else "free")
-            if not states or states[-1] != state:
-                states.append(state)
-        return lines
+    def traced(*args):
+        ok = append(*args)
+        caller = sys._getframe(1)
+        if caller.f_code is cone._nnls_stack.__code__:
+            tried.append((int(caller.f_locals["enter"][0]), bool(ok[0])))
+        return ok
 
-    sys.settrace(lambda frame, event, arg:
-                 lines if frame.f_code is cone._nnls_stack.__code__ else None)
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(cone, "_qr_append_stack", traced)
         cone._nnls_stack(A[None], b[None])
-    finally:
-        sys.settrace(None)
-    return states
+    return tried
 
 
-def test_a_blocked_column_enters_again_once_w_moves():
-    # a column blocked at one iterate may be needed at a later one: the
-    # solver frees it when w moves, or it stops outside the cone
-    blocked = 0
+def test_a_column_in_the_passive_span_outside_their_cone_enters_unrejected(monkeypatch):
+    # the gradient of column 2 off the span of columns 0 and 1 is 0 up to
+    # rounding, so it never enters while they are passive, where the
+    # factor would reject it as dependent; once column 3 retires column
+    # 1, column 2 enters and stays
     for seed in range(40):
         A, b = blocked_then_needed(seed)
         w, rnorm = nnls(A, b)
@@ -997,11 +989,40 @@ def test_a_blocked_column_enters_again_once_w_moves():
         assert rnorm <= threshold and w[2] > 0.0
         market = OnePeriodMarket(prices=b, payoffs=A.T)
         assert project_to_cone(market).certificate is None
-        states = column_states(A, b)
-        if "blocked" in states:
-            blocked += 1
-            assert states[-1] == "passive"
-    assert blocked >= 10
+        tried = solver_entries(monkeypatch, A, b)
+        assert all(ok for _, ok in tried) and (2, True) in tried
+
+
+def test_a_problem_that_repeats_a_rejected_entry_stops_at_its_cap(monkeypatch):
+    # a factor that rejects the first entry of one problem every time:
+    # the problem tries it again each outer step, each try counts as a
+    # solve, and it leaves the stack NaN at its cap, where nnls raises;
+    # the others keep the bits of a stack without it
+    A, b = stacked_problems(11, "random", 4, 6, 1.0)
+    target, others = 3, np.delete(np.arange(len(b)), 3)
+    column = int(np.argmax(A[target].T @ b[target]))
+    assert (A[target].T @ b[target])[column] > 0.0
+    cap = max(solves_needed(A[i], b[i]) for i in others)
+    W_others, R_others = cone._nnls_stack(A[others], b[others], maxiter=cap)
+    append = cone._qr_append_stack
+
+    def refuse(problem):
+        def append_but(Qt, Ri, nk, rows, n, a, cutoff, k):
+            caller = sys._getframe(1)
+            if caller.f_code is cone._nnls_stack.__code__:
+                v = caller.f_locals
+                cutoff = np.where((v["live"] == problem) & (v["enter"] == column), np.inf, cutoff)
+            return append(Qt, Ri, nk, rows, n, a, cutoff, k)
+        return append_but
+
+    monkeypatch.setattr(cone, "_qr_append_stack", refuse(target))
+    W, R, S = traced_stack(A, b, maxiter=cap)
+    assert np.isnan(W[target]).all() and np.isnan(R[target]) and S[target] == cap + 1
+    assert W[others].tobytes() == W_others.tobytes() and R[others].tobytes() == R_others.tobytes()
+    assert np.isfinite(W_others).all()
+    monkeypatch.setattr(cone, "_qr_append_stack", refuse(0))
+    with pytest.raises(NonConvergence, match=f"within {cap} subproblem solves"):
+        nnls(A[target], b[target], maxiter=cap)
 
 
 def test_a_column_nearly_in_the_passive_span_enters_before_the_solver_stops():
