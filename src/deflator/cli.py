@@ -236,7 +236,9 @@ def cmd_price(args, spec, tol):
 
 def _weighted_corr(weights, a, b):
     """Correlation of two payoff vectors under normalized weights,
-    clipped to [-1, 1]."""
+    clipped to [-1, 1]; 0 when either has zero variance, as in
+    bachelier_hedge.  A vector constant where the weights are positive
+    has zero variance, though its computed one rounds away from 0."""
     mass = weights.sum()
     if mass <= 0:
         return 0.0
@@ -244,8 +246,8 @@ def _weighted_corr(weights, a, b):
     am, bm = math.fsum(p * a), math.fsum(p * b)
     va = math.fsum(p * (a - am) ** 2)
     vb = math.fsum(p * (b - bm) ** 2)
-    if va <= 0 or vb <= 0:
-        return 1.0 if va == vb else 0.0
+    if va <= 0 or vb <= 0 or np.ptp(a[p > 0]) == 0 or np.ptp(b[p > 0]) == 0:
+        return 0.0
     return max(-1.0, min(1.0, math.fsum(p * (a - am) * (b - bm)) / math.sqrt(va * vb)))
 
 

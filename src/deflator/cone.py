@@ -325,16 +325,16 @@ def _threshold(prices, tol):
     return tol * np.sqrt(s[..., 0] + s[..., 1] if s.shape[-1] == 2 else s.sum(axis=-1))
 
 
-def _solve_direct(rows, children, x, threshold):
+def _solve_direct(rows, children, x):
     """Weights w (p, k) of the two-instrument markets x[i] paying rows
     rows[children[i]], k >= 2, 0 off the pair (u, v) _nnls_stack enters
     first: children 0, 1 if k == 2, else j1 of largest A^T x, then j2 of
-    largest A^T r over the others, r = x less its projection on row j1.
-    Partial pivoting LU written out elementwise solves it.  ok: w >= 0,
-    w reprices x within threshold less the rounding rel * max|A| * max|w|
-    of that, rel = 10 * eps * m, and the second pivot is above rel * max|v|
-    (else u, v are at a sine <= rel, which _nnls_stack would not split).
-    An exact zero pivot or an overflow gives non-finite weights: they fail."""
+    largest A^T r over the others, r = x less its projection on row j1,
+    by partial pivoting LU written out elementwise; and the residual
+    _reprice reports on w, to the bit, or inf where w < 0 or the second
+    pivot is at most rel * max|v|, rel = 20 * eps (u, v at a sine that
+    small, which _nnls_stack would not split).  An overflow gives a
+    non-finite residual."""
     (p, k), i, j1, j2 = children.shape, np.arange(len(x)), 0, 1
     if k > 2:
         X = np.take(rows, children, axis=0)
@@ -357,45 +357,44 @@ def _solve_direct(rows, children, x, threshold):
         pivot = d - l * b
         w1 = (y1 - l * y0) / pivot
         w0 = (y0 - b * w1) / a
-        bd = np.maximum(np.abs(b), np.abs(d))   # max|A| is max(|a|, bd): |c| <= |a|
-        resid = np.hypot(a * w0 + b * w1 - y0, c * w0 + d * w1 - y1)
-        resid += rel * np.maximum(np.abs(a), bd) * np.maximum(np.abs(w0), np.abs(w1))
-        ok = (w0 >= 0.0) & (w1 >= 0.0) & (resid <= threshold) & (np.abs(pivot) > rel * bd)
+        # _reprice's gap, in instrument order
+        g0, g1 = (w0 * u[:, e] + w1 * v[:, e] - x[:, e] for e in (0, 1))
+        ok = (w0 >= 0.0) & (w1 >= 0.0) & (np.abs(pivot) > rel * np.maximum(np.abs(b), np.abs(d)))
+        resid = np.where(ok, np.sqrt(g0 * g0 + g1 * g1), np.inf)
     if k == 2:
-        return np.stack([w0, w1], 1), ok
+        return np.stack([w0, w1], 1), resid
     w = np.zeros((p, k))
     w[i, j1], w[i, j2] = w0, w1
-    return w, ok
+    if 2 * k >= 64:   # _reprice's matmul rounds as the BLAS kernel does: take its residual
+        f = np.isfinite(resid)
+        resid[f] = _reprice(w[f], X[f], x[f])[2]
+    return w, resid
 
 
 def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
-    """Cone projections of a stack of one-period markets: the nodes of a
-    tree level, or for project_to_cone a stack of one.
-
-    Market i quotes prices[i] (m instruments) and pays the k payoff rows
-    rows[children[i]].  Returns the cone weights (p, k) and whether each
-    market is inside its cone by _threshold.  A stack holds at most
-    _STACK_ENTRIES payoff entries.  A market with m == 2 <= k is solved
-    directly, element by element (_solve_direct), so its bits depend on
-    neither the stack nor the BLAS build.  Every other market, and one
-    whose direct weights fail, goes through _nnls_stack (NaN past its
-    cap), whose weights alone can depend on the stack, and is decided
-    by the residual _projection reports on them (_reprice).
-    """
+    """Cone projections of a stack of one-period markets (a tree level,
+    or a stack of one): market i quotes prices[i] (m instruments) and
+    pays the k payoff rows rows[children[i]], and a stack holds at most
+    _STACK_ENTRIES payoff entries.  Returns the cone weights (p, k) and
+    whether the residual _projection reports on them (_reprice) is within
+    _threshold.  With m == 2 <= k the weights are _solve_direct's where
+    they are inside, and their bits depend on neither the stack nor the
+    BLAS build; every other market goes through _nnls_stack (NaN past its
+    cap), whose weights alone can depend on the stack."""
     (p, k), m = children.shape, rows.shape[1]
     weights, inside = np.empty((p, k)), np.empty(p, dtype=bool)
     step = max(1, _STACK_ENTRIES // max(1, k * m))
     for lo in range(0, p, step):
         c, x = children[lo:lo + step], prices[lo:lo + step]
         threshold = _threshold(x, tol)
-        w, ok = (_solve_direct(rows, c, x, threshold) if m == 2 <= k
-                 else (np.empty((len(x), k)), np.zeros(len(x), bool)))
-        rest = np.flatnonzero(~ok)
+        w, resid = (_solve_direct(rows, c, x) if m == 2 <= k
+                    else (np.empty((len(x), k)), np.full(len(x), np.inf)))
+        rest = np.flatnonzero(~(resid <= threshold))
         if rest.size:
             X = np.take(rows, c[rest], axis=0)
             w[rest] = _nnls_stack(X.transpose(0, 2, 1), x[rest])[0]
-            ok[rest] = _reprice(w[rest], X, x[rest])[2] <= threshold[rest]
-        weights[lo:lo + step], inside[lo:lo + step] = w, ok
+            resid[rest] = _reprice(w[rest], X, x[rest])[2]
+        weights[lo:lo + step], inside[lo:lo + step] = w, resid <= threshold
     return weights, inside
 
 

@@ -349,6 +349,30 @@ def test_one_period_hedge_correlation_stays_in_range():
         assert -1.0 <= cli._weighted_corr(weights, a, b) <= 1.0
 
 
+def test_one_period_hedge_of_a_constant_has_correlation_zero(tmp_path, capsys):
+    # a payoff constant where the deflator weighs has zero variance, so
+    # its correlation is 0, as bachelier_hedge's.  The deflator of this
+    # market weighs the middle outcome 0.  The hedge of "const 1" holds
+    # 4e-18 of the stock by rounding, and was reported 0 while "const
+    # 3.7" and "const 0.1" were reported 1; "const 1e-6", and a payoff
+    # constant on the outer outcomes only, got 1 or anything in [-1, 1]
+    # from rounding of their weighted means
+    spec = tmp_path / "three_outcomes.json"
+    spec.write_text(json.dumps({
+        "kind": "one_period",
+        "instruments": [{"name": "bond", "price": 1 / 1.05}, {"name": "stock", "price": 100.0}],
+        "atoms": ["down", "mid", "up"],
+        "payoffs": [[1.05, 90.0], [1.05, 104.0], [1.05, 121.0]]}))
+    payoff = tmp_path / "payoff.json"
+    rng = np.random.default_rng(67)
+    for c in map(float, (1.0, 3.7, 0.1, 2.0, 1e6, 1e-6, *10.0 ** rng.uniform(-8.0, 8.0, size=40))):
+        payoff.write_text(json.dumps([c, c * rng.normal(), c]))
+        for argv in (["--payoff", f"const {c!r}"], ["--payoff", str(payoff)]):
+            code, out, _ = run(["hedge", str(spec), *argv], capsys)
+            assert code == 0
+            assert json.loads(out)["hedge"]["corr"] == 0.0
+
+
 def test_wrong_length_payoff_vector_exits_2(tmp_path, capsys):
     payoff = tmp_path / "payoff.json"
     payoff.write_text("[1.0, 2.0, 3.0]\n")

@@ -12,6 +12,7 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -1174,9 +1175,9 @@ def test_two_child_nodes_are_within_8_ulp_of_cramer():
     for _ in range(10):
         rows, children, prices = binomial_pairs(rng, 200)
         weights, inside = cone._project_stack(rows, children, prices)
-        w, ok = cone._solve_direct(rows, children, prices, cone._threshold(prices, DEFAULT_TOL))
+        w, resid = cone._solve_direct(rows, children, prices)
         # every node is solved directly, and these weights are the result
-        assert inside.all() and ok.all()
+        assert inside.all() and (resid <= cone._threshold(prices, DEFAULT_TOL)).all()
         assert w.tobytes() == weights.tobytes()
         for i, (c0, c1) in enumerate(children):
             for got, want in zip(weights[i], cramer(rows[c0], rows[c1], prices[i])):
@@ -1224,10 +1225,10 @@ def test_two_child_zero_pivots_and_overflow_get_the_node_verdicts():
     rows, children, prices = np.array(rows), np.array(children), np.array(prices)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        w, ok = cone._solve_direct(rows, children, prices, cone._threshold(prices, DEFAULT_TOL))
+        w, resid = cone._solve_direct(rows, children, prices)
         weights, inside = cone._project_stack(rows, children, prices)
-    # no direct solve got through
-    assert not np.isfinite(w).all(axis=1).any() and not ok.any()
+    # no direct solve got through: every direct residual is inf
+    assert not np.isfinite(w).all(axis=1).any() and np.isinf(resid).all()
     assert inside.any() and not inside.all()
     for i in range(len(prices)):
         market = OnePeriodMarket(prices=prices[i], payoffs=rows[children[i]])
@@ -1244,8 +1245,8 @@ def near_tie_pairs(rng, p):
     pi - e, e from 1e-6 to 1e-4, priced by weights W + a, W with W up to
     1e7 and |a| <= W e: the prices are about W e long, so the rounding
     of the repricing, about eps * W, is near the threshold tol * W e and
-    a node's direct verdict turns on its rounding allowance.  Laid out
-    as binomial_pairs's."""
+    a node's direct verdict turns on the rounding of its residual.  Laid
+    out as binomial_pairs's."""
     W, e = 10.0 ** rng.uniform(3.0, 7.0, size=p), 10.0 ** rng.uniform(-6.0, -4.0, size=p)
     turn = rng.uniform(0.0, 2.0 * np.pi, size=p)
     u = np.stack((np.cos(turn), np.sin(turn)), axis=1)
@@ -1254,10 +1255,13 @@ def near_tie_pairs(rng, p):
     return np.concatenate((u, v)), np.stack((np.arange(p), p + np.arange(p)), axis=1), prices
 
 
-def frobenius_direct(rows, children, x, threshold):
-    """_solve_direct on two-child nodes with the Frobenius rounding
-    allowance rel * ||A||_F * ||w||_2, by four np.hypot calls, and the
-    pivot row picked by gathers from raveled copies."""
+def allowance_direct(rows, children, x, threshold, size):
+    """_solve_direct on two-child nodes, its pivot row picked by gathers
+    from raveled copies, decided as it was with a rounding allowance
+    rel * size(A) * size(w) on the residual in pivot-row order: size
+    np.hypot gives the Frobenius allowance rel * ||A||_F * ||w||_2, and
+    largest the allowance rel * max|A_ij| * max|w_j| the direct path
+    took before it decided on the residual _reprice reports."""
     u, v = rows[children[:, 0]], rows[children[:, 1]]
     top = 2 * np.arange(len(x)) + (np.abs(u[:, 1]) > np.abs(u[:, 0]))
     (a, b, y0), (c, d, y1) = ([t.ravel()[e] for t in (u, v, x)] for e in (top, top ^ 1))
@@ -1268,18 +1272,61 @@ def frobenius_direct(rows, children, x, threshold):
         w1 = (y1 - l * y0) / pivot
         w0 = (y0 - b * w1) / a
         resid = np.hypot(a * w0 + b * w1 - y0, c * w0 + d * w1 - y1)
-        resid += rel * np.hypot(np.hypot(a, b), np.hypot(c, d)) * np.hypot(w0, w1)
+        resid += rel * size(size(a, b), size(c, d)) * size(w0, w1)
         ok = ((w0 >= 0.0) & (w1 >= 0.0) & (resid <= threshold)
               & (np.abs(pivot) > rel * np.maximum(np.abs(b), np.abs(d))))
     return np.stack([w0, w1], 1), ok
 
 
-def test_the_direct_rounding_allowance_is_never_larger_than_the_frobenius_one():
-    # rel * max|A_ij| * max|w_j| <= rel * ||A||_F * ||w||_2: every node
+def largest(s, t):
+    """max(|s|, |t|), elementwise."""
+    return np.maximum(np.abs(s), np.abs(t))
+
+
+def test_a_direct_node_is_decided_on_its_reported_residual():
+    # the residual _solve_direct returns is the one _reprice reports on
+    # its weights, to the bit, on einsum's path (k < 32) and on matmul's
+    # (k = 40), at every scale; every node's verdict is its reported
+    # residual within the threshold, and a node within it is taken
+    # directly.  Every near tie the old allowance rel * max|A_ij| *
+    # max|w_j| took directly is still taken, and some it sent to the
+    # solver are taken now
+    rng = np.random.default_rng(107)
+    ties = 0
+    draws = [partial(two_instrument_nodes, k=k) for k in (2, 3, 4, 5, 6, 40)]
+    for draw in draws + [binomial_pairs, near_tie_pairs]:
+        for _ in range(3):
+            rows, children, x = draw(rng, 300)[:3]
+            scale = 10.0 ** rng.uniform(-6.0, 6.0, size=len(x))
+            row_scale = np.empty(len(rows))
+            row_scale[children] = scale[:, None]
+            rows, x = rows * row_scale[:, None], x * scale[:, None]
+            X, threshold = rows[children], cone._threshold(x, DEFAULT_TOL)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                w, resid = cone._solve_direct(rows, children, x)
+                weights, inside = cone._project_stack(rows, children, x)
+            usable = np.isfinite(resid)
+            assert usable.sum() >= 100
+            reported = cone._reprice(w[usable], X[usable], x[usable])[2]
+            assert resid[usable].tobytes() == reported.tobytes()
+            np.testing.assert_array_equal(inside, cone._reprice(weights, X, x)[2] <= threshold)
+            direct = resid <= threshold
+            assert weights[direct].tobytes() == w[direct].tobytes()
+            if draw is near_tie_pairs:
+                old = allowance_direct(rows, children, x, threshold, largest)[1]
+                assert not (old & ~direct).any()
+                ties += (direct & ~old).sum()
+    assert ties > 0
+
+
+def test_every_node_the_frobenius_allowance_took_directly_is_still_taken_with_its_weights():
+    # a direct node is decided on the residual it reports, which the
+    # computed residual plus rel * ||A||_F * ||w||_2 bounds: every node
     # the Frobenius allowance took directly is still taken, with the same
-    # weights.  A node only the smaller allowance takes went to the solver
-    # before: it gets the verdict the solver's reported residual gave it,
-    # and project_to_cone's, and its own reported residual is within the
+    # weights.  A node it did not take went to the solver: it gets the
+    # verdict the solver's reported residual gives it, and
+    # project_to_cone's, and its own reported residual is within the
     # threshold
     rng = np.random.default_rng(103)
     flipped = 0
@@ -1289,8 +1336,9 @@ def test_the_direct_rounding_allowance_is_never_larger_than_the_frobenius_one():
             scale = 10.0 ** rng.uniform(-6.0, 6.0, size=len(x))
             rows, x = rows * np.concatenate((scale, scale))[:, None], x * scale[:, None]
             threshold = cone._threshold(x, DEFAULT_TOL)
-            w, ok = cone._solve_direct(rows, children, x, threshold)
-            w_f, ok_f = frobenius_direct(rows, children, x, threshold)
+            w, resid = cone._solve_direct(rows, children, x)
+            ok = resid <= threshold
+            w_f, ok_f = allowance_direct(rows, children, x, threshold, np.hypot)
             assert not (ok_f & ~ok).any()
             assert w.tobytes() == w_f.tobytes()
             weights, inside = cone._project_stack(rows, children, x)
@@ -1358,7 +1406,7 @@ def test_two_instrument_nodes_get_the_verdicts_and_weights_of_nnls():
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 weights, inside = cone._project_stack(rows, children, x)
-                _, direct = cone._solve_direct(rows, children, x, threshold)
+                direct = cone._solve_direct(rows, children, x)[1] <= threshold
             W, rnorm = cone._nnls_stack(rows[children].transpose(0, 2, 1), x)
             np.testing.assert_array_equal(inside, rnorm <= threshold)
             assert weights[~direct].tobytes() == W[~direct].tobytes()
@@ -1385,9 +1433,8 @@ def test_planted_trinomial_node_takes_its_certificate_from_nnls(monkeypatch):
     payoffs = np.array([[1.05, 80.0], [1.05, 100.0], [1.05, 125.0]])
     market = OnePeriodMarket(prices=np.array([1.0, 130.0]), payoffs=payoffs)
     prices = market.prices[None]
-    _, direct = cone._solve_direct(payoffs, np.arange(3)[None], prices,
-                                   cone._threshold(prices, DEFAULT_TOL))
-    assert not direct.any()
+    resid = cone._solve_direct(payoffs, np.arange(3)[None], prices)[1]
+    assert not (resid <= cone._threshold(prices, DEFAULT_TOL)).any()
     stack, solved = cone._nnls_stack, []
 
     def counted(A, b, maxiter=None):
@@ -1437,10 +1484,9 @@ def test_many_child_nodes_are_within_8_ulp_of_cramer_on_their_pair():
         for _ in range(3):
             rows, children, prices = trinomial_nodes(rng, 200, k)
             weights, inside = cone._project_stack(rows, children, prices)
-            w, ok = cone._solve_direct(rows, children, prices,
-                                       cone._threshold(prices, DEFAULT_TOL))
+            w, resid = cone._solve_direct(rows, children, prices)
             # every node is solved directly on two children
-            assert inside.all() and ok.all()
+            assert inside.all() and (resid <= cone._threshold(prices, DEFAULT_TOL)).all()
             assert w.tobytes() == weights.tobytes()
             assert ((weights > 0.0).sum(axis=1) == 2).all()
             for i in range(len(prices)):
