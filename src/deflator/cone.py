@@ -26,7 +26,7 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OnePeriodMarket:
-    """Prices now and payoffs one period later.
+    """Prices now and payoffs one period later, as read-only copies.
 
     prices   : array (m,), price of each instrument at time 0.
     payoffs  : array (N, m), row j holds every instrument's payoff in
@@ -40,8 +40,10 @@ class OnePeriodMarket:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        prices = np.atleast_1d(np.asarray(self.prices, dtype=float))
-        payoffs = np.atleast_2d(np.asarray(self.payoffs, dtype=float))
+        # read-only copies: the caller's arrays cannot change the market
+        prices = np.atleast_1d(np.array(self.prices, dtype=float))
+        payoffs = np.atleast_2d(np.array(self.payoffs, dtype=float))
+        prices.flags.writeable = payoffs.flags.writeable = False
         if prices.ndim != 1 or payoffs.ndim != 2:
             raise DimensionMismatch("prices must be a vector and payoffs a matrix")
         if payoffs.shape[1] != prices.shape[0]:
@@ -89,6 +91,8 @@ class ConeProjection:
     prices        : the vector that was projected.
     certificate   : the arbitrage, or None when the prices are inside
                     the payoff cone (within the threshold).
+    Its arrays, and its certificate's gamma, are read-only, so one
+    projection can be handed out again (project_to_cone).
     """
 
     weights: np.ndarray
@@ -436,10 +440,24 @@ def _projection(payoffs, prices, weights, inside):
             raise NonConvergence("nnls did not converge within its subproblem cap")
         gamma = gap / rnorm
         cost, payoff = _position(payoffs, prices, gamma)
+        gamma.flags.writeable = False
         certificate = ArbitrageCertificate(gamma=gamma, setup_gain=-cost,
                                            min_payoff=float(payoff.min()))
+    prices = prices.copy()
+    weights.flags.writeable = x_star.flags.writeable = prices.flags.writeable = False
     return ConeProjection(weights=weights, x_star=x_star, residual_norm=float(rnorm),
-                          prices=prices.copy(), certificate=certificate)
+                          prices=prices, certificate=certificate)
+
+
+# (market, tol, projection) of the last project_to_cone call.  A market
+# and its projection are read-only, so a call on the same market object
+# and tol hands the projection out again: find_arbitrage then
+# project_to_cone, the README's workflow, solves once.  One slot, not a
+# memo per market: a memo would also answer repeated passes over the same
+# markets from memory, and a benchmark of such passes would then time
+# lookups, not projections, for no user's gain.  The slot holds the
+# market itself, not its id, which a new object could reuse.
+_last = None
 
 
 def project_to_cone(market: OnePeriodMarket, tol: float = DEFAULT_TOL) -> ConeProjection:
@@ -451,11 +469,18 @@ def project_to_cone(market: OnePeriodMarket, tol: float = DEFAULT_TOL) -> ConePr
     is decided as a tree node is, by _project_stack on a stack of one,
     and _projection builds the result: outside the cone, a certificate
     with min_payoff >= -tol.  NonConvergence if the solve passes its
-    subproblem cap.
+    subproblem cap.  A call on the market object and tol of the last
+    solve returns that solve's projection again, without a solve.
     """
+    global _last
+    last = _last
+    if last is not None and last[0] is market and last[1] == tol:
+        return last[2]
     payoffs, prices = market.payoffs, market.prices
     weights, inside = _project_stack(payoffs, np.arange(len(payoffs))[None], prices[None], tol)
-    return _projection(payoffs, prices, weights[0], inside[0])
+    projection = _projection(payoffs, prices, weights[0], inside[0])
+    _last = market, tol, projection
+    return projection
 
 
 def find_arbitrage(market: OnePeriodMarket, tol: float = DEFAULT_TOL):

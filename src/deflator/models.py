@@ -262,17 +262,20 @@ def gbm_put(params: GBMParams, k: float) -> GBMPutQuote:
 
 def _exp_remainder(a: np.ndarray) -> np.ndarray:
     """(exp(a) - 1 - a) / a^2 for real or complex a, by its series where
-    |a| < 0.5 and the direct form would cancel."""
-    out = np.empty_like(a)
+    |a| < 0.5 and the direct form would cancel.  At a == 0, the node of
+    every Gaussian part, the series sums to exactly its first term 0.5."""
+    out = np.full_like(a, 0.5)
     small = np.abs(a) < 0.5
     big = a[~small]
     out[~small] = (np.exp(big) - 1.0 - big) / big ** 2
-    a = a[small]  # indexed once, not per term: this loop is the inversion's hot path
-    term = acc = np.full(a.shape, 0.5, dtype=a.dtype)
-    for n in range(3, 26):
-        term = term * a / n
-        acc = acc + term
-    out[small] = acc
+    series = small & (a != 0.0)
+    if series.any():
+        a = a[series]  # indexed once, not per term: this loop is the inversion's hot path
+        term = acc = np.full(a.shape, 0.5, dtype=a.dtype)
+        for n in range(3, 26):
+            term = term * a / n
+            acc = acc + term
+        out[series] = acc
     return out
 
 

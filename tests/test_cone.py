@@ -572,6 +572,97 @@ def test_shape_validation():
         Deflator(atom_weights=np.array([0.5, -0.1]))
 
 
+def counted_solves(monkeypatch):
+    calls, solve = [], cone._project_stack
+    monkeypatch.setattr(cone, "_project_stack",
+                        lambda *a, **k: calls.append(a) or solve(*a, **k))
+    return calls
+
+
+def fair_and_planted(rng, n=40, m=5):
+    # positive payoffs priced by a positive deflator, and the same market
+    # with a negative price on instrument 0, which is then free to buy
+    payoffs = rng.lognormal(size=(n, m))
+    fair = payoffs.T @ rng.uniform(0.1, 1.0, size=n)
+    planted = fair * np.r_[-1.0, np.ones(m - 1)]
+    return (OnePeriodMarket(prices=fair, payoffs=payoffs),
+            OnePeriodMarket(prices=planted, payoffs=payoffs))
+
+
+def test_find_arbitrage_then_project_to_cone_solves_once(monkeypatch):
+    calls = counted_solves(monkeypatch)
+    fair, planted = fair_and_planted(np.random.default_rng(41))
+    assert find_arbitrage(fair) is None
+    assert deflator_from_projection(project_to_cone(fair)) is not None
+    assert len(calls) == 1
+    certificate = find_arbitrage(planted)
+    assert certificate is not None and verify_position(planted, certificate.gamma).is_arbitrage
+    assert project_to_cone(planted).certificate is certificate
+    assert len(calls) == 2
+
+
+def test_only_the_last_market_and_tol_are_reused(monkeypatch):
+    calls = counted_solves(monkeypatch)
+    a, b = fair_and_planted(np.random.default_rng(43))
+    for market in (a, b, a):
+        project_to_cone(market)
+    assert len(calls) == 3
+    # an equal tol reuses, another solves again
+    project_to_cone(a, DEFAULT_TOL * 1.0)
+    assert len(calls) == 3
+    project_to_cone(a, 1e-6)
+    assert len(calls) == 4
+    # an equal market is not the same market
+    project_to_cone(OnePeriodMarket(prices=a.prices, payoffs=a.payoffs), 1e-6)
+    assert len(calls) == 5
+
+
+def test_a_reused_projection_is_the_first_one_with_its_bytes(monkeypatch):
+    for market in fair_and_planted(np.random.default_rng(47)):
+        first = project_to_cone(market)
+        saved = [first.weights.tobytes(), first.x_star.tobytes(), first.prices.tobytes(),
+                 first.residual_norm]
+        find_arbitrage(market)
+        again = project_to_cone(market)
+        assert again is first
+        assert [again.weights.tobytes(), again.x_star.tobytes(), again.prices.tobytes(),
+                again.residual_norm] == saved
+        monkeypatch.setattr(cone, "_last", None)
+        fresh = project_to_cone(market)
+        assert fresh is not first
+        assert [fresh.weights.tobytes(), fresh.x_star.tobytes(), fresh.prices.tobytes(),
+                fresh.residual_norm] == saved
+
+
+def test_a_market_keeps_its_own_copy_of_its_arrays():
+    rng = np.random.default_rng(53)
+    for market in fair_and_planted(rng):
+        prices, payoffs = market.prices.copy(), market.payoffs.copy()
+        built = OnePeriodMarket(prices=prices, payoffs=payoffs)
+        want = project_to_cone(market)
+        prices[:] = -rng.uniform(1.0, 2.0, size=prices.shape)
+        payoffs *= -1.0
+        got = project_to_cone(built)
+        assert built.prices.tobytes() == market.prices.tobytes()
+        assert built.payoffs.tobytes() == market.payoffs.tobytes()
+        assert (got.certificate is None) == (want.certificate is None)
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def test_markets_and_projections_are_read_only():
+    fair, planted = fair_and_planted(np.random.default_rng(59))
+    inside, outside = project_to_cone(fair), project_to_cone(planted)
+    arrays = [fair.prices, fair.payoffs, inside.weights, inside.x_star, inside.prices,
+              outside.weights, outside.certificate.gamma]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    # the deflator is the caller's own copy
+    weight = inside.weights[0]
+    deflator_from_projection(inside).atom_weights[0] = weight + 1.0
+    assert inside.weights[0] == weight
+
+
 def test_deflator_requires_nonnegative_weights_and_reports_mass():
     deflator = Deflator(atom_weights=np.array([0.25, 0.5]))
     assert deflator.mass == 0.75

@@ -398,6 +398,43 @@ def test_char_exponent_series_matches_direct_across_threshold():
         assert law.char_exponent(u) == pytest.approx(direct, abs=1e-15)
 
 
+def full_series_exp_remainder(a):
+    # models._exp_remainder as it was: the series runs on every |a| < 0.5,
+    # zero included
+    out = np.empty_like(a)
+    small = np.abs(a) < 0.5
+    big = a[~small]
+    out[~small] = (np.exp(big) - 1.0 - big) / big ** 2
+    a = a[small]
+    term = acc = np.full(a.shape, 0.5, dtype=a.dtype)
+    for n in range(3, 26):
+        term = term * a / n
+        acc = acc + term
+    out[small] = acc
+    return out
+
+
+def test_exp_remainder_has_the_bits_of_the_full_series():
+    # the node at zero skips the series; every output keeps its bytes,
+    # for char_exponent's complex arguments and log_mgf's real ones
+    rng = np.random.default_rng(31)
+    nodes = np.array([0.0, -0.0, -0.3, 0.2, 0.45, 1e-9])
+    arguments = [np.zeros(0), np.array([0.0, -0.0]), np.array([-0.3, 0.45]) * 3.0]
+    for _ in range(300):
+        x = rng.choice(nodes, size=rng.integers(1, 8))
+        u = rng.uniform(0.0, 60.0, size=rng.integers(1, 40))
+        u[rng.random(u.shape) < 0.1] = 0.0
+        sigma = rng.choice([0.0, -0.0, rng.uniform(-4.0, 4.0)])
+        arguments += [1j * u[:, None] * x, sigma * x]
+    kinds = set()
+    for a in arguments:
+        got, want = models._exp_remainder(a), full_series_exp_remainder(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        kinds.add((a.dtype.kind, bool((a == 0).any()), bool(((a != 0) & (abs(a) < 0.5)).any())))
+    assert kinds >= {(kind, zero, series) for kind in "fc"
+                     for zero in (False, True) for series in (False, True)}
+
+
 def test_moments_from_char_exponent():
     law = three_node_law()
     h = 1e-3
