@@ -14,6 +14,7 @@ inversion sums one composite rule over the whole grid.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,6 +280,18 @@ def _exp_remainder(a: np.ndarray) -> np.ndarray:
     return out
 
 
+# The kernels of the levy_put call in progress, keyed by node and u bytes;
+# None outside one.  The table lives for one call only: a memo that
+# outlived it would answer repeated puts from memory, and a benchmark
+# that repeats them would time lookups instead of inversions.
+_KERNELS: ContextVar[dict | None] = ContextVar("_KERNELS", default=None)
+
+
+def _kernel(u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """K_u(x) = -u^2 (e^{iux} - 1 - iux) / (iux)^2, u by nodes."""
+    return -(u[..., None] ** 2) * _exp_remainder(1j * u[..., None] * nodes)
+
+
 @dataclass(frozen=True)
 class KolmogorovLaw:
     """An infinitely divisible law with finite variance, parameterized
@@ -315,11 +328,20 @@ class KolmogorovLaw:
         return float(self.weights.sum())
 
     def char_exponent(self, u):
-        """log E exp(iuX), vectorized over u."""
+        """log E exp(iuX), vectorized over u.
+
+        Inside a levy_put call the kernels K_u(x_i) are looked up in
+        that call's table first, so a law and its tilt, which share
+        their nodes, compute them once at each u."""
         u = np.asarray(u, dtype=float)
-        # K_u(x) = -u^2 * (e^{iux} - 1 - iux) / (iux)^2
-        a = 1j * u[..., None] * self.nodes
-        body = -(u[..., None] ** 2) * _exp_remainder(a)
+        table = _KERNELS.get()
+        if table is None:
+            body = _kernel(u, self.nodes)
+        else:
+            key = (self.nodes.tobytes(), u.shape, u.tobytes())
+            body = table.get(key)
+            if body is None:
+                body = table[key] = _kernel(u, self.nodes)
         return 1j * u * self.mean + body @ self.weights
 
     def charfn(self, u):
@@ -354,6 +376,10 @@ class KolmogorovLaw:
 
 
 _BLOCK = 2 ** 17      # entries of one x-by-u block of the inversion sum
+# truncation candidates 2^j (1 + i/16), j < 20 and i < 5: 2^19 is the
+# last power of two under the 1e6 cap
+_PROBES = 2.0 ** np.arange(20)[:, None] * (1.0 + np.arange(5) / 16.0)
+_PROBES.flags.writeable = False
 
 
 def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
@@ -361,10 +387,13 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
     inversion: F(x) = 1/2 - (1/pi) int_0^U Im(e^{-iux} phi(u)) / u du.
 
     charfn must accept an array of u and return phi at each.  The
-    truncation point U doubles until |phi| stays below 1e-12, capped at
-    1e6 (TruncationFailure beyond).  For laws with atoms phi
-    never decays; a positive smoothing width convolves with
-    N(0, smoothing^2), which resolves the cdf up to steps of that width.
+    truncation point U is the least power of two 2^j, j < 20, at which
+    |phi| is at most 1e-12 on the five probes 2^j (1 + i/16), i < 5;
+    charfn is evaluated once, on all 100 candidate points up to
+    2^19 * 1.25, and TruncationFailure is raised when no j passes.
+    For laws with atoms phi never decays; a positive smoothing width
+    convolves with N(0, smoothing^2), which resolves the cdf up to
+    steps of that width.
 
     The truncated integral is smooth, so one composite Gauss-Legendre
     rule on [0, U] serves the whole grid: phi is evaluated once per
@@ -386,14 +415,15 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
             out = out * np.exp(-0.5 * (smoothing * u) ** 2)
         return out
 
-    probe = 1.0 + np.arange(5) / 16.0
-    U = 1.0
-    while np.abs(phi(U * probe)).max() > 1e-12:
-        U *= 2.0
-        if U > 1e6:
-            raise TruncationFailure(
-                "|charfn| does not decay below 1e-12 by 1e6; "
-                "set a smoothing width for laws with atoms")
+    # U = 2^j for the least j whose five probes 2^j (1 + i/16) all have
+    # |phi| <= 1e-12 (a nan passes, as it always has), all in one call
+    peak = np.abs(phi(_PROBES.ravel())).reshape(_PROBES.shape).max(axis=1)
+    passed = np.flatnonzero(~(peak > 1e-12))
+    if not passed.size:
+        raise TruncationFailure(
+            "|charfn| does not decay below 1e-12 by 1e6; "
+            "set a smoothing width for laws with atoms")
+    U = float(_PROBES[passed[0], 0])
 
     def integrate(u, w):
         # Im(e^{-iux} g) = cos(ux) Im g - sin(ux) Re g, g = phi(u) w / u,
@@ -445,12 +475,22 @@ def levy_put(params: LevyModelParams, k: float, smoothing: float = 0.0) -> float
     probabilities come from characteristic function inversion at the
     log-moneyness threshold.  With the standard normal base this equals
     the lognormal put value.
+
+    The two laws share their nodes, so within one call they share a
+    table of the kernels K_u(x_i) that char_exponent computes: where
+    both inversions pick the same U, each kernel is computed once.  The
+    table is built empty for each call and dropped when it returns or
+    raises.
     """
     if k <= 0.0:
         return 0.0
     threshold = (math.log(k / params.s) - params.drift * params.t) / params.sigma
     law_t = params.base.scale_time(params.t)
-    p_plain = cdf_from_charfn(law_t.charfn, [threshold], smoothing)[0]
-    p_tilted = cdf_from_charfn(law_t.tilt(params.sigma).charfn, [threshold],
-                               smoothing)[0]
+    token = _KERNELS.set({})
+    try:
+        p_plain = cdf_from_charfn(law_t.charfn, [threshold], smoothing)[0]
+        p_tilted = cdf_from_charfn(law_t.tilt(params.sigma).charfn, [threshold],
+                                   smoothing)[0]
+    finally:
+        _KERNELS.reset(token)
     return float(k * p_plain - params.s * math.exp(params.r * params.t) * p_tilted)

@@ -29,7 +29,7 @@ from deflator import (
     hedge_error_estimate,
     levy_put,
 )
-from deflator._quadrature import gauss_legendre
+from deflator._quadrature import composite_gauss_legendre, gauss_legendre
 from deflator.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -615,14 +615,91 @@ def test_inversion_matches_poisson_mixture(mean):
     got = cdf_from_charfn(charfn, grid)
     want = poisson_mixture_cdf(mean, nodes, weights, grid)
     assert np.abs(got - want).max() <= 1e-12
-    # phi is evaluated on whole arrays of u: a handful of calls per grid
-    assert len(calls) < 20
+    # phi is evaluated on whole arrays of u: one call finds U, on all 100
+    # candidates, and one call per rule evaluates it
+    assert [np.size(u) for u in calls] == [100, 512, 1024]
 
 
 def test_inversion_rule_has_a_node_cap():
     law = KolmogorovLaw.standard_normal()
     with pytest.raises(NonConvergence):
         cdf_from_charfn(law.charfn, [0.0, 1e6])
+
+
+def doubling_cdf_from_charfn(charfn, x_grid, smoothing=0.0):
+    """cdf_from_charfn as it was, with U doubled one phi call at a time."""
+    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
+
+    def phi(u):
+        out = charfn(u)
+        if smoothing:
+            out = out * np.exp(-0.5 * (smoothing * u) ** 2)
+        return out
+
+    probe = 1.0 + np.arange(5) / 16.0
+    U = 1.0
+    while np.abs(phi(U * probe)).max() > 1e-12:
+        U *= 2.0
+        if U > 1e6:
+            raise TruncationFailure(
+                "|charfn| does not decay below 1e-12 by 1e6; "
+                "set a smoothing width for laws with atoms")
+
+    def integrate(u, w):
+        g = phi(u) * w / u
+        out = np.empty(x_grid.shape)
+        rows = max(1, models._BLOCK // u.size)
+        for i in range(0, x_grid.size, rows):
+            ux = np.multiply.outer(x_grid[i:i + rows], u)
+            out[i:i + rows] = (np.cos(ux) * g.imag
+                               - np.sin(ux) * g.real).sum(axis=1)
+        return out
+
+    integral = composite_gauss_legendre(integrate, 0.0, U, 1e-11,
+                                        panels=max(1, int(U) // 2))
+    out = 0.5 - integral / math.pi
+    return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
+
+
+def random_law(rng, gauss=None):
+    """A Kolmogorov law with or without a Gaussian part and 0 to 4 jump
+    nodes, at a time scale from 0.01 to 10."""
+    if gauss is None:
+        gauss = rng.random() < 0.5
+    nodes = np.concatenate([[0.0] if gauss else [],
+                            rng.uniform(-1.0, 1.0, int(rng.integers(0, 5)))])
+    law = KolmogorovLaw(mean=rng.normal(), nodes=nodes,
+                        weights=rng.uniform(0.0, 0.1, nodes.size))
+    return law.scale_time(10.0 ** rng.uniform(-2.0, 1.0))
+
+
+def inversion_outcome(cdf, law, grid, smoothing):
+    try:
+        return cdf(law.charfn, grid, smoothing).tobytes()
+    except (TruncationFailure, NonConvergence) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_truncation_call_keeps_the_bytes_of_the_doubling_loop():
+    # U is found by one phi call on all 100 candidates, not up to 20
+    # calls of 5; the cdf keeps its bytes, or the same exception is raised
+    rng = np.random.default_rng(26)
+    seen = set()
+    for _ in range(40):
+        law = random_law(rng)
+        smoothing = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 0.0)
+        size = int(rng.choice([1, 200, rng.integers(2, 200)]))
+        sd = math.sqrt(law.variance + smoothing ** 2)
+        grid = law.mean + sd * np.sort(rng.uniform(-5.0, 5.0, size))
+        got = inversion_outcome(cdf_from_charfn, law, grid, smoothing)
+        assert got == inversion_outcome(doubling_cdf_from_charfn, law, grid, smoothing)
+        seen.add((bool((law.nodes == 0.0).any()), smoothing > 0,
+                  isinstance(got, bytes)))
+    # every kind of law is drawn, and both inversions and failures occur
+    assert {(g, s) for g, s, _ in seen} == {(g, s) for g in (False, True)
+                                            for s in (False, True)}
+    assert {ok for _, _, ok in seen} == {False, True}
 
 
 def test_import_loads_no_scipy():
@@ -652,6 +729,78 @@ def test_levy_put_martingale_drift():
     base = KolmogorovLaw(mean=0.0, nodes=np.array([0.4]), weights=np.array([0.25]))
     params = LevyModelParams(r=0.02, s=100.0, sigma=0.5, t=1.0, base=base)
     assert params.drift == pytest.approx(0.02 - base.log_mgf(0.5), rel=1e-15)
+
+
+def test_levy_put_is_its_two_public_inversions_byte_for_byte():
+    rng = np.random.default_rng(126)
+    for _ in range(24):
+        base = random_law(rng, gauss=rng.random() < 0.7)
+        gauss = bool((base.nodes == 0.0).any())
+        smoothing = 0.0 if gauss and rng.random() < 0.5 else 10.0 ** rng.uniform(-2.0, -0.5)
+        params = LevyModelParams(r=rng.uniform(-0.02, 0.08), s=rng.uniform(50.0, 150.0),
+                                 sigma=rng.uniform(0.05, 0.6), t=rng.uniform(0.1, 3.0),
+                                 base=base)
+        k = params.s * math.exp(params.r * params.t) * rng.uniform(0.7, 1.3)
+        threshold = (math.log(k / params.s) - params.drift * params.t) / params.sigma
+        law_t = base.scale_time(params.t)
+        want = float(k * cdf_from_charfn(law_t.charfn, [threshold], smoothing)[0]
+                     - params.s * math.exp(params.r * params.t)
+                     * cdf_from_charfn(law_t.tilt(params.sigma).charfn, [threshold],
+                                       smoothing)[0])
+        got = levy_put(params, k, smoothing)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def jump_put_params():
+    base = KolmogorovLaw(mean=0.0, nodes=np.array([0.0, -0.3, 0.2, 0.45]),
+                         weights=np.array([0.05, 0.03, 0.01, 0.02]))
+    return LevyModelParams(r=0.03, s=100.0, sigma=0.25, t=1.0, base=base)
+
+
+def test_levy_put_computes_each_kernel_once_within_one_call(monkeypatch):
+    kernels = []
+
+    def counting(a):
+        if np.iscomplexobj(a):      # char_exponent's; log_mgf's are real
+            kernels.append(a.shape)
+        return exp_remainder(a)
+
+    exp_remainder = models._exp_remainder
+    monkeypatch.setattr(models, "_exp_remainder", counting)
+    params = jump_put_params()
+    first = levy_put(params, 97.0)
+    # the plain and tilted laws share one probe call and two rules
+    assert kernels == [(100, 4), (512, 4), (1024, 4)]
+    assert models._KERNELS.get() is None
+    # the next call starts from an empty table, and its bytes do not move
+    assert levy_put(params, 97.0) == first
+    assert kernels[3:] == kernels[:3]
+    # outside levy_put nothing is shared
+    law = params.base
+    law.char_exponent(np.arange(3.0))
+    law.tilt(0.25).char_exponent(np.arange(3.0))
+    assert kernels[6:] == [(3, 4), (3, 4)]
+
+
+def test_the_kernel_table_keeps_laws_on_other_nodes_apart():
+    law = jump_put_params().base
+    other = KolmogorovLaw(mean=law.mean, nodes=law.nodes + 0.1, weights=law.weights)
+    u = np.linspace(0.0, 40.0, 9)
+    want = [law.char_exponent(u).tobytes(), other.char_exponent(u).tobytes()]
+    token = models._KERNELS.set({})
+    try:
+        got = [law.char_exponent(u).tobytes(), other.char_exponent(u).tobytes()]
+    finally:
+        models._KERNELS.reset(token)
+    assert got == want
+
+
+def test_levy_put_drops_its_table_when_an_inversion_fails():
+    atom = KolmogorovLaw(mean=0.1, nodes=np.array([0.0]), weights=np.array([0.0]))
+    params = LevyModelParams(r=0.02, s=100.0, sigma=0.3, t=1.0, base=atom)
+    with pytest.raises(TruncationFailure):
+        levy_put(params, 100.0)
+    assert models._KERNELS.get() is None
 
 
 def test_levy_put_deep_in_the_money_dominance():

@@ -6,8 +6,11 @@ give the same verdict when the market is rescaled by 1e-6 or 1e6, and
 when the position or the deflator is multiplied by 1e-9 up to 1e9.
 Scaling by 1e-6 or 1e6 is not exact in binary, so a draw within 1e-6 of
 its tie (residual / threshold near 1 at scale 1) is skipped: rounding
-alone may flip it.  Every market here has under 64 payoff entries per
-node, so its products, and these verdicts, hold no BLAS kernel's bits.
+alone may flip it.  Every market here but the wide one-period markets
+has under 64 payoff entries per node, so its products, and these
+verdicts, hold no BLAS kernel's bits.  The wide markets, up to 4,800
+entries, take BLAS products, whose last bits depend on the kernel, so
+only their verdicts are checked.
 """
 
 import numpy as np
@@ -42,12 +45,13 @@ def near_tie(residual, prices):
     return abs(residual - threshold) < 1e-6 * threshold
 
 
-def near_tie_market(rng):
+def near_tie_market(rng, outcomes=(2, 8), instruments=(2, 4)):
     """Prices that nonnegative weights of the outcomes give, some 0, then
     moved by a relative gap from 1e-12 to 1e-2 in a random direction;
     some outcomes duplicated, and sometimes a last instrument that is a
-    sum of others."""
-    n, m = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+    sum of others.  The counts are drawn from the inclusive ranges."""
+    n = int(rng.integers(outcomes[0], outcomes[1] + 1))
+    m = int(rng.integers(instruments[0], instruments[1] + 1))
     payoffs = rng.normal(size=(n, m)) * rng.lognormal(size=(n, m))
     payoffs[rng.integers(n, size=n // 3)] = payoffs[0]
     if rng.random() < 0.3:
@@ -83,6 +87,23 @@ def test_one_period_verdicts_are_the_same_at_every_scale():
             for f in FACTORS:
                 assert verify_position(market_c, f * gamma).is_arbitrage == want
     assert min(seen.values()) >= 100 and min(verified.values()) >= 100
+
+
+def test_wide_one_period_verdicts_are_the_same_at_every_scale():
+    # 40-400 outcomes by 2-12 instruments, 80 to 4,800 payoff entries
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            market = near_tie_market(rng, outcomes=(40, 400), instruments=(2, 12))
+            projection = project_to_cone(market)
+            if near_tie(projection.residual_norm, market.prices):
+                continue
+            fair = projection.certificate is None
+            seen[fair] += 1
+            for c in (1e-6, 1e6):
+                assert (project_to_cone(scaled_market(market, c)).certificate is None) == fair
+        assert min(seen.values()) >= 50, seen
 
 
 def tree_panel(rng):
