@@ -187,7 +187,7 @@ def _levy_put_quadrature(params, k, smoothing):
     thresholds = (np.log(y / params.s) - params.drift * params.t) / params.sigma
     cdf = cdf_from_charfn(params.base.scale_time(params.t).charfn,
                           thresholds, smoothing)
-    return 0.5 * k * float(w @ cdf)
+    return 0.5 * k * float(np.einsum("i,i->", w, cdf))
 
 
 def cmd_price(args, spec, tol):

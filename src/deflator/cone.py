@@ -150,26 +150,25 @@ def nnls(A, b, maxiter=None):
 _STACK_ENTRIES = 2 ** 13
 
 
-def _products(m, k):
-    """Stacked M v, v M and u . v of problems (m, k), by shape alone:
-    np.einsum (streams along the stack) under 64 entries, else matmul."""
-    if m * k < 64:
-        return [partial(np.einsum, s) for s in ("pij,pj->pi", "pi,pij->pj", "pi,pi->p")]
-    return (lambda M, v: (M @ v[..., None])[..., 0], lambda v, M: (v[:, None] @ M)[:, 0],
-            lambda u, v: (u[:, None] @ v[..., None])[:, 0, 0])
+# stacked products M v, v M and u . v.  _EINSUM streams along the stack,
+# and its bits depend on no BLAS build; _MATMUL, the package's one BLAS
+# form, serves only _nnls_stack's problems of 64 payoff entries or more
+_EINSUM = tuple(partial(np.einsum, s) for s in ("pij,pj->pi", "pi,pij->pj", "pi,pi->p"))
+_MATMUL = (lambda M, v: (M @ v[..., None])[..., 0], lambda v, M: (v[:, None] @ M)[:, 0],
+           lambda u, v: (u[:, None] @ v[..., None])[:, 0, 0])
 
 
-def _qr_append_stack(Qt, Ri, nk, rows, n, a, cutoff, k):
+def _qr_append_stack(Qt, Ri, nk, rows, n, a, cutoff, products):
     """Append column a[i] (m,) to the factor of every problem i (rows
     holds 0..p-1, and n >= nk.max()) by Gram-Schmidt with one
-    reorthogonalisation, in the products _products(m, k) picks.  Problem
+    reorthogonalisation, in products, _EINSUM or _MATMUL.  Problem
     i's factor is Qt[i], the rows of Q, and Ri[i] = R^-1, both zero past
     nk[i]; the caller keeps its columns.  The new column (h, d) of R
     borders R^-1 as [R^-1, -R^-1 h / d; 0, 1 / d].  A column whose new
     diagonal entry d is at most cutoff[i] lies in the span of the
     factor: it is rejected, and the factor stays as it was.  Returns
     which columns went in."""
-    _, vm, vv = _products(a.shape[1], k)
+    _, vm, vv = products
     Q = Qt[:, :n]
     Qs = Q.swapaxes(1, 2)
     h = vm(a, Qs)
@@ -189,10 +188,10 @@ def _qr_append_stack(Qt, Ri, nk, rows, n, a, cutoff, k):
     return ok
 
 
-def _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, k):
+def _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, products):
     """Remove the factor positions drop[s] (at least one) of problem
-    i[s], with their weights wf, from a stacked factor of problems (m, k)
-    kept by _qr_append_stack.  The survivors keep their order: those
+    i[s], with their weights wf, from a stacked factor kept by
+    _qr_append_stack in products.  The survivors keep their order: those
     before the first retired position keep their factor, and those
     after it are appended to it again, one position per round."""
     n = drop.shape[1]
@@ -208,7 +207,7 @@ def _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, k):
     for t in range(nq.min(), count.max()):
         # a factor of t columns takes its survivor; an infinite cutoff, no other
         _qr_append_stack(Q, R, nq, np.arange(len(i)), t, kept[:, t],
-                         np.where((nq == t) & (t < count), 0.0, np.inf), k)
+                         np.where((nq == t) & (t < count), 0.0, np.inf), products)
     Qt[i, :n] = np.where(pad[..., None], 0.0, Q)
     Ri[i, :n, :n] = np.where(pad[:, None] | pad[..., None], 0.0, R)
     nk[i] = nq
@@ -250,7 +249,7 @@ def _nnls_stack(A, b, maxiter=None):
         return np.zeros((p, k)), np.linalg.norm(b, axis=1)
     maxiter = _cap(maxiter, m, k)
     rel = 10.0 * np.finfo(float).eps * max(m, k)
-    mv, vm, vv = _products(m, k)
+    products = mv, vm, vv = _EINSUM if m * k < 64 else _MATMUL
     # X[i, j] is column j of A[i]; cut[i, j] * ||r|| is its threshold
     X = A.transpose(0, 2, 1)
     cut = rel * np.sqrt(np.einsum("pkm,pkm->pk", X, X))
@@ -292,7 +291,7 @@ def _nnls_stack(A, b, maxiter=None):
             n = int(nk.max())
         # a rejected column lands past nk, in the padding
         P[rows, nk], cols[rows, nk] = X[rows, enter], enter
-        act = _qr_append_stack(Qt, Ri, nk, rows, n, P[rows, nk], cut[rows, enter], k)
+        act = _qr_append_stack(Qt, Ri, nk, rows, n, P[rows, nk], cut[rows, enter], products)
         passive[rows, enter] = act
         solves += ~act
         n = min(n + 1, q)
@@ -315,7 +314,7 @@ def _nnls_stack(A, b, maxiter=None):
             drop = valid & ((ratios <= alpha) | (step <= 0.0))
             s, t = np.nonzero(drop)
             passive[i[s], c[s, t]] = False
-            _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, k)
+            _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, products)
     return w[:, :k], res
 
 
@@ -369,9 +368,6 @@ def _solve_direct(rows, children, x):
         return np.stack([w0, w1], 1), resid
     w = np.zeros((p, k))
     w[i, j1], w[i, j2] = w0, w1
-    if 2 * k >= 64:   # _reprice's matmul rounds as the BLAS kernel does: take its residual
-        f = np.isfinite(resid)
-        resid[f] = _reprice(w[f], X[f], x[f])[2]
     return w, resid
 
 
@@ -384,7 +380,7 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     _threshold.  With m == 2 <= k the weights are _solve_direct's where
     they are inside, and their bits depend on neither the stack nor the
     BLAS build; every other market goes through _nnls_stack (NaN past its
-    cap), whose weights alone can depend on the stack."""
+    cap), whose weights alone can depend on the stack and the BLAS build."""
     (p, k), m = children.shape, rows.shape[1]
     weights, inside = np.empty((p, k)), np.empty(p, dtype=bool)
     step = max(1, _STACK_ENTRIES // max(1, k * m))
@@ -404,17 +400,16 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
 
 def _reprice(w, X, x):
     """x_star = w X, gap x_star - x and residual ||gap|| of weights w (p, k)
-    of markets paying X (p, k, m) at prices x (p, m), by _products(k, m)."""
-    _, vm, vv = _products(*X.shape[1:])
+    of markets paying X (p, k, m) at prices x (p, m), by _EINSUM at every size."""
+    _, vm, vv = _EINSUM
     x_star = vm(w, X)
     gap = x_star - x
     return x_star, gap, np.sqrt(vv(gap, gap))
 
 
 def _position(payoffs, prices, gamma):
-    """Cost gamma . prices and payoffs X gamma, by the products _products picks."""
-    mv, _, vv = _products(*payoffs.shape)   # each on a stack of one
-    return float(vv(gamma[None], prices[None])[0]), mv(payoffs[None], gamma[None])[0]
+    """Cost gamma . prices and payoffs X gamma, by np.einsum at every size."""
+    return float(np.einsum("j,j->", gamma, prices)), np.einsum("ij,j->i", payoffs, gamma)
 
 
 def _slack(payoffs, prices, gamma, tol):

@@ -265,13 +265,10 @@ def pairing(f: SimpleFunction, mu: FAMeasure):
     if f.algebra != mu.algebra:
         raise AlgebraMismatch("function and measure live on different algebras")
     fv, mw = f.values, mu.weights
-    if fv.ndim == 1 and mw.ndim == 1:
-        return float(fv @ mw)
     if fv.ndim == 2 and mw.ndim == 2:
         return float((fv * mw).sum())
-    if fv.ndim == 2:
-        return fv.T @ mw
-    return mw.T @ fv
+    out = np.einsum("b...,b...->...", fv, mw)
+    return out if out.ndim else float(out)
 
 
 class Filtration:

@@ -288,8 +288,8 @@ _KERNELS: ContextVar[dict | None] = ContextVar("_KERNELS", default=None)
 
 
 def _kernel(u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """K_u(x) = -u^2 (e^{iux} - 1 - iux) / (iux)^2, u by nodes."""
-    return -(u[..., None] ** 2) * _exp_remainder(1j * u[..., None] * nodes)
+    """K_u(x) = -u^2 (e^{iux} - 1 - iux) / (iux)^2, node-major: (nodes, *u.shape)."""
+    return -(u ** 2) * _exp_remainder(1j * u * nodes.reshape(nodes.shape + (1,) * u.ndim))
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ class KolmogorovLaw:
         return float(self.weights.sum())
 
     def char_exponent(self, u):
-        """log E exp(iuX), vectorized over u.
+        """log E exp(iuX) = i u mean + K_u(x_i) w_i added node by node, vectorized over u.
 
         Inside a levy_put call the kernels K_u(x_i) are looked up in
         that call's table first, so a law and its tilt, which share
@@ -342,7 +342,10 @@ class KolmogorovLaw:
             body = table.get(key)
             if body is None:
                 body = table[key] = _kernel(u, self.nodes)
-        return 1j * u * self.mean + body @ self.weights
+        out = 1j * u * self.mean
+        for kernel, weight in zip(body, self.weights):
+            out += kernel * weight
+        return out
 
     def charfn(self, u):
         out = np.exp(self.char_exponent(u))
@@ -351,7 +354,7 @@ class KolmogorovLaw:
     def log_mgf(self, sigma: float) -> float:
         """log E exp(sigma X) = mean sigma + sum (e^{sx}-1-sx)/x^2 w."""
         vals = _exp_remainder(sigma * self.nodes) * sigma ** 2
-        return float(self.mean * sigma + vals @ self.weights)
+        return float(self.mean * sigma + (vals * self.weights).sum())
 
     def tilt(self, sigma: float) -> "KolmogorovLaw":
         """The law reweighted by exp(sigma X) / E exp(sigma X).
@@ -364,7 +367,7 @@ class KolmogorovLaw:
         x, w = self.nodes, self.weights
         shift = np.where(x == 0.0, sigma,
                          np.expm1(sigma * x) / np.where(x == 0.0, 1.0, x))
-        return KolmogorovLaw(mean=self.mean + float(shift @ w),
+        return KolmogorovLaw(mean=self.mean + float((shift * w).sum()),
                              nodes=x, weights=np.exp(sigma * x) * w)
 
     def scale_time(self, t: float) -> "KolmogorovLaw":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import (DEFAULT_TOL, Deflator, OnePeriodMarket, _position, _products,
+from .cone import (DEFAULT_TOL, Deflator, OnePeriodMarket, _EINSUM, _position,
                    _qr_append_stack, _slack)
 from .exceptions import DimensionMismatch, SingularGram, ZeroCost
 
@@ -68,26 +68,26 @@ def least_squares_hedge(market: OnePeriodMarket, deflator: Deflator,
     """Minimize <(V - X gamma)^2, Pi> = ||sqrt(Pi) (V - X gamma)||^2 over
     positions gamma.
 
-    The weighted instrument columns sqrt(Pi) X_j enter a thin QR factor
-    one at a time (cone._qr_append_stack), and gamma = R^-1 Q.T
-    sqrt(Pi) V.  Raises SingularGram at the first column whose new
-    diagonal entry of R is at most 1e-6 of the largest weighted column
-    norm, i.e. whose Gram pivot is at most 1e-12 of the largest Gram
-    diagonal entry: the instruments are collinear under the deflator.
+    The weighted instrument columns sqrt(Pi) X_j enter a thin QR factor one
+    at a time (cone._qr_append_stack), and gamma = R^-1 Q.T sqrt(Pi) V, by
+    np.einsum.  Raises SingularGram at the first column whose new diagonal
+    entry of R is at most 1e-6 of the largest weighted column norm, i.e.
+    whose Gram pivot is at most 1e-12 of the largest Gram diagonal entry:
+    the instruments are collinear under the deflator.
     """
     v = _payoff_vector(market, payoff)
     pi = deflator.atom_weights
     if pi.shape[0] != market.n_outcomes:
         raise DimensionMismatch("deflator must weight every outcome")
     n, m = market.payoffs.shape
-    mv, vm, vv = _products(n, m)            # picked by the market's shape
+    mv, vm, vv = _EINSUM
     root = np.sqrt(pi)
     A = market.payoffs.T * root             # row j is the weighted column j
     cutoff = np.full(1, 1e-6 * np.sqrt(vv(A, A).max(initial=0.0)))
     Qt, Ri = np.zeros((1, m, n)), np.zeros((1, m, m))
     nk, rows = np.zeros(1, int), np.zeros(1, int)
     for j in range(m):
-        if not _qr_append_stack(Qt, Ri, nk, rows, j, A[None, j], cutoff, m)[0]:
+        if not _qr_append_stack(Qt, Ri, nk, rows, j, A[None, j], cutoff, _EINSUM)[0]:
             raise SingularGram(
                 "instruments are collinear under the deflator "
                 f"(Gram pivot {j} is degenerate)", index=j)

@@ -377,9 +377,9 @@ def futures_convexity(forward_payoffs, discounts, weights=None) -> float:
     else:
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
-    mean_f = float(w @ f)
-    mean_d = float(w @ d)
-    cov = float(w @ ((f - mean_f) * (d - mean_d)))
+    mean_f = float(np.einsum("i,i->", w, f))
+    mean_d = float(np.einsum("i,i->", w, d))
+    cov = float(np.einsum("i,i->", w, (f - mean_f) * (d - mean_d)))
     return -cov / mean_d
 
 
@@ -415,7 +415,7 @@ def _integral(f, a: float, b: float) -> float:
     """int_a^b f by composite_gauss_legendre to the absolute tolerance
     1e-10, for f mapping a float to a float: it is called once per node."""
     f = np.vectorize(f, otypes=[float])
-    return float(composite_gauss_legendre(lambda s, w: w @ f(s), a, b, 1e-10))
+    return float(composite_gauss_legendre(lambda s, w: np.einsum("i,i->", w, f(s)), a, b, 1e-10))
 
 
 def ho_lee_discount(params: HoLeeParams, t: float, u: float, b_t: float) -> float:

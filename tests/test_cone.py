@@ -510,7 +510,7 @@ def test_verify_position_accepts_certificates_of_large_markets():
 
 def test_verify_position_reports_a_certificate_to_the_bit():
     # verify_position forms gamma . x and X gamma with the certificate's
-    # products, on small markets (einsum) and large ones (BLAS), so a
+    # products, np.einsum on small and large markets alike, so a
     # certificate reports cost -setup_gain and its min_payoff exactly
     rng = np.random.default_rng(11)
     markets = [load_market_spec(FIXTURES / "ex5.json").payload]
@@ -728,8 +728,8 @@ def mixed_stack(rng, shape=None):
     return A, b
 
 
-# one shape on each side of the size cut of cone._products: einsum
-# under 64 payoff entries, matmul from 64 on
+# one shape on each side of _nnls_stack's size cut: cone._EINSUM under
+# 64 payoff entries, cone._MATMUL from 64 on
 CUT_SHAPES = [(7, 9), (8, 8)]
 
 
@@ -857,7 +857,7 @@ def test_stacked_qr_factor_follows_columns_in_and_out():
             wf[rows[:, None], np.arange(m + 1)] = np.where(np.arange(m + 1) < nk[:, None],
                                                            cols + 1.0, 0.0)
             drop = (cols[i, :n] == j[i, None]) & (np.arange(n) < nk[i, None])
-            cone._qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, k)
+            cone._qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, cone._EINSUM)
             for s in i:
                 entered[s].remove(j[s])
                 np.testing.assert_array_equal(wf[s, :nk[s]], cols[s, :nk[s]] + 1.0)
@@ -876,7 +876,7 @@ def test_stacked_qr_factor_follows_columns_in_and_out():
         # the caller records the column; a rejected one lands in the padding
         P[rows, nk], cols[rows, nk] = X[rows, j], j
         added = cone._qr_append_stack(Qt, Ri, nk, rows, int(nk.max()), X[rows, j],
-                                      np.where(out, np.inf, cutoff[rows, j]), k)
+                                      np.where(out, np.inf, cutoff[rows, j]), cone._EINSUM)
         for i, ok in enumerate(added):
             assert ok != (out[i] or i in why)
             if ok:
@@ -1376,8 +1376,8 @@ def largest(s, t):
 
 def test_a_direct_node_is_decided_on_its_reported_residual():
     # the residual _solve_direct returns is the one _reprice reports on
-    # its weights, to the bit, on einsum's path (k < 32) and on matmul's
-    # (k = 40), at every scale; every node's verdict is its reported
+    # its weights, to the bit, in _reprice's einsum products at k = 2-6
+    # and at k = 40, at every scale; every node's verdict is its reported
     # residual within the threshold, and a node within it is taken
     # directly.  Every near tie the old allowance rel * max|A_ij| *
     # max|w_j| took directly is still taken, and some it sent to the

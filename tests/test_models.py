@@ -770,7 +770,7 @@ def test_levy_put_computes_each_kernel_once_within_one_call(monkeypatch):
     params = jump_put_params()
     first = levy_put(params, 97.0)
     # the plain and tilted laws share one probe call and two rules
-    assert kernels == [(100, 4), (512, 4), (1024, 4)]
+    assert kernels == [(4, 100), (4, 512), (4, 1024)]
     assert models._KERNELS.get() is None
     # the next call starts from an empty table, and its bytes do not move
     assert levy_put(params, 97.0) == first
@@ -779,7 +779,7 @@ def test_levy_put_computes_each_kernel_once_within_one_call(monkeypatch):
     law = params.base
     law.char_exponent(np.arange(3.0))
     law.tilt(0.25).char_exponent(np.arange(3.0))
-    assert kernels[6:] == [(3, 4), (3, 4)]
+    assert kernels[6:] == [(4, 3), (4, 3)]
 
 
 def test_the_kernel_table_keeps_laws_on_other_nodes_apart():

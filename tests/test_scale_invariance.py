@@ -9,8 +9,8 @@ its tie (residual / threshold near 1 at scale 1) is skipped: rounding
 alone may flip it.  Every market here but the wide one-period markets
 has under 64 payoff entries per node, so its products, and these
 verdicts, hold no BLAS kernel's bits.  The wide markets, up to 4,800
-entries, take BLAS products, whose last bits depend on the kernel, so
-only their verdicts are checked.
+entries, reach the active-set solver's BLAS products, whose last bits
+depend on the kernel, so only their verdicts are checked.
 """
 
 import numpy as np
