@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket, _project_stack, _projection
+from .cone import (_STACK_ENTRIES, DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket,
+                   _project_stack, _projection)
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
                          InvalidInterval, NotClosedOut, NotSelfFinancing)
 from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction, _bincount,
@@ -286,10 +287,11 @@ class NodeArbitrage:
 
 
 def _solve_level(child_parent, settle, prices, tol):
-    """Project every node of one tree level onto the cone of its
-    children's settlement rows, in stacks of nodes with equal child
-    counts.  Returns the weight of each child and the lowest block not
-    inside its cone (outside, or NaN past the solver's cap), or None."""
+    """Project every node of a tree level, or of a pack of levels whose
+    nodes and children are numbered on, onto the cone of its children's
+    settlement rows, in stacks of nodes with equal child counts.
+    Returns the weight of each child and the lowest node not inside its
+    cone (outside, or NaN past the solver's cap), or None."""
     # children grouped by parent, each group in block order
     order = np.argsort(child_parent, kind="stable")
     counts = _bincount(child_parent, minlength=prices.shape[0])
@@ -306,39 +308,70 @@ def _solve_level(child_parent, settle, prices, tol):
     return node_w, min(failed, default=None)
 
 
+def _packs(filtration, m):
+    """The non-terminal levels of a tree in packs of consecutive levels,
+    as ranges: a pack takes the next level while their child rows times
+    the m instruments stay within one stack's _STACK_ENTRIES, and a
+    level larger than that is a pack of its own."""
+    i = 0
+    while i + 1 < len(filtration):
+        j, rows = i + 1, filtration[i + 1].n_blocks
+        while j + 1 < len(filtration) and (rows + filtration[j + 1].n_blocks) * m <= _STACK_ENTRIES:
+            rows += filtration[j + 1].n_blocks
+            j += 1
+        yield range(i, j)
+        i = j
+
+
 def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
-    """Assemble deflators level by level, or surface an arbitrage node.
+    """Assemble deflators pack by pack of levels, or surface an arbitrage node.
 
     At each block b of each non-terminal algebra, the node's price
     vector is projected onto the cone of its children's settlement
-    rows, once.  The nodes of a level are independent, so nodes with
-    the same number of children are projected together, as one stack
-    of cone._project_stack.  If every projection lands inside, the node
-    weights multiply along paths into a DeflatorSequence with weight
-    one per time-0 block.  Otherwise the witness is the lowest failing
-    block of the first failing level: the certificate built from its
-    weights in the level solve, and the strategy that plays it, make
-    the NodeArbitrage.  A node whose solve passed the subproblem cap
-    fails with NaN weights, and raises NonConvergence if it is the
-    witness: only when no lower arbitrage precedes it.
+    rows, once.  The nodes are independent, so the levels are solved
+    in packs of consecutive levels, each pack within one stack's
+    cone._STACK_ENTRIES payoff entries, or one level larger than that:
+    nodes of a pack with the same number of children are projected
+    together, as one stack of cone._project_stack.  If every projection
+    lands inside, the node weights multiply along paths, level by
+    level, into a DeflatorSequence with weight one per time-0 block.
+    Otherwise the witness is the lowest failing block of the first
+    failing level: the certificate built from its weights in the pack
+    solve, and the strategy that plays it, make the NodeArbitrage.  The
+    levels after it in its pack are solved too, and no later pack.  A
+    node whose solve passed the subproblem cap fails with NaN weights,
+    and raises NonConvergence if it is the witness: only when no lower
+    arbitrage precedes it.
     """
     filtration = panel.filtration
     weights = [np.ones(filtration[0].n_blocks)]
-    for i in range(panel.n_periods):
-        child_parent = filtration[i + 1].coarse_block_map(filtration[i])
-        settle = panel.settle(i + 1).values
-        prices = panel.prices[i].values
-        node_w, b = _solve_level(child_parent, settle, prices, tol)
+    for levels in _packs(filtration, panel.n_instruments):
+        child_parent = [filtration[i + 1].coarse_block_map(filtration[i]) for i in levels]
+        settle = [panel.settle(i + 1).values for i in levels]
+        prices = [panel.prices[i].values for i in levels]
+        # the first node and the first child of each level of the pack
+        nodes = np.cumsum([0] + [x.shape[0] for x in prices])
+        kids = np.cumsum([0] + [c.size for c in child_parent])
+        if len(levels) == 1:
+            node_w, b = _solve_level(child_parent[0], settle[0], prices[0], tol)
+        else:
+            node_w, b = _solve_level(np.concatenate([c + n for c, n in zip(child_parent, nodes)]),
+                                     np.concatenate(settle), np.concatenate(prices), tol)
         if b is not None:
-            children = np.flatnonzero(child_parent == b)
-            certificate = _projection(settle[children], prices[b], node_w[children],
-                                      False).certificate
+            t = int(np.searchsorted(nodes, b, side="right")) - 1
+            time, block = levels[t], b - int(nodes[t])
+            children = np.flatnonzero(child_parent[t] == block)
+            certificate = _projection(settle[t][children], prices[t][block],
+                                      node_w[kids[t] + children], False).certificate
             strategy = Strategy.zero(panel)
-            strategy.trades[i].values[b] = certificate.gamma
-            strategy.trades[i + 1].values[children] = -certificate.gamma
-            return NodeArbitrage(time=i, block=b, certificate=certificate, strategy=strategy)
-        node_w *= weights[i][child_parent]
-        weights.append(node_w)
+            strategy.trades[time].values[block] = certificate.gamma
+            strategy.trades[time + 1].values[children] = -certificate.gamma
+            return NodeArbitrage(time=time, block=block, certificate=certificate,
+                                 strategy=strategy)
+        for t, i in enumerate(levels):
+            w = node_w[kids[t]:kids[t + 1]]
+            w *= weights[i][child_parent[t]]
+            weights.append(w)
     return DeflatorSequence([FAMeasure(filtration[j], weights[j])
                              for j in range(panel.n_periods + 1)])
 

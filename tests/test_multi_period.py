@@ -563,7 +563,7 @@ def test_restricted_deflator_mass_is_conserved_by_tree_search():
 
 
 def per_node_search(panel, tol=DEFAULT_TOL):
-    """The node-by-node tree search, the oracle of the level solves: one
+    """The node-by-node tree search, the oracle of the pack solves: one
     projection per node in (time, block) order.  Returns the deflator
     weights per time, or (time, block, certificate) of the first node
     outside its cone."""
@@ -594,7 +594,7 @@ def assert_matches_per_node_search(panel):
         time, block, certificate = want
         assert isinstance(got, NodeArbitrage)
         assert (got.time, got.block) == (time, block)
-        # the witness's weights in its level solve are its own: the
+        # the witness's weights in its pack solve are its own: the
         # certificate has the bits of the node projected alone
         np.testing.assert_array_equal(got.certificate.gamma, certificate.gamma)
         assert got.certificate.setup_gain == certificate.setup_gain
@@ -721,7 +721,7 @@ def test_tree_search_witness_is_the_lowest_block_across_child_counts():
 
 
 def test_tree_search_solves_each_node_once(monkeypatch):
-    # the witness is built from its level solve: no node is projected
+    # the witness is built from its pack solve: no node is projected
     # again, by project_to_cone or otherwise, on a fair panel or on one
     # that fails at its last node
     solved, stack = [], cone._project_stack
@@ -765,21 +765,25 @@ def test_tree_search_propagates_nonconvergence(monkeypatch):
         find_tree_deflator(panel)
 
 
-def test_tree_search_nonconvergence_keeps_the_lowest_block_witness(monkeypatch):
-    rng = np.random.default_rng(3)
-    panel = with_bond_plus_stock(tree_panel([np.full(3 ** i, 3) for i in range(3)], rng))
+def stuck_at(monkeypatch, prices):
+    """The solver, patched so that every node quoting prices passes its
+    subproblem cap: NaN, as the solver leaves it."""
     stack = cone._nnls_stack
-    stuck = panel.prices[1].values[2].copy()
 
     def stack_stuck(A, b, maxiter=None):
-        # block 2 of time 1 passes its subproblem cap: NaN, as the solver
-        # leaves it
         w, rnorm = stack(A, b, maxiter)
-        hit = (b == stuck).all(axis=1)
+        hit = (b == prices).all(axis=1)
         w[hit], rnorm[hit] = np.nan, np.nan
         return w, rnorm
 
     monkeypatch.setattr(cone, "_nnls_stack", stack_stuck)
+
+
+def test_tree_search_nonconvergence_keeps_the_lowest_block_witness(monkeypatch):
+    rng = np.random.default_rng(3)
+    panel = with_bond_plus_stock(tree_panel([np.full(3 ** i, 3) for i in range(3)], rng))
+    # block 2 of time 1 passes its subproblem cap
+    stuck_at(monkeypatch, panel.prices[1].values[2].copy())
     # nothing below the stuck node fails: the search reaches it
     with pytest.raises(NonConvergence):
         find_tree_deflator(panel)
@@ -791,7 +795,7 @@ def test_tree_search_nonconvergence_keeps_the_lowest_block_witness(monkeypatch):
 
 def test_tree_search_refuses_prices_made_infinite_after_the_panel_was_built():
     # a panel checks its prices once; the witness of a level refuses them
-    # again, and gives no certificate of NaN.  The level solve meets inf -
+    # again, and gives no certificate of NaN.  The pack solve meets inf -
     # inf on the way, as it did when the witness was solved again alone.
     panel = binomial_stock_panel(3, R=1.05, s=100.0, mu=0.0, sigma=0.2)
     panel.prices[1].values[1, 1] = np.inf
@@ -839,3 +843,178 @@ def test_tree_search_on_a_wide_node():
     for prices in (fair, fair * [1.0, 1.0, 1.0, 0.0]):
         market = OnePeriodMarket(prices=prices, payoffs=payoffs)
         assert_matches_per_node_search(panel_from_one_period(market))
+
+
+# ------------------------------------------------- packs of tree levels
+
+
+def level_by_level_search(panel, tol=DEFAULT_TOL):
+    """The tree search with one _solve_level call per level, the oracle
+    of the packed search: a DeflatorSequence, or the NodeArbitrage of the
+    lowest failing block of the first failing level."""
+    filtration = panel.filtration
+    weights = [np.ones(filtration[0].n_blocks)]
+    for i in range(panel.n_periods):
+        child_parent = filtration[i + 1].coarse_block_map(filtration[i])
+        settle = panel.settle(i + 1).values
+        prices = panel.prices[i].values
+        node_w, b = multi_period._solve_level(child_parent, settle, prices, tol)
+        if b is not None:
+            children = np.flatnonzero(child_parent == b)
+            certificate = cone._projection(settle[children], prices[b], node_w[children],
+                                           False).certificate
+            strategy = Strategy.zero(panel)
+            strategy.trades[i].values[b] = certificate.gamma
+            strategy.trades[i + 1].values[children] = -certificate.gamma
+            return NodeArbitrage(time=i, block=b, certificate=certificate, strategy=strategy)
+        node_w *= weights[i][child_parent]
+        weights.append(node_w)
+    return DeflatorSequence([FAMeasure(filtration[j], weights[j])
+                             for j in range(panel.n_periods + 1)])
+
+
+def assert_packed_is_level_by_level(panel):
+    """The packed search gives the level-by-level search's bytes: every
+    level's weights, or the witness, its certificate and its strategy."""
+    got, want = find_tree_deflator(panel), level_by_level_search(panel)
+    assert type(got) is type(want)
+    if isinstance(want, NodeArbitrage):
+        assert (got.time, got.block) == (want.time, want.block)
+        assert got.certificate.gamma.tobytes() == want.certificate.gamma.tobytes()
+        assert got.certificate.setup_gain == want.certificate.setup_gain
+        for a, b in zip(got.strategy.trades, want.strategy.trades, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+    else:
+        for a, b in zip(got.measures, want.measures, strict=True):
+            assert a.weights.tobytes() == b.weights.tobytes()
+    return got
+
+
+def pack_sizes(panel):
+    """The number of levels in each pack of the search on panel."""
+    return [len(levels) for levels in multi_period._packs(panel.filtration,
+                                                           panel.n_instruments)]
+
+
+def test_packed_search_is_level_by_level_on_fair_binomial_panels():
+    # depth 11 is one pack; from 12 on the larger levels are packs of their own
+    for n, sizes in ((1, [1]), (2, [2]), (5, [5]), (11, [11]), (12, [11, 1]),
+                     (14, [11, 1, 1, 1])):
+        panel, _ = fair_binomial_panel(n)
+        assert pack_sizes(panel) == sizes
+        assert isinstance(assert_packed_is_level_by_level(panel), DeflatorSequence)
+
+
+def test_packed_search_is_level_by_level_on_trinomial_and_paying_panels():
+    rng = np.random.default_rng(29)
+    children = [np.full(3 ** i, 3) for i in range(8)]
+    for dividends in (False, True):
+        panel = tree_panel(children, rng, dividends=dividends)
+        assert pack_sizes(panel) == [7, 1]
+        assert isinstance(assert_packed_is_level_by_level(panel), DeflatorSequence)
+
+
+def test_packed_search_is_level_by_level_with_mixed_child_counts():
+    # levels of one, two and three children per node in one pack: a pack
+    # is solved in stacks of equal child count across its levels
+    rng = np.random.default_rng(31)
+    children = [np.array([3])]
+    for _ in range(4):
+        children.append(rng.integers(1, 4, size=int(children[-1].sum())))
+    for dividends in (False, True):
+        panel = tree_panel(children, rng, dividends=dividends)
+        assert pack_sizes(panel) == [5]
+        assert isinstance(assert_packed_is_level_by_level(panel), DeflatorSequence)
+        # a planted node in the last level of the pack, lowest of its level
+        parent = panel.filtration[5].coarse_block_map(panel.filtration[4])
+        block = int(np.flatnonzero(np.bincount(parent) == 3)[0])
+        top = panel.settle(5).values[parent == block, 1].max()
+        panel.prices[4].values[block, 1] = 1.25 * top / 1.04
+        node = assert_packed_is_level_by_level(panel)
+        assert (node.time, node.block) == (4, block)
+
+
+def test_packed_search_is_level_by_level_on_three_instrument_nodes():
+    # bond, stock and their sum: every node goes through _nnls_stack, in
+    # stacks that mix the levels of a pack
+    rng = np.random.default_rng(37)
+    trinomial = with_bond_plus_stock(tree_panel([np.full(3 ** i, 3) for i in range(7)], rng,
+                                                dividends=True))
+    binomial = with_bond_plus_stock(fair_binomial_panel(12)[0])
+    assert pack_sizes(trinomial) == [6, 1] and pack_sizes(binomial) == [10, 1, 1]
+    for panel in (trinomial, binomial):
+        assert isinstance(assert_packed_is_level_by_level(panel), DeflatorSequence)
+
+
+def test_packed_search_finds_a_planted_arbitrage_at_every_level():
+    # planted at up children (odd blocks), so their parents stay fair
+    for time in range(8):
+        for block in {0} if time == 0 else {1, 2 ** time // 3 | 1, 2 ** time - 1}:
+            node = assert_packed_is_level_by_level(planted_binomial(8, [(time, block)]))
+            assert (node.time, node.block) == (time, block)
+
+
+def test_the_earlier_level_wins_inside_one_pack():
+    # both failures are in the one pack of an 8-period panel; the later
+    # level's failing block is lower than the earlier one's
+    for plants, witness in (([(6, 1), (3, 5)], (3, 5)), ([(7, 1), (2, 3)], (2, 3)),
+                            ([(5, 9), (5, 3)], (5, 3))):
+        node = assert_packed_is_level_by_level(planted_binomial(8, plants))
+        assert (node.time, node.block) == witness
+
+
+def test_a_node_past_the_cap_raises_only_as_the_witness(monkeypatch):
+    rng = np.random.default_rng(3)
+    panel = with_bond_plus_stock(tree_panel([np.full(3 ** i, 3) for i in range(4)], rng))
+    assert pack_sizes(panel) == [4]
+
+    def above_its_children(time, block):
+        # the stock quoted above every child, and the node fails alone
+        children = np.flatnonzero(
+            panel.filtration[time + 1].coarse_block_map(panel.filtration[time]) == block)
+        x = panel.prices[time].values[block]
+        x[1] = 1.25 * panel.prices[time + 1].values[children, 1].max() / 1.04
+        x[2] = x[:2].sum()
+        local = OnePeriodMarket(prices=x, payoffs=panel.settle(time + 1).values[children])
+        assert find_arbitrage(local) is not None
+
+    stuck_at(monkeypatch, panel.prices[2].values[4].copy())
+    for search in (find_tree_deflator, level_by_level_search):
+        with pytest.raises(NonConvergence):
+            search(panel)
+    # an arbitrage at a later level of the same pack does not hide it
+    above_its_children(3, 0)
+    for search in (find_tree_deflator, level_by_level_search):
+        with pytest.raises(NonConvergence):
+            search(panel)
+    # an arbitrage at an earlier level is the witness, and nothing raises
+    above_its_children(1, 2)
+    node = assert_packed_is_level_by_level(panel)
+    assert (node.time, node.block) == (1, 2)
+
+
+def test_the_tree_search_makes_one_stack_per_pack(monkeypatch):
+    # the benchmark's panels: a 2^14-leaf binomial and a 3^9-leaf
+    # trinomial panel, levels 0-10 and 0-6 in one stack each, every
+    # larger level in its own
+    solved, stack = [], cone._project_stack
+    monkeypatch.setattr(multi_period, "_project_stack", lambda rows, children, *a:
+                        solved.append(len(children)) or stack(rows, children, *a))
+    assert isinstance(find_tree_deflator(fair_binomial_panel(14)[0]), DeflatorSequence)
+    assert solved == [2 ** 11 - 1, 2 ** 11, 2 ** 12, 2 ** 13]
+    solved.clear()
+    rng = np.random.default_rng(41)
+    panel = tree_panel([np.full(3 ** i, 3) for i in range(9)], rng)
+    assert isinstance(find_tree_deflator(panel), DeflatorSequence)
+    assert solved == [(3 ** 7 - 1) // 2, 3 ** 7, 3 ** 8]
+    assert sum(solved) == (3 ** 9 - 1) // 2
+
+
+def test_a_pack_holds_no_more_memory_than_its_largest_level():
+    # a level larger than one stack is passed in place, never concatenated
+    panel, _ = fair_binomial_panel(16)
+    got, peak = traced_peak(lambda: find_tree_deflator(panel))
+    want, oracle_peak = traced_peak(lambda: level_by_level_search(panel))
+    assert peak <= 1.1 * oracle_peak
+    for a, b in zip(got.measures, want.measures, strict=True):
+        assert a.weights.tobytes() == b.weights.tobytes()
