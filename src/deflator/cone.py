@@ -333,23 +333,29 @@ def _solve_direct(rows, children, x):
     rows[children[i]], k >= 2, 0 off the pair (u, v) _nnls_stack enters
     first: children 0, 1 if k == 2, else j1 of largest A^T x, then j2 of
     largest A^T r over the others, r = x less its projection on row j1,
-    by partial pivoting LU written out elementwise; and the residual
+    the pair taken from the one gather X (p, k, 2) of the child rows
+    that the products read, by flat index i * k + j into it; solved by
+    partial pivoting LU written out elementwise; and the residual
     _reprice reports on w, to the bit, or inf where w < 0 or the second
     pivot is at most rel * max|v|, rel = 20 * eps (u, v at a sine that
     small, which _nnls_stack would not split).  An overflow gives a
     non-finite residual."""
-    (p, k), i, j1, j2 = children.shape, np.arange(len(x)), 0, 1
-    if k > 2:
+    p, k = children.shape
+    if k == 2:
+        u, v = (np.take(rows, children[:, j], axis=0) for j in (0, 1))
+    else:
+        # A^T x and A^T r as two products and a sum, in instrument order
         X = np.take(rows, children, axis=0)
-        g = np.einsum("pkm,pm->pk", X, x)
-        j1 = g.argmax(axis=1)
-        first = X[i, j1]
+        flat, at = X.reshape(-1, 2), k * np.arange(p)
         with np.errstate(all="ignore"):
-            r = x - (g[i, j1] / np.einsum("pm,pm->p", first, first))[:, None] * first
-        g = np.einsum("pkm,pm->pk", X, r)
-        g[i, j1] = -np.inf
-        j2 = g.argmax(axis=1)
-    u, v = (np.take(rows, children[:, j] if k == 2 else children[i, j], axis=0) for j in (j1, j2))
+            g = X[..., 0] * x[:, :1] + X[..., 1] * x[:, 1:]
+            f1 = at + g.argmax(axis=1)
+            u = np.take(flat, f1, axis=0)
+            r = x - (g.ravel()[f1] / (u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1]))[:, None] * u
+            g = X[..., 0] * r[:, :1] + X[..., 1] * r[:, 1:]
+        g.ravel()[f1] = -np.inf
+        f2 = at + g.argmax(axis=1)
+        v = np.take(flat, f2, axis=0)
     # rows (a, b | y0), (c, d | y1) of A w = x, |a| >= |c|: rows top, 1 - top of (u, v | x)
     top = np.abs(u[:, 1]) > np.abs(u[:, 0])
     (a, b, y0), (c, d, y1) = ([np.where(top, t[:, 1 - e], t[:, e]) for t in (u, v, x)]
@@ -367,7 +373,7 @@ def _solve_direct(rows, children, x):
     if k == 2:
         return np.stack([w0, w1], 1), resid
     w = np.zeros((p, k))
-    w[i, j1], w[i, j2] = w0, w1
+    w.ravel()[f1], w.ravel()[f2] = w0, w1
     return w, resid
 
 

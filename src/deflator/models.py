@@ -378,7 +378,9 @@ class KolmogorovLaw:
                              weights=t * self.weights)
 
 
-_BLOCK = 2 ** 17      # entries of one x-by-u block of the inversion sum
+# entries of one x-by-u block of the inversion sum: each of its
+# temporaries, 128 KiB, stays in a core's L2 cache
+_BLOCK = 2 ** 14
 # truncation candidates 2^j (1 + i/16), j < 20 and i < 5: 2^19 is the
 # last power of two under the 1e6 cap
 _PROBES = 2.0 ** np.arange(20)[:, None] * (1.0 + np.arange(5) / 16.0)
@@ -400,8 +402,10 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
 
     The truncated integral is smooth, so one composite Gauss-Legendre
     rule on [0, U] serves the whole grid: phi is evaluated once per
-    rule, on all its nodes, and the integrals at every x are sums over
-    one matrix of e^{-iux}.  composite_gauss_legendre starts from about
+    rule, on all its nodes, and the integrals at every x are sums of
+    e^{-iux} terms over u, in blocks of rows of x of about _BLOCK = 2^14
+    entries, each row summed whole, so the bytes do not depend on the
+    block.  composite_gauss_legendre starts from about
     U/2 equal panels and doubles them until two successive integrals
     agree within 1e-11 at every grid point, an absolute error target
     on the integral; past its node cap it raises

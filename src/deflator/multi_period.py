@@ -13,7 +13,9 @@ arbitrage localized at one node.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -350,16 +352,16 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
         settle = [panel.settle(i + 1).values for i in levels]
         prices = [panel.prices[i].values for i in levels]
         # the first node and the first child of each level of the pack
-        nodes = np.cumsum([0] + [x.shape[0] for x in prices])
-        kids = np.cumsum([0] + [c.size for c in child_parent])
+        nodes = list(accumulate((x.shape[0] for x in prices), initial=0))
+        kids = list(accumulate((c.size for c in child_parent), initial=0))
         if len(levels) == 1:
             node_w, b = _solve_level(child_parent[0], settle[0], prices[0], tol)
         else:
             node_w, b = _solve_level(np.concatenate([c + n for c, n in zip(child_parent, nodes)]),
                                      np.concatenate(settle), np.concatenate(prices), tol)
         if b is not None:
-            t = int(np.searchsorted(nodes, b, side="right")) - 1
-            time, block = levels[t], b - int(nodes[t])
+            t = bisect_right(nodes, b) - 1
+            time, block = levels[t], b - nodes[t]
             children = np.flatnonzero(child_parent[t] == block)
             certificate = _projection(settle[t][children], prices[t][block],
                                       node_w[kids[t] + children], False).certificate

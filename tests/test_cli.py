@@ -441,6 +441,22 @@ def test_detect_names_the_planted_panel_arbitrage(capsys):
     assert run(["detect", str(path)], capsys)[:2] == (code, out)
 
 
+def test_detect_trinomial_panel_matches_its_golden(capsys):
+    # every node has three children and two instruments, so the golden
+    # pins the pair the direct solve picks; compared here, not through
+    # CASES, which the benchmark's CLI workload mirrors
+    argv = ["detect", "trinomial_panel.json"]
+    code, out, _ = run(argv, capsys)
+    assert (code, out) == (0, golden("detect_trinomial_panel"))
+    assert run(argv, capsys)[:2] == (code, out)
+    doc = parse_document(out)
+    assert (doc["verdict"], doc["kind"]) == ("deflator", "panel")
+    # every node weighs its up and down children, as the active-set
+    # solver ends, and its middle child 0
+    assert [len(level) for level in doc["weights"]] == [1, 3, 9, 27]
+    assert [np.count_nonzero(level) for level in doc["weights"]] == [1, 2, 4, 8]
+
+
 def test_pricing_a_panel_with_an_arbitrage_node_exits_3(capsys):
     path, _ = arbitrage_panel()
     code, out, err = run(["price", str(path), "--payoff", "call 100"], capsys)

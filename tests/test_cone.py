@@ -1585,3 +1585,53 @@ def test_many_child_nodes_are_within_8_ulp_of_cramer_on_their_pair():
                 pair = weights[i, weights[i] > 0.0]
                 for got, want in zip(pair, cramer(rows[c0], rows[c1], prices[i])):
                     assert abs(Fraction(got) - want) <= 8 * math.ulp(float(want))
+
+
+def gathered_twice_direct(rows, children, x):
+    """_solve_direct on nodes of k > 2 children as it was: A^T x and A^T r
+    by np.einsum, the pair picked from the gather X by a 2-D fancy index
+    and gathered again from rows through children, then solved by the
+    two-child branch, and its weights spread back over the k children."""
+    (p, k), i = children.shape, np.arange(len(x))
+    X = np.take(rows, children, axis=0)
+    g = np.einsum("pkm,pm->pk", X, x)
+    j1 = g.argmax(axis=1)
+    first = X[i, j1]
+    with np.errstate(all="ignore"):
+        r = x - (g[i, j1] / np.einsum("pm,pm->p", first, first))[:, None] * first
+    g = np.einsum("pkm,pm->pk", X, r)
+    g[i, j1] = -np.inf
+    j2 = g.argmax(axis=1)
+    pair, resid = cone._solve_direct(rows, np.stack((children[i, j1], children[i, j2]), 1), x)
+    w = np.zeros((p, k))
+    w[i, j1], w[i, j2] = pair[:, 0], pair[:, 1]
+    return w, resid
+
+
+def test_many_child_direct_solve_keeps_the_bytes_of_the_double_gather():
+    # the pair is taken from one gather of the child rows: the weights
+    # and residuals keep the bytes of the pair gathered twice, at k = 3-6
+    # and 40, at market scales 1e-6 to 1e6, with the child rows stored
+    # out of node order; where A^T x ties on duplicated children the
+    # first wins, and a pair with a negative weight keeps its inf
+    rng = np.random.default_rng(113)
+    ties = negative = 0
+    for k in (3, 4, 5, 6, 40):
+        for e in range(-6, 7, 3):
+            rows, children, x, kind = two_instrument_nodes(rng, 200, k)
+            scale = 10.0 ** (e + rng.uniform(-0.5, 0.5, size=len(x)))
+            rows = rows * np.repeat(scale, k)[:, None]
+            x = x * scale[:, None]
+            order = rng.permutation(len(rows))
+            rows, children = rows[order], np.argsort(order)[children]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                w, resid = cone._solve_direct(rows, children, x)
+            want_w, want_resid = gathered_twice_direct(rows, children, x)
+            assert w.tobytes() == want_w.tobytes()
+            assert resid.tobytes() == want_resid.tobytes()
+            # children 0 and 1 of a duplicated node tie for the first pick
+            g = np.einsum("pkm,pm->pk", rows[children], x)
+            ties += ((kind == 3) & (g[:, 0] == g.max(axis=1))).sum()
+            negative += (np.isinf(resid) & np.isfinite(w).all(axis=1) & (w < 0.0).any(axis=1)).sum()
+    assert ties > 0 and negative > 0

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -700,6 +701,61 @@ def test_one_truncation_call_keeps_the_bytes_of_the_doubling_loop():
     assert {(g, s) for g, s, _ in seen} == {(g, s) for g in (False, True)
                                             for s in (False, True)}
     assert {ok for _, _, ok in seen} == {False, True}
+
+
+JUMP_LAW = KolmogorovLaw(mean=0.0, nodes=np.array([0.0, -0.3, 0.2, 0.45]),
+                         weights=np.array([0.05, 0.03, 0.01, 0.02]))
+
+
+def inversion_grids():
+    """(law, grid) pairs: the 200-point grids of the jump law above and
+    of the standard normal law over +-3 standard deviations, 37 points
+    of the jump law, and the 33 Gauss-Legendre thresholds of the CLI's
+    put check at strike 100 for both laws."""
+    grids = []
+    z = gauss_legendre(33)[0]
+    for law in (JUMP_LAW, KolmogorovLaw.standard_normal()):
+        grids.append((law, math.sqrt(law.variance) * np.linspace(-3.0, 3.0, 200)))
+        params = LevyModelParams(r=0.05, s=100.0, sigma=0.2, t=2.0, base=law)
+        y = 50.0 * (z + 1.0)
+        thresholds = (np.log(y / params.s) - params.drift * params.t) / params.sigma
+        grids.append((law.scale_time(params.t), thresholds))
+    grids.append((JUMP_LAW, np.linspace(-1.0, 1.0, 37)))
+    return grids
+
+
+def test_inversion_bytes_do_not_depend_on_the_block(monkeypatch):
+    # each row of the e^{-iux} sum is summed whole, so blocks of 1 row,
+    # of 2^14 and of 2^17 entries give the same bytes, also where the
+    # grid is not a whole number of blocks
+    grids = inversion_grids()
+    partial = 0
+    for law, grid in grids:
+        got = {}
+        for block in (1, 2 ** 14, 2 ** 17):
+            monkeypatch.setattr(models, "_BLOCK", block)
+            sizes = []
+            got[block] = cdf_from_charfn(lambda u: sizes.append(u.size) or law.charfn(u),
+                                         grid).tobytes()
+            if block == 2 ** 14:
+                # the first call finds U; each later one evaluates a rule
+                partial += any(grid.size % max(1, block // n) for n in sizes[1:])
+        assert got[2 ** 14] == got[1] and got[2 ** 17] == got[1]
+    assert partial == len(grids)
+
+
+def test_inversion_of_a_200_point_grid_stays_within_a_mebibyte():
+    # the e^{-iux} temporaries of one block are 128 KiB each: the jump
+    # law's 200-point grid peaks under 1 MiB of traced memory
+    law, grid = inversion_grids()[0]
+    cdf_from_charfn(law.charfn, grid)
+    tracemalloc.start()
+    try:
+        cdf_from_charfn(law.charfn, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 def test_import_loads_no_scipy():
