@@ -8,16 +8,18 @@ integral settles.  Nothing here is exported at package level.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .exceptions import NonConvergence
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _GL_BITS = 192  # fraction bits of the fixed-point step in gauss_legendre
 _PANEL_ORDER = 16     # nodes per panel of composite_gauss_legendre
 _MAX_NODES = 2 ** 18  # largest composite rule tried
 
 
+@cache
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
@@ -30,18 +32,14 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     carries each far past double precision before it is rounded.  The
     negative half mirrors the positive one, so x == -x[::-1] exactly.
     """
-    try:
-        return _GL_CACHE[n]
-    except KeyError:
-        half = [_refine_legendre_root(t, n) for t in _legendre_roots_float(n)]
-        if n % 2:
-            half.append(_refine_legendre_root(0.0, n))
-        t, v = (np.array(a) for a in zip(*half))
-        x = np.concatenate([-t[:n // 2], t[::-1]])
-        w = np.concatenate([v[:n // 2], v[::-1]])
-        x.flags.writeable = w.flags.writeable = False
-        _GL_CACHE[n] = (x, w)
-        return x, w
+    half = [_refine_legendre_root(t, n) for t in _legendre_roots_float(n)]
+    if n % 2:
+        half.append(_refine_legendre_root(0.0, n))
+    t, v = (np.array(a) for a in zip(*half))
+    x = np.concatenate([-t[:n // 2], t[::-1]])
+    w = np.concatenate([v[:n // 2], v[::-1]])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _legendre_roots_float(n: int) -> np.ndarray:

@@ -73,9 +73,13 @@ def _parse_payoff(text) -> Payoff:
     parts = text.split()
     if len(parts) == 2 and parts[0] in ("call", "put", "const"):
         try:
-            return Payoff(parts[0], strike=float(parts[1]))
+            number = float(parts[1])
         except ValueError:
             pass
+        else:
+            if not math.isfinite(number):
+                raise SpecFileError(f"payoff {text!r}: the number must be finite")
+            return Payoff(parts[0], strike=number)
     raise SpecFileError(f"cannot parse payoff {text!r}: expected "
                         "'call K', 'put K', 'const c', or a JSON file path")
 

@@ -15,7 +15,7 @@ yields either the deflator or the certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .exceptions import DimensionMismatch, NonConvergence
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OnePeriodMarket:
     """Prices now and payoffs one period later, as read-only copies.
 
@@ -33,6 +33,8 @@ class OnePeriodMarket:
                terminal outcome j.
     labels   : optional outcome names, used when reporting deflator
                weights atom by atom.
+    A market compares and hashes by identity: two markets with equal
+    arrays are two markets.
     """
 
     prices: np.ndarray
@@ -450,17 +452,6 @@ def _projection(payoffs, prices, weights, inside):
                           prices=prices, certificate=certificate)
 
 
-# (market, tol, projection) of the last project_to_cone call.  A market
-# and its projection are read-only, so a call on the same market object
-# and tol hands the projection out again: find_arbitrage then
-# project_to_cone, the README's workflow, solves once.  One slot, not a
-# memo per market: a memo would also answer repeated passes over the same
-# markets from memory, and a benchmark of such passes would then time
-# lookups, not projections, for no user's gain.  The slot holds the
-# market itself, not its id, which a new object could reuse.
-_last = None
-
-
 def project_to_cone(market: OnePeriodMarket, tol: float = DEFAULT_TOL) -> ConeProjection:
     """Project the price vector onto the cone of payoff rows, and decide.
 
@@ -473,15 +464,21 @@ def project_to_cone(market: OnePeriodMarket, tol: float = DEFAULT_TOL) -> ConePr
     subproblem cap.  A call on the market object and tol of the last
     solve returns that solve's projection again, without a solve.
     """
-    global _last
-    last = _last
-    if last is not None and last[0] is market and last[1] == tol:
-        return last[2]
+    return _project(market, float(tol))
+
+
+# One slot, keyed by the market object (markets hash by identity) and
+# tol.  A market and its projection are read-only, so the slot can hand
+# the projection out again: find_arbitrage then project_to_cone, the
+# README's workflow, solves once.  Not a memo per market: a memo would
+# also answer repeated passes over the same markets from memory, and a
+# benchmark of such passes would then time lookups, not projections,
+# for no user's gain.
+@lru_cache(maxsize=1)
+def _project(market: OnePeriodMarket, tol: float) -> ConeProjection:
     payoffs, prices = market.payoffs, market.prices
     weights, inside = _project_stack(payoffs, np.arange(len(payoffs))[None], prices[None], tol)
-    projection = _projection(payoffs, prices, weights[0], inside[0])
-    _last = market, tol, projection
-    return projection
+    return _projection(payoffs, prices, weights[0], inside[0])
 
 
 def find_arbitrage(market: OnePeriodMarket, tol: float = DEFAULT_TOL):

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Every error raised deliberately by this package derives from
-:class:`DeflatorError`, so callers can catch one base class at API
-boundaries (the command line tool maps them onto exit codes).
+The errors defined here derive from :class:`DeflatorError`.  An invalid
+value handed to a constructor or a check (a market, algebra, panel,
+curve, schedule or model parameter, or a cdf_from_charfn grid) raises
+ValueError instead, so callers at API boundaries catch both; the
+command line tool maps both onto its input-error exit code.
 """
 
 

@@ -214,6 +214,8 @@ def product(f: SimpleFunction, mu: FAMeasure) -> FAMeasure:
     """The measure (f mu)(b) = f(b) mu(b), blockwise.
 
     A vector function times a scalar measure gives a vector measure.
+    A scalar function times a vector measure scales each block's
+    weight vector by the function's value on that block.
     """
     if f.algebra != mu.algebra:
         raise AlgebraMismatch("function and measure live on different algebras")

@@ -14,7 +14,6 @@ inversion sums one composite rule over the whole grid.
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,13 +279,6 @@ def _exp_remainder(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# The kernels of the levy_put call in progress, keyed by node and u bytes;
-# None outside one.  The table lives for one call only: a memo that
-# outlived it would answer repeated puts from memory, and a benchmark
-# that repeats them would time lookups instead of inversions.
-_KERNELS: ContextVar[dict | None] = ContextVar("_KERNELS", default=None)
-
-
 def _kernel(u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """K_u(x) = -u^2 (e^{iux} - 1 - iux) / (iux)^2, node-major: (nodes, *u.shape)."""
     return -(u ** 2) * _exp_remainder(1j * u * nodes.reshape(nodes.shape + (1,) * u.ndim))
@@ -328,22 +320,15 @@ class KolmogorovLaw:
         return float(self.weights.sum())
 
     def char_exponent(self, u):
-        """log E exp(iuX) = i u mean + K_u(x_i) w_i added node by node, vectorized over u.
-
-        Inside a levy_put call the kernels K_u(x_i) are looked up in
-        that call's table first, so a law and its tilt, which share
-        their nodes, compute them once at each u."""
+        """log E exp(iuX) = i u mean + K_u(x_i) w_i added node by node, vectorized over u."""
         u = np.asarray(u, dtype=float)
-        table = _KERNELS.get()
-        if table is None:
-            body = _kernel(u, self.nodes)
-        else:
-            key = (self.nodes.tobytes(), u.shape, u.tobytes())
-            body = table.get(key)
-            if body is None:
-                body = table[key] = _kernel(u, self.nodes)
+        return self._exponent(u, _kernel(u, self.nodes))
+
+    def _exponent(self, u, kernels):
+        """char_exponent at the float array u, given the kernels
+        K_u(x_i) of this law's nodes, node-major."""
         out = 1j * u * self.mean
-        for kernel, weight in zip(body, self.weights):
+        for kernel, weight in zip(kernels, self.weights):
             out += kernel * weight
         return out
 
@@ -483,21 +468,29 @@ def levy_put(params: LevyModelParams, k: float, smoothing: float = 0.0) -> float
     log-moneyness threshold.  With the standard normal base this equals
     the lognormal put value.
 
-    The two laws share their nodes, so within one call they share a
-    table of the kernels K_u(x_i) that char_exponent computes: where
-    both inversions pick the same U, each kernel is computed once.  The
-    table is built empty for each call and dropped when it returns or
-    raises.
+    The two laws share their nodes, so their characteristic functions
+    here share one table of the kernels K_u(x_i), keyed by u: where both
+    inversions pick the same U, each kernel is computed once.  The table
+    is a local of the call: a memo that outlived it would answer
+    repeated puts from memory, and a benchmark that repeats them would
+    time lookups instead of inversions.
     """
     if k <= 0.0:
         return 0.0
     threshold = (math.log(k / params.s) - params.drift * params.t) / params.sigma
     law_t = params.base.scale_time(params.t)
-    token = _KERNELS.set({})
-    try:
-        p_plain = cdf_from_charfn(law_t.charfn, [threshold], smoothing)[0]
-        p_tilted = cdf_from_charfn(law_t.tilt(params.sigma).charfn, [threshold],
-                                   smoothing)[0]
-    finally:
-        _KERNELS.reset(token)
+    table = {}
+
+    def kernels(u):
+        key = (u.shape, u.tobytes())
+        body = table.get(key)
+        if body is None:
+            body = table[key] = _kernel(u, law_t.nodes)
+        return body
+
+    def cdf(law):
+        return cdf_from_charfn(lambda u: np.exp(law._exponent(u, kernels(u))),
+                               [threshold], smoothing)[0]
+
+    p_plain, p_tilted = cdf(law_t), cdf(law_t.tilt(params.sigma))
     return float(k * p_plain - params.s * math.exp(params.r * params.t) * p_tilted)

@@ -337,6 +337,38 @@ def test_tolerance_must_be_finite_and_positive(bad, tmp_path, capsys):
             if math.isfinite(float(bad)) else "non-finite" in err)
 
 
+@pytest.mark.parametrize("number", ["inf", "-inf", "nan"])
+def test_payoff_numbers_must_be_finite(number, capsys):
+    # spec files refuse NaN and Infinity; a --payoff number is refused alike,
+    # before any spec kind is looked at
+    for command in ("price", "hedge"):
+        for spec in ("fair_binomial.json", "binomial_panel.json", "bach.json", "gbm.json",
+                     "levy.json"):
+            for kind in ("call", "put", "const"):
+                code, out, err = run([command, spec, "--payoff", f"{kind} {number}"], capsys)
+                assert (code, out) == (2, ""), (command, spec, kind)
+                assert f"payoff '{kind} {number}': the number must be finite" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "bach.json"], "detect expects a one_period or panel spec, got 'bachelier'"),
+    (["price", "curve.txt", "--payoff", "call 100"], "price does not support kind 'curve'"),
+    (["hedge", "binomial_panel.json", "--payoff", "call 100"],
+     "hedge does not support kind 'panel'"),
+    (["hedge", "levy.json", "--payoff", "put 100"], "hedge does not support kind 'levy'"),
+    (["curve", "curve.txt", "par"], "curve commands need --schedule t0,t1,...[;d1,...]"),
+    (["curve", "curve.txt", "price", "--schedule", "0,0.5,1"],
+     "curve price needs exactly one coupon argument"),
+    (["curve", "curve.txt", "price", "0.04", "0.05", "--schedule", "0,0.5,1"],
+     "curve price needs exactly one coupon argument"),
+], ids=["detect-model", "price-curve", "hedge-panel", "hedge-levy", "curve-no-schedule",
+        "curve-price-no-coupon", "curve-price-two-coupons"])
+def test_commands_on_the_wrong_input_exit_2(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"deflator: {message}\n"
+
+
 def test_one_period_hedge_correlation_stays_in_range():
     # the hedge of an affine payoff is exact, so its correlation is +-1;
     # rounding put it above 1 in 93 of these 400 draws

@@ -612,12 +612,15 @@ def test_only_the_last_market_and_tol_are_reused(monkeypatch):
     assert len(calls) == 3
     project_to_cone(a, 1e-6)
     assert len(calls) == 4
-    # an equal market is not the same market
-    project_to_cone(OnePeriodMarket(prices=a.prices, payoffs=a.payoffs), 1e-6)
+    # an equal market is not the same market: markets compare and hash by identity
+    twin = OnePeriodMarket(prices=a.prices, payoffs=a.payoffs)
+    assert twin is not a and twin != a and a == a
+    assert len({a, twin, a}) == 2 and hash(a) == hash(a)
+    project_to_cone(twin, 1e-6)
     assert len(calls) == 5
 
 
-def test_a_reused_projection_is_the_first_one_with_its_bytes(monkeypatch):
+def test_a_reused_projection_is_the_first_one_with_its_bytes():
     for market in fair_and_planted(np.random.default_rng(47)):
         first = project_to_cone(market)
         saved = [first.weights.tobytes(), first.x_star.tobytes(), first.prices.tobytes(),
@@ -627,7 +630,7 @@ def test_a_reused_projection_is_the_first_one_with_its_bytes(monkeypatch):
         assert again is first
         assert [again.weights.tobytes(), again.x_star.tobytes(), again.prices.tobytes(),
                 again.residual_norm] == saved
-        monkeypatch.setattr(cone, "_last", None)
+        cone._project.cache_clear()
         fresh = project_to_cone(market)
         assert fresh is not first
         assert [fresh.weights.tobytes(), fresh.x_star.tobytes(), fresh.prices.tobytes(),

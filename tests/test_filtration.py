@@ -169,6 +169,12 @@ def test_vector_pairing_shapes():
     assert pairing(vector_f, scalar_mu).shape == (2,)
     assert pairing(scalar_f, vector_mu).shape == (2,)
     assert isinstance(pairing(vector_f, vector_mu), float)
+    # every ndim combination is f(b) mu(b), block by block
+    for f in (scalar_f, vector_f):
+        for mu in (scalar_mu, vector_mu):
+            got = product(f, mu).weights
+            want = [np.multiply(f.values[b], mu.weights[b]) for b in range(3)]
+            assert got.tobytes() == np.array(want).tobytes(), (f.values.ndim, mu.weights.ndim)
 
 
 def test_product_requires_shared_algebra():

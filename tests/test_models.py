@@ -827,7 +827,6 @@ def test_levy_put_computes_each_kernel_once_within_one_call(monkeypatch):
     first = levy_put(params, 97.0)
     # the plain and tilted laws share one probe call and two rules
     assert kernels == [(4, 100), (4, 512), (4, 1024)]
-    assert models._KERNELS.get() is None
     # the next call starts from an empty table, and its bytes do not move
     assert levy_put(params, 97.0) == first
     assert kernels[3:] == kernels[:3]
@@ -838,25 +837,11 @@ def test_levy_put_computes_each_kernel_once_within_one_call(monkeypatch):
     assert kernels[6:] == [(4, 3), (4, 3)]
 
 
-def test_the_kernel_table_keeps_laws_on_other_nodes_apart():
-    law = jump_put_params().base
-    other = KolmogorovLaw(mean=law.mean, nodes=law.nodes + 0.1, weights=law.weights)
-    u = np.linspace(0.0, 40.0, 9)
-    want = [law.char_exponent(u).tobytes(), other.char_exponent(u).tobytes()]
-    token = models._KERNELS.set({})
-    try:
-        got = [law.char_exponent(u).tobytes(), other.char_exponent(u).tobytes()]
-    finally:
-        models._KERNELS.reset(token)
-    assert got == want
-
-
 def test_levy_put_drops_its_table_when_an_inversion_fails():
     atom = KolmogorovLaw(mean=0.1, nodes=np.array([0.0]), weights=np.array([0.0]))
     params = LevyModelParams(r=0.02, s=100.0, sigma=0.3, t=1.0, base=atom)
     with pytest.raises(TruncationFailure):
         levy_put(params, 100.0)
-    assert models._KERNELS.get() is None
 
 
 def test_levy_put_deep_in_the_money_dominance():
