@@ -21,11 +21,10 @@ import sys
 import numpy as np
 
 from ._quadrature import gauss_legendre
-from .cone import deflator_from_projection, project_to_cone
+from .cone import check_tolerance, deflator_from_projection, project_to_cone
 from .exceptions import ArbitrageInInput, DeflatorError, SingularGram, SpecFileError
 from .filtration import SimpleFunction, product, restrict
-from .market_files import (check_tolerance, display, load_market_spec, load_payoff_file,
-                           render_document)
+from .market_files import display, load_market_spec, load_payoff_file, render_document
 from .models import (_normal_piecewise_expectation, bachelier_hedge,
                      bachelier_put, cdf_from_charfn, gbm_put, levy_put)
 from .multi_period import NodeArbitrage, find_tree_deflator
@@ -243,10 +242,7 @@ def _weighted_corr(weights, a, b):
     clipped to [-1, 1]; 0 when either has zero variance, as in
     bachelier_hedge.  A vector constant where the weights are positive
     has zero variance, though its computed one rounds away from 0."""
-    mass = weights.sum()
-    if mass <= 0:
-        return 0.0
-    p = weights / mass
+    p = weights / weights.sum()
     am, bm = math.fsum(p * a), math.fsum(p * b)
     va = math.fsum(p * (a - am) ** 2)
     vb = math.fsum(p * (b - bm) ** 2)
@@ -263,11 +259,8 @@ def cmd_hedge(args, spec, tol):
         try:
             result = least_squares_hedge(market, deflator, values)
         except SingularGram as exc:
-            if exc.index is not None and spec.names:
-                raise SingularGram(
-                    f"{exc} (instrument {spec.names[exc.index]!r})",
-                    index=exc.index) from exc
-            raise
+            raise SingularGram(f"{exc} (instrument {spec.names[exc.index]!r})",
+                               index=exc.index) from exc
         corr = _weighted_corr(deflator.atom_weights,
                               np.einsum("ij,j->i", market.payoffs, result.gamma), values)
         return {"hedge": {"instruments": list(spec.names),
@@ -377,13 +370,18 @@ _COMMANDS = {"detect": cmd_detect, "price": cmd_price, "hedge": cmd_hedge,
 
 def main(argv=None) -> int:
     """Parse the spec and the tolerance, solve the command, render its
-    document."""
+    document; every failure, rendering included, leaves by one exit code
+    and one stderr line, with nothing on stdout."""
     args = _parser().parse_args(argv)
     try:
         spec = load_market_spec(args.spec)
         tol = (spec.tolerance if getattr(args, "tol", None) is None
                else check_tolerance(args.tol, "--tol"))
         fields, code = _COMMANDS[args.command](args, spec, tol)
+        # a market document names its kind and the tolerance it used
+        doc = ({} if args.command == "curve"
+               else {"kind": spec.kind, "diagnostics": {"tolerance": tol}})
+        text = render_document(dict(doc, command=args.command, **fields))
     except ArbitrageInInput as exc:
         print(f"deflator: {exc}", file=sys.stderr)
         return EXIT_ARBITRAGE
@@ -393,11 +391,7 @@ def main(argv=None) -> int:
     except (DeflatorError, ValueError, OSError) as exc:
         print(f"deflator: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    doc = {"command": args.command}
-    if args.command != "curve":
-        # a market document names its kind and the tolerance it used
-        doc.update(kind=spec.kind, diagnostics={"tolerance": tol})
-    sys.stdout.write(render_document(dict(doc, **fields)))
+    sys.stdout.write(text)
     return code
 
 

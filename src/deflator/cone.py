@@ -14,6 +14,7 @@ yields either the deflator or the certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -320,6 +321,14 @@ def _nnls_stack(A, b, maxiter=None):
     return w[:, :k], res
 
 
+def check_tolerance(value, where) -> float:
+    """value as a verdict tolerance, the factor of _threshold and _slack:
+    ValueError unless it is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{where}: the tolerance must be finite and > 0, not {value!r}")
+    return float(value)
+
+
 def _threshold(prices, tol):
     """tol * ||prices||, one per row of prices: prices whose residual is
     at most this are inside the payoff cone.  Its unit is the prices'
@@ -460,11 +469,12 @@ def project_to_cone(market: OnePeriodMarket, tol: float = DEFAULT_TOL) -> ConePr
     orthogonality identity (x_star - prices) . x_star = 0.  The market
     is decided as a tree node is, by _project_stack on a stack of one,
     and _projection builds the result: outside the cone, a certificate
-    with min_payoff >= -tol.  NonConvergence if the solve passes its
-    subproblem cap.  A call on the market object and tol of the last
-    solve returns that solve's projection again, without a solve.
+    with min_payoff >= -tol.  ValueError unless tol is finite and > 0
+    (check_tolerance); NonConvergence if the solve passes its subproblem
+    cap.  A call on the market object and tol of the last solve returns
+    that solve's projection again, without a solve.
     """
-    return _project(market, float(tol))
+    return _project(market, check_tolerance(tol, "tol"))
 
 
 # One slot, keyed by the market object (markets hash by identity) and
@@ -506,13 +516,13 @@ def verify_position(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) ->
     tol * (max|prices| + max|payoffs|) * max|gamma|, so c * gamma gets
     gamma's verdict for every c > 0, and so does a rescaled market.  A
     certificate's products (_position) give cost -setup_gain and its
-    min_payoff to the bit."""
+    min_payoff to the bit.  ValueError unless tol is finite and > 0."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != market.prices.shape:
         raise DimensionMismatch("gamma must hold one position per instrument")
     cost, payoff = _position(market.payoffs, market.prices, gamma)
     min_payoff = float(payoff.min())
-    slack = _slack(market.payoffs, market.prices, gamma, tol)
+    slack = _slack(market.payoffs, market.prices, gamma, check_tolerance(tol, "tol"))
     return PositionReport(cost=cost, min_payoff=min_payoff,
                           is_arbitrage=(cost < -slack and min_payoff >= -slack))
 

@@ -2,9 +2,10 @@
 
 The errors defined here derive from :class:`DeflatorError`.  An invalid
 value handed to a constructor or a check (a market, algebra, panel,
-curve, schedule or model parameter, or a cdf_from_charfn grid) raises
-ValueError instead, so callers at API boundaries catch both; the
-command line tool maps both onto its input-error exit code.
+curve, schedule or model parameter, a verdict tolerance, or a
+cdf_from_charfn grid or smoothing) raises ValueError instead, so
+callers at API boundaries catch both; the command line tool maps both
+onto its input-error exit code.
 """
 
 

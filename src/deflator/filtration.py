@@ -71,14 +71,18 @@ class Algebra:
 
     @classmethod
     def from_blocks(cls, blocks) -> "Algebra":
-        """Build from an explicit list of atom index lists."""
-        atoms = np.concatenate([np.asarray(b, dtype=int) for b in blocks])
+        """Build from an explicit list of atom index lists, each nonempty
+        and of integers, not bools or floats, as in a spec file's blocks."""
+        blocks = [np.asarray(b) for b in blocks]
+        if not all(b.size and b.dtype.kind in "iu" for b in blocks):
+            raise ValueError("blocks must be nonempty lists of integer atom indices")
+        atoms = np.concatenate(blocks).astype(int)
         n = atoms.size
         if sorted(atoms.tolist()) != list(range(n)):
             raise ValueError("blocks must partition atoms 0..n-1")
         block_of = np.empty(n, dtype=int)
         for i, b in enumerate(blocks):
-            block_of[np.asarray(b, dtype=int)] = i
+            block_of[b] = i
         return cls(block_of)
 
     def blocks(self) -> list[np.ndarray]:

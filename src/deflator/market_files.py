@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .cone import DEFAULT_TOL, OnePeriodMarket
+from .cone import DEFAULT_TOL, OnePeriodMarket, check_tolerance
 from .exceptions import SpecFileError
 from .filtration import Algebra, Filtration, SimpleFunction
 from .models import BachelierParams, GBMParams, KolmogorovLaw, LevyModelParams
@@ -94,13 +94,6 @@ def _finite_scalar(doc, key, where, default=None):
     return float(_finite_array(doc[key], (), f"{where}.{key}"))
 
 
-def check_tolerance(value, where) -> float:
-    """value as the verdict tolerance: a finite number above zero."""
-    _require(bool(np.isfinite(value)) and value > 0.0,
-             f"{where}: the tolerance must be finite and > 0, not {value!r}")
-    return float(value)
-
-
 def _tolerance(doc):
     options = doc.get("options", {})
     _require(isinstance(options, dict), "options must be an object")
@@ -129,7 +122,7 @@ def _one_period(doc):
     _require(payoffs.shape == (len(atoms), len(names)),
              "payoffs: need one row per atom and one column per instrument")
     market = OnePeriodMarket(prices=prices, payoffs=payoffs, labels=tuple(str(a) for a in atoms))
-    return MarketSpec("one_period", market, names, _tolerance(doc))
+    return MarketSpec("one_period", market, names)
 
 
 def _partition(raw, n_atoms, where):
@@ -174,13 +167,13 @@ def _panel(doc):
         return out
 
     panel = MarketPanel(times, filtration, rows("prices", True), rows("cashflows", False))
-    return MarketSpec("panel", panel, names, _tolerance(doc))
+    return MarketSpec("panel", panel, names)
 
 
 def _curve(doc):
     maturities = _finite_array(doc.get("maturities"), (0,), "maturities")
     discounts = _finite_array(doc.get("discounts"), (0,), "discounts")
-    return MarketSpec("curve", DiscountCurve(maturities, discounts), None, _tolerance(doc))
+    return MarketSpec("curve", DiscountCurve(maturities, discounts))
 
 
 def _model(cls, doc, **given):
@@ -189,7 +182,7 @@ def _model(cls, doc, **given):
     kind = doc["kind"]
     params = cls(**given, **{f.name: _finite_scalar(doc, f.name, kind)
                              for f in fields(cls) if f.name not in given})
-    return MarketSpec(kind, params, None, _tolerance(doc))
+    return MarketSpec(kind, params)
 
 
 def _levy(doc):
@@ -218,7 +211,7 @@ def load_market_spec(path) -> MarketSpec:
     if not text.lstrip().startswith("{"):
         # bare curve rows: "(maturity, discount)" per line
         try:
-            return MarketSpec("curve", load_discount_curve(path), None, DEFAULT_TOL)
+            return MarketSpec("curve", load_discount_curve(path))
         except Exception as exc:
             raise SpecFileError(f"{path}: not JSON and not a curve file ({exc})") from exc
     try:
@@ -229,11 +222,13 @@ def load_market_spec(path) -> MarketSpec:
     kind = doc.get("kind")
     _require(kind in _LOADERS, f"unknown kind {kind!r}; expected one of {sorted(_LOADERS)}")
     try:
-        return _LOADERS[kind](doc)
+        spec = _LOADERS[kind](doc)
     except SpecFileError:
         raise
     except Exception as exc:
         raise SpecFileError(f"invalid {kind} spec: {exc}") from exc
+    spec.tolerance = _tolerance(doc)
+    return spec
 
 
 # ---------------------------------------------------------------------------

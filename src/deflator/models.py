@@ -383,7 +383,8 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
     2^19 * 1.25, and TruncationFailure is raised when no j passes.
     For laws with atoms phi never decays; a positive smoothing width
     convolves with N(0, smoothing^2), which resolves the cdf up to
-    steps of that width.
+    steps of that width.  A negative (or NaN) smoothing raises
+    ValueError.
 
     The truncated integral is smooth, so one composite Gauss-Legendre
     rule on [0, U] serves the whole grid: phi is evaluated once per
@@ -400,6 +401,8 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if (np.diff(x_grid) < 0).any():
         raise ValueError("x_grid must be nondecreasing")
+    if not smoothing >= 0.0:
+        raise ValueError(f"smoothing must be >= 0, not {smoothing!r}")
 
     def phi(u):
         out = charfn(u)

@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from .cone import (_STACK_ENTRIES, DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket,
-                   _project_stack, _projection)
+                   _project_stack, _projection, check_tolerance)
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
                          InvalidInterval, NotClosedOut, NotSelfFinancing)
 from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction, _bincount,
@@ -156,7 +156,9 @@ def _closed_account(panel: MarketPanel, strategy: Strategy, tol: float,
     them, tol * panel.scale() * max|trades|: the market's unit times the
     position's, as cone._slack is for one period.  Trades after the last
     nonzero one are zero, so Xi_n is as large as the position after the
-    last trade: NotClosedOut unless it is within tol * max|trades|."""
+    last trade: NotClosedOut unless it is within tol * max|trades|.
+    ValueError unless tol is finite and > 0 (cone.check_tolerance)."""
+    tol = check_tolerance(tol, "tol")
     account = account_process(panel, strategy)
     trade_scale = max(float(np.abs(g.values).max()) for g in strategy.trades)
     if np.abs(account.position).max() > tol * trade_scale:
@@ -236,13 +238,14 @@ def check_deflator(panel: MarketPanel, deflators: DeflatorSequence,
     the largest blockwise component gap.  Level i's gap is held to
     tol * panel.scale() * max(max Pi_i, max Pi_{i+1}): the market's unit
     times the deflator's, so c * Pi gets Pi's verdict for every c > 0.
+    ValueError unless tol is finite and > 0 (cone.check_tolerance).
     """
     if len(deflators) != panel.n_periods + 1:
         raise DimensionMismatch("need one deflator measure per time")
     for j in range(panel.n_periods + 1):
         if deflators[j].algebra != panel.filtration[j]:
             raise AlgebraMismatch(f"deflator {j} lives off the filtration")
-    unit, worst, ok = tol * panel.scale(), 0.0, True
+    unit, worst, ok = check_tolerance(tol, "tol") * panel.scale(), 0.0, True
     size = [float(mu.weights.max()) for mu in deflators.measures]
     # finest level first and one instrument at a time: no other level,
     # and no vector measure on the finer level, is held meanwhile; the
@@ -343,9 +346,9 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
     levels after it in its pack are solved too, and no later pack.  A
     node whose solve passed the subproblem cap fails with NaN weights,
     and raises NonConvergence if it is the witness: only when no lower
-    arbitrage precedes it.
+    arbitrage precedes it.  ValueError unless tol is finite and > 0.
     """
-    filtration = panel.filtration
+    tol, filtration = check_tolerance(tol, "tol"), panel.filtration
     weights = [np.ones(filtration[0].n_blocks)]
     for levels in _packs(filtration, panel.n_instruments):
         child_parent = [filtration[i + 1].coarse_block_map(filtration[i]) for i in levels]

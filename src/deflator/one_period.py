@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import (DEFAULT_TOL, Deflator, OnePeriodMarket, _EINSUM, _position,
-                   _qr_append_stack, _slack)
+                   _qr_append_stack, _slack, check_tolerance)
 from .exceptions import DimensionMismatch, SingularGram, ZeroCost
 
 
@@ -37,13 +37,13 @@ def realized_return(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) ->
 
     Raises ZeroCost when the cost is within the position slack of
     verify_position (cone._slack) of zero, gamma = 0 included, since the
-    return is then undefined.
+    return is then undefined.  ValueError unless tol is finite and > 0.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != market.prices.shape:
         raise DimensionMismatch("gamma must hold one position per instrument")
     cost, payoff = _position(market.payoffs, market.prices, gamma)
-    if abs(cost) <= _slack(market.payoffs, market.prices, gamma, tol):
+    if abs(cost) <= _slack(market.payoffs, market.prices, gamma, check_tolerance(tol, "tol")):
         raise ZeroCost(f"position cost {cost} is within tolerance of zero")
     return payoff / cost
 

@@ -45,19 +45,20 @@ class DiscountCurve:
         d = np.atleast_1d(np.asarray(self.discounts, dtype=float))
         if m.shape != d.shape or m.ndim != 1:
             raise DimensionMismatch("need one discount per maturity")
-        if (np.diff(m) <= 0).any() or (m < 0).any():
-            raise ValueError("maturities must be increasing and nonnegative")
+        if not np.isfinite(m).all() or (np.diff(m) <= 0).any() or (m < 0).any():
+            raise ValueError("maturities must be finite, increasing and nonnegative")
         if (d <= 0).any() or not np.isfinite(d).all():
             raise ValueError("discount factors must be positive and finite")
         object.__setattr__(self, "maturities", m)
         object.__setattr__(self, "discounts", d)
 
     def discount(self, t: float) -> float:
-        """D(t) at an exact curve maturity; D(0) = 1 even if unlisted."""
+        """D(t) at an exact curve maturity; D(0) = 1 even if unlisted.  A
+        non-finite t matches no maturity."""
         # a maturity in years, matched to rounding: no market quantity,
         # so its floor of one year does not enter any verdict
         hits = np.flatnonzero(np.abs(self.maturities - t) <= 1e-9 * max(1.0, abs(t)))
-        if hits.size:
+        if hits.size and np.isfinite(t):
             return float(self.discounts[hits[0]])
         if t == 0.0:
             return 1.0
@@ -100,6 +101,8 @@ class Schedule:
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.calc_times)
+        if not np.isfinite(times).all():
+            raise ValueError("schedule times must be finite")
         if len(times) < 2:
             raise ValueError("a schedule needs at least two times")
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -110,8 +113,8 @@ class Schedule:
             fractions = tuple(float(f) for f in self.fractions)
             if len(fractions) != len(times) - 1:
                 raise DimensionMismatch("need one fraction per period")
-            if any(f <= 0 for f in fractions):
-                raise ValueError("accrual fractions must be positive")
+            if not all(0 < f < np.inf for f in fractions):
+                raise ValueError("accrual fractions must be positive and finite")
         object.__setattr__(self, "calc_times", times)
         object.__setattr__(self, "fractions", fractions)
 

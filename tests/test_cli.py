@@ -369,6 +369,60 @@ def test_commands_on_the_wrong_input_exit_2(argv, message, capsys):
     assert err == f"deflator: {message}\n"
 
 
+@pytest.mark.parametrize("schedule, message", [
+    ("0,1;nan", "bad schedule '0,1;nan': accrual fractions must be positive and finite"),
+    ("0,inf", "bad schedule '0,inf': schedule times must be finite"),
+    # a finite schedule whose par coupon overflows: the render fails
+    ("0,1;1e-320", "Out of range float values are not JSON compliant: inf"),
+])
+def test_curve_results_that_cannot_be_rendered_exit_2(schedule, message, capsys):
+    # each exited 1 with a traceback from the render, after the error
+    # mapping; it now leaves by the mapping, with nothing on stdout
+    code, out, err = run(["curve", "curve.txt", "par", "--schedule", schedule], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"deflator: {message}\n"
+
+
+def test_non_finite_curve_rows_and_negative_smoothing_exit_2(tmp_path, capsys):
+    curve = tmp_path / "curve.txt"
+    curve.write_text("(0.5, 0.99)\n(nan, 0.97)\n")
+    code, out, err = run(["curve", str(curve), "par", "--schedule", "0,0.5"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"deflator: {curve}: not JSON and not a curve file (maturities must "
+                          "be finite") and err.count("\n") == 1
+    # only smoothing^2 entered the inversion: -0.5 priced as +0.5
+    spec = json.loads((FIXTURES / "levy.json").read_text())
+    spec["smoothing"] = -0.5
+    path = tmp_path / "levy.json"
+    path.write_text(json.dumps(spec))
+    for payoff in ("put 100", "call 100"):
+        code, out, err = run(["price", str(path), "--payoff", payoff], capsys)
+        assert (code, out, err) == (2, "", "deflator: smoothing must be >= 0, not -0.5\n")
+
+
+def test_every_spec_kind_reads_options_tolerance_once(tmp_path, capsys):
+    # the loaders build the payload; load_market_spec reads the options
+    # after them, outside the wrapping of a loader's errors
+    curve = {"kind": "curve", "maturities": [1.0, 2.0], "discounts": [0.95, 0.9]}
+    cases = [(name, json.loads((FIXTURES / name).read_text()), argv)
+             for name, argv in (("fair_binomial.json", ["detect"]),
+                                ("binomial_panel.json", ["detect"]),
+                                ("bach.json", ["price", "--payoff", "put 100"]),
+                                ("gbm.json", ["price", "--payoff", "put 100"]),
+                                ("levy.json", ["price", "--payoff", "put 100"]))]
+    for name, spec, argv in cases + [("curve.json", curve, ["curve", "par", "--schedule", "0,1"])]:
+        path = tmp_path / name
+        for tolerance, want in ((-1.0, 2), (1e-7, None)):
+            path.write_text(json.dumps(dict(spec, options={"tolerance": tolerance})))
+            code, out, err = run(argv[:1] + [str(path)] + argv[1:], capsys)
+            if want == 2:
+                assert (code, out) == (2, ""), name
+                assert err == ("deflator: options.tolerance: the tolerance must be finite "
+                               "and > 0, not -1.0\n")
+            elif name != "curve.json":
+                assert parse_document(out)["diagnostics"]["tolerance"] == 1e-7, name
+
+
 def test_one_period_hedge_correlation_stays_in_range():
     # the hedge of an affine payoff is exact, so its correlation is +-1;
     # rounding put it above 1 in 93 of these 400 draws

@@ -1638,3 +1638,31 @@ def test_many_child_direct_solve_keeps_the_bytes_of_the_double_gather():
             ties += ((kind == 3) & (g[:, 0] == g.max(axis=1))).sum()
             negative += (np.isinf(resid) & np.isfinite(w).all(axis=1) & (w < 0.0).any(axis=1)).sum()
     assert ties > 0 and negative > 0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_one_period_verdicts_refuse_a_tolerance_not_finite_and_positive(tol):
+    # at tol 0 the fair market's "certificate" was the bond, which costs
+    # 1; at inf the overpriced one had a deflator with a negative weight,
+    # as an inf residual passed an inf threshold; at -0.0046 the bond
+    # position, which costs 1.0 and pays 1.05, was called an arbitrage
+    fair = OnePeriodMarket([1.0, 100.0], [[1.05, 90.0], [1.05, 121.0]])
+    overpriced = OnePeriodMarket([1.0, 130.0], fair.payoffs)
+    for bad in (tol, -0.0046):
+        for market in (fair, overpriced):
+            calls = (lambda: project_to_cone(market, bad), lambda: find_arbitrage(market, bad),
+                     lambda: find_arbitrage(market, tol=bad),
+                     lambda: verify_position(market, [1.0, 0.0], bad))
+            for call in calls:
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == f"tol: the tolerance must be finite and > 0, not {bad!r}"
+    assert find_arbitrage(fair) is None and find_arbitrage(overpriced) is not None
+    assert not verify_position(fair, [1.0, 0.0], 0.0046).is_arbitrage
+
+
+def test_the_tolerance_rule_has_one_owner():
+    # the CLI's --tol and options.tolerance use the library's rule
+    from deflator import cli, market_files
+    assert cli.check_tolerance is market_files.check_tolerance is cone.check_tolerance
+    assert cone.check_tolerance(1, "tol") == 1.0 and type(cone.check_tolerance(1, "tol")) is float

@@ -48,6 +48,18 @@ def test_from_blocks_rejects_non_partitions():
         Algebra.from_blocks([[0], [2]])           # gap
 
 
+def test_from_blocks_takes_integer_indices_only():
+    # the cast to int truncated: [[0.9], [1]] was the algebra [0 1],
+    # [[True], [0]] the algebra [1 0] and [[0, 1.7], [2]] [0 0 1]; an
+    # empty last block was dropped.  The spec reader's rule, as there
+    for blocks in ([[0.9], [1]], [[True], [0]], [[0, 1.7], [2]], [[0.0], [1.0]],
+                   [[0, 1], []], [np.array([0, 1]), np.array([True])]):
+        with pytest.raises(ValueError, match="nonempty lists of integer atom indices"):
+            Algebra.from_blocks(blocks)
+    algebra = Algebra.from_blocks([np.array([2, 0], dtype=np.uint8), [np.int64(1)]])
+    np.testing.assert_array_equal(algebra.block_of, [0, 1, 0])
+
+
 def test_algebra_rejects_empty_and_negative_blocks():
     for block_of in ([0, 2, 2], [1, 1], [-1, 0], [0, 0, 3, 1]):
         with pytest.raises(ValueError):

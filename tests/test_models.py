@@ -564,6 +564,19 @@ def test_atomic_law_needs_smoothing():
         cdf_from_charfn(law.charfn, [1.0, 0.0], smoothing=0.05)
 
 
+def test_smoothing_must_not_be_negative():
+    # only smoothing^2 entered the inversion, so -0.5 priced as +0.5
+    law = KolmogorovLaw.standard_normal()
+    params = LevyModelParams(r=0.05, s=100.0, sigma=0.2, t=2.0, base=law)
+    for bad in (-0.5, -1e-300, math.nan):
+        with pytest.raises(ValueError, match="smoothing must be >= 0"):
+            cdf_from_charfn(law.charfn, [0.0], smoothing=bad)
+        with pytest.raises(ValueError, match="smoothing must be >= 0"):
+            levy_put(params, 100.0, smoothing=bad)
+    assert cdf_from_charfn(law.charfn, [0.0], smoothing=0.0)[0] == pytest.approx(0.5, abs=1e-12)
+    assert math.isfinite(levy_put(params, 100.0, smoothing=0.5))
+
+
 def quad_inversion(charfn, x_grid, smoothing=0.0):
     """The adaptive-quad inversion that cdf_from_charfn once was, one
     scipy quad per grid point, with its tolerances tightened to 1e-13 so

@@ -13,6 +13,7 @@ from deflator import (
     ArbitrageInInput,
     ArbitrageVerdict,
     DeflatorSequence,
+    DeflatorZeroBlock,
     DimensionMismatch,
     FAMeasure,
     Filtration,
@@ -1018,3 +1019,36 @@ def test_a_pack_holds_no_more_memory_than_its_largest_level():
     assert peak <= 1.1 * oracle_peak
     for a, b in zip(got.measures, want.measures, strict=True):
         assert a.weights.tobytes() == b.weights.tobytes()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_panel_verdicts_refuse_a_tolerance_not_finite_and_positive(tol):
+    # at -1 and nan the fair panel's tree search returned a node
+    # "arbitrage" at (0, 0) that gains +100 and pays as little as -135.6
+    panel, _ = fair_binomial_panel(6)
+    deflators = find_tree_deflator(panel)
+    strategy = Strategy.zero(panel)
+    strategy.trades[0].values[0, 0] = 1.0
+    strategy.trades[6].values[:, 0] = -1.0
+    for call in (lambda: find_tree_deflator(panel, tol),
+                 lambda: check_deflator(panel, deflators, tol),
+                 lambda: is_arbitrage_strategy(panel, strategy, tol),
+                 lambda: replication_cost(panel, deflators, strategy, tol)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"tol: the tolerance must be finite and > 0, not {tol!r}"
+    assert check_deflator(panel, deflators).ok
+    assert not is_arbitrage_strategy(panel, strategy).is_arbitrage
+    assert replication_cost(panel, deflators, strategy).cost.values[0] == 1.0
+
+
+def test_propagate_prices_refuses_a_deflator_that_vanishes_on_a_block():
+    panel, _ = fair_binomial_panel(2)
+    weights = [mu.weights.copy() for mu in fair_deflators(panel, 1.05).measures]
+    weights[1][0] = 0.0
+    deflators = DeflatorSequence([FAMeasure(panel.filtration[j], w)
+                                  for j, w in enumerate(weights)])
+    with pytest.raises(DeflatorZeroBlock, match="deflator at time 1 vanishes on a block"):
+        propagate_prices(panel, deflators, 1, 2)
+    # level 0 divides by the positive time-0 deflator
+    assert propagate_prices(panel, deflators, 0, 2).values.shape == (1, 2)

@@ -291,3 +291,11 @@ def test_parity_violations_are_arbitrage(offset):
 def test_carry_market_forces_the_forward_price(offset):
     _, carry = parity_and_carry_fixtures(forward_offset=offset)
     assert find_arbitrage(carry.market) is not None
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_realized_return_refuses_a_tolerance_not_finite_and_positive(tol):
+    market, _ = fair_binomial()
+    with pytest.raises(ValueError, match="tol: the tolerance must be finite and > 0"):
+        realized_return(market, [1.0, 0.0], tol)
+    assert np.array_equal(realized_return(market, [1.0, 0.0]), [1.05, 1.05])

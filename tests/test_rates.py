@@ -1,6 +1,7 @@
 """Curves, schedules, short-rate deflators, futures, and Ho-Lee."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from deflator import (
     Algebra,
     DeflatorSequence,
+    DeflatorZeroBlock,
     DimensionMismatch,
     DiscountCurve,
     FAMeasure,
@@ -73,6 +75,35 @@ def test_curve_validation():
         DiscountCurve([1.0, 2.0], [0.9, -0.1])
     with pytest.raises(DimensionMismatch):
         DiscountCurve([1.0, 2.0], [0.9])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_curves_and_schedules_refuse_non_finite_numbers(bad, tmp_path):
+    # every comparison with NaN is false, so each check passed it; a
+    # (nan, 0.97) row loaded and was never matched
+    with pytest.raises(ValueError, match="maturities must be finite"):
+        DiscountCurve([0.5, bad], [0.99, 0.97])
+    with pytest.raises(ValueError, match="maturities must be finite"):
+        DiscountCurve([bad, 1.0], [0.99, 0.97])
+    path = tmp_path / "curve.txt"
+    path.write_text(f"(0.5, 0.99)\n({bad}, 0.97)\n")
+    with pytest.raises(ValueError, match="maturities must be finite"):
+        load_discount_curve(path)
+    for times in ((0.0, bad), (bad, 1.0), (0.0, 1.0, bad)):
+        with pytest.raises(ValueError, match="schedule times must be finite"):
+            Schedule(times)
+    with pytest.raises(ValueError, match="accrual fractions must be positive and finite"):
+        Schedule((0.0, 1.0), fractions=(bad,))
+
+
+def test_discount_at_a_non_finite_time_matches_no_maturity():
+    # its match window 1e-9 * max(1, |t|) was inf at t = inf, which matched
+    # the first maturity, 0.5 years
+    curve = load_discount_curve(pathlib.Path(__file__).parent / "fixtures" / "curve.txt")
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(MissingMaturity):
+            curve.discount(t)
+    assert curve.discount(0.5) == 0.99 and curve.discount(2.0) == 0.94
 
 
 def test_load_discount_curve(tmp_path):
@@ -213,6 +244,36 @@ def test_zcb_degenerate_interval_is_identity():
     assert np.allclose(zcb_price(deflators, 1, 1).values, 1.0)
     with pytest.raises(InvalidInterval):
         zcb_price(deflators, 2, 1)
+
+
+def two_period_deflators(level_1, level_2):
+    """Deflators on the two-period binary tree: 1 at time 0, then the
+    given weights, which may vanish on a block."""
+    filtration = binary_tree_filtration(2)
+    return DeflatorSequence([FAMeasure(filtration[j], np.asarray(w, dtype=float))
+                             for j, w in enumerate(([1.0], level_1, level_2))])
+
+
+def test_zcb_price_refuses_a_deflator_that_vanishes_on_a_block():
+    deflators = two_period_deflators([0.0, 1.0], [0.0, 0.0, 0.5, 0.5])
+    with pytest.raises(DeflatorZeroBlock, match="deflator at time 1 vanishes on a block"):
+        zcb_price(deflators, 1, 2)
+    assert zcb_price(deflators, 0, 2).values.tolist() == [1.0]
+
+
+def test_forward_rate_refuses_a_zero_coupon_price_that_vanishes_on_a_block():
+    # D_1(2) is 0 under block 0 of time 1, where the time-2 deflator is 0
+    deflators = two_period_deflators([0.5, 0.5], [0.0, 0.0, 0.25, 0.25])
+    schedule = Schedule((0.0, 1.0, 2.0))
+    with pytest.raises(DeflatorZeroBlock, match=r"zero coupon price D_1\(2\) vanishes"):
+        forward_rate(deflators, 1, 1, 2, schedule)
+    assert forward_rate(deflators, 0, 0, 1, schedule).values.tolist() == [0.0]
+
+
+def test_floating_leg_refuses_a_one_period_price_that_vanishes_on_a_block():
+    deflators = two_period_deflators([0.5, 0.5], [0.0, 0.0, 0.25, 0.25])
+    with pytest.raises(DeflatorZeroBlock, match="one-period price at time 1 vanishes"):
+        floating_leg_value(deflators, Schedule((0.0, 1.0, 2.0)))
 
 
 def test_forward_rate_on_tree_matches_zcb_ratio():
