@@ -57,10 +57,6 @@ class Payoff:
             return np.maximum(self.strike - underlying, 0.0)
         if self.kind == "const":
             return np.full_like(underlying, self.strike)
-        if self.vector.shape != underlying.shape:
-            raise SpecFileError(
-                f"payoff file has {self.vector.size} values, market has "
-                f"{underlying.size} terminal outcomes")
         return self.vector
 
 

@@ -56,7 +56,8 @@ class OnePeriodMarket:
         if not (np.isfinite(prices).all() and np.isfinite(payoffs).all()):
             raise ValueError("prices and payoffs must be finite")
         if self.labels is not None and len(self.labels) != payoffs.shape[0]:
-            raise DimensionMismatch("one label per outcome required")
+            raise DimensionMismatch(f"{len(self.labels)} labels for {payoffs.shape[0]} "
+                                    "outcomes: one label per outcome required")
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "payoffs", payoffs)
 
@@ -343,20 +344,20 @@ def _solve_direct(rows, children, x):
     """Weights w (p, k) of the two-instrument markets x[i] paying rows
     rows[children[i]], k >= 2, 0 off the pair (u, v) _nnls_stack enters
     first: children 0, 1 if k == 2, else j1 of largest A^T x, then j2 of
-    largest A^T r over the others, r = x less its projection on row j1,
-    the pair taken from the one gather X (p, k, 2) of the child rows
-    that the products read, by flat index i * k + j into it; solved by
+    largest A^T r over the others, r = x less its projection on row j1;
+    the pair taken from the one gather X (p, k, 2) of the child rows,
+    by flat index i * k + j into it when k > 2; solved by
     partial pivoting LU written out elementwise; and the residual
     _reprice reports on w, to the bit, or inf where w < 0 or the second
     pivot is at most rel * max|v|, rel = 20 * eps (u, v at a sine that
     small, which _nnls_stack would not split).  An overflow gives a
     non-finite residual."""
     p, k = children.shape
+    X = np.take(rows, children, axis=0)
     if k == 2:
-        u, v = (np.take(rows, children[:, j], axis=0) for j in (0, 1))
+        u, v = X[:, 0], X[:, 1]
     else:
         # A^T x and A^T r as two products and a sum, in instrument order
-        X = np.take(rows, children, axis=0)
         flat, at = X.reshape(-1, 2), k * np.arange(p)
         with np.errstate(all="ignore"):
             g = X[..., 0] * x[:, :1] + X[..., 1] * x[:, 1:]

@@ -71,18 +71,25 @@ class Algebra:
 
     @classmethod
     def from_blocks(cls, blocks) -> "Algebra":
-        """Build from an explicit list of atom index lists, each nonempty
-        and of integers, not bools or floats, as in a spec file's blocks."""
-        blocks = [np.asarray(b) for b in blocks]
-        if not all(b.size and b.dtype.kind in "iu" for b in blocks):
-            raise ValueError("blocks must be nonempty lists of integer atom indices")
-        atoms = np.concatenate(blocks).astype(int)
-        n = atoms.size
-        if sorted(atoms.tolist()) != list(range(n)):
-            raise ValueError("blocks must partition atoms 0..n-1")
-        block_of = np.empty(n, dtype=int)
-        for i, b in enumerate(blocks):
-            block_of[b] = i
+        """Build from an explicit list of atom index lists, as in a spec
+        file's blocks: every block nonempty, and each index a Python or
+        numpy integer, not a bool, in [0, n) and used once, n being the
+        number of indices.  A ValueError names the block as [b]."""
+        blocks = [list(b) for b in blocks]
+        n = sum(map(len, blocks))
+        block_of = np.full(n, -1)
+        rule = "blocks must be nonempty lists of integer atom indices"
+        for b, block in enumerate(blocks):
+            if not block:
+                raise ValueError(f"[{b}]: empty block; {rule}")
+            for idx in block:
+                if not (isinstance(idx, (int, np.integer)) and not isinstance(idx, bool)
+                        and 0 <= idx < n):
+                    raise ValueError(
+                        f"[{b}]: atom index {idx!r} is not an integer in [0, {n}); {rule}")
+                if block_of[idx] >= 0:
+                    raise ValueError(f"[{b}]: atom {idx} is also in block {block_of[idx]}")
+                block_of[idx] = b
         return cls(block_of)
 
     def blocks(self) -> list[np.ndarray]:

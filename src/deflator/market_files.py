@@ -119,24 +119,18 @@ def _one_period(doc):
     atoms = doc.get("atoms")
     _require(isinstance(atoms, list) and atoms, "atoms must be a nonempty list")
     payoffs = _finite_array(doc.get("payoffs"), (0, 0), "payoffs")
-    _require(payoffs.shape == (len(atoms), len(names)),
-             "payoffs: need one row per atom and one column per instrument")
     market = OnePeriodMarket(prices=prices, payoffs=payoffs, labels=tuple(str(a) for a in atoms))
     return MarketSpec("one_period", market, names)
 
 
 def _partition(raw, n_atoms, where):
-    _require(isinstance(raw, list) and raw, f"{where}: need a list of blocks")
-    block_of = np.full(n_atoms, -1, dtype=int)
-    for b, block in enumerate(raw):
-        _require(isinstance(block, list) and block, f"{where}[{b}]: empty block")
-        for idx in block:
-            _require(type(idx) is int and 0 <= idx < n_atoms,
-                     f"{where}[{b}]: atom index {idx!r} is not an integer in [0, {n_atoms})")
-            _require(block_of[idx] < 0, f"{where}: atom {idx} in two blocks")
-            block_of[idx] = b
-    _require((block_of >= 0).all(), f"{where}: blocks must cover every atom")
-    return Algebra(block_of)
+    _require(isinstance(raw, list) and raw and all(isinstance(b, list) for b in raw),
+             f"{where}: need a nonempty list of lists of atom indices")
+    _require(sum(map(len, raw)) == n_atoms, f"{where}: need the {n_atoms} atoms, each once")
+    try:
+        return Algebra.from_blocks(raw)
+    except ValueError as exc:
+        raise SpecFileError(f"{where}{exc}") from exc
 
 
 def _panel(doc):

@@ -85,8 +85,8 @@ class BachelierParams:
     sigma: float
 
     def __post_init__(self):
-        if self.R <= 0 or self.s <= 0 or self.sigma <= 0:
-            raise ValueError("R, s and sigma must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.R, self.s, self.sigma)):
+            raise ValueError("R, s and sigma must be finite and positive")
 
     @property
     def forward(self) -> float:
@@ -206,6 +206,14 @@ def hedge_error_estimate(params: BachelierParams, payoff, d1=None,
 # geometric Brownian motion
 
 
+def _check_rate_model(params) -> None:
+    """The rule of GBMParams and LevyModelParams: r finite, and s,
+    sigma and t finite and positive."""
+    if not (math.isfinite(params.r) and all(math.isfinite(v) and v > 0
+                                            for v in (params.s, params.sigma, params.t))):
+        raise ValueError("r must be finite, and s, sigma and t finite and positive")
+
+
 @dataclass(frozen=True)
 class GBMParams:
     """S_t = s exp((r - sigma^2/2) t + sigma B_t): the drift makes the
@@ -217,8 +225,7 @@ class GBMParams:
     t: float
 
     def __post_init__(self):
-        if self.s <= 0 or self.sigma <= 0 or self.t <= 0:
-            raise ValueError("s, sigma and t must be positive")
+        _check_rate_model(self)
 
     @property
     def forward(self) -> float:
@@ -304,8 +311,8 @@ class KolmogorovLaw:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if x.shape != w.shape or x.ndim != 1:
             raise DimensionMismatch("need one weight per node")
-        if not (np.isfinite(x).all() and np.isfinite(w).all()):
-            raise ValueError("nodes and weights must be finite")
+        if not (math.isfinite(self.mean) and np.isfinite(x).all() and np.isfinite(w).all()):
+            raise ValueError("mean, nodes and weights must be finite")
         if (w < 0).any():
             raise ValueError("node weights must be nonnegative")
         object.__setattr__(self, "nodes", x)
@@ -455,8 +462,7 @@ class LevyModelParams:
     base: KolmogorovLaw
 
     def __post_init__(self):
-        if self.s <= 0 or self.sigma <= 0 or self.t <= 0:
-            raise ValueError("s, sigma and t must be positive")
+        _check_rate_model(self)
 
     @property
     def drift(self) -> float:

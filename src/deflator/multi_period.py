@@ -48,8 +48,8 @@ class MarketPanel:
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size != len(filtration):
             raise DimensionMismatch("need one time per algebra")
-        if (np.diff(times) <= 0).any():
-            raise ValueError("times must increase")
+        if not np.isfinite(times).all() or (np.diff(times) <= 0).any():
+            raise ValueError("times must be finite and increase")
         prices = list(prices)
         if len(prices) != len(filtration):
             raise DimensionMismatch("need one price function per time")

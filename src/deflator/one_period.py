@@ -19,8 +19,8 @@ from .exceptions import DimensionMismatch, SingularGram, ZeroCost
 def _payoff_vector(market: OnePeriodMarket, payoff) -> np.ndarray:
     v = np.asarray(payoff, dtype=float)
     if v.shape != (market.n_outcomes,):
-        raise DimensionMismatch(
-            f"payoff must have one value per outcome ({market.n_outcomes})")
+        raise DimensionMismatch(f"payoff has {v.size} values in shape {v.shape}; "
+                                f"need one value per outcome ({market.n_outcomes})")
     return v
 
 

@@ -135,15 +135,27 @@ def _annuity(curve: DiscountCurve, schedule: Schedule) -> float:
                for f, t in zip(schedule.fractions, schedule.calc_times[1:]))
 
 
+def _finite(value: float, what: str) -> float:
+    """value, or ValueError naming what when it is not finite: an
+    annuity that underflows, or a coupon that overflows, gives inf."""
+    if not np.isfinite(value):
+        raise ValueError(f"the {what} is not finite ({value})")
+    return value
+
+
 def bond_price(curve: DiscountCurve, schedule: Schedule, coupon: float) -> float:
     """Price of the bond paying coupon * fraction at t_1..t_n plus one
-    at t_n: c * sum_j delta_j D(t_j) + D(t_n)."""
-    return coupon * _annuity(curve, schedule) + curve.discount(schedule.calc_times[-1])
+    at t_n: c * sum_j delta_j D(t_j) + D(t_n).  ValueError when it is
+    not finite."""
+    return _finite(coupon * _annuity(curve, schedule)
+                   + curve.discount(schedule.calc_times[-1]), "bond price")
 
 
 def par_coupon(curve: DiscountCurve, schedule: Schedule) -> float:
-    """The coupon making the bond price exactly one."""
-    return (1.0 - curve.discount(schedule.calc_times[-1])) / _annuity(curve, schedule)
+    """The coupon making the bond price exactly one; ValueError when it
+    is not finite."""
+    return _finite((1.0 - curve.discount(schedule.calc_times[-1]))
+                   / _annuity(curve, schedule), "par coupon")
 
 
 def swap_par(curve: DiscountCurve, schedule: Schedule, t: float = 0.0) -> float:
@@ -152,11 +164,13 @@ def swap_par(curve: DiscountCurve, schedule: Schedule, t: float = 0.0) -> float:
     Computed as (D(t_0) - D(t_n)) / sum_j delta_j D(t_j); with a
     deterministic curve the valuation time t cancels out of the ratio,
     so it is only validated (t must not be past the start t_0).
+    ValueError when the rate is not finite.
     """
     if t > schedule.calc_times[0]:
         raise InvalidInterval("valuation after the swap start")
-    return (curve.discount(schedule.calc_times[0])
-            - curve.discount(schedule.calc_times[-1])) / _annuity(curve, schedule)
+    return _finite((curve.discount(schedule.calc_times[0])
+                    - curve.discount(schedule.calc_times[-1])) / _annuity(curve, schedule),
+                   "par swap rate")
 
 
 def forward_price(spot: float, curve: DiscountCurve, maturity: float,
@@ -273,7 +287,8 @@ def forward_rate(source, i: int, j: int, k: int, schedule: Schedule):
     source is a DiscountCurve (deterministic, the level index i is
     ignored beyond validation) or a DeflatorSequence (the result is a
     simple function on level i).  Evaluated in this order the one-period
-    case reproduces swap_par bit for bit.
+    case reproduces swap_par bit for bit.  ValueError when the rate is
+    not finite.
     """
     if not 0 <= i <= j < k:
         raise InvalidInterval("need valuation i <= accrual start j < end k")
@@ -281,7 +296,7 @@ def forward_rate(source, i: int, j: int, k: int, schedule: Schedule):
     if isinstance(source, DiscountCurve):
         d_j = source.discount(schedule.calc_times[j])
         d_k = source.discount(schedule.calc_times[k])
-        return (d_j - d_k) / (delta * d_k)
+        return _finite((d_j - d_k) / (delta * d_k), "forward rate")
     d_j = zcb_price(source, i, j).values
     d_k = zcb_price(source, i, k).values
     if (d_k <= 0).any():

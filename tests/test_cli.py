@@ -372,8 +372,8 @@ def test_commands_on_the_wrong_input_exit_2(argv, message, capsys):
 @pytest.mark.parametrize("schedule, message", [
     ("0,1;nan", "bad schedule '0,1;nan': accrual fractions must be positive and finite"),
     ("0,inf", "bad schedule '0,inf': schedule times must be finite"),
-    # a finite schedule whose par coupon overflows: the render fails
-    ("0,1;1e-320", "Out of range float values are not JSON compliant: inf"),
+    # a finite schedule whose par coupon overflows: par_coupon refuses it
+    ("0,1;1e-320", "the par coupon is not finite (inf)"),
 ])
 def test_curve_results_that_cannot_be_rendered_exit_2(schedule, message, capsys):
     # each exited 1 with a traceback from the render, after the error
@@ -466,6 +466,63 @@ def test_wrong_length_payoff_vector_exits_2(tmp_path, capsys):
                         "--payoff", str(payoff)], capsys)
     assert code == 2
     assert "3 values" in err
+
+
+# malformed input -> (argv, edit of the spec argv[1] names or None, start
+# of the one stderr line); three.json holds three payoff values and
+# broken.json is not JSON
+MALFORMED = {
+    "payoff-rows-not-atoms": (
+        ["detect", "fair_binomial.json"], lambda s: s["payoffs"].append([1.05, 100.0]),
+        "invalid one_period spec: 2 labels for 3 outcomes: one label per outcome required"),
+    "payoff-columns-not-instruments": (
+        ["detect", "fair_binomial.json"], lambda s: [row.append(1.0) for row in s["payoffs"]],
+        "invalid one_period spec: payoff rows have 3 entries but there are 2 prices"),
+    "payoffs-not-a-regular-array": (
+        ["detect", "fair_binomial.json"], lambda s: s.__setitem__("payoffs", [[1, 2], [3]]),
+        "payoffs: not a regular array ("),
+    "payoff-file-length-one-period": (
+        ["price", "fair_binomial.json", "--payoff", "three.json"], None,
+        "payoff has 3 values in shape (3,); need one value per outcome (2)"),
+    "payoff-file-length-hedge": (
+        ["hedge", "fair_binomial.json", "--payoff", "three.json"], None,
+        "payoff has 3 values in shape (3,); need one value per outcome (2)"),
+    "payoff-file-length-panel": (
+        ["price", "binomial_panel.json", "--payoff", "three.json"], None,
+        "need one value (or row) per block, got shape (3,) for 8 blocks"),
+    "payoff-file-not-json": (
+        ["price", "fair_binomial.json", "--payoff", "broken.json"], None, "bad payoff file "),
+    "payoff-number-not-a-number": (
+        ["price", "fair_binomial.json", "--payoff", "call abc"], None,
+        "cannot parse payoff 'call abc': expected 'call K', 'put K', 'const c', "
+        "or a JSON file path"),
+    "block-index-true": (
+        ["detect", "binomial_panel.json"], lambda s: s["blocks"][2][1].__setitem__(1, True),
+        "blocks[2][1]: atom index True is not an integer in [0, 8); "
+        "blocks must be nonempty lists of integer atom indices"),
+    "atom-in-two-blocks": (
+        ["detect", "binomial_panel.json"], lambda s: s["blocks"][2][1].__setitem__(0, 1),
+        "blocks[2][1]: atom 1 is also in block 0"),
+    "atom-left-out": (
+        ["detect", "binomial_panel.json"], lambda s: s["blocks"][2][1].pop(),
+        "blocks[2]: need the 8 atoms, each once"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_stderr_line(case, tmp_path, capsys):
+    argv, edit, message = MALFORMED[case]
+    (tmp_path / "three.json").write_text("[1.0, 2.0, 3.0]\n")
+    (tmp_path / "broken.json").write_text("[1.0, 2.0\n")
+    if edit is not None:
+        spec = json.loads((FIXTURES / argv[1]).read_text())
+        edit(spec)
+        (tmp_path / argv[1]).write_text(json.dumps(spec))
+    code, out, err = run([str(tmp_path / a) if (tmp_path / a).exists() else a
+                          for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"deflator: {message}") and err.count("\n") == 1, err
+    assert err.endswith("\n")
 
 
 def test_usage_errors_raise_system_exit():

@@ -1666,3 +1666,13 @@ def test_the_tolerance_rule_has_one_owner():
     from deflator import cli, market_files
     assert cli.check_tolerance is market_files.check_tolerance is cone.check_tolerance
     assert cone.check_tolerance(1, "tol") == 1.0 and type(cone.check_tolerance(1, "tol")) is float
+
+
+def test_market_and_nnls_refuse_misshapen_input():
+    with pytest.raises(DimensionMismatch, match="prices must be a vector and payoffs a matrix"):
+        OnePeriodMarket(prices=[[1.0, 2.0]], payoffs=[[1.0, 2.0]])
+    with pytest.raises(DimensionMismatch, match="3 labels for 2 outcomes"):
+        OnePeriodMarket(prices=[1.0], payoffs=[[1.0], [2.0]], labels=("a", "b", "c"))
+    for A, b in (([1.0, 2.0], [1.0, 2.0]), ([[1.0, 2.0]], [1.0, 2.0]), ([[1.0]], [[1.0]])):
+        with pytest.raises(DimensionMismatch, match=r"nnls needs A \(m, n\) and b \(m,\)"):
+            nnls(A, b)

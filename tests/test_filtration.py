@@ -385,3 +385,15 @@ def test_conditional_price_check_detects_violations():
     wrong = SimpleFunction(filtration[0], [0.123])
     z1 = SimpleFunction(filtration[1], walk[1].values)
     assert not conditional_price_check(filtration, 0, wrong, z1, measures).ok
+
+
+def test_from_blocks_checks_every_index():
+    # a whole block's dtype was checked, and [0, True] is an int array:
+    # [[0, True], [2]] was the algebra [0 0 1]
+    for blocks, message in (
+            ([[0, True], [2]], r"\[0\]: atom index True is not an integer in \[0, 3\)"),
+            ([[0, 1.0], [2]], r"\[0\]: atom index 1.0 is not an integer in \[0, 3\)"),
+            ([[0, 1], [1]], r"\[1\]: atom 1 is also in block 0"),
+            ([[0], []], r"\[1\]: empty block")):
+        with pytest.raises(ValueError, match=message):
+            Algebra.from_blocks(blocks)

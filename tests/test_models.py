@@ -866,3 +866,19 @@ def test_levy_put_deep_in_the_money_dominance():
     assert value == pytest.approx(k - forward, abs=1e-5)
     assert value >= k - forward - 1e-9   # Jensen floor
     assert levy_put(params, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_parameters_must_be_finite(bad):
+    # a NaN passed every comparison: bachelier_put gave PutQuote(nan, nan)
+    # and gbm_put with r = nan all NaN
+    law = KolmogorovLaw.standard_normal()
+    for make in (lambda: BachelierParams(bad, 100.0, 0.2),
+                 lambda: BachelierParams(1.0, 100.0, bad),
+                 lambda: GBMParams(bad, 100.0, 0.2, 1.0),
+                 lambda: GBMParams(0.05, 100.0, 0.2, bad),
+                 lambda: LevyModelParams(bad, 100.0, 0.2, 1.0, law),
+                 lambda: LevyModelParams(0.05, 100.0, bad, 1.0, law),
+                 lambda: KolmogorovLaw(mean=bad, nodes=[0.0], weights=[1.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            make()

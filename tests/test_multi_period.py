@@ -1052,3 +1052,21 @@ def test_propagate_prices_refuses_a_deflator_that_vanishes_on_a_block():
         propagate_prices(panel, deflators, 1, 2)
     # level 0 divides by the positive time-0 deflator
     assert propagate_prices(panel, deflators, 0, 2).values.shape == (1, 2)
+
+
+def test_market_panel_refuses_misshapen_and_non_finite_input():
+    panel = binomial_stock_panel(2, R=1.05, s=100.0, mu=0.0, sigma=0.2)
+    times, filtration, prices = panel.times, panel.filtration, panel.prices
+    scalar = [SimpleFunction(f.algebra, f.values[:, 0]) for f in prices]
+    for args, message in (
+            ((times[:2], filtration, prices), "need one time per algebra"),
+            ((times, filtration, prices[:2]), "need one price function per time"),
+            ((times, filtration, scalar), "prices must be vector-valued"),
+            ((times, filtration, prices, panel.cashflows[:2]),
+             "need one cash flow function per time")):
+        with pytest.raises(DimensionMismatch, match=message):
+            MarketPanel(*args)
+    # a NaN time passed the increase check
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="times must be finite and increase"):
+            MarketPanel([0.0, bad, 2.0], filtration, prices)

@@ -14,6 +14,7 @@ import pytest
 
 from deflator import (
     Deflator,
+    DimensionMismatch,
     OnePeriodMarket,
     SingularGram,
     ZeroCost,
@@ -299,3 +300,12 @@ def test_realized_return_refuses_a_tolerance_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tol: the tolerance must be finite and > 0"):
         realized_return(market, [1.0, 0.0], tol)
     assert np.array_equal(realized_return(market, [1.0, 0.0]), [1.05, 1.05])
+
+
+def test_payoff_of_the_wrong_length_names_both_counts():
+    market = OnePeriodMarket(prices=[1.0, 100.0], payoffs=[[1.05, 95.0], [1.05, 115.0]])
+    deflator = deflator_from_projection(project_to_cone(market))
+    for call in (price_payoff, least_squares_hedge):
+        with pytest.raises(DimensionMismatch, match=r"payoff has 3 values in shape \(3,\); "
+                                             r"need one value per outcome \(2\)"):
+            call(market, deflator, [1.0, 2.0, 3.0])

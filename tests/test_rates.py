@@ -495,3 +495,19 @@ def test_ho_lee_validation():
     with pytest.raises(InvalidInterval):
         ho_lee_convexity(params, -1.0)
     assert ho_lee_stochastic_discount(params, 0.0, 0.0) == 1.0
+
+
+def test_curve_results_that_overflow_raise():
+    # each returned inf: an accrual fraction of 1e-320 leaves an annuity
+    # that underflows, and a coupon of 1e308 overflows the bond price
+    curve = load_discount_curve(pathlib.Path(__file__).parent / "fixtures" / "curve.txt")
+    tiny = Schedule((0.0, 1.0), (1e-320,))
+    for call, message in (
+            (lambda: par_coupon(curve, tiny), "the par coupon is not finite"),
+            (lambda: swap_par(curve, tiny), "the par swap rate is not finite"),
+            (lambda: forward_rate(curve, 0, 0, 1, Schedule((0.5, 1.0), (1e-320,))),
+             "the forward rate is not finite"),
+            (lambda: bond_price(curve, Schedule((0.0, 0.5, 1.0, 1.5, 2.0)), 1e308),
+             "the bond price is not finite")):
+        with pytest.raises(ValueError, match=message):
+            call()
