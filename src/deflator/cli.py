@@ -82,7 +82,7 @@ def _parse_payoff(text) -> Payoff:
 # Call minus put for each model kind, in the units its pricer quotes.
 _PARITY = {"bachelier": lambda p, k: p.s - k / p.R,
            "gbm": lambda p, k: p.forward - k,
-           "levy": lambda p, k: p.s * math.exp(p.r * p.t) - k}
+           "levy": lambda p, k: p.forward - k}
 
 
 def _model_quote(spec, payoff, command):

@@ -430,12 +430,21 @@ def _position(payoffs, prices, gamma):
     return float(np.einsum("j,j->", gamma, prices)), np.einsum("ij,j->i", payoffs, gamma)
 
 
-def _slack(payoffs, prices, gamma, tol):
-    """tol * (max|prices| + max|payoffs|) * max|gamma|: the slack of a
-    check on position gamma's cost or payoffs (_position), in the
-    market's unit times the position's, so it is 0 for gamma = 0."""
-    return float(tol * (np.abs(prices).max(initial=0.0) + np.abs(payoffs).max(initial=0.0))
-                 * np.abs(gamma).max(initial=0.0))
+def _slack(market: OnePeriodMarket, gamma, tol):
+    """Position gamma's cost and payoffs in the market (_position), and
+    the slack of a check on either, tol * (max|prices| + max|payoffs|) *
+    max|gamma|: the market's unit times the position's, 0 for gamma = 0.
+    DimensionMismatch unless gamma holds one position per instrument;
+    ValueError unless it is finite, and unless tol is finite and > 0."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != market.prices.shape:
+        raise DimensionMismatch("gamma must hold one position per instrument")
+    if not np.isfinite(gamma).all():
+        raise ValueError("gamma must be finite")
+    x, X = market.prices, market.payoffs
+    cost, payoff = _position(X, x, gamma)
+    scale = np.abs(x).max(initial=0.0) + np.abs(X).max(initial=0.0)
+    return cost, payoff, float(check_tolerance(tol, "tol") * scale * np.abs(gamma).max(initial=0.0))
 
 
 def _projection(payoffs, prices, weights, inside):
@@ -517,13 +526,9 @@ def verify_position(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) ->
     tol * (max|prices| + max|payoffs|) * max|gamma|, so c * gamma gets
     gamma's verdict for every c > 0, and so does a rescaled market.  A
     certificate's products (_position) give cost -setup_gain and its
-    min_payoff to the bit.  ValueError unless tol is finite and > 0."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != market.prices.shape:
-        raise DimensionMismatch("gamma must hold one position per instrument")
-    cost, payoff = _position(market.payoffs, market.prices, gamma)
+    min_payoff to the bit.  ValueError unless gamma and tol are finite, tol > 0."""
+    cost, payoff, slack = _slack(market, gamma, tol)
     min_payoff = float(payoff.min())
-    slack = _slack(market.payoffs, market.prices, gamma, check_tolerance(tol, "tol"))
     return PositionReport(cost=cost, min_payoff=min_payoff,
                           is_arbitrage=(cost < -slack and min_payoff >= -slack))
 

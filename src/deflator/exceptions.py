@@ -2,10 +2,11 @@
 
 The errors defined here derive from :class:`DeflatorError`.  An invalid
 value handed to a constructor or a check (a market, algebra, panel,
-curve, schedule or model parameter, a verdict tolerance, or a
-cdf_from_charfn grid or smoothing) raises ValueError instead, so
-callers at API boundaries catch both; the command line tool maps both
-onto its input-error exit code.
+curve, schedule or model parameter, a one-period position or payoff
+that is not finite, a verdict tolerance, or a cdf_from_charfn grid or
+smoothing), or a curve result that is not finite, raises ValueError
+instead, so callers at API boundaries catch both; the command line tool
+maps both onto its input-error exit code.
 """
 
 

@@ -255,9 +255,8 @@ def restrict(mu: FAMeasure, coarser: Algebra) -> FAMeasure:
 def _restrict_product(fs, mu: FAMeasure, coarser: Algebra) -> np.ndarray:
     """restrict(product(f, mu), coarser).weights for f the elementwise sum
     of the vector functions fs, in their order, one column at a time in
-    one buffer: neither f, f mu nor a strided copy of a column is held."""
-    if any(f.algebra != mu.algebra for f in fs):
-        raise AlgebraMismatch("function and measure live on different algebras")
+    one buffer: neither f, f mu nor a strided copy of a column is held.
+    Its callers have checked that fs and mu share mu's algebra."""
     up, n = mu.algebra.coarse_block_map(coarser), coarser.n_blocks
     out, col = np.empty((n, fs[0].values.shape[1])), np.empty(len(up))
     for c in range(out.shape[1]):

@@ -206,18 +206,12 @@ def hedge_error_estimate(params: BachelierParams, payoff, d1=None,
 # geometric Brownian motion
 
 
-def _check_rate_model(params) -> None:
-    """The rule of GBMParams and LevyModelParams: r finite, and s,
-    sigma and t finite and positive."""
-    if not (math.isfinite(params.r) and all(math.isfinite(v) and v > 0
-                                            for v in (params.s, params.sigma, params.t))):
-        raise ValueError("r must be finite, and s, sigma and t finite and positive")
-
-
 @dataclass(frozen=True)
-class GBMParams:
-    """S_t = s exp((r - sigma^2/2) t + sigma B_t): the drift makes the
-    discounted stock a martingale at rate r."""
+class _RateModel:
+    """S_t = s exp(mu t + sigma X_t), its drift mu making the discounted
+    stock a martingale at rate r, so E S_t = forward = s e^{rt}.  r must be
+    finite, and s, sigma and t finite and positive (ValueError).  Private,
+    so that gbm_put takes no LevyModelParams and ignores no base law."""
 
     r: float
     s: float
@@ -225,11 +219,19 @@ class GBMParams:
     t: float
 
     def __post_init__(self):
-        _check_rate_model(self)
+        if not (math.isfinite(self.r) and all(math.isfinite(v) and v > 0
+                                              for v in (self.s, self.sigma, self.t))):
+            raise ValueError("r must be finite, and s, sigma and t finite and positive")
 
     @property
     def forward(self) -> float:
         return self.s * math.exp(self.r * self.t)
+
+
+@dataclass(frozen=True)
+class GBMParams(_RateModel):
+    """S_t = s exp((r - sigma^2/2) t + sigma B_t): the drift makes the
+    discounted stock a martingale at rate r."""
 
 
 @dataclass(frozen=True)
@@ -450,19 +452,12 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LevyModelParams:
+class LevyModelParams(_RateModel):
     """S_t = s exp(mu t + sigma L_t) with L infinitely divisible
     (Kolmogorov form at unit time) and mu = r - log E e^{sigma L_1},
     which makes the discounted stock a martingale."""
 
-    r: float
-    s: float
-    sigma: float
-    t: float
     base: KolmogorovLaw
-
-    def __post_init__(self):
-        _check_rate_model(self)
 
     @property
     def drift(self) -> float:
@@ -502,4 +497,4 @@ def levy_put(params: LevyModelParams, k: float, smoothing: float = 0.0) -> float
                                [threshold], smoothing)[0]
 
     p_plain, p_tilted = cdf(law_t), cdf(law_t.tilt(params.sigma))
-    return float(k * p_plain - params.s * math.exp(params.r * params.t) * p_tilted)
+    return float(k * p_plain - params.forward * p_tilted)

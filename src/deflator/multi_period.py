@@ -224,6 +224,16 @@ class DeflatorSequence:
         return self.measures[j]
 
 
+def _deflators_on(panel: MarketPanel, deflators: DeflatorSequence) -> None:
+    """DimensionMismatch unless there is one deflator measure per time of
+    the panel, AlgebraMismatch unless each lives on its time's algebra."""
+    if len(deflators) != panel.n_periods + 1:
+        raise DimensionMismatch("need one deflator measure per time")
+    for j in range(panel.n_periods + 1):
+        if deflators[j].algebra != panel.filtration[j]:
+            raise AlgebraMismatch(f"deflator {j} lives off the filtration")
+
+
 @dataclass(frozen=True)
 class CheckResult:
     ok: bool
@@ -238,13 +248,10 @@ def check_deflator(panel: MarketPanel, deflators: DeflatorSequence,
     the largest blockwise component gap.  Level i's gap is held to
     tol * panel.scale() * max(max Pi_i, max Pi_{i+1}): the market's unit
     times the deflator's, so c * Pi gets Pi's verdict for every c > 0.
-    ValueError unless tol is finite and > 0 (cone.check_tolerance).
+    ValueError unless tol is finite and > 0 (cone.check_tolerance), and
+    the deflators must fit the panel (_deflators_on).
     """
-    if len(deflators) != panel.n_periods + 1:
-        raise DimensionMismatch("need one deflator measure per time")
-    for j in range(panel.n_periods + 1):
-        if deflators[j].algebra != panel.filtration[j]:
-            raise AlgebraMismatch(f"deflator {j} lives off the filtration")
+    _deflators_on(panel, deflators)
     unit, worst, ok = check_tolerance(tol, "tol") * panel.scale(), 0.0, True
     size = [float(mu.weights.max()) for mu in deflators.measures]
     # finest level first and one instrument at a time: no other level,
@@ -266,10 +273,12 @@ def propagate_prices(panel: MarketPanel, deflators: DeflatorSequence,
     Blockwise on the j-th algebra this divides the accumulated measure
     sum_{j<i<k} C_i Pi_i + (C_k + X_k) Pi_k, restricted to level j, by
     Pi_j, one instrument at a time, with no C_i terms for a panel that
-    pays none.  DeflatorZeroBlock if Pi_j vanishes on some block.
+    pays none.  DeflatorZeroBlock if Pi_j vanishes on some block; the
+    deflators must fit the panel, as for check_deflator (_deflators_on).
     """
     if not 0 <= j < k <= panel.n_periods:
         raise InvalidInterval(f"need 0 <= j < k <= {panel.n_periods}")
+    _deflators_on(panel, deflators)
     coarse = panel.filtration[j]
     acc = _restrict_product(panel._settle_terms(k), deflators[k], coarse)
     for i in range(j + 1, k) if panel._pays else ():

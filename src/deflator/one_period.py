@@ -11,24 +11,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import (DEFAULT_TOL, Deflator, OnePeriodMarket, _EINSUM, _position,
-                   _qr_append_stack, _slack, check_tolerance)
+from .cone import DEFAULT_TOL, Deflator, OnePeriodMarket, _EINSUM, _qr_append_stack, _slack
 from .exceptions import DimensionMismatch, SingularGram, ZeroCost
 
 
-def _payoff_vector(market: OnePeriodMarket, payoff) -> np.ndarray:
+def _payoff_vector(market: OnePeriodMarket, deflator: Deflator, payoff) -> np.ndarray:
+    """payoff as one finite value per outcome of the market, all of which
+    the deflator weights: DimensionMismatch or ValueError otherwise."""
     v = np.asarray(payoff, dtype=float)
     if v.shape != (market.n_outcomes,):
         raise DimensionMismatch(f"payoff has {v.size} values in shape {v.shape}; "
                                 f"need one value per outcome ({market.n_outcomes})")
+    if not np.isfinite(v).all():
+        raise ValueError("payoff must be finite")
+    if deflator.atom_weights.shape[0] != market.n_outcomes:
+        raise DimensionMismatch("deflator must weight every outcome")
     return v
 
 
 def price_payoff(market: OnePeriodMarket, deflator: Deflator, payoff) -> float:
     """Deflator price of a payoff: sum_j V(omega_j) * pi_j."""
-    v = _payoff_vector(market, payoff)
-    if deflator.atom_weights.shape[0] != market.n_outcomes:
-        raise DimensionMismatch("deflator must weight every outcome")
+    v = _payoff_vector(market, deflator, payoff)
     return float(np.einsum("i,i->", v, deflator.atom_weights))
 
 
@@ -37,13 +40,10 @@ def realized_return(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) ->
 
     Raises ZeroCost when the cost is within the position slack of
     verify_position (cone._slack) of zero, gamma = 0 included, since the
-    return is then undefined.  ValueError unless tol is finite and > 0.
+    return is then undefined.  ValueError unless gamma and tol are finite, tol > 0.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != market.prices.shape:
-        raise DimensionMismatch("gamma must hold one position per instrument")
-    cost, payoff = _position(market.payoffs, market.prices, gamma)
-    if abs(cost) <= _slack(market.payoffs, market.prices, gamma, check_tolerance(tol, "tol")):
+    cost, payoff, slack = _slack(market, gamma, tol)
+    if abs(cost) <= slack:
         raise ZeroCost(f"position cost {cost} is within tolerance of zero")
     return payoff / cost
 
@@ -75,13 +75,10 @@ def least_squares_hedge(market: OnePeriodMarket, deflator: Deflator,
     whose Gram pivot is at most 1e-12 of the largest Gram diagonal entry:
     the instruments are collinear under the deflator.
     """
-    v = _payoff_vector(market, payoff)
-    pi = deflator.atom_weights
-    if pi.shape[0] != market.n_outcomes:
-        raise DimensionMismatch("deflator must weight every outcome")
+    v = _payoff_vector(market, deflator, payoff)
     n, m = market.payoffs.shape
     mv, vm, vv = _EINSUM
-    root = np.sqrt(pi)
+    root = np.sqrt(deflator.atom_weights)
     A = market.payoffs.T * root             # row j is the weighted column j
     cutoff = np.full(1, 1e-6 * np.sqrt(vv(A, A).max(initial=0.0)))
     Qt, Ri = np.zeros((1, m, n)), np.zeros((1, m, m))

@@ -180,13 +180,15 @@ def forward_price(spot: float, curve: DiscountCurve, maturity: float,
     F = sum_j d_j / D(t_j) + spot / D(maturity): each dividend and the
     terminal stock are financed at the curve's discount factors.  With
     no dividends this is the plain cost of carry spot / D(maturity).
+    ValueError when it is not finite, as when a discount factor is
+    subnormal.
     """
     total = 0.0
     for t_j, d_j in dividends:
         if not 0.0 < t_j <= maturity:
             raise InvalidInterval(f"dividend time {t_j} outside (0, {maturity}]")
         total += d_j / curve.discount(t_j)
-    return total + spot / curve.discount(maturity)
+    return _finite(total + spot / curve.discount(maturity), "forward price")
 
 
 # ---------------------------------------------------------------------------

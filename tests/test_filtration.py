@@ -397,3 +397,27 @@ def test_from_blocks_checks_every_index():
             ([[0], []], r"\[1\]: empty block")):
         with pytest.raises(ValueError, match=message):
             Algebra.from_blocks(blocks)
+
+
+REFUSALS = [
+    ("no atoms", ValueError, "block_of must map a nonempty atom set", lambda: Algebra([])),
+    ("a block map of two dimensions", ValueError, "block_of must map a nonempty atom set",
+     lambda: Algebra([[0, 1]])),
+    ("a pairing across algebras", AlgebraMismatch,
+     "function and measure live on different algebras",
+     lambda: pairing(SimpleFunction(Algebra.trivial(2), [1.0]),
+                     FAMeasure(Algebra.discrete(2), [0.5, 0.5]))),
+    ("no algebras", ValueError, "a filtration needs at least one algebra",
+     lambda: Filtration([])),
+    ("algebras on two atom sets", AlgebraMismatch, "all algebras must share the atom set",
+     lambda: Filtration([Algebra.trivial(2), Algebra.discrete(3)])),
+    ("a tree of no periods", ValueError, "need at least one period",
+     lambda: binary_tree_filtration(0)),
+]
+
+
+@pytest.mark.parametrize("exception, message, call", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_constructors_and_pairings_refuse_ill_formed_input(exception, message, call):
+    with pytest.raises(exception, match=f"^{message}$"):
+        call()

@@ -10,6 +10,7 @@ import pytest
 from deflator import (
     DEFAULT_TOL,
     Algebra,
+    AlgebraMismatch,
     ArbitrageInInput,
     ArbitrageVerdict,
     DeflatorSequence,
@@ -17,6 +18,7 @@ from deflator import (
     DimensionMismatch,
     FAMeasure,
     Filtration,
+    InvalidInterval,
     MarketPanel,
     NodeArbitrage,
     NonConvergence,
@@ -1070,3 +1072,69 @@ def test_market_panel_refuses_misshapen_and_non_finite_input():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="times must be finite and increase"):
             MarketPanel([0.0, bad, 2.0], filtration, prices)
+
+
+def test_propagate_prices_refuses_deflators_off_the_panel():
+    # before, a one-block measure at time 1 divided both time-1 blocks and
+    # gave a wrong price, and a sequence of two measures raised IndexError
+    panel, _ = fair_binomial_panel(3)
+    deflators = fair_deflators(panel, 1.05)
+    np.testing.assert_allclose(propagate_prices(panel, deflators, 1, 3).values,
+                               panel.prices[1].values, rtol=1e-12)
+    coarse = list(deflators.measures)
+    coarse[1] = FAMeasure(panel.filtration[0], [0.5 / 1.05])
+    for bad, exception, message in (
+            (DeflatorSequence(coarse), AlgebraMismatch, "deflator 1 lives off the filtration"),
+            (DeflatorSequence(deflators.measures[:2]), DimensionMismatch,
+             "need one deflator measure per time")):
+        with pytest.raises(exception, match=f"^{message}$"):
+            propagate_prices(panel, bad, 1, 3)
+        with pytest.raises(exception, match=f"^{message}$"):
+            check_deflator(panel, bad)
+
+
+def _with_prices(panel, j, f):
+    prices = list(panel.prices)
+    prices[j] = f
+    return MarketPanel(panel.times, panel.filtration, prices)
+
+
+def _bond_held_to_the_horizon(panel):
+    strategy = Strategy.zero(panel)
+    strategy.trades[0].values[0, 0] = 1.0
+    strategy.trades[-1].values[:, 0] = -1.0
+    return strategy
+
+
+def _horizon_doubled(deflators):
+    last = deflators[len(deflators) - 1]
+    return DeflatorSequence([*deflators.measures[:-1], FAMeasure(last.algebra, 2 * last.weights)])
+
+
+REFUSALS = [
+    ("price on another algebra", AlgebraMismatch,
+     r"prices\[1\] must live on the filtration's algebra",
+     lambda p, d: _with_prices(p, 1, p.prices[2])),
+    ("price of three instruments", DimensionMismatch,
+     r"prices\[1\] must hold one row of 2 instruments per block",
+     lambda p, d: _with_prices(p, 1, SimpleFunction(p.filtration[1], np.zeros((2, 3))))),
+    ("strategy without trades", DimensionMismatch, "a strategy needs at least one trade time",
+     lambda p, d: Strategy([])),
+    ("no deflator", DimensionMismatch, "need at least one measure",
+     lambda p, d: DeflatorSequence([])),
+    ("vector deflator", DimensionMismatch, "deflators are scalar measures",
+     lambda p, d: DeflatorSequence([FAMeasure(p.filtration[0], np.ones((1, 2)))])),
+    ("an interval that ends before it starts", InvalidInterval, "need 0 <= j < k <= 2",
+     lambda p, d: propagate_prices(p, d, 2, 1)),
+    ("deflators that misprice", ValueError,
+     r"pairing identity fails by 1\.0; the deflators do not price this panel",
+     lambda p, d: replication_cost(p, _horizon_doubled(d), _bond_held_to_the_horizon(p))),
+]
+
+
+@pytest.mark.parametrize("exception, message, call", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_calls_refuse_input_that_does_not_fit_the_panel(exception, message, call):
+    panel, _ = fair_binomial_panel(2)
+    with pytest.raises(exception, match=f"^{message}$"):
+        call(panel, fair_deflators(panel, 1.05))

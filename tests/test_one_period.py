@@ -309,3 +309,35 @@ def test_payoff_of_the_wrong_length_names_both_counts():
         with pytest.raises(DimensionMismatch, match=r"payoff has 3 values in shape \(3,\); "
                                              r"need one value per outcome \(2\)"):
             call(market, deflator, [1.0, 2.0, 3.0])
+
+
+REFUSALS = [
+    ("price with a short deflator", DimensionMismatch, "deflator must weight every outcome",
+     lambda m, d: price_payoff(m, Deflator(d.atom_weights[:1]), [1.0, 2.0])),
+    ("hedge with a short deflator", DimensionMismatch, "deflator must weight every outcome",
+     lambda m, d: least_squares_hedge(m, Deflator(d.atom_weights[:1]), [1.0, 2.0])),
+    ("return of a long position", DimensionMismatch,
+     "gamma must hold one position per instrument",
+     lambda m, d: realized_return(m, [1.0, 0.0, 0.0])),
+]
+
+
+@pytest.mark.parametrize("exception, message, call", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_calls_refuse_input_that_does_not_fit_the_market(exception, message, call):
+    with pytest.raises(exception, match=f"^{message}$"):
+        call(*fair_binomial())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_positions_and_payoffs_must_be_finite(bad):
+    # before, verify_position reported a cost of nan, realized_return
+    # raised ZeroCost for a cost of inf, and price_payoff and
+    # least_squares_hedge returned nan
+    market, deflator = fair_binomial()
+    for what, call in (("gamma", lambda: verify_position(market, [bad, 0.0])),
+                       ("gamma", lambda: realized_return(market, [bad, 0.0])),
+                       ("payoff", lambda: price_payoff(market, deflator, [bad, 1.0])),
+                       ("payoff", lambda: least_squares_hedge(market, deflator, [bad, 1.0]))):
+        with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+            call()

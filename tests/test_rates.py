@@ -8,6 +8,7 @@ import pytest
 
 from deflator import (
     Algebra,
+    AlgebraMismatch,
     DeflatorSequence,
     DeflatorZeroBlock,
     DimensionMismatch,
@@ -511,3 +512,77 @@ def test_curve_results_that_overflow_raise():
              "the bond price is not finite")):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_forward_price_must_be_finite():
+    # before, a subnormal discount factor gave a forward price of inf
+    with pytest.raises(ValueError, match=r"^the forward price is not finite \(inf\)$"):
+        forward_price(100.0, DiscountCurve([1.0], [1e-320]), 1.0)
+    assert forward_price(100.0, DiscountCurve([1.0], [0.5]), 1.0) == 200.0
+
+
+def _one_rate(periods=1, rate_level=0, base_level=1):
+    """deflators_from_short_rate on a binary tree of the given periods,
+    with one flat gross rate on level rate_level and the uniform base
+    measure on level base_level."""
+    filtration = binary_tree_filtration(periods)
+    rate, base = filtration[rate_level], filtration[base_level]
+    return deflators_from_short_rate(
+        filtration, ShortRateProcess((SimpleFunction(rate, np.full(rate.n_blocks, 1.05)),)),
+        FAMeasure(base, np.full(base.n_blocks, 1.0 / base.n_blocks)))
+
+
+def _two_period_deflators():
+    return deflators_from_short_rate(*random_rate_tree(np.random.default_rng(0), 2))
+
+
+def _futures(level, values, expiry):
+    """futures_quotes on _two_period_deflators of the underlying with the
+    given values on the given level."""
+    deflators = _two_period_deflators()
+    return futures_quotes(deflators, SimpleFunction(deflators[level].algebra, values), expiry)
+
+
+REFUSALS = [
+    ("schedule times that repeat", ValueError, "schedule times must increase",
+     lambda: Schedule((0.0, 1.0, 1.0))),
+    ("no period rate", DimensionMismatch, "need at least one period rate",
+     lambda: ShortRateProcess(())),
+    ("a rate tree shorter than the filtration", DimensionMismatch,
+     "need one algebra per time, one rate per period",
+     lambda: _one_rate(periods=2)),
+    ("a rate off the filtration", AlgebraMismatch, "rate 0 lives off the filtration",
+     lambda: _one_rate(rate_level=1)),
+    ("a base measure off the finest algebra", AlgebraMismatch,
+     "base measure must live on the finest algebra",
+     lambda: _one_rate(base_level=0)),
+    ("a forward rate that accrues backwards", InvalidInterval,
+     "need valuation i <= accrual start j < end k",
+     lambda: forward_rate(DiscountCurve([1.0], [0.95]), 0, 1, 1, Schedule((0.0, 1.0)))),
+    ("a floating leg on a short schedule", DimensionMismatch,
+     "schedule must cover every deflator period",
+     lambda: floating_leg_value(_two_period_deflators(), Schedule((0.0, 1.0)))),
+    ("futures expiring now", InvalidInterval, r"expiry must be in 1\.\.2",
+     lambda: _futures(0, [1.0], 0)),
+    ("a vector underlying", DimensionMismatch, "the underlying quote is a scalar function",
+     lambda: _futures(2, np.ones((4, 2)), 2)),
+    ("an underlying off the expiry algebra", AlgebraMismatch,
+     "underlying must live on the expiry algebra",
+     lambda: _futures(1, [1.0, 2.0], 2)),
+    ("samples of two lengths", DimensionMismatch, "need matching sample vectors",
+     lambda: futures_convexity([1.0, 2.0], [0.9])),
+    ("a conditional discount with a volatility curve", TypeError,
+     "the conditional discount is implemented for constant sigma",
+     lambda: ho_lee_stochastic_discount(
+         HoLeeParams(phi=lambda s: 0.03, sigma=lambda s: 0.01, Sigma=lambda s: 0.01 * s),
+         1.0, 0.0)),
+    ("a conditional discount to a past time", InvalidInterval, "need t >= 0",
+     lambda: ho_lee_stochastic_discount(HoLeeParams(phi=lambda s: 0.03, sigma=0.01), -1.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("exception, message, call", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_constructors_and_calls_refuse_ill_formed_input(exception, message, call):
+    with pytest.raises(exception, match=f"^{message}$"):
+        call()

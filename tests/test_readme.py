@@ -1,8 +1,12 @@
-"""The README's python examples run and give the values their comments state."""
+"""The README's python examples run and give the values their comments
+state, and its command line example prints the output it shows."""
 
 import ast
 import pathlib
 import re
+import shlex
+
+from deflator.cli import main
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
@@ -22,3 +26,13 @@ def test_readme_examples_give_their_commented_values():
     assert "# True" in blocks[1].splitlines()[-1]
     assert run_example(blocks[0]) == (-2.0, 0.0)
     assert run_example(blocks[1]) is True
+
+
+def test_readme_cli_example_prints_its_shown_output(capsys, monkeypatch):
+    blocks = [b for b in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+              if b.startswith("$ deflator ")]
+    assert len(blocks) == 1
+    command, shown = blocks[0].split("\n", 1)
+    monkeypatch.chdir(README.parent)
+    assert main(shlex.split(command)[2:]) == 0
+    assert capsys.readouterr().out == shown
