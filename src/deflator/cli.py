@@ -23,11 +23,11 @@ import numpy as np
 from ._quadrature import gauss_legendre
 from .cone import check_tolerance, deflator_from_projection, project_to_cone
 from .exceptions import ArbitrageInInput, DeflatorError, SingularGram, SpecFileError
-from .filtration import SimpleFunction, product, restrict
+from .filtration import SimpleFunction
 from .market_files import display, load_market_spec, load_payoff_file, render_document
 from .models import (_normal_piecewise_expectation, bachelier_hedge,
                      bachelier_put, cdf_from_charfn, gbm_put, levy_put)
-from .multi_period import NodeArbitrage, find_tree_deflator
+from .multi_period import NodeArbitrage, _price_at, find_tree_deflator
 from .one_period import least_squares_hedge, price_payoff
 from .rates import Schedule, bond_price, forward_rate, par_coupon, swap_par
 
@@ -161,14 +161,6 @@ def cmd_detect(args, spec, tol):
 # price
 
 
-def _panel_terminal_price(panel, deflators, values):
-    """Time-0 price per block of the terminal payoff `values`."""
-    terminal = SimpleFunction(panel.filtration[-1], values)
-    coarse = panel.filtration[0]
-    num = restrict(product(terminal, deflators[len(deflators) - 1]), coarse).weights
-    return num / deflators[0].weights
-
-
 def _lognormal_put_quadrature(params, k):
     """E(k - S_t)^+ by normal quadrature in the Brownian coordinate."""
     v = params.sigma * math.sqrt(params.t)
@@ -205,8 +197,8 @@ def cmd_price(args, spec, tol):
                 f"panel has an arbitrage node at time {result.time}, "
                 f"block {result.block}; nothing prices it")
         underlying = panel.settle(panel.n_periods).values[:, -1]
-        values = payoff.on_underlying(underlying)
-        prices = _panel_terminal_price(panel, result, values)
+        claim = SimpleFunction(panel.filtration[-1], payoff.on_underlying(underlying))
+        prices = _price_at(0, result, [(panel.n_periods, (claim,))]).values
         return {"prices": {"per_block": prices, "display": [display(p) for p in prices]}}, EXIT_OK
 
     if spec.kind not in _PARITY:

@@ -253,18 +253,23 @@ def restrict(mu: FAMeasure, coarser: Algebra) -> FAMeasure:
 
 
 def _restrict_product(fs, mu: FAMeasure, coarser: Algebra) -> np.ndarray:
-    """restrict(product(f, mu), coarser).weights for f the elementwise sum
-    of the vector functions fs, in their order, one column at a time in
-    one buffer: neither f, f mu nor a strided copy of a column is held.
-    Its callers have checked that fs and mu share mu's algebra."""
+    """restrict(product(f, mu), coarser).weights, to the bit, for f the
+    elementwise sum of the scalar or vector functions fs, in their order,
+    one column at a time in one buffer (a scalar f is one column):
+    neither f, f mu nor a strided copy of a column is held.  No fs is the
+    unit claim f = 1, which restricts mu itself.  The callers check that
+    fs share mu's algebra."""
+    if not fs:
+        return restrict(mu, coarser).weights
     up, n = mu.algebra.coarse_block_map(coarser), coarser.n_blocks
-    out, col = np.empty((n, fs[0].values.shape[1])), np.empty(len(up))
+    cols = [f.values if f.is_vector else f.values[:, None] for f in fs]
+    out, col = np.empty((n, cols[0].shape[1])), np.empty(len(up))
     for c in range(out.shape[1]):
-        np.copyto(col, fs[0].values[:, c])
-        for f in fs[1:]:
-            col += f.values[:, c]
+        np.copyto(col, cols[0][:, c])
+        for v in cols[1:]:
+            col += v[:, c]
         out[:, c] = _bincount(up, np.multiply(col, mu.weights, out=col), n)
-    return FAMeasure(coarser, out).weights
+    return FAMeasure(coarser, out if fs[0].is_vector else out[:, 0]).weights
 
 
 def pairing(f: SimpleFunction, mu: FAMeasure):

@@ -68,6 +68,12 @@ def _npdf(z: float) -> float:
     return math.exp(-0.5 * z * z) / _SQRT_2PI
 
 
+def _check_strike(k: float) -> None:
+    """ValueError unless the strike k of a put pricer is finite."""
+    if not math.isfinite(k):
+        raise ValueError(f"the strike must be finite, not {k!r}")
+
+
 # ---------------------------------------------------------------------------
 # Bachelier
 
@@ -104,8 +110,9 @@ def bachelier_put(params: BachelierParams, k: float) -> PutQuote:
 
     z = (k / (R s) - 1) / sigma is the standardized moneyness; at the
     money (k = R s) the price collapses to s sigma / sqrt(2 pi) and the
-    delta to -1/2.
+    delta to -1/2.  ValueError unless k is finite.
     """
+    _check_strike(k)
     R, s, sigma = params.R, params.s, params.sigma
     z = (k / (R * s) - 1.0) / sigma
     price = (k / R - s) * _ndtr(z) + s * sigma * _npdf(z)
@@ -248,8 +255,10 @@ def gbm_put(params: GBMParams, k: float) -> GBMPutQuote:
 
     delta and gamma differentiate the present value in the spot; both
     come out of the same tilted-law evaluation, delta = -Phi(z - v) and
-    gamma = phi(z - v) / (s v).
+    gamma = phi(z - v) / (s v).  ValueError unless k is finite; a strike
+    k <= 0 gives the zero quote.
     """
+    _check_strike(k)
     if k <= 0.0:
         return GBMPutQuote(0.0, 0.0, 0.0, 0.0)
     f = params.forward
@@ -392,8 +401,8 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
     2^19 * 1.25, and TruncationFailure is raised when no j passes.
     For laws with atoms phi never decays; a positive smoothing width
     convolves with N(0, smoothing^2), which resolves the cdf up to
-    steps of that width.  A negative (or NaN) smoothing raises
-    ValueError.
+    steps of that width.  A negative or non-finite smoothing, or a
+    non-finite grid point, raises ValueError.
 
     The truncated integral is smooth, so one composite Gauss-Legendre
     rule on [0, U] serves the whole grid: phi is evaluated once per
@@ -408,9 +417,9 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
     a running maximum, so x_grid must be nondecreasing.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if (np.diff(x_grid) < 0).any():
-        raise ValueError("x_grid must be nondecreasing")
-    if not smoothing >= 0.0:
+    if not np.isfinite(x_grid).all() or (np.diff(x_grid) < 0).any():
+        raise ValueError("x_grid must be finite and nondecreasing")
+    if not 0.0 <= smoothing < math.inf:
         raise ValueError(f"smoothing must be >= 0, not {smoothing!r}")
 
     def phi(u):
@@ -477,8 +486,10 @@ def levy_put(params: LevyModelParams, k: float, smoothing: float = 0.0) -> float
     inversions pick the same U, each kernel is computed once.  The table
     is a local of the call: a memo that outlived it would answer
     repeated puts from memory, and a benchmark that repeats them would
-    time lookups instead of inversions.
+    time lookups instead of inversions.  ValueError unless k is finite;
+    a strike k <= 0 is worth 0.
     """
+    _check_strike(k)
     if k <= 0.0:
         return 0.0
     threshold = (math.log(k / params.s) - params.drift * params.t) / params.sigma

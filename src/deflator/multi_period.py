@@ -266,27 +266,33 @@ def check_deflator(panel: MarketPanel, deflators: DeflatorSequence,
     return CheckResult(ok=ok, max_violation=worst)
 
 
+def _price_at(j: int, deflators: DeflatorSequence, flows) -> SimpleFunction:
+    """Time-j prices X_j of the cash flows (i, fs) paid at times i >= j, by
+    X_j Pi_j = sum_i C_i Pi_i restricted to level j: C_i is the sum of fs
+    or, for no fs, the unit claim (_restrict_product), and the terms are
+    added in the order of flows, then divided by Pi_j blockwise.
+    DeflatorZeroBlock if Pi_j vanishes on some block."""
+    den, coarse = deflators[j].weights, deflators[j].algebra
+    if (den <= 0).any():
+        raise DeflatorZeroBlock(f"deflator at time {j} vanishes on a block")
+    (i, fs), *later = flows
+    acc = _restrict_product(fs, deflators[i], coarse)
+    for i, fs in later:
+        acc += _restrict_product(fs, deflators[i], coarse)
+    return SimpleFunction(coarse, acc / (den if acc.ndim == 1 else den[:, None]))
+
+
 def propagate_prices(panel: MarketPanel, deflators: DeflatorSequence,
                      j: int, k: int) -> SimpleFunction:
-    """Recover time-j prices from cash flows through time k.
-
-    Blockwise on the j-th algebra this divides the accumulated measure
-    sum_{j<i<k} C_i Pi_i + (C_k + X_k) Pi_k, restricted to level j, by
-    Pi_j, one instrument at a time, with no C_i terms for a panel that
-    pays none.  DeflatorZeroBlock if Pi_j vanishes on some block; the
-    deflators must fit the panel, as for check_deflator (_deflators_on).
-    """
+    """Recover time-j prices from cash flows through time k: _price_at of
+    C_k + X_k at k, then of C_i at each j < i < k (none for a panel that
+    pays none), one instrument at a time.  The deflators must fit the
+    panel, as for check_deflator (_deflators_on)."""
     if not 0 <= j < k <= panel.n_periods:
         raise InvalidInterval(f"need 0 <= j < k <= {panel.n_periods}")
     _deflators_on(panel, deflators)
-    coarse = panel.filtration[j]
-    acc = _restrict_product(panel._settle_terms(k), deflators[k], coarse)
-    for i in range(j + 1, k) if panel._pays else ():
-        acc += _restrict_product(panel.cashflows[i:i + 1], deflators[i], coarse)
-    den = deflators[j].weights
-    if (den <= 0).any():
-        raise DeflatorZeroBlock(f"deflator at time {j} vanishes on a block")
-    return SimpleFunction(coarse, acc / den[:, None])
+    coupons = [(i, panel.cashflows[i:i + 1]) for i in range(j + 1, k)] if panel._pays else []
+    return _price_at(j, deflators, [(k, panel._settle_terms(k)), *coupons])
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from ._quadrature import composite_gauss_legendre
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
                          InvalidInterval, MissingMaturity, NonpositiveRate,
                          NonPredictableDeflator)
-from .filtration import (FAMeasure, Filtration, SimpleFunction, product,
-                         restrict)
-from .multi_period import DeflatorSequence, MarketPanel
+from .filtration import (FAMeasure, Filtration, SimpleFunction, _restrict_product,
+                         product, restrict)
+from .multi_period import DeflatorSequence, MarketPanel, _price_at
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +272,11 @@ def short_rate_panel(filtration: Filtration,
 
 
 def zcb_price(deflators: DeflatorSequence, j: int, k: int) -> SimpleFunction:
-    """Zero coupon prices D_j(k) = Pi_k restricted to level j, over Pi_j."""
+    """Zero coupon prices D_j(k) = Pi_k restricted to level j, over Pi_j:
+    multi_period._price_at of the unit claim paid at k."""
     if not 0 <= j <= k <= len(deflators) - 1:
         raise InvalidInterval(f"need 0 <= j <= k <= {len(deflators) - 1}")
-    coarse = deflators[j].algebra
-    num = restrict(deflators[k], coarse).weights
-    den = deflators[j].weights
-    if (den <= 0).any():
-        raise DeflatorZeroBlock(f"deflator at time {j} vanishes on a block")
-    return SimpleFunction(coarse, num / den)
+    return _price_at(j, deflators, [(k, ())])
 
 
 def forward_rate(source, i: int, j: int, k: int, schedule: Schedule):
@@ -325,8 +321,8 @@ def floating_leg_value(deflators: DeflatorSequence, schedule: Schedule) -> np.nd
             raise DeflatorZeroBlock(f"one-period price at time {j - 1} vanishes")
         # F * delta = 1/D - 1; the accrual fraction cancels by design
         payment = SimpleFunction(d_prev.algebra, 1.0 / d_prev.values - 1.0)
-        paid = product(payment.lift(deflators[j].algebra), deflators[j])
-        total = total + restrict(paid, base).weights
+        paid = (payment.lift(deflators[j].algebra),)
+        total = total + _restrict_product(paid, deflators[j], base)
     return total
 
 
@@ -355,7 +351,7 @@ def futures_quotes(deflators: DeflatorSequence, underlying: SimpleFunction,
     for j in range(expiry - 1, -1, -1):
         coarse = deflators[j].algebra
         mass = restrict(deflators[j + 1], coarse).weights
-        value = restrict(product(quotes[0], deflators[j + 1]), coarse).weights
+        value = _restrict_product(quotes[:1], deflators[j + 1], coarse)
         if (mass <= 0).any():
             raise NonPredictableDeflator(
                 f"no deflator mass below some block at time {j}")

@@ -170,6 +170,57 @@ def test_panel_goldens_are_the_exact_node_solves():
     assert abs(Fraction(price) - zcb) <= 4 * math.ulp(float(zcb))
 
 
+def no_arbitrage_interval(panel, values):
+    """The least and greatest time-0 price of the terminal claim `values`
+    over every deflator of a one-block-at-time-0 panel, by scipy's
+    linprog: node measures W_t >= 0 with W_0 = 1 and, at every node b of
+    time t < n, x_b W_t(b) = sum over the children c of b of s_c W_{t+1}(c)
+    (s the settlement rows), the price being sum_c values_c W_n(c)."""
+    from scipy.optimize import linprog
+    sizes = [alg.n_blocks for alg in panel.filtration.algebras]
+    start = np.cumsum([0, *sizes])
+    rows, rhs = [np.eye(1, start[-1])[0]], [1.0]
+    for t in range(panel.n_periods):
+        parent = panel.filtration[t + 1].coarse_block_map(panel.filtration[t])
+        settle = panel.settle(t + 1).values
+        for b, x in enumerate(panel.prices[t].values):
+            for m in range(panel.n_instruments):
+                row = np.zeros(start[-1])
+                row[start[t] + b] = x[m]
+                row[start[t + 1] + np.flatnonzero(parent == b)] = -settle[parent == b, m]
+                rows.append(row)
+                rhs.append(0.0)
+    cost = np.zeros(start[-1])
+    cost[start[-2]:] = values
+    ends = [linprog(sign * cost, A_eq=np.array(rows), b_eq=rhs, bounds=(0, None),
+                    method="highs") for sign in (1.0, -1.0)]
+    assert all(end.status == 0 for end in ends)
+    return ends[0].fun, -ends[1].fun
+
+
+@pytest.mark.parametrize("fixture, payoff, where", [
+    ("trinomial_panel.json", "call 100", "upper"),
+    ("trinomial_panel.json", "put 100", "upper"),
+    ("binomial_panel.json", "call 100", "both"),
+    ("binomial_panel.json", "const 1", "both"),
+])
+def test_a_panel_price_is_one_price_of_the_no_arbitrage_interval(fixture, payoff, where,
+                                                                  capsys):
+    # price reads the one deflator that find_tree_deflator assembles; on
+    # a trinomial tree (incomplete) other deflators price the claim too,
+    # and this one sits at the upper end for the call and the put at 100
+    code, out, _ = run(["price", fixture, "--payoff", payoff], capsys)
+    [price] = parse_document(out)["prices"]["per_block"]
+    panel = load_market_spec(FIXTURES / fixture).payload
+    underlying = panel.settle(panel.n_periods).values[:, -1]
+    low, high = no_arbitrage_interval(panel, cli._parse_payoff(payoff).on_underlying(underlying))
+    assert code == 0 and price == pytest.approx(high, rel=1e-9)
+    if where == "both":
+        assert low == pytest.approx(high, rel=1e-9)
+    else:
+        assert high - low > 0.1 * high
+
+
 def test_bachelier_atm_put_closed_form():
     doc = parse_document(golden("price_bach_atm_put"))
     assert abs(doc["prices"]["value"]

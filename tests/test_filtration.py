@@ -36,6 +36,7 @@ def test_algebra_blocks_partition_the_atoms():
     algebra = Algebra.from_blocks([[0, 2], [1], [3, 4]])
     assert algebra.n_blocks == 3
     assert algebra.n_atoms == 5
+    assert repr(algebra) == "Algebra(3 blocks on 5 atoms)"
     collected = sorted(a for block in algebra.blocks() for a in block)
     assert collected == [0, 1, 2, 3, 4]
     np.testing.assert_array_equal(algebra.block_of, [0, 1, 0, 2, 2])
@@ -181,6 +182,9 @@ def test_vector_pairing_shapes():
     assert pairing(vector_f, scalar_mu).shape == (2,)
     assert pairing(scalar_f, vector_mu).shape == (2,)
     assert isinstance(pairing(vector_f, vector_mu), float)
+    assert [repr(x) for x in (scalar_f, vector_f, scalar_mu, vector_mu)] == [
+        "SimpleFunction(scalar on 3 blocks)", "SimpleFunction(vector[2] on 3 blocks)",
+        "FAMeasure((3,) on 3 blocks)", "FAMeasure((3, 2) on 3 blocks)"]
     # every ndim combination is f(b) mu(b), block by block
     for f in (scalar_f, vector_f):
         for mu in (scalar_mu, vector_mu):
@@ -286,6 +290,7 @@ def test_binary_tree_stores_parent_maps_only():
     for parent in parents:
         arrays[id(parent)] = parent
     assert sum(a.size for a in arrays.values()) <= 3 * 2 ** 16
+    assert filtration.n_atoms == 2 ** 16
     for j, parent in enumerate(parents):
         np.testing.assert_array_equal(parent, np.arange(2 ** (j + 1)) >> 1)
     np.testing.assert_array_equal(filtration[3].block_of, np.arange(2 ** 16) >> 13)

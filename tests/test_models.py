@@ -568,7 +568,8 @@ def test_smoothing_must_not_be_negative():
     # only smoothing^2 entered the inversion, so -0.5 priced as +0.5
     law = KolmogorovLaw.standard_normal()
     params = LevyModelParams(r=0.05, s=100.0, sigma=0.2, t=2.0, base=law)
-    for bad in (-0.5, -1e-300, math.nan):
+    # an infinite width gave a negative put, -1.52 at the money
+    for bad in (-0.5, -1e-300, math.nan, math.inf):
         with pytest.raises(ValueError, match="smoothing must be >= 0"):
             cdf_from_charfn(law.charfn, [0.0], smoothing=bad)
         with pytest.raises(ValueError, match="smoothing must be >= 0"):
@@ -882,3 +883,20 @@ def test_model_parameters_must_be_finite(bad):
                  lambda: KolmogorovLaw(mean=bad, nodes=[0.0], weights=[1.0])):
         with pytest.raises(ValueError, match="must be finite"):
             make()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_strikes_and_grid_points_must_be_finite(bad):
+    # a NaN strike gave an all-NaN quote, an infinite one an infinite
+    # forward value, and a NaN or infinite grid point ran the inversion
+    # to its node cap before NonConvergence
+    law = KolmogorovLaw.standard_normal()
+    for call in (lambda: bachelier_put(BachelierParams(1.05, 100.0, 0.2), bad),
+                 lambda: gbm_put(GBMParams(0.03, 100.0, 0.2, 1.0), bad),
+                 lambda: levy_put(LevyModelParams(0.03, 100.0, 0.2, 1.0, law), bad)):
+        with pytest.raises(ValueError, match="the strike must be finite"):
+            call()
+    with pytest.raises(ValueError, match="x_grid must be finite"):
+        cdf_from_charfn(law.charfn, [0.0, bad])
+    assert gbm_put(GBMParams(0.03, 100.0, 0.2, 1.0), 0.0).forward_value == 0.0
+    assert levy_put(LevyModelParams(0.03, 100.0, 0.2, 1.0, law), -1.0) == 0.0

@@ -1,5 +1,6 @@
 """Panels, trading strategies, deflator sequences, and the tree search."""
 
+import argparse
 import math
 import pathlib
 import tracemalloc
@@ -27,14 +28,18 @@ from deflator import (
     NotSelfFinancing,
     OnePeriodMarket,
     SimpleFunction,
+    Schedule,
     Strategy,
     account_process,
+    binary_tree_filtration,
     binomial_stock_panel,
     check_deflator,
     deflator_from_projection,
     deterministic_panel,
     find_arbitrage,
     find_tree_deflator,
+    floating_leg_value,
+    futures_quotes,
     is_arbitrage_strategy,
     load_market_spec,
     pairing,
@@ -46,8 +51,10 @@ from deflator import (
     replication_cost,
     restrict,
     product,
+    zcb_price,
 )
-from deflator import cone, multi_period
+from deflator import cli, cone, multi_period
+from deflator.market_files import MarketSpec
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -244,22 +251,77 @@ def propagated_by_measures(panel, deflators, j, k):
     return acc / deflators[j].weights[:, None]
 
 
-def test_propagate_prices_keeps_the_bits_of_the_measure_products():
-    rng = np.random.default_rng(13)
-    for trial in range(10):
-        n = int(rng.integers(1, 7))
-        panel, _ = fair_binomial_panel(n)
-        if trial % 2:
-            flows = [SimpleFunction(alg, rng.normal(size=(alg.n_blocks, 2)) if j else
-                                    np.zeros((1, 2)))
-                     for j, alg in enumerate(panel.filtration.algebras)]
-            panel = MarketPanel(panel.times, panel.filtration, panel.prices, flows)
-        deflators = DeflatorSequence([FAMeasure(alg, rng.uniform(0.1, 1.0, alg.n_blocks))
-                                      for alg in panel.filtration.algebras])
-        for j in range(n):
-            for k in range(j + 1, n + 1):
+def floating_leg_by_measures(deflators, n):
+    """floating_leg_value as whole measures: restrict(product(...)) of
+    each payment 1/D - 1, D = restrict(Pi_j) / Pi_{j-1}, summed."""
+    base, total = deflators[0].algebra, 0.0
+    for j in range(1, n + 1):
+        coarse = deflators[j - 1].algebra
+        d_prev = restrict(deflators[j], coarse).weights / deflators[j - 1].weights
+        payment = SimpleFunction(coarse, 1.0 / d_prev - 1.0).lift(deflators[j].algebra)
+        total = total + restrict(product(payment, deflators[j]), base).weights
+    return total
+
+
+def futures_by_measures(deflators, underlying, expiry):
+    """futures_quotes as whole measures, earliest quote first."""
+    quotes = [underlying]
+    for j in range(expiry - 1, -1, -1):
+        coarse = deflators[j].algebra
+        value = restrict(product(quotes[0], deflators[j + 1]), coarse).weights
+        quotes.insert(0, SimpleFunction(coarse, value / restrict(deflators[j + 1], coarse).weights))
+    return quotes
+
+
+@pytest.mark.parametrize("children, pays", [(2, False), (2, True), (3, False), (3, True)],
+                         ids=["binomial", "binomial-paying", "trinomial", "trinomial-paying"])
+def test_prices_keep_the_bits_of_the_measure_products(children, pays):
+    # every price formed by multi_period._price_at, and every restriction
+    # of rates, has the bytes of the public restrict(product(...)) forms
+    rng = np.random.default_rng(13 + 2 * children + pays)
+    n = 5 if children == 2 else 4
+    panel = tree_panel([np.full(children ** i, children) for i in range(n)], rng, dividends=pays)
+    if not pays:
+        panel = MarketPanel(panel.times, panel.filtration, panel.prices)
+    deflators = DeflatorSequence([FAMeasure(alg, rng.uniform(0.1, 1.0, alg.n_blocks))
+                                  for alg in panel.filtration.algebras])
+    for j in range(n + 1):
+        for k in range(j, n + 1):
+            want = restrict(deflators[k], deflators[j].algebra).weights / deflators[j].weights
+            assert zcb_price(deflators, j, k).values.tobytes() == want.tobytes()
+            if j < k:
                 got = propagate_prices(panel, deflators, j, k).values
                 assert got.tobytes() == propagated_by_measures(panel, deflators, j, k).tobytes()
+    got = floating_leg_value(deflators, Schedule(np.arange(n + 1.0)))
+    assert got.tobytes() == floating_leg_by_measures(deflators, n).tobytes()
+    for expiry in range(1, n + 1):
+        underlying = SimpleFunction(panel.filtration[expiry],
+                                    rng.uniform(50.0, 150.0, panel.filtration[expiry].n_blocks))
+        for got, want in zip(futures_quotes(deflators, underlying, expiry),
+                             futures_by_measures(deflators, underlying, expiry), strict=True):
+            assert got.values.tobytes() == want.values.tobytes()
+    # the CLI's panel price, on the deflator that the tree search assembles
+    tree = find_tree_deflator(panel)
+    stock = panel.settle(n).values[:, -1]
+    for payoff, values in (("call 100", np.maximum(stock - 100.0, 0.0)),
+                           ("const 1", np.ones_like(stock))):
+        fields, code = cli.cmd_price(argparse.Namespace(payoff=payoff),
+                                     MarketSpec("panel", panel), DEFAULT_TOL)
+        claim = SimpleFunction(panel.filtration[n], values)
+        want = restrict(product(claim, tree[n]), panel.filtration[0]).weights / tree[0].weights
+        assert code == 0 and fields["prices"]["per_block"].tobytes() == want.tobytes()
+
+
+def test_zcb_price_restricts_the_deflator_itself():
+    # the unit claim is no array: zcb_price holds its result, the
+    # restriction it divides and two block masks, and nothing the size of
+    # level 18 but Pi_18; for k > j + 1 it also composes the block maps
+    filtration = binary_tree_filtration(18)
+    deflators = DeflatorSequence([FAMeasure(alg, np.full(alg.n_blocks, 0.5 ** i))
+                                  for i, alg in enumerate(filtration.algebras)])
+    out, peak = traced_peak(lambda: zcb_price(deflators, 17, 18).values)
+    np.testing.assert_array_equal(out, 2.0 * 0.5 ** 18 / 0.5 ** 17)
+    assert peak < 2 * out.nbytes + 2 ** 18 * 8 // 4
 
 
 @pytest.mark.parametrize("j", [17, 0])
