@@ -79,34 +79,37 @@ def _parse_payoff(text) -> Payoff:
                         "'call K', 'put K', 'const c', or a JSON file path")
 
 
-# Call minus put for each model kind, in the units its pricer quotes.
-_PARITY = {"bachelier": lambda p, k: p.s - k / p.R,
-           "gbm": lambda p, k: p.forward - k,
-           "levy": lambda p, k: p.forward - k}
-
-
-def _model_quote(spec, payoff, command):
-    """A model spec's --payoff 'call K' or 'put K': (strike, parity
-    shift, quote).  The quote is the model's put turned into the
-    requested option by _PARITY: its value (a present value for
-    bachelier, a forward value otherwise) and whichever of delta, pv
-    and gamma the model gives."""
+def _model_prices(spec, payoff, command):
+    """A model spec's --payoff 'call K' or 'put K': (value, prices), the
+    section price prints.  It holds the model's put, turned into the
+    option by put-call parity (call - put is s - k/R for bachelier,
+    forward - k otherwise), under the model's names; the quadrature that
+    checks value; and the display number.  A put struck at k <= 0 is
+    worth 0, by its quadrature as by its pricer."""
     if payoff.kind not in ("call", "put"):
         raise SpecFileError(f"model {command} needs --payoff 'call K' or 'put K'")
-    k, params = payoff.strike, spec.payload
-    delta_shift, shift = ((1.0, _PARITY[spec.kind](params, k))
-                          if payoff.kind == "call" else (0.0, 0.0))
+    k, params, call = payoff.strike, spec.payload, payoff.kind == "call"
+    delta_shift = 1.0 if call else 0.0
     if spec.kind == "bachelier":
         put = bachelier_put(params, k)
-        return k, shift, {"value": put.price + shift,
-                          "delta": put.delta + delta_shift}
-    if spec.kind == "gbm":
-        put = gbm_put(params, k)
-        value = put.forward_value + shift
-        return k, shift, {"value": value,
-                          "pv": math.exp(-params.r * params.t) * value,
-                          "delta": put.delta + delta_shift, "gamma": put.gamma}
-    return k, shift, {"value": levy_put(params, k, smoothing=spec.smoothing) + shift}
+        value = put.price + (params.s - k / params.R if call else 0.0)
+        f = params.forward
+        quadrature = _normal_piecewise_expectation(
+            payoff.on_underlying, f, f * params.sigma, kinks=(k,)) / params.R
+        return value, {"value": value, "delta": put.delta + delta_shift,
+                       "quadrature": quadrature, "display": display(value)}
+    shift = params.forward - k if call else 0.0
+    if spec.kind == "levy":
+        value = levy_put(params, k, smoothing=spec.smoothing) + shift
+        check = _levy_put_quadrature(params, k, spec.smoothing) if k > 0.0 else 0.0
+        return value, {"forward_value": value, "quadrature": check + shift,
+                       "display": display(value)}
+    put = gbm_put(params, k)
+    value = put.forward_value + shift
+    pv = math.exp(-params.r * params.t) * value
+    check = _lognormal_put_quadrature(params, k) if k > 0.0 else 0.0
+    return value, {"forward_value": value, "pv": pv, "delta": put.delta + delta_shift,
+                   "gamma": put.gamma, "quadrature": check + shift, "display": display(pv)}
 
 
 def _one_period_payoff(spec, payoff, tol):
@@ -201,24 +204,10 @@ def cmd_price(args, spec, tol):
         prices = _price_at(0, result, [(panel.n_periods, (claim,))]).values
         return {"prices": {"per_block": prices, "display": [display(p) for p in prices]}}, EXIT_OK
 
-    if spec.kind not in _PARITY:
+    if spec.kind not in ("bachelier", "gbm", "levy"):
         raise SpecFileError(f"price does not support kind {spec.kind!r}")
-    params = spec.payload
-    k, shift, prices = _model_quote(spec, payoff, "pricing")
-    value = prices["value"]
-    if spec.kind == "bachelier":
-        f = params.forward
-        quadrature = _normal_piecewise_expectation(
-            payoff.on_underlying, f, f * params.sigma, kinks=(k,)) / params.R
-    else:
-        # gbm and levy quote forward values
-        prices["forward_value"] = prices.pop("value")
-        check = (_lognormal_put_quadrature(params, k) if spec.kind == "gbm"
-                 else _levy_put_quadrature(params, k, spec.smoothing))
-        quadrature = check + shift
-    return {"prices": dict(prices, quadrature=quadrature,
-                           residual=abs(value - quadrature),
-                           display=display(prices.get("pv", value)))}, EXIT_OK
+    value, prices = _model_prices(spec, payoff, "pricing")
+    return {"prices": dict(prices, residual=abs(value - prices["quadrature"]))}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +250,14 @@ def cmd_hedge(args, spec, tol):
 
     if spec.kind not in ("bachelier", "gbm"):
         raise SpecFileError(f"hedge does not support kind {spec.kind!r}")
-    k, _, quote = _model_quote(spec, payoff, "hedging")
+    quote = _model_prices(spec, payoff, "hedging")[1]
     if spec.kind == "gbm":
         return {"hedge": {"delta": quote["delta"], "gamma": quote["gamma"],
                           "pv": quote["pv"],
                           "display": {"delta": display(quote["delta"])}}}, EXIT_OK
     params = spec.payload
     mean_v, shares, corr, lse = bachelier_hedge(
-        params, payoff.on_underlying, kinks=(k,))
+        params, payoff.on_underlying, kinks=(payoff.strike,))
     bond = (mean_v - shares * params.forward) / params.R
     return {"hedge": {"gamma": [bond, shares],
                       "hedge_cost": mean_v / params.R,

@@ -23,6 +23,8 @@ import numpy as np
 from .exceptions import DimensionMismatch, NonConvergence
 
 DEFAULT_TOL = 1e-9
+# the least normal float: a sum of squares below it has lost digits
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,10 +336,27 @@ def _threshold(prices, tol):
     """tol * ||prices||, one per row of prices: prices whose residual is
     at most this are inside the payoff cone.  Its unit is the prices'
     own, so a rescaled market keeps its verdict, and a zero price vector
-    is inside only when it is projected exactly."""
+    is inside only when it is projected exactly.  ValueError when a row
+    of finite prices has a sum of squares that overflows, or that falls
+    below the normal range while a price is nonzero: the squares of the
+    residual round the same way, so the verdict would read the rounding
+    (without this check ex5.json scaled by 2^-540 reads fair).  Rows
+    with a non-finite price pass, for the projection to refuse."""
     # np.linalg.norm's sum of squares: its bits, with a pair's sum written out
-    s = prices * prices
-    return tol * np.sqrt(s[..., 0] + s[..., 1] if s.shape[-1] == 2 else s.sum(axis=-1))
+    with np.errstate(over="ignore"):
+        s = prices * prices
+        s = s[..., 0] + s[..., 1] if s.shape[-1] == 2 else s.sum(axis=-1)
+    # one test of the stack's extremes, and row by row only if it fails
+    if not (s.max(initial=0.0) < math.inf and s.min(initial=math.inf) >= _TINY):
+        over = (s == math.inf) & np.isfinite(prices).all(axis=-1)
+        under = (s < _TINY) & (prices != 0.0).any(axis=-1)
+        bad = np.flatnonzero(over | under)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"prices of scale {np.abs(prices[i]).max():.3g} are out of the "
+                             f"verdict's range: their sum of squares "
+                             f"{'overflows' if over[i] else 'underflows'}; rescale the market")
+    return tol * np.sqrt(s)
 
 
 def _solve_direct(rows, children, x):

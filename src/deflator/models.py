@@ -420,7 +420,7 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
     if not np.isfinite(x_grid).all() or (np.diff(x_grid) < 0).any():
         raise ValueError("x_grid must be finite and nondecreasing")
     if not 0.0 <= smoothing < math.inf:
-        raise ValueError(f"smoothing must be >= 0, not {smoothing!r}")
+        raise ValueError(f"smoothing must be finite and >= 0, not {smoothing!r}")
 
     def phi(u):
         out = charfn(u)

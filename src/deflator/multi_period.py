@@ -42,6 +42,7 @@ class MarketPanel:
     algebra; cashflows[0] is identically zero (time-0 quotes carry no
     coupon) and cashflows=None means no instrument ever pays one (the
     cash flows are then read-only zero rows that take no memory).
+    Cash flow plus price must be finite at every time (ValueError).
     """
 
     def __init__(self, times, filtration: Filtration, prices, cashflows=None):
@@ -70,6 +71,12 @@ class MarketPanel:
                 _vector_on(filtration[j], f, f"cashflows[{j}]", m)
             if np.any(cashflows[0].values != 0.0):
                 raise ValueError("time-0 cash flows must be zero")
+            # settle adds them: a sum that overflows would reach the solves as inf
+            with np.errstate(over="ignore"):
+                finite = [np.isfinite(c.values + x.values).all()
+                          for c, x in zip(cashflows, prices)]
+            if not all(finite):
+                raise ValueError(f"cash flow plus price overflows at time {finite.index(False)}")
         self.times = times
         self.filtration = filtration
         self.prices = prices

@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deflator import atm_call_correlation, cli, cone
+from deflator import atm_call_correlation, bachelier_put, cli, cone, gbm_put, levy_put
 from deflator.cli import main
-from deflator.market_files import load_market_spec, parse_document, render_document
+from deflator.market_files import display, load_market_spec, parse_document, render_document
+from deflator.models import bachelier_hedge
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -448,7 +449,8 @@ def test_non_finite_curve_rows_and_negative_smoothing_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     for payoff in ("put 100", "call 100"):
         code, out, err = run(["price", str(path), "--payoff", payoff], capsys)
-        assert (code, out, err) == (2, "", "deflator: smoothing must be >= 0, not -0.5\n")
+        assert (code, out, err) == (
+            2, "", "deflator: smoothing must be finite and >= 0, not -0.5\n")
 
 
 def test_every_spec_kind_reads_options_tolerance_once(tmp_path, capsys):
@@ -522,6 +524,20 @@ def test_wrong_length_payoff_vector_exits_2(tmp_path, capsys):
 # malformed input -> (argv, edit of the spec argv[1] names or None, start
 # of the one stderr line); three.json holds three payoff values and
 # broken.json is not JSON
+def scale_one_period(spec, c):
+    """A one-period spec with every price and payoff multiplied by c."""
+    for instrument in spec["instruments"]:
+        instrument["price"] *= c
+    spec["payoffs"] = [[c * v for v in row] for row in spec["payoffs"]]
+
+
+def overflow_last_settlement(spec):
+    """A panel spec given zero cash flows, then a stock price and cash
+    flow of 1.7e308 each in the first block of the last time."""
+    spec["cashflows"] = [[[0.0] * len(row) for row in level] for level in spec["prices"]]
+    spec["prices"][-1][0][1] = spec["cashflows"][-1][0][1] = 1.7e308
+
+
 MALFORMED = {
     "payoff-rows-not-atoms": (
         ["detect", "fair_binomial.json"], lambda s: s["payoffs"].append([1.05, 100.0]),
@@ -557,6 +573,15 @@ MALFORMED = {
     "atom-left-out": (
         ["detect", "binomial_panel.json"], lambda s: s["blocks"][2][1].pop(),
         "blocks[2]: need the 8 atoms, each once"),
+    # numpy's overflow warning came first, on two more lines
+    "cash-flow-plus-price-overflows": (
+        ["detect", "binomial_panel.json"], overflow_last_settlement,
+        "invalid panel spec: cash flow plus price overflows at time 3"),
+    # the squares of the prices overflowed, and ex5.json read fair
+    "one-period-squares-overflow": (
+        ["detect", "ex5.json"], lambda s: scale_one_period(s, 2.0 ** 560),
+        "prices of scale 3.77e+170 are out of the verdict's range: their sum of squares "
+        "overflows; rescale the market"),
 }
 
 
@@ -587,7 +612,8 @@ def test_usage_errors_raise_system_exit():
 # ----------------------------------------------- one quote, one document
 
 
-@pytest.mark.parametrize("option", ["call 100", "put 100", "call 80", "put 130"])
+@pytest.mark.parametrize("option", ["call 100", "put 100", "call 80", "put 130", "call 0",
+                                    "put -5"])
 def test_gbm_hedge_reports_the_priced_option(option, capsys):
     # hedge reported the put's pv next to the call's delta
     priced = run(["price", "gbm.json", "--payoff", option], capsys)
@@ -597,6 +623,73 @@ def test_gbm_hedge_reports_the_priced_option(option, capsys):
     hedge = parse_document(hedged[1])["hedge"]
     assert (hedge["pv"], hedge["delta"], hedge["gamma"]) == (
         prices["pv"], prices["delta"], prices["gamma"])
+
+
+def library_quote(spec, option):
+    """A model option by the library's public put pricers and put-call
+    parity (bachelier: s - k/R; gbm and levy: forward - k): the fields
+    price prints under the model's names, and the number its quadrature
+    checks."""
+    kind, k = option.split()[0], float(option.split()[1])
+    call, params = kind == "call", spec.payload
+    if spec.kind == "bachelier":
+        put = bachelier_put(params, k)
+        value = put.price + (params.s - k / params.R if call else 0.0)
+        return {"value": value, "delta": put.delta + (1.0 if call else 0.0)}, value
+    shift = params.forward - k if call else 0.0
+    if spec.kind == "levy":
+        value = levy_put(params, k, smoothing=spec.smoothing) + shift
+        return {"forward_value": value}, value
+    put = gbm_put(params, k)
+    value = put.forward_value + shift
+    return {"forward_value": value, "pv": math.exp(-params.r * params.t) * value,
+            "delta": put.delta + (1.0 if call else 0.0), "gamma": put.gamma}, value
+
+
+@pytest.mark.parametrize("option", [f"{kind} {k}" for kind in ("call", "put")
+                                    for k in (80, 100, 105, 125)])
+@pytest.mark.parametrize("command, fixture", [
+    ("price", "bach.json"), ("price", "gbm.json"), ("price", "levy.json"),
+    ("hedge", "bach.json"), ("hedge", "gbm.json")])
+def test_model_outputs_are_the_library_quotes(command, fixture, option, capsys):
+    code, out, err = run([command, fixture, "--payoff", option], capsys)
+    assert (code, err) == (0, "")
+    doc = parse_document(out)
+    spec = load_market_spec(str(FIXTURES / fixture))
+    want, value = library_quote(spec, option)
+    if command == "price":
+        prices = doc["prices"]
+        shown = want.get("pv", value)
+        assert prices == dict(want, quadrature=prices["quadrature"],
+                              residual=abs(value - prices["quadrature"]),
+                              display=display(shown))
+        assert prices["residual"] <= 1e-9 * abs(value)
+    elif spec.kind == "gbm":
+        assert doc["hedge"] == {"pv": want["pv"], "delta": want["delta"],
+                                "gamma": want["gamma"],
+                                "display": {"delta": display(want["delta"])}}
+    else:
+        # the Bachelier hedge is the least squares stock hedge, by
+        # quadrature: its cost is the option's value, its shares the delta
+        hedge, k = doc["hedge"], float(option.split()[1])
+        mean_v, shares, corr, lse = bachelier_hedge(
+            spec.payload, cli._parse_payoff(option).on_underlying, kinks=(k,))
+        R = spec.payload.R
+        assert hedge == {"gamma": [(mean_v - shares * spec.payload.forward) / R, shares],
+                         "hedge_cost": mean_v / R, "corr": corr,
+                         "least_squared_error": lse, "display": {"corr": display(corr)}}
+        assert abs(hedge["hedge_cost"] - value) <= 1e-9 * abs(value)
+        assert abs(shares - want["delta"]) <= 1e-9
+
+
+@pytest.mark.parametrize("option", ["call 0", "put -5"])
+def test_a_levy_strike_at_most_0_is_priced_as_levy_put_prices_it(option, capsys):
+    # the quadrature took log(k) of a strike <= 0 and exited 2
+    code, out, err = run(["price", "levy.json", "--payoff", option], capsys)
+    assert (code, err) == (0, "")
+    prices = parse_document(out)["prices"]
+    want, _ = library_quote(load_market_spec(str(FIXTURES / "levy.json")), option)
+    assert (prices["forward_value"], prices["residual"]) == (want["forward_value"], 0.0)
 
 
 def arbitrage_panel():

@@ -570,9 +570,9 @@ def test_smoothing_must_not_be_negative():
     params = LevyModelParams(r=0.05, s=100.0, sigma=0.2, t=2.0, base=law)
     # an infinite width gave a negative put, -1.52 at the money
     for bad in (-0.5, -1e-300, math.nan, math.inf):
-        with pytest.raises(ValueError, match="smoothing must be >= 0"):
+        with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
             cdf_from_charfn(law.charfn, [0.0], smoothing=bad)
-        with pytest.raises(ValueError, match="smoothing must be >= 0"):
+        with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
             levy_put(params, 100.0, smoothing=bad)
     assert cdf_from_charfn(law.charfn, [0.0], smoothing=0.0)[0] == pytest.approx(0.5, abs=1e-12)
     assert math.isfinite(levy_put(params, 100.0, smoothing=0.5))

@@ -13,7 +13,10 @@ entries, reach the active-set solver's BLAS products, whose last bits
 depend on the kernel, so only their verdicts are checked.
 """
 
+import pathlib
+
 import numpy as np
+import pytest
 
 from deflator import (
     DEFAULT_TOL,
@@ -29,11 +32,13 @@ from deflator import (
     check_deflator,
     find_tree_deflator,
     is_arbitrage_strategy,
+    load_market_spec,
     project_to_cone,
     verify_position,
 )
 from deflator import cone
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SCALES = (1e-6, 1.0, 1e6)
 FACTORS = 10.0 ** np.arange(-9, 10, 3)
 
@@ -225,3 +230,46 @@ def test_tree_verdicts_are_the_same_at_every_scale():
             for f in FACTORS:
                 assert is_arbitrage_strategy(panel_c, scaled_strategy(strategy, f)) == want
     assert min(seen.values()) >= 30 and min(strategies.values()) >= 10
+
+
+def test_a_market_quoted_at_its_projection_is_fair():
+    # x_star is the nearest fair quote: projected again, it has no
+    # certificate.  Outcomes are duplicated and instruments collinear in
+    # some draws; the first instrument pays strictly positive in each
+    rng = np.random.default_rng(7)
+    repaired = 0
+    for _ in range(300):
+        n, m = int(rng.integers(2, 40)), int(rng.integers(1, 8))
+        payoffs = rng.normal(size=(n, m)) * rng.lognormal(size=(n, m))
+        payoffs[:, 0] = rng.uniform(0.5, 1.5, size=n)
+        payoffs[rng.integers(n, size=n // 3)] = payoffs[0]
+        if m > 2 and rng.random() < 0.3:
+            payoffs[:, -1] = payoffs[:, 0] + payoffs[:, 1]
+        # most prices drawn so are outside the cone
+        prices = rng.normal(size=m)
+        for c in SCALES:
+            market = OnePeriodMarket(prices=c * prices, payoffs=c * payoffs)
+            projection = project_to_cone(market)
+            if projection.certificate is not None:
+                repaired += 1
+                fair = OnePeriodMarket(prices=projection.x_star, payoffs=market.payoffs)
+                assert project_to_cone(fair).certificate is None
+    assert repaired >= 600
+
+
+def test_verdicts_hold_to_2_to_the_500_and_squares_out_of_range_are_refused():
+    # powers of two scale exactly.  At 2^-560 the squares of the prices
+    # underflowed to 0 and both markets read fair; at 2^512 they
+    # overflowed, ex5.json read fair and the panel raised about its weights
+    ex5 = load_market_spec(FIXTURES / "ex5.json").payload
+    planted = load_market_spec(FIXTURES / "binomial_panel_arbitrage.json").payload
+    gain = project_to_cone(ex5).certificate.setup_gain
+    for k in (-500, -400, 400, 500):
+        assert project_to_cone(scaled_market(ex5, 2.0 ** k)).certificate.setup_gain == (
+            2.0 ** k * gain)
+        assert verdict(find_tree_deflator(scaled_panel(planted, 2.0 ** k))) == (1, 1)
+    for k in (-560, 512, 560):
+        with pytest.raises(ValueError, match="out of the verdict's range"):
+            project_to_cone(scaled_market(ex5, 2.0 ** k))
+        with pytest.raises(ValueError, match="out of the verdict's range"):
+            find_tree_deflator(scaled_panel(planted, 2.0 ** k))
