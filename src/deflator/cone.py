@@ -325,7 +325,7 @@ def _nnls_stack(A, b, maxiter=None):
 
 
 def check_tolerance(value, where) -> float:
-    """value as a verdict tolerance, the factor of _threshold and _slack:
+    """value as a verdict tolerance, the factor of _threshold:
     ValueError unless it is finite and > 0."""
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{where}: the tolerance must be finite and > 0, not {value!r}")
@@ -450,20 +450,22 @@ def _position(payoffs, prices, gamma):
 
 
 def _slack(market: OnePeriodMarket, gamma, tol):
-    """Position gamma's cost and payoffs in the market (_position), and
-    the slack of a check on either, tol * (max|prices| + max|payoffs|) *
-    max|gamma|: the market's unit times the position's, 0 for gamma = 0.
+    """Position gamma's cost and payoffs (_position), and the slack of
+    the check on each: _threshold of the quotes it sums (the prices, or
+    the outcome's payoff row) times ||gamma||, the cone verdict's unit
+    times the position's, as for tree accounts (multi_period._account).
     DimensionMismatch unless gamma holds one position per instrument;
-    ValueError unless it is finite, and unless tol is finite and > 0."""
+    ValueError unless gamma and tol are finite, tol > 0 (_threshold's
+    for quotes whose squares are out of range)."""
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != market.prices.shape:
         raise DimensionMismatch("gamma must hold one position per instrument")
     if not np.isfinite(gamma).all():
         raise ValueError("gamma must be finite")
+    tol, size = check_tolerance(tol, "tol"), np.linalg.norm(gamma, axis=-1)
     x, X = market.prices, market.payoffs
-    cost, payoff = _position(X, x, gamma)
-    scale = np.abs(x).max(initial=0.0) + np.abs(X).max(initial=0.0)
-    return cost, payoff, float(check_tolerance(tol, "tol") * scale * np.abs(gamma).max(initial=0.0))
+    return (*_position(X, x, gamma), float(_threshold(x[None], tol)[0] * size),
+            _threshold(X, tol) * size)
 
 
 def _projection(payoffs, prices, weights, inside):
@@ -540,14 +542,12 @@ class PositionReport:
 
 
 def verify_position(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) -> PositionReport:
-    """Check a candidate position: arbitrage means strictly negative
-    cost together with no losing outcome, both up to the slack _slack,
-    tol * (max|prices| + max|payoffs|) * max|gamma|, so c * gamma gets
-    gamma's verdict for every c > 0, and so does a rescaled market.  A
-    certificate's products (_position) give cost -setup_gain and its
+    """Check a candidate position: arbitrage means a cost below minus its
+    slack and no outcome paying below minus its own (_slack), so c * gamma
+    gets gamma's verdict for every c > 0, as do prices and payoffs rescaled
+    together or apart, and Strategy([gamma, -gamma]) on panel_from_one_period.
+    A certificate's products (_position) give cost -setup_gain and its
     min_payoff to the bit.  ValueError unless gamma and tol are finite, tol > 0."""
-    cost, payoff, slack = _slack(market, gamma, tol)
-    min_payoff = float(payoff.min())
-    return PositionReport(cost=cost, min_payoff=min_payoff,
-                          is_arbitrage=(cost < -slack and min_payoff >= -slack))
-
+    cost, payoff, cost_slack, payoff_slack = _slack(market, gamma, tol)
+    return PositionReport(cost=cost, min_payoff=float(payoff.min()), is_arbitrage=bool(
+        cost < -cost_slack and (payoff >= -payoff_slack).all()))

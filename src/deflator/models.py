@@ -74,6 +74,12 @@ def _check_strike(k: float) -> None:
         raise ValueError(f"the strike must be finite, not {k!r}")
 
 
+def _check_smoothing(smoothing: float) -> None:
+    """ValueError unless a smoothing width is finite and >= 0."""
+    if not 0.0 <= smoothing < math.inf:
+        raise ValueError(f"smoothing must be finite and >= 0, not {smoothing!r}")
+
+
 # ---------------------------------------------------------------------------
 # Bachelier
 
@@ -419,8 +425,7 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if not np.isfinite(x_grid).all() or (np.diff(x_grid) < 0).any():
         raise ValueError("x_grid must be finite and nondecreasing")
-    if not 0.0 <= smoothing < math.inf:
-        raise ValueError(f"smoothing must be finite and >= 0, not {smoothing!r}")
+    _check_smoothing(smoothing)
 
     def phi(u):
         out = charfn(u)
@@ -486,10 +491,12 @@ def levy_put(params: LevyModelParams, k: float, smoothing: float = 0.0) -> float
     inversions pick the same U, each kernel is computed once.  The table
     is a local of the call: a memo that outlived it would answer
     repeated puts from memory, and a benchmark that repeats them would
-    time lookups instead of inversions.  ValueError unless k is finite;
-    a strike k <= 0 is worth 0.
+    time lookups instead of inversions.  ValueError unless k is finite
+    and the smoothing finite and >= 0, at every strike; a strike k <= 0
+    is worth 0.
     """
     _check_strike(k)
+    _check_smoothing(smoothing)
     if k <= 0.0:
         return 0.0
     threshold = (math.log(k / params.s) - params.drift * params.t) / params.sigma

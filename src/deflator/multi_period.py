@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from .cone import (_STACK_ENTRIES, DEFAULT_TOL, ArbitrageCertificate, OnePeriodMarket,
-                   _project_stack, _projection, check_tolerance)
+                   _project_stack, _projection, _threshold, check_tolerance)
 from .exceptions import (AlgebraMismatch, DeflatorZeroBlock, DimensionMismatch,
                          InvalidInterval, NotClosedOut, NotSelfFinancing)
 from .filtration import (Algebra, FAMeasure, Filtration, SimpleFunction, _bincount,
@@ -140,37 +140,54 @@ class AccountProcess:
 
 def account_process(panel: MarketPanel, strategy: Strategy) -> AccountProcess:
     """The cash account A_j = Xi_{j-1} . C_j - Gamma_j . X_j."""
+    return AccountProcess(*_account(panel, strategy)[:2])
+
+
+def _held(quotes: SimpleFunction, holding: SimpleFunction, tol: float) -> np.ndarray:
+    """cone._threshold of each block's quotes times its holding's norm."""
+    return _threshold(quotes.values, tol) * np.linalg.norm(holding.values, axis=1)
+
+
+def _account(panel: MarketPanel, strategy: Strategy, tol=None):
+    """account_process's entries and Xi_n and, given tol, each entry's
+    slack, formed in the walk that lifts the positions: A_j(b) is held to
+    _threshold(X_j)(b) ||Gamma_j(b)|| + _threshold(C_j)(b) ||Xi_{j-1}(b)||
+    (_held; no C_j term on a panel that pays none), as cone._slack holds
+    a one-period position."""
     if len(strategy.trades) != panel.n_periods + 1:
         raise DimensionMismatch("strategy must trade at every panel time")
     for j, g in enumerate(strategy.trades):
         _vector_on(panel.filtration[j], g, f"trades[{j}]", panel.n_instruments)
     entries = [SimpleFunction(panel.filtration[0],
                               -_row_dot(strategy.trades[0], panel.prices[0]))]
+    slacks = [] if tol is None else [_held(panel.prices[0], strategy.trades[0], tol)]
     position = strategy.trades[0]
     for j in range(1, panel.n_periods + 1):
         carried = position.lift(panel.filtration[j])
         earned = _row_dot(carried, panel.cashflows[j])
         spent = _row_dot(strategy.trades[j], panel.prices[j])
         entries.append(SimpleFunction(panel.filtration[j], earned - spent))
+        if tol is not None:
+            slacks.append(_held(panel.prices[j], strategy.trades[j], tol)
+                          + (_held(panel.cashflows[j], carried, tol) if panel._pays else 0.0))
         position = SimpleFunction(panel.filtration[j],
                                   carried.values + strategy.trades[j].values)
-    return AccountProcess(entries=entries, position=position.values)
+    return entries, position.values, slacks
 
 
 def _closed_account(panel: MarketPanel, strategy: Strategy, tol: float,
                     not_closed: str):
-    """The account entries of a strategy and the slack of the checks on
-    them, tol * panel.scale() * max|trades|: the market's unit times the
-    position's, as cone._slack is for one period.  Trades after the last
-    nonzero one are zero, so Xi_n is as large as the position after the
-    last trade: NotClosedOut unless it is within tol * max|trades|.
-    ValueError unless tol is finite and > 0 (cone.check_tolerance)."""
+    """The account entries of a strategy and their slacks (_account).
+    Trades after the last nonzero one are zero, so Xi_n is as large as
+    the position after the last trade: NotClosedOut unless it is within
+    tol * max|trades|.  ValueError unless tol is finite and > 0, and for
+    quotes whose squares are out of range (cone._threshold)."""
     tol = check_tolerance(tol, "tol")
-    account = account_process(panel, strategy)
+    entries, position, slacks = _account(panel, strategy, tol)
     trade_scale = max(float(np.abs(g.values).max()) for g in strategy.trades)
-    if np.abs(account.position).max() > tol * trade_scale:
+    if np.abs(position).max() > tol * trade_scale:
         raise NotClosedOut(not_closed)
-    return account.entries, tol * panel.scale() * trade_scale
+    return entries, slacks
 
 
 @dataclass(frozen=True)
@@ -187,11 +204,13 @@ def is_arbitrage_strategy(panel: MarketPanel, strategy: Strategy,
     must be zero (NotClosedOut otherwise).  It is an arbitrage when the
     account entry at the first trading time is strictly positive on
     every block actually traded, and all later entries are nonnegative,
-    each up to the account slack of _closed_account.  The witness is the
-    first violating (time, block).
+    each entry up to its own slack, block by block (_account): the rule
+    of cone.verify_position, which gives gamma the verdict this gives
+    Strategy([gamma, -gamma]) on panel_from_one_period.  The witness is
+    the first violating (time, block).
     """
-    entries, slack = _closed_account(panel, strategy, tol,
-                                     "position after the last trade is not zero")
+    entries, slacks = _closed_account(panel, strategy, tol,
+                                      "position after the last trade is not zero")
     active = [j for j, g in enumerate(strategy.trades) if np.any(g.values != 0.0)]
     if not active:
         return ArbitrageVerdict(False, None)
@@ -199,10 +218,10 @@ def is_arbitrage_strategy(panel: MarketPanel, strategy: Strategy,
     opening = entries[j0].values
     traded = np.any(strategy.trades[j0].values != 0.0, axis=1)
     for b in np.flatnonzero(traded):
-        if not opening[b] > slack:
+        if not opening[b] > slacks[j0][b]:
             return ArbitrageVerdict(False, (j0, int(b)))
     for j in range(j0 + 1, panel.n_periods + 1):
-        bad = np.flatnonzero(entries[j].values < -slack)
+        bad = np.flatnonzero(entries[j].values < -slacks[j])
         if bad.size:
             return ArbitrageVerdict(False, (j, int(bad[0])))
     return ArbitrageVerdict(True, None)
@@ -418,17 +437,19 @@ def replication_cost(panel: MarketPanel, deflators: DeflatorSequence,
     """Opening cost and terminal payout of a self-financing strategy.
 
     The strategy must be closed out at the horizon and generate no
-    interior cash (NotSelfFinancing with the offending time and block
-    otherwise).  The two sides then satisfy the pairing identity
-    <cost, Pi_0> = <terminal, Pi_n>, which is verified against the
-    supplied deflators, to the account slack times their time-0 mass
-    and the number of times.
+    interior cash beyond each entry's slack, block by block (_account;
+    NotSelfFinancing with the offending time and block otherwise).  The
+    two sides then satisfy the pairing identity <cost, Pi_0> =
+    <terminal, Pi_n>, which is verified against the supplied deflators
+    to sum_j <slack_j, Pi_j>.  The deflators must fit the panel, as for
+    check_deflator (_deflators_on).
     """
-    entries, slack = _closed_account(panel, strategy, tol,
-                                     "strategy does not close out at the horizon")
+    entries, slacks = _closed_account(panel, strategy, tol,
+                                      "strategy does not close out at the horizon")
+    _deflators_on(panel, deflators)
     for j in range(1, panel.n_periods):
         entry = entries[j].values
-        bad = np.flatnonzero(np.abs(entry) > slack)
+        bad = np.flatnonzero(np.abs(entry) > slacks[j])
         if bad.size:
             raise NotSelfFinancing(
                 f"interior account entry {entry[bad[0]]} at time {j}, "
@@ -438,7 +459,8 @@ def replication_cost(panel: MarketPanel, deflators: DeflatorSequence,
     lhs = pairing(cost, deflators[0])
     rhs = pairing(terminal, deflators[len(deflators) - 1])
     gap = abs(lhs - rhs)
-    if gap > slack * float(np.sum(deflators[0].weights)) * (panel.n_periods + 1):
+    if gap > sum(float(np.einsum("b,b->", slack, mu.weights))
+                 for slack, mu in zip(slacks, deflators.measures)):
         raise ValueError(
             f"pairing identity fails by {gap}; the deflators do not price "
             "this panel")

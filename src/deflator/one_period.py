@@ -38,11 +38,12 @@ def price_payoff(market: OnePeriodMarket, deflator: Deflator, payoff) -> float:
 def realized_return(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Gross return of position gamma in each outcome: (X gamma) / (gamma . x).
 
-    Raises ZeroCost when the cost is within the position slack of
-    verify_position (cone._slack) of zero, gamma = 0 included, since the
-    return is then undefined.  ValueError unless gamma and tol are finite, tol > 0.
+    Raises ZeroCost when the cost is within its slack of zero,
+    tol * ||prices|| * ||gamma|| as in verify_position (cone._slack),
+    gamma = 0 included, since the return is then undefined.  ValueError
+    unless gamma and tol are finite, tol > 0.
     """
-    cost, payoff, slack = _slack(market, gamma, tol)
+    cost, payoff, slack, _ = _slack(market, gamma, tol)
     if abs(cost) <= slack:
         raise ZeroCost(f"position cost {cost} is within tolerance of zero")
     return payoff / cost

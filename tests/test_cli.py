@@ -573,6 +573,10 @@ MALFORMED = {
     "atom-left-out": (
         ["detect", "binomial_panel.json"], lambda s: s["blocks"][2][1].pop(),
         "blocks[2]: need the 8 atoms, each once"),
+    # the smoothing is checked at a strike <= 0 too
+    "levy-negative-smoothing-at-put-0": (
+        ["price", "levy.json", "--payoff", "put 0"], lambda s: s.__setitem__("smoothing", -0.5),
+        "smoothing must be finite and >= 0, not -0.5"),
     # numpy's overflow warning came first, on two more lines
     "cash-flow-plus-price-overflows": (
         ["detect", "binomial_panel.json"], overflow_last_settlement,

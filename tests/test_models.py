@@ -572,8 +572,10 @@ def test_smoothing_must_not_be_negative():
     for bad in (-0.5, -1e-300, math.nan, math.inf):
         with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
             cdf_from_charfn(law.charfn, [0.0], smoothing=bad)
-        with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
-            levy_put(params, 100.0, smoothing=bad)
+        # at every strike, one <= 0 too
+        for k in (100.0, 0.0):
+            with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
+                levy_put(params, k, smoothing=bad)
     assert cdf_from_charfn(law.charfn, [0.0], smoothing=0.0)[0] == pytest.approx(0.5, abs=1e-12)
     assert math.isfinite(levy_put(params, 100.0, smoothing=0.5))
 

@@ -21,6 +21,7 @@ import pytest
 from deflator import (
     DEFAULT_TOL,
     Algebra,
+    ArbitrageVerdict,
     DeflatorSequence,
     FAMeasure,
     Filtration,
@@ -30,9 +31,11 @@ from deflator import (
     SimpleFunction,
     Strategy,
     check_deflator,
+    find_arbitrage,
     find_tree_deflator,
     is_arbitrage_strategy,
     load_market_spec,
+    panel_from_one_period,
     project_to_cone,
     verify_position,
 )
@@ -273,3 +276,94 @@ def test_verdicts_hold_to_2_to_the_500_and_squares_out_of_range_are_refused():
             project_to_cone(scaled_market(ex5, 2.0 ** k))
         with pytest.raises(ValueError, match="out of the verdict's range"):
             find_tree_deflator(scaled_panel(planted, 2.0 ** k))
+
+
+# one rule: a number a position check compares is a sum of products of a
+# holding with a row of quotes, held to _threshold of that row times the
+# holding's euclidean norm, as the cone verdict is
+
+
+@pytest.mark.parametrize("prices, payoffs", [(1.0, 1e6), (1e-6, 1.0), (1e-6, 1e6)])
+def test_certificates_verify_when_prices_and_payoffs_are_rescaled_apart(prices, payoffs):
+    # the same cone, so the same arbitrage, whatever units the prices
+    # and the payoffs are quoted in
+    ex5 = load_market_spec(FIXTURES / "ex5.json").payload
+    market = OnePeriodMarket(prices=prices * ex5.prices, payoffs=payoffs * ex5.payoffs)
+    certificate = find_arbitrage(market)
+    report = verify_position(market, certificate.gamma)
+    assert report.cost == -certificate.setup_gain
+    assert report.is_arbitrage
+
+
+def test_certificates_verify_and_losing_positions_fail_across_units():
+    # prices and payoffs of units 1e-6 to 1e6 apart: every certificate
+    # verifies, and no position losing more than 1e-3 of the payoff unit
+    # in some outcome is an arbitrage
+    rng = np.random.default_rng(7)
+    certified = losing = 0
+    for _ in range(2000):
+        n, m = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+        payoffs = (rng.lognormal(size=(n, m)) * rng.lognormal(size=m)
+                   * 10.0 ** rng.integers(-6, 7))
+        prices = rng.lognormal(size=m) * 10.0 ** rng.integers(-6, 7)
+        gamma = rng.normal(size=m)
+        market = OnePeriodMarket(prices=prices, payoffs=payoffs)
+        certificate = find_arbitrage(market)
+        if certificate is not None:
+            certified += 1
+            assert verify_position(market, certificate.gamma).is_arbitrage
+        if (payoffs @ gamma).min() < -1e-3 * np.abs(payoffs).max() * np.abs(gamma).max():
+            losing += 1
+            assert not verify_position(market, gamma).is_arbitrage
+    assert certified >= 1000 and losing >= 900
+
+
+def two_level_panel(B, late_stock):
+    """Bond worth 1 everywhere; stock 2 at time 0, (1, B) on the blocks
+    [[0, 1], [2, 3]] at time 1 and late_stock on the four atoms at time 2."""
+    filtration = Filtration([Algebra.trivial(4), Algebra.from_blocks([[0, 1], [2, 3]]),
+                             Algebra.discrete(4)])
+    stock = ([2.0], [1.0, B], late_stock)
+    prices = [SimpleFunction(filtration[j], np.column_stack([np.ones(len(s)), s]))
+              for j, s in enumerate(stock)]
+    return MarketPanel(times=np.arange(3.0), filtration=filtration, prices=prices)
+
+
+@pytest.mark.parametrize("B", [1e4, 1e5, 1e7, 1e12])
+def test_a_tree_witness_is_held_to_its_node_not_to_the_panel(B):
+    # node (1, 0) quotes about 1 and loses 7.07e-5 against its children:
+    # its witness is held to its own quotes, whatever B the other block
+    # quotes
+    panel = two_level_panel(B, [0.95, 0.9999, 1.1 * B, 0.9 * B])
+    found = find_tree_deflator(panel)
+    assert verdict(found) == (1, 0)
+    assert found.certificate.setup_gain == pytest.approx(7.07e-5, rel=1e-3)
+    assert is_arbitrage_strategy(panel, found.strategy) == ArbitrageVerdict(True, None)
+
+
+def test_a_position_and_its_one_period_panel_get_one_verdict():
+    rng = np.random.default_rng(37)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        market = near_tie_market(rng)
+        certificate = find_arbitrage(market)
+        gamma = rng.normal(size=market.n_instruments)
+        move = rng.random()
+        if certificate is not None and move < 0.7:
+            # the certificate, or a position near it
+            gamma = certificate.gamma + (move >= 0.35) * 10.0 ** rng.uniform(-12.0, -6.0) * gamma
+        x, X = market.prices, market.payoffs
+        norm = np.linalg.norm(gamma)
+        cost, payoff = gamma @ x, X @ gamma
+        slack = cone._threshold(np.vstack([x, X]), DEFAULT_TOL) * norm
+        values = np.r_[cost, payoff]
+        if (np.abs(np.abs(values) - slack) < 1e-6 * slack).any():
+            continue
+        want = verify_position(market, gamma).is_arbitrage
+        seen[want] += 1
+        strategy = Strategy([SimpleFunction(Algebra.trivial(market.n_outcomes), gamma[None]),
+                             SimpleFunction(Algebra.discrete(market.n_outcomes),
+                                            np.tile(-gamma, (market.n_outcomes, 1)))])
+        got = is_arbitrage_strategy(panel_from_one_period(market), strategy)
+        assert got.is_arbitrage == want
+    assert min(seen.values()) >= 50, seen
