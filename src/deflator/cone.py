@@ -72,7 +72,7 @@ class OnePeriodMarket:
         return self.payoffs.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArbitrageCertificate:
     """A position gamma with gamma . x < 0 and nonnegative payoffs.
 
@@ -86,7 +86,7 @@ class ArbitrageCertificate:
     min_payoff: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeProjection:
     """Nearest point of the payoff cone to the price vector, and the
     verdict it gives.
@@ -108,17 +108,18 @@ class ConeProjection:
     certificate: ArbitrageCertificate | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Deflator:
     """Nonnegative outcome weights that reprice the market.
 
     atom_weights[j] is the price today of one unit paid in outcome j.
+    It keeps its own copy of the weights and compares by identity.
     """
 
     atom_weights: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.atom_weights, dtype=float))
+        w = np.atleast_1d(np.array(self.atom_weights, dtype=float))
         if w.ndim != 1 or not np.isfinite(w).all() or (w < 0).any():
             raise ValueError("atom weights must be finite and nonnegative")
         object.__setattr__(self, "atom_weights", w)
@@ -531,7 +532,7 @@ def find_arbitrage(market: OnePeriodMarket, tol: float = DEFAULT_TOL):
 def deflator_from_projection(projection: ConeProjection):
     """The projection's weights as a Deflator, or None if the prices were
     outside the payoff cone: exactly when its certificate is None."""
-    return Deflator(projection.weights.copy()) if projection.certificate is None else None
+    return Deflator(projection.weights) if projection.certificate is None else None
 
 
 @dataclass(frozen=True)

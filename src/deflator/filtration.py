@@ -23,12 +23,14 @@ class Algebra:
     can store one value per block index.  A coarse level of a
     Filtration stores only its parent map from the blocks of the next
     finer level; its block_of is composed from the maps when asked for.
+    It keeps a read-only copy of block_of, and algebras compare by
+    partition.
     """
 
     __slots__ = ("_block_of", "n_blocks", "n_atoms", "_finer", "_up")
 
     def __init__(self, block_of):
-        block_of = np.asarray(block_of, dtype=int)
+        block_of = np.array(block_of, dtype=int)
         if block_of.ndim != 1 or block_of.size == 0:
             raise ValueError("block_of must map a nonempty atom set")
         n_blocks = int(block_of.max()) + 1

@@ -308,7 +308,7 @@ def _kernel(u: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return -(u ** 2) * _exp_remainder(1j * u * nodes.reshape(nodes.shape + (1,) * u.ndim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KolmogorovLaw:
     """An infinitely divisible law with finite variance, parameterized
     by its mean and a finite second-moment jump measure.
@@ -316,7 +316,8 @@ class KolmogorovLaw:
     charfn is exp(i u mean + sum_i K_u(x_i) w_i) with
     K_u(x) = (exp(iux) - 1 - iux) / x^2 and K_u(0) = -u^2/2, so the
     node at zero carries the Gaussian part: the mean of the law is
-    `mean` and its variance the total node weight.
+    `mean` and its variance the total node weight.  The law keeps its
+    own copies of nodes and weights and compares by identity.
     """
 
     mean: float
@@ -324,8 +325,8 @@ class KolmogorovLaw:
     weights: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        x = np.atleast_1d(np.array(self.nodes, dtype=float))
+        w = np.atleast_1d(np.array(self.weights, dtype=float))
         if x.shape != w.shape or x.ndim != 1:
             raise DimensionMismatch("need one weight per node")
         if not (math.isfinite(self.mean) and np.isfinite(x).all() and np.isfinite(w).all()):

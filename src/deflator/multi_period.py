@@ -43,10 +43,12 @@ class MarketPanel:
     coupon) and cashflows=None means no instrument ever pays one (the
     cash flows are then read-only zero rows that take no memory).
     Cash flow plus price must be finite at every time (ValueError).
+    The panel keeps its own copy of times; it holds the caller's price
+    and cash flow functions.
     """
 
     def __init__(self, times, filtration: Filtration, prices, cashflows=None):
-        times = np.asarray(times, dtype=float)
+        times = np.array(times, dtype=float)
         if times.ndim != 1 or times.size != len(filtration):
             raise DimensionMismatch("need one time per algebra")
         if not np.isfinite(times).all() or (np.diff(times) <= 0).any():
@@ -128,7 +130,7 @@ def _row_dot(a: SimpleFunction, b: SimpleFunction) -> np.ndarray:
     return np.einsum("bm,bm->b", a.values, b.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccountProcess:
     """entries[j] is the cash generated at time j: trades at t_0 cost
     -trade . price, later entries collect position . cashflow minus the
@@ -488,17 +490,15 @@ def deterministic_panel(times, price_rows, cashflow_rows=None) -> MarketPanel:
     price_rows[j] (and cashflow_rows[j], if given) is the instrument
     vector at time j.
     """
-    rows = [np.atleast_1d(np.asarray(r, dtype=float)) for r in price_rows]
-    filtration = Filtration([Algebra.trivial(1) for _ in rows])
-    prices = [SimpleFunction(filtration[j], rows[j][None, :])
-              for j in range(len(rows))]
-    cashflows = None
-    if cashflow_rows is not None:
-        cf = [np.atleast_1d(np.asarray(r, dtype=float)) for r in cashflow_rows]
-        cashflows = [SimpleFunction(filtration[j], cf[j][None, :])
-                     for j in range(len(cf))]
-    return MarketPanel(times=times, filtration=filtration, prices=prices,
-                       cashflows=cashflows)
+    price_rows = list(price_rows)
+    filtration = Filtration([Algebra.trivial(1) for _ in price_rows])
+
+    def levels(rows):
+        return [SimpleFunction(filtration[j], np.atleast_1d(np.asarray(r, dtype=float))[None, :])
+                for j, r in enumerate(rows)]
+
+    return MarketPanel(times=times, filtration=filtration, prices=levels(price_rows),
+                       cashflows=None if cashflow_rows is None else levels(cashflow_rows))
 
 
 def panel_from_one_period(market: OnePeriodMarket) -> MarketPanel:

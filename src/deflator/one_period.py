@@ -49,7 +49,7 @@ def realized_return(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) ->
     return payoff / cost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HedgeResult:
     """Least squares hedge of a payoff in the market's instruments.
 

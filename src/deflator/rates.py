@@ -29,20 +29,21 @@ from .multi_period import DeflatorSequence, MarketPanel, _price_at
 # deterministic discounting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscountCurve:
     """Discount factors at a fixed set of maturities (in years).
 
     Lookup is exact: asking for a maturity that is not on the curve
-    raises MissingMaturity rather than interpolating.
+    raises MissingMaturity rather than interpolating.  The curve keeps
+    its own copies of both arrays and compares by identity.
     """
 
     maturities: np.ndarray
     discounts: np.ndarray
 
     def __post_init__(self):
-        m = np.atleast_1d(np.asarray(self.maturities, dtype=float))
-        d = np.atleast_1d(np.asarray(self.discounts, dtype=float))
+        m = np.atleast_1d(np.array(self.maturities, dtype=float))
+        d = np.atleast_1d(np.array(self.discounts, dtype=float))
         if m.shape != d.shape or m.ndim != 1:
             raise DimensionMismatch("need one discount per maturity")
         if not np.isfinite(m).all() or (np.diff(m) <= 0).any() or (m < 0).any():
@@ -137,7 +138,8 @@ def _annuity(curve: DiscountCurve, schedule: Schedule) -> float:
 
 def _finite(value: float, what: str) -> float:
     """value, or ValueError naming what when it is not finite: an
-    annuity that underflows, or a coupon that overflows, gives inf."""
+    annuity that underflows, or a coupon that overflows, gives inf, and
+    a valuation time may be nan."""
     if not np.isfinite(value):
         raise ValueError(f"the {what} is not finite ({value})")
     return value
@@ -163,10 +165,10 @@ def swap_par(curve: DiscountCurve, schedule: Schedule, t: float = 0.0) -> float:
 
     Computed as (D(t_0) - D(t_n)) / sum_j delta_j D(t_j); with a
     deterministic curve the valuation time t cancels out of the ratio,
-    so it is only validated (t must not be past the start t_0).
-    ValueError when the rate is not finite.
+    so it is only validated (t must be finite, ValueError, and not past
+    the start t_0).  ValueError when the rate is not finite.
     """
-    if t > schedule.calc_times[0]:
+    if _finite(t, "valuation time") > schedule.calc_times[0]:
         raise InvalidInterval("valuation after the swap start")
     return _finite((curve.discount(schedule.calc_times[0])
                     - curve.discount(schedule.calc_times[-1])) / _annuity(curve, schedule),
@@ -382,19 +384,26 @@ def futures_convexity(forward_payoffs, discounts, weights=None) -> float:
     """Futures minus forward bias -Cov(F, D) / E D from joint samples.
 
     F is the payoff the contract settles to and D the stochastic
-    discount over the quote period; weights default to uniform.
+    discount over the quote period; weights default to uniform.  The
+    samples must be nonempty and finite, the weights (one per sample)
+    finite and nonnegative with a positive sum, and the weighted mean
+    discount nonzero (ValueError, or DimensionMismatch for the counts).
     """
     f = np.asarray(forward_payoffs, dtype=float)
     d = np.asarray(discounts, dtype=float)
     if f.shape != d.shape or f.ndim != 1:
         raise DimensionMismatch("need matching sample vectors")
-    if weights is None:
-        w = np.full(f.size, 1.0 / f.size)
-    else:
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
-    mean_f = float(np.einsum("i,i->", w, f))
-    mean_d = float(np.einsum("i,i->", w, d))
+    w = np.ones(f.size) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != f.shape:
+        raise DimensionMismatch("need one weight per sample")
+    if not (f.size and np.isfinite(f).all() and np.isfinite(d).all()):
+        raise ValueError("samples must be nonempty and finite")
+    if not (np.isfinite(w).all() and (w >= 0).all() and w.sum() > 0):
+        raise ValueError("weights must be finite and nonnegative with a positive sum")
+    w = w / w.sum()
+    mean_f, mean_d = (float(np.einsum("i,i->", w, x)) for x in (f, d))
+    if mean_d == 0.0:
+        raise ValueError("the mean discount is zero")
     cov = float(np.einsum("i,i->", w, (f - mean_f) * (d - mean_d)))
     return -cov / mean_d
 

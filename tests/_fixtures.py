@@ -6,6 +6,7 @@ part of the library: each is a check or a market with a known verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,20 @@ from deflator import DeflatorError, OnePeriodMarket
 
 class NoArbitrageViolation(DeflatorError):
     """Model parameters violate a no-arbitrage precondition."""
+
+
+def normal_expectation(f, mean, std, kinks=(), n=160, width=14.0):
+    """E f(N(mean, std^2)) by Gauss-Legendre panels split at the kinks,
+    so piecewise-smooth payoffs integrate to machine precision."""
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    lo, hi = mean - width * std, mean + width * std
+    edges = [lo] + sorted(k for k in kinks if lo < k < hi) + [hi]
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        x = 0.5 * (b - a) * xg + 0.5 * (a + b)
+        pdf = np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
+        total += 0.5 * (b - a) * float(wg @ (f(x) * pdf))
+    return total
 
 
 def binomial_price(R: float, s: float, d: float, u: float, payoff) -> dict:

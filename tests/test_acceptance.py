@@ -60,7 +60,7 @@ from deflator import (
 )
 from deflator.cli import main
 
-from _fixtures import binomial_price, parity_and_carry_fixtures
+from _fixtures import binomial_price, normal_expectation, parity_and_carry_fixtures
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -72,20 +72,6 @@ def announce(capsys):
         with capsys.disabled():
             print(line)
     return _say
-
-
-def normal_expectation(f, mean, std, kinks=(), n=160, width=14.0):
-    """E f(N(mean, std^2)) by Gauss-Legendre panels split at the kinks,
-    so piecewise-smooth payoffs integrate to machine precision."""
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    lo, hi = mean - width * std, mean + width * std
-    edges = [lo] + sorted(k for k in kinks if lo < k < hi) + [hi]
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        x = 0.5 * (b - a) * xg + 0.5 * (a + b)
-        pdf = np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
-        total += 0.5 * (b - a) * float(wg @ (f(x) * pdf))
-    return total
 
 
 def butterfly_market():

@@ -7,8 +7,11 @@ cost, no losing outcome) and a deflator must reproduce every quoted
 price.
 """
 
+import dataclasses
+import importlib
 import inspect
 import math
+import pkgutil
 import sys
 import warnings
 from fractions import Fraction
@@ -20,13 +23,16 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import deflator
 from deflator import (
     DEFAULT_TOL,
     Algebra,
     Deflator,
     DeflatorSequence,
     DimensionMismatch,
+    DiscountCurve,
     Filtration,
+    KolmogorovLaw,
     MarketPanel,
     NodeArbitrage,
     NonConvergence,
@@ -40,8 +46,11 @@ from deflator import (
     project_to_cone,
     verify_position,
 )
-from deflator import cone
+from deflator import cone, models, rates
 from deflator.market_files import load_market_spec
+from deflator.multi_period import (AccountProcess, ArbitrageVerdict, CheckResult,
+                                   ReplicationResult, Strategy)
+from deflator.one_period import HedgeResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -1666,6 +1675,91 @@ def test_the_tolerance_rule_has_one_owner():
     from deflator import cli, market_files
     assert cli.check_tolerance is market_files.check_tolerance is cone.check_tolerance
     assert cone.check_tolerance(1, "tol") == 1.0 and type(cone.check_tolerance(1, "tol")) is float
+
+
+# ---------------------------------------------------------------------------
+# one value rule: a record keeps its own copy of the arrays it validates,
+# and a record holding an array compares and hashes by identity
+
+
+def test_constructors_keep_their_own_copy_of_the_arrays_they_check():
+    weights, nodes = np.array([0.05, 0.03]), np.array([0.0, -0.3])
+    law = KolmogorovLaw(0.0, nodes, weights)
+    maturities, discounts = np.array([1.0, 2.0]), np.array([0.95, 0.9])
+    curve = DiscountCurve(maturities, discounts)
+    atom_weights = np.array([0.6, 0.3])
+    deflator = Deflator(atom_weights)
+    times = np.array([0.0, 1.0])
+    panel = panel_from_one_period(OnePeriodMarket([1.0], [[1.0], [1.0]]))
+    panel = MarketPanel(times, panel.filtration, panel.prices)
+    block_of = np.array([0, 1, 1])
+    algebra = Algebra(block_of)
+    for array in (weights, nodes, maturities, discounts, atom_weights, times, block_of):
+        array[:] = -array - 5
+    assert law.weights.tolist() == [0.05, 0.03] and law.nodes.tolist() == [0.0, -0.3]
+    assert curve.discount(1.0) == 0.95 and curve.maturities.tolist() == [1.0, 2.0]
+    assert deflator.atom_weights.tolist() == [0.6, 0.3]
+    assert panel.times.tolist() == [0.0, 1.0]
+    assert algebra.block_of.tolist() == [0, 1, 1] and block_of.flags.writeable
+
+
+def _phi(s):
+    return 0.03
+
+
+def _records(n):
+    """One instance of each of the package's records, its arrays of length n."""
+    ones, algebra = np.ones(n), Algebra.trivial(n)
+    law = KolmogorovLaw(0.0, np.linspace(0.0, 0.1, n), ones)
+    certificate = cone.ArbitrageCertificate(ones, 1.0, 0.0)
+    unit = SimpleFunction(algebra, [1.0])
+    return [
+        OnePeriodMarket(ones, np.eye(n)), certificate,
+        cone.ConeProjection(ones, ones, 0.0, ones, None), Deflator(ones),
+        cone.PositionReport(1.0, 0.0, False),
+        models.BachelierParams(1.0, 100.0, 0.2), models.PutQuote(1.0, -0.5),
+        models.HedgeErrorEstimate(0.9, 0.1, 0.9, 0.1, False),
+        models._RateModel(0.03, 100.0, 0.2, 1.0), models.GBMParams(0.03, 100.0, 0.2, 1.0),
+        models.GBMPutQuote(1.0, 1.0, -0.5, 0.01), law,
+        models.LevyModelParams(0.03, 100.0, 0.2, 1.0, law),
+        AccountProcess([unit], ones), ArbitrageVerdict(False, None), CheckResult(True, 0.0),
+        NodeArbitrage(0, 0, certificate, Strategy([unit])), ReplicationResult(unit, unit, 0.0),
+        HedgeResult(ones, 0.0, 1.0), DiscountCurve(np.arange(1.0, n + 1.0), 0.9 * ones),
+        rates.Schedule((0.0, 1.0)), rates.ShortRateProcess((SimpleFunction(algebra, [1.05]),)),
+        rates.HoLeeParams(phi=_phi, sigma=0.01),
+    ]
+
+
+def _package_records():
+    found = set()
+    for info in pkgutil.iter_modules(deflator.__path__):
+        module = importlib.import_module(f"deflator.{info.name}")
+        found |= {obj for obj in vars(module).values() if isinstance(obj, type)
+                  and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__}
+    return found
+
+
+def test_records_holding_arrays_compare_by_identity():
+    records = _package_records()
+    assert {type(r) for r in _records(1)} == records and len(records) == 23
+    holders = {cls for cls in records
+               if any("np.ndarray" in str(f.type) for f in dataclasses.fields(cls))}
+    assert len(holders) == 8
+    for cls in holders:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+
+
+def test_every_record_compares_and_hashes_whatever_its_arrays_hold():
+    answers = []
+    for n in (1, 2):
+        answers.append([])
+        for record, twin in zip(_records(n), _records(n)):
+            assert record == record
+            hash(record), hash(twin)
+            answers[-1].append(record == twin)
+    assert answers[0] == answers[1]
+    # the 11 records of plain values compare field by field
+    assert answers[0].count(True) == 11
 
 
 def test_market_and_nnls_refuse_misshapen_input():

@@ -33,20 +33,9 @@ from deflator import (
 from deflator._quadrature import composite_gauss_legendre, gauss_legendre
 from deflator.cli import main
 
+from _fixtures import normal_expectation
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-
-
-def normal_expectation(f, mean, std, kinks=(), n=160, width=14.0):
-    """Independent kink-split Gauss-Legendre oracle for E f(N(mean, std^2))."""
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    lo, hi = mean - width * std, mean + width * std
-    edges = [lo] + sorted(k for k in kinks if lo < k < hi) + [hi]
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        x = 0.5 * (b - a) * xg + 0.5 * (a + b)
-        pdf = np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
-        total += 0.5 * (b - a) * float(wg @ (f(x) * pdf))
-    return total
 
 
 # -------------------------------------------------------------- quadrature

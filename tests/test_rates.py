@@ -571,6 +571,19 @@ REFUSALS = [
      lambda: _futures(1, [1.0, 2.0], 2)),
     ("samples of two lengths", DimensionMismatch, "need matching sample vectors",
      lambda: futures_convexity([1.0, 2.0], [0.9])),
+    ("no samples", ValueError, "samples must be nonempty and finite",
+     lambda: futures_convexity([], [])),
+    ("a nan sample", ValueError, "samples must be nonempty and finite",
+     lambda: futures_convexity([1.0, np.nan], [0.9, 0.95])),
+    ("weights that sum to zero", ValueError,
+     "weights must be finite and nonnegative with a positive sum",
+     lambda: futures_convexity([1.0, 2.0], [0.9, 0.95], weights=[1.0, -1.0])),
+    ("one weight for two samples", DimensionMismatch, "need one weight per sample",
+     lambda: futures_convexity([1.0, 2.0], [0.9, 0.95], weights=[1.0])),
+    ("discounts whose mean is zero", ValueError, "the mean discount is zero",
+     lambda: futures_convexity([1.0, 2.0], [1.0, -1.0])),
+    ("a swap valued at nan", ValueError, r"the valuation time is not finite \(nan\)",
+     lambda: swap_par(DiscountCurve([1.0, 2.0], [0.95, 0.9]), Schedule((1.0, 2.0)), t=np.nan)),
     ("a conditional discount with a volatility curve", TypeError,
      "the conditional discount is implemented for constant sigma",
      lambda: ho_lee_stochastic_discount(
