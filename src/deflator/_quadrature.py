@@ -93,9 +93,10 @@ def composite_gauss_legendre(integrate, a: float, b: float, tol: float,
                              panels: int = 1):
     """Integral over [a, b] by the composite 16-point Gauss-Legendre rule.
 
-    integrate(u, w) gets the nodes u and weights w of one composite rule
-    and returns sum(w * g(u)) for the integrand g: a float, or an array
-    of integrals that are all checked at once.  The rule starts from
+    integrate(u, w) gets the nodes u and weights w of one composite rule,
+    panel after panel in ascending order, _PANEL_ORDER nodes each, and
+    returns sum(w * g(u)) for the integrand g: a float, or an array of
+    integrals that are all checked at once.  The rule starts from
     `panels` equal panels and doubles them until two successive results
     agree within the absolute tol everywhere; a rule past _MAX_NODES
     nodes raises NonConvergence.

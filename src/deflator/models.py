@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import composite_gauss_legendre, gauss_legendre
+from ._quadrature import _PANEL_ORDER, composite_gauss_legendre, gauss_legendre
 from .exceptions import DimensionMismatch, TruncationFailure
 
 # ---------------------------------------------------------------------------
@@ -388,13 +388,46 @@ class KolmogorovLaw:
                              weights=t * self.weights)
 
 
-# entries of one x-by-u block of the inversion sum: each of its
-# temporaries, 128 KiB, stays in a core's L2 cache
+# a block of the inversion sum takes _BLOCK // nodes rows of x; its
+# temporaries, one entry per (row, panel) or (row, offset), stay in a
+# core's L2 cache
 _BLOCK = 2 ** 14
 # truncation candidates 2^j (1 + i/16), j < 20 and i < 5: 2^19 is the
 # last power of two under the 1e6 cap
 _PROBES = 2.0 ** np.arange(20)[:, None] * (1.0 + np.arange(5) / 16.0)
 _PROBES.flags.writeable = False
+
+
+def _inversion_sum(x, u, g) -> np.ndarray:
+    """sum_u Im(e^{-iux} g_u) at every x, over the nodes u of one
+    composite rule, which come panel after panel, _PANEL_ORDER each.
+
+    A node is its panel's start plus its offset in the first panel,
+    u[p, j] = c_p + d_j with c_p = u[p, 0] - u[0, 0] and d_j = u[0, j],
+    so by angle addition the sum is sum_p Im(e^{-ixc_p} H[x, p]) with
+    H[x, p] = sum_j e^{-ixd_j} g[p, j]: a row of x takes cos and sin of
+    _PANEL_ORDER + panels angles, not of one per node.  np.einsum
+    contracts the offsets (no BLAS product), and ndarray.sum adds the
+    panels pairwise along the contiguous last axis, so the rounding
+    grows as log(panels), not as panels.  Rows of x go in blocks of
+    _BLOCK // u.size, each row summed whole, so the bytes do not depend
+    on the block.
+    """
+    u = u.reshape(-1, _PANEL_ORDER)
+    g_im, g_re = (np.ascontiguousarray(a.reshape(u.shape)) for a in (g.imag, g.real))
+    start, offset = u[:, 0] - u[0, 0], u[0]
+    out = np.empty(x.shape)
+    rows = max(1, _BLOCK // u.size)
+    for i in range(0, x.size, rows):
+        xd = np.multiply.outer(x[i:i + rows], offset)
+        cos_d, sin_d = np.cos(xd), np.sin(xd)
+        h_im = (np.einsum("xj,pj->xp", cos_d, g_im)
+                - np.einsum("xj,pj->xp", sin_d, g_re))
+        h_re = (np.einsum("xj,pj->xp", cos_d, g_re)
+                + np.einsum("xj,pj->xp", sin_d, g_im))
+        xc = np.multiply.outer(x[i:i + rows], start)
+        out[i:i + rows] = (np.cos(xc) * h_im - np.sin(xc) * h_re).sum(axis=1)
+    return out
 
 
 def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
@@ -414,14 +447,17 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
     The truncated integral is smooth, so one composite Gauss-Legendre
     rule on [0, U] serves the whole grid: phi is evaluated once per
     rule, on all its nodes, and the integrals at every x are sums of
-    e^{-iux} terms over u, in blocks of rows of x of about _BLOCK = 2^14
-    entries, each row summed whole, so the bytes do not depend on the
-    block.  composite_gauss_legendre starts from about
-    U/2 equal panels and doubles them until two successive integrals
-    agree within 1e-11 at every grid point, an absolute error target
-    on the integral; past its node cap it raises
-    NonConvergence.  Results are clipped to [0, 1] and made monotone by
-    a running maximum, so x_grid must be nondecreasing.
+    e^{-iux} terms over u (_inversion_sum).  Those take cos and sin by
+    panel: 16 + panels angles per grid point, joined by angle addition
+    and summed over the panels pairwise, in blocks of rows of x, each
+    row summed whole, so the bytes do not depend on the block.
+    composite_gauss_legendre starts from about U/2 equal panels and
+    doubles them until two successive integrals agree within 1e-11 at
+    every grid point, an absolute error target on the integral; past
+    its node cap it raises NonConvergence.  A grid point whose angle
+    U * |x| overflows raises ValueError before any rule runs.  Results
+    are clipped to [0, 1] and made monotone by a running maximum, so
+    x_grid must be nondecreasing.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if not np.isfinite(x_grid).all() or (np.diff(x_grid) < 0).any():
@@ -444,20 +480,11 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
             "set a smoothing width for laws with atoms")
     U = float(_PROBES[passed[0], 0])
 
-    def integrate(u, w):
-        # Im(e^{-iux} g) = cos(ux) Im g - sin(ux) Re g, g = phi(u) w / u,
-        # summed over u for a block of rows of x at a time, in fixed order
-        g = phi(u) * w / u
-        out = np.empty(x_grid.shape)
-        rows = max(1, _BLOCK // u.size)
-        for i in range(0, x_grid.size, rows):
-            ux = np.multiply.outer(x_grid[i:i + rows], u)
-            out[i:i + rows] = (np.cos(ux) * g.imag
-                               - np.sin(ux) * g.real).sum(axis=1)
-        return out
-
-    integral = composite_gauss_legendre(integrate, 0.0, U, 1e-11,
-                                        panels=max(1, int(U) // 2))
+    if not math.isfinite(U * float(np.abs(x_grid).max(initial=0.0))):
+        raise ValueError(f"x_grid is too large: the angle U * max|x| overflows at U = {U}")
+    integral = composite_gauss_legendre(
+        lambda u, w: _inversion_sum(x_grid, u, phi(u) * w / u), 0.0, U, 1e-11,
+        panels=max(1, int(U) // 2))
     out = 0.5 - integral / math.pi
     return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
 
@@ -494,7 +521,8 @@ def levy_put(params: LevyModelParams, k: float, smoothing: float = 0.0) -> float
     repeated puts from memory, and a benchmark that repeats them would
     time lookups instead of inversions.  ValueError unless k is finite
     and the smoothing finite and >= 0, at every strike; a strike k <= 0
-    is worth 0.
+    is worth 0.  A threshold whose angle U * |threshold| overflows in
+    the inversion raises ValueError too.
     """
     _check_strike(k)
     _check_smoothing(smoothing)

@@ -138,8 +138,8 @@ def _annuity(curve: DiscountCurve, schedule: Schedule) -> float:
 
 def _finite(value: float, what: str) -> float:
     """value, or ValueError naming what when it is not finite: an
-    annuity that underflows, or a coupon that overflows, gives inf, and
-    a valuation time may be nan."""
+    annuity that underflows, or a coupon or a covariance that overflows,
+    gives inf, and a valuation time may be nan."""
     if not np.isfinite(value):
         raise ValueError(f"the {what} is not finite ({value})")
     return value
@@ -388,6 +388,7 @@ def futures_convexity(forward_payoffs, discounts, weights=None) -> float:
     samples must be nonempty and finite, the weights (one per sample)
     finite and nonnegative with a positive sum, and the weighted mean
     discount nonzero (ValueError, or DimensionMismatch for the counts).
+    A covariance that overflows raises ValueError (_finite).
     """
     f = np.asarray(forward_payoffs, dtype=float)
     d = np.asarray(discounts, dtype=float)
@@ -404,8 +405,9 @@ def futures_convexity(forward_payoffs, discounts, weights=None) -> float:
     mean_f, mean_d = (float(np.einsum("i,i->", w, x)) for x in (f, d))
     if mean_d == 0.0:
         raise ValueError("the mean discount is zero")
-    cov = float(np.einsum("i,i->", w, (f - mean_f) * (d - mean_d)))
-    return -cov / mean_d
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = float(np.einsum("i,i->", w, (f - mean_f) * (d - mean_d)))
+    return _finite(-cov / mean_d, "futures convexity")
 
 
 # ---------------------------------------------------------------------------

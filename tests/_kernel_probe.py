@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from deflator import OnePeriodMarket, cone
+from deflator import OnePeriodMarket, cli, cone
 from deflator.cone import DEFAULT_TOL, Deflator, project_to_cone, verify_position
 from deflator.filtration import Algebra, FAMeasure, SimpleFunction, pairing
 from deflator.models import KolmogorovLaw, LevyModelParams, cdf_from_charfn, levy_put
@@ -24,12 +25,19 @@ from deflator.rates import HoLeeParams, futures_convexity, ho_lee_discount
 
 
 def levy():
+    """Puts, a 200-point cdf, the cdf of a pure-jump law smoothed by 1e-3
+    (U = 2^13, rules of thousands of panels) and the CLI's 33-point put
+    checks, whose thresholds are the Gauss-Legendre nodes of (0, k)."""
     base = KolmogorovLaw(mean=0.0, nodes=np.array([0.0, -0.3, 0.2, 0.45]),
                          weights=np.array([0.05, 0.03, 0.01, 0.02]))
     params = LevyModelParams(r=0.03, s=100.0, sigma=0.25, t=1.0, base=base)
     puts = [levy_put(params, k) for k in (70.0, 85.0, 97.0, 100.0, 112.0, 130.0)]
     cdf = cdf_from_charfn(base.charfn, np.linspace(-1.0, 1.0, 200))
-    return np.array(puts), cdf
+    jumps = KolmogorovLaw(mean=0.0, nodes=base.nodes[1:], weights=base.weights[1:])
+    smoothed = cdf_from_charfn(jumps.charfn, np.linspace(-1.0, 1.0, 33), smoothing=1e-3)
+    checks = [cli._levy_put_quadrature(replace(params, base=law), k, 0.0)
+              for law in (base, KolmogorovLaw.standard_normal()) for k in (85.0, 100.0, 112.0)]
+    return np.array(puts), cdf, smoothed, np.array(checks)
 
 
 def ho_lee():

@@ -633,7 +633,8 @@ def test_inversion_rule_has_a_node_cap():
 
 
 def doubling_cdf_from_charfn(charfn, x_grid, smoothing=0.0):
-    """cdf_from_charfn as it was, with U doubled one phi call at a time."""
+    """cdf_from_charfn as it was, with U doubled one phi call at a time;
+    the rule's sum is the package's own."""
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
 
     def phi(u):
@@ -651,18 +652,9 @@ def doubling_cdf_from_charfn(charfn, x_grid, smoothing=0.0):
                 "|charfn| does not decay below 1e-12 by 1e6; "
                 "set a smoothing width for laws with atoms")
 
-    def integrate(u, w):
-        g = phi(u) * w / u
-        out = np.empty(x_grid.shape)
-        rows = max(1, models._BLOCK // u.size)
-        for i in range(0, x_grid.size, rows):
-            ux = np.multiply.outer(x_grid[i:i + rows], u)
-            out[i:i + rows] = (np.cos(ux) * g.imag
-                               - np.sin(ux) * g.real).sum(axis=1)
-        return out
-
-    integral = composite_gauss_legendre(integrate, 0.0, U, 1e-11,
-                                        panels=max(1, int(U) // 2))
+    integral = composite_gauss_legendre(
+        lambda u, w: models._inversion_sum(x_grid, u, phi(u) * w / u), 0.0, U, 1e-11,
+        panels=max(1, int(U) // 2))
     out = 0.5 - integral / math.pi
     return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
 
@@ -761,6 +753,114 @@ def test_inversion_of_a_200_point_grid_stays_within_a_mebibyte():
     finally:
         tracemalloc.stop()
     assert peak <= 2 ** 20
+
+
+def per_node_sum(x, u, g):
+    """The inversion's sum as it was before it took its angles by panel:
+    one cos and one sin of u x per grid point and node."""
+    out = np.empty(x.shape)
+    rows = max(1, models._BLOCK // u.size)
+    for i in range(0, x.size, rows):
+        ux = np.multiply.outer(x[i:i + rows], u)
+        out[i:i + rows] = (np.cos(ux) * g.imag - np.sin(ux) * g.real).sum(axis=1)
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_panel_sum_matches_the_per_node_sum(monkeypatch):
+    # angle addition moves each term by a few rounding errors of its
+    # angle u x: within 8 eps sum_u (2 + |u x|) |g_u| at every point,
+    # g_u = w_u phi(u) / u, over rules of a few panels to thousands
+    rules = []
+    inversion_sum = models._inversion_sum
+
+    def recording(x, u, g):
+        rules.append((x, u, g, inversion_sum(x, u, g)))
+        return rules[-1][3]
+
+    monkeypatch.setattr(models, "_inversion_sum", recording)
+    rng = np.random.default_rng(40)
+    eps = np.finfo(float).eps
+    panels = set()
+    for _ in range(60):
+        law = random_law(rng)
+        smoothing = 0.0 if rng.random() < 0.4 else 10.0 ** rng.uniform(-3.0, 0.0)
+        size = int(rng.choice([1, 33, 200]))
+        sd = math.sqrt(law.variance + smoothing ** 2)
+        grid = law.mean + sd * np.sort(rng.uniform(-5.0, 5.0, size))
+        rules.clear()
+        try:
+            cdf_from_charfn(law.charfn, grid, smoothing)
+        except (TruncationFailure, NonConvergence):
+            pass
+        for x, u, g, got in rules:
+            a = np.abs(g)
+            bound = 8.0 * eps * (2.0 * a.sum() + np.abs(x) * (u * a).sum())
+            assert (np.abs(got - per_node_sum(x, u, g)) <= bound).all()
+            panels.add(u.size // 16)
+    assert min(panels) <= 8 and max(panels) >= 2048
+
+
+def test_the_inversion_matches_closed_forms():
+    normal = KolmogorovLaw.standard_normal()
+    x = np.linspace(-8.0, 8.0, 201)
+    want = np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in x])
+    assert np.abs(cdf_from_charfn(normal.charfn, x) - want).max() <= 4.5e-16
+    # the lognormal put, forward value k N(-d2) - F N(-d1), at 41 strikes
+    params = LevyModelParams(r=0.05, s=100.0, sigma=0.2, t=2.0, base=normal)
+    vol = params.sigma * math.sqrt(params.t)
+    for k in np.linspace(60.0, 160.0, 41):
+        d2 = math.log(params.forward / k) / vol - 0.5 * vol
+        want = 0.5 * (k * math.erfc(d2 / math.sqrt(2.0))
+                      - params.forward * math.erfc((d2 + vol) / math.sqrt(2.0)))
+        assert abs(levy_put(params, k) - want) <= 4.5e-16 * k
+
+
+def test_the_inversion_takes_16_plus_panels_angles_per_grid_point(monkeypatch):
+    # each rule's sum takes cos and sin of at most n_x (16 + panels)
+    # angles; one per node, n_x 16 panels, fails the guard
+    angles = []
+    for name in ("cos", "sin"):
+        def counting(a, f=getattr(np, name), name=name, **kwargs):
+            angles.append((name, np.size(a)))
+            return f(a, **kwargs)
+        monkeypatch.setattr(np, name, counting)
+
+    def worst_excess(inversion_sum):
+        excess = []
+
+        def counted(x, u, g):
+            angles.clear()
+            out = inversion_sum(x, u, g)
+            bound = x.size * (16 + u.size // 16)
+            excess.extend(sum(n for f, n in angles if f == name) / bound
+                          for name in ("cos", "sin"))
+            return out
+
+        monkeypatch.setattr(models, "_inversion_sum", counted)
+        for law, grid in inversion_grids():
+            cdf_from_charfn(law.charfn, grid)
+        jumps = KolmogorovLaw(mean=0.0, nodes=JUMP_LAW.nodes[1:], weights=JUMP_LAW.weights[1:])
+        cdf_from_charfn(jumps.charfn, [0.1], smoothing=1e-3)   # U = 2^13
+        return max(excess)
+
+    assert worst_excess(models._inversion_sum) <= 1.0
+    assert worst_excess(per_node_sum) > 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_grid_point_whose_angle_overflows_is_refused():
+    # it overflowed in a multiply, then ran the rule to its node cap
+    normal = KolmogorovLaw.standard_normal()
+    for grid in ([1e308], [0.0, 1e308], [-1e308, 0.0]):
+        with pytest.raises(ValueError, match=r"the angle U \* max\|x\| overflows at U = 8\.0"):
+            cdf_from_charfn(normal.charfn, grid)
+    # a threshold of log 2 / 1e-308
+    with pytest.raises(ValueError, match="overflows"):
+        levy_put(LevyModelParams(0.03, 100.0, 1e-308, 1.0, normal), 200.0)
+    # a finite angle still goes to the rule, and to its node cap
+    with pytest.raises(NonConvergence):
+        cdf_from_charfn(normal.charfn, [1e20])
 
 
 def test_import_loads_no_scipy():

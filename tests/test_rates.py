@@ -582,6 +582,9 @@ REFUSALS = [
      lambda: futures_convexity([1.0, 2.0], [0.9, 0.95], weights=[1.0])),
     ("discounts whose mean is zero", ValueError, "the mean discount is zero",
      lambda: futures_convexity([1.0, 2.0], [1.0, -1.0])),
+    ("a covariance that overflows", ValueError,
+     r"the futures convexity is not finite \(-inf\)",
+     lambda: futures_convexity([1e300, -1e300], [1e300, 1.0])),
     ("a swap valued at nan", ValueError, r"the valuation time is not finite \(nan\)",
      lambda: swap_par(DiscountCurve([1.0, 2.0], [0.95, 0.9]), Schedule((1.0, 2.0)), t=np.nan)),
     ("a conditional discount with a volatility curve", TypeError,
