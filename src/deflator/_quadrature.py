@@ -96,19 +96,25 @@ def composite_gauss_legendre(integrate, a: float, b: float, tol: float,
     integrate(u, w) gets the nodes u and weights w of one composite rule,
     panel after panel in ascending order, _PANEL_ORDER nodes each, and
     returns sum(w * g(u)) for the integrand g: a float, or an array of
-    integrals that are all checked at once.  The rule starts from
-    `panels` equal panels and doubles them until two successive results
-    agree within the absolute tol everywhere; a rule past _MAX_NODES
-    nodes raises NonConvergence.
+    integrals checked at once, or row by row if it is 2-D.  The rule
+    starts from `panels` equal panels and doubles them until two
+    successive results agree within the absolute tol everywhere, each
+    row keeping its first such rule; a rule past _MAX_NODES nodes
+    raises NonConvergence.
     """
     t, w = gauss_legendre(_PANEL_ORDER)
-    coarse = None
+    coarse, settled = None, False
     while panels * _PANEL_ORDER <= _MAX_NODES:
         h = (b - a) / panels
         u = a + (h * (np.arange(panels)[:, None] + 0.5 * (t + 1.0))).ravel()
         fine = integrate(u, np.tile(0.5 * h * w, panels))
-        if coarse is not None and np.abs(fine - coarse).max(initial=0.0) <= tol:
-            return fine
+        if coarse is not None:
+            fine = np.where(settled, coarse, fine)
+            err = np.abs(fine - coarse)
+            settled = (err.max(axis=-1, keepdims=True, initial=0.0) if err.ndim == 2
+                       else err.max(initial=0.0)) <= tol
+            if settled.all():
+                return fine
         coarse, panels = fine, 2 * panels
     raise NonConvergence(f"integral not within {tol} at {_MAX_NODES} nodes "
                          f"on [{a}, {b}]")

@@ -179,8 +179,7 @@ def _levy_put_quadrature(params, k, smoothing):
     z, w = gauss_legendre(33)
     y = 0.5 * k * (z + 1.0)
     thresholds = (np.log(y / params.s) - params.drift * params.t) / params.sigma
-    cdf = cdf_from_charfn(params.base.scale_time(params.t).charfn,
-                          thresholds, smoothing)
+    cdf = cdf_from_charfn(params.law_t.charfn, thresholds, smoothing)
     return 0.5 * k * float(np.einsum("i,i->", w, cdf))
 
 

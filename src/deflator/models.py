@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -400,7 +401,8 @@ _PROBES.flags.writeable = False
 
 def _inversion_sum(x, u, g) -> np.ndarray:
     """sum_u Im(e^{-iux} g_u) at every x, over the nodes u of one
-    composite rule, which come panel after panel, _PANEL_ORDER each.
+    composite rule, which come panel after panel, _PANEL_ORDER each;
+    for each row of g when g is 2-D, the rows sharing one angle table.
 
     A node is its panel's start plus its offset in the first panel,
     u[p, j] = c_p + d_j with c_p = u[p, 0] - u[0, 0] and d_j = u[0, j],
@@ -414,20 +416,20 @@ def _inversion_sum(x, u, g) -> np.ndarray:
     on the block.
     """
     u = u.reshape(-1, _PANEL_ORDER)
-    g_im, g_re = (np.ascontiguousarray(a.reshape(u.shape)) for a in (g.imag, g.real))
+    g_im, g_re = (np.ascontiguousarray(a.reshape(-1, *u.shape)) for a in (g.imag, g.real))
     start, offset = u[:, 0] - u[0, 0], u[0]
-    out = np.empty(x.shape)
+    out = np.empty((len(g_im), x.size))
     rows = max(1, _BLOCK // u.size)
     for i in range(0, x.size, rows):
         xd = np.multiply.outer(x[i:i + rows], offset)
         cos_d, sin_d = np.cos(xd), np.sin(xd)
-        h_im = (np.einsum("xj,pj->xp", cos_d, g_im)
-                - np.einsum("xj,pj->xp", sin_d, g_re))
-        h_re = (np.einsum("xj,pj->xp", cos_d, g_re)
-                + np.einsum("xj,pj->xp", sin_d, g_im))
         xc = np.multiply.outer(x[i:i + rows], start)
-        out[i:i + rows] = (np.cos(xc) * h_im - np.sin(xc) * h_re).sum(axis=1)
-    return out
+        cos_c, sin_c = np.cos(xc), np.sin(xc)
+        for row, im, re in zip(out, g_im, g_re):
+            h_im = np.einsum("xj,pj->xp", cos_d, im) - np.einsum("xj,pj->xp", sin_d, re)
+            h_re = np.einsum("xj,pj->xp", cos_d, re) + np.einsum("xj,pj->xp", sin_d, im)
+            row[i:i + rows] = (cos_c * h_im - sin_c * h_re).sum(axis=1)
+    return out.reshape(g.shape[:-1] + x.shape)
 
 
 def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
@@ -459,26 +461,36 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
     are clipped to [0, 1] and made monotone by a running maximum, so
     x_grid must be nondecreasing.
     """
+    return _invert_laws(charfn, x_grid, smoothing)
+
+
+def _invert_laws(phis, x_grid, smoothing: float) -> np.ndarray:
+    """cdf_from_charfn for one law, or a row for each law when phis(u) has
+    a row per law: one probe call, then one rule and angle table for all
+    where all pick the same U, or each law alone; each row keeps its bytes."""
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if not np.isfinite(x_grid).all() or (np.diff(x_grid) < 0).any():
         raise ValueError("x_grid must be finite and nondecreasing")
     _check_smoothing(smoothing)
 
     def phi(u):
-        out = charfn(u)
+        out = phis(u)
         if smoothing:
             out = out * np.exp(-0.5 * (smoothing * u) ** 2)
         return out
 
-    # U = 2^j for the least j whose five probes 2^j (1 + i/16) all have
-    # |phi| <= 1e-12 (a nan passes, as it always has), all in one call
-    peak = np.abs(phi(_PROBES.ravel())).reshape(_PROBES.shape).max(axis=1)
-    passed = np.flatnonzero(~(peak > 1e-12))
-    if not passed.size:
+    # U = 2^j for the least j, the count of leading failures, whose five probes
+    # 2^j (1 + i/16) all have |phi| <= 1e-12 (a nan passes), all in one call
+    peak = np.abs(phi(_PROBES.ravel())).reshape(-1, *_PROBES.shape).max(axis=2)
+    j = np.logical_and.accumulate(peak > 1e-12, axis=1).sum(axis=1)
+    if (j != j[0]).any():
+        return np.array([_invert_laws(lambda u, i=i: phis(u)[i], x_grid, smoothing)
+                         for i in range(len(j))])
+    if j[0] == len(_PROBES):
         raise TruncationFailure(
             "|charfn| does not decay below 1e-12 by 1e6; "
             "set a smoothing width for laws with atoms")
-    U = float(_PROBES[passed[0], 0])
+    U = float(_PROBES[j[0], 0])
 
     if not math.isfinite(U * float(np.abs(x_grid).max(initial=0.0))):
         raise ValueError(f"x_grid is too large: the angle U * max|x| overflows at U = {U}")
@@ -486,7 +498,7 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
         lambda u, w: _inversion_sum(x_grid, u, phi(u) * w / u), 0.0, U, 1e-11,
         panels=max(1, int(U) // 2))
     out = 0.5 - integral / math.pi
-    return np.maximum.accumulate(np.clip(out, 0.0, 1.0))
+    return np.maximum.accumulate(np.clip(out, 0.0, 1.0), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +509,22 @@ def cdf_from_charfn(charfn, x_grid, smoothing: float = 0.0) -> np.ndarray:
 class LevyModelParams(_RateModel):
     """S_t = s exp(mu t + sigma L_t) with L infinitely divisible
     (Kolmogorov form at unit time) and mu = r - log E e^{sigma L_1},
-    which makes the discounted stock a martingale."""
+    which makes the discounted stock a martingale.  The drift, the law of
+    L_t and its sigma-tilt are computed once per object, on first use."""
 
     base: KolmogorovLaw
 
-    @property
+    @cached_property
     def drift(self) -> float:
         return self.r - self.base.log_mgf(self.sigma)
+
+    @cached_property
+    def law_t(self) -> KolmogorovLaw:
+        return self.base.scale_time(self.t)
+
+    @cached_property
+    def tilted_law_t(self) -> KolmogorovLaw:
+        return self.law_t.tilt(self.sigma)
 
 
 def levy_put(params: LevyModelParams, k: float, smoothing: float = 0.0) -> float:
@@ -514,34 +535,26 @@ def levy_put(params: LevyModelParams, k: float, smoothing: float = 0.0) -> float
     log-moneyness threshold.  With the standard normal base this equals
     the lognormal put value.
 
-    The two laws share their nodes, so their characteristic functions
-    here share one table of the kernels K_u(x_i), keyed by u: where both
-    inversions pick the same U, each kernel is computed once.  The table
-    is a local of the call: a memo that outlived it would answer
-    repeated puts from memory, and a benchmark that repeats them would
-    time lookups instead of inversions.  ValueError unless k is finite
-    and the smoothing finite and >= 0, at every strike; a strike k <= 0
-    is worth 0.  A threshold whose angle U * |threshold| overflows in
-    the inversion raises ValueError too.
+    The two laws share their nodes, so one probe call and, where both
+    pick the same U, one rule at a time serve both: kernels K_u(x_i) and
+    angles are computed once, and each law stops at its own first settled
+    rule.  Only the model's constants outlive the call: a memo of rules
+    or kernels would answer repeated puts from memory, and a benchmark
+    that repeats them would time lookups instead of inversions.
+    ValueError unless k is finite and the smoothing finite and >= 0, at
+    every strike; a strike k <= 0 is worth 0.  A threshold whose angle
+    U * |threshold| overflows in the inversion raises ValueError too.
     """
     _check_strike(k)
     _check_smoothing(smoothing)
     if k <= 0.0:
         return 0.0
     threshold = (math.log(k / params.s) - params.drift * params.t) / params.sigma
-    law_t = params.base.scale_time(params.t)
-    table = {}
+    law_t = params.law_t
 
-    def kernels(u):
-        key = (u.shape, u.tobytes())
-        body = table.get(key)
-        if body is None:
-            body = table[key] = _kernel(u, law_t.nodes)
-        return body
+    def phis(u):
+        kernels = _kernel(u, law_t.nodes)
+        return np.array([np.exp(law._exponent(u, kernels)) for law in (law_t, params.tilted_law_t)])
 
-    def cdf(law):
-        return cdf_from_charfn(lambda u: np.exp(law._exponent(u, kernels(u))),
-                               [threshold], smoothing)[0]
-
-    p_plain, p_tilted = cdf(law_t), cdf(law_t.tilt(params.sigma))
+    p_plain, p_tilted = _invert_laws(phis, [threshold], smoothing)[:, 0]
     return float(k * p_plain - params.forward * p_tilted)

@@ -632,6 +632,26 @@ def test_inversion_rule_has_a_node_cap():
         cdf_from_charfn(law.charfn, [0.0, 1e6])
 
 
+def test_each_row_of_a_composite_rule_settles_on_its_own():
+    # a 2-D result's rows stop apart: the smooth row keeps the rule at
+    # which it settles, with the bytes of the rule run on it alone, while
+    # the oscillating row goes on; one check of the whole array would
+    # carry the smooth row on too
+    rows = lambda u: np.array([np.exp(-u), np.cos(40.0 * u)])
+
+    def integral(f):
+        sizes = []
+        out = composite_gauss_legendre(
+            lambda u, w: sizes.append(u.size) or (f(u) * w).sum(axis=-1, keepdims=True),
+            0.0, 3.0, 1e-12)
+        return out, sizes
+
+    both, sizes = integral(rows)
+    alone = [integral(lambda u, i=i: rows(u)[i]) for i in range(2)]
+    assert [len(n) for _, n in alone] == [2, len(sizes)] and len(sizes) > 2
+    assert both.tobytes() == np.concatenate([a for a, _ in alone]).tobytes()
+
+
 def doubling_cdf_from_charfn(charfn, x_grid, smoothing=0.0):
     """cdf_from_charfn as it was, with U doubled one phi call at a time;
     the rule's sum is the package's own."""
@@ -817,8 +837,10 @@ def test_the_inversion_matches_closed_forms():
 
 
 def test_the_inversion_takes_16_plus_panels_angles_per_grid_point(monkeypatch):
-    # each rule's sum takes cos and sin of at most n_x (16 + panels)
-    # angles; one per node, n_x 16 panels, fails the guard
+    # each rule takes cos and sin of at most n_x (16 + panels) angles,
+    # over all the sums it feeds: a put's two laws share one table.  One
+    # angle per node, n_x 16 panels, fails the guard, and so does a put
+    # that inverts its two laws apart
     angles = []
     for name in ("cos", "sin"):
         def counting(a, f=getattr(np, name), name=name, **kwargs):
@@ -826,26 +848,36 @@ def test_the_inversion_takes_16_plus_panels_angles_per_grid_point(monkeypatch):
             return f(a, **kwargs)
         monkeypatch.setattr(np, name, counting)
 
-    def worst_excess(inversion_sum):
-        excess = []
+    def worst_excess(inversion_sum, ops):
+        rules = {}      # (x, u) -> [bound, cos angles, sin angles]
 
         def counted(x, u, g):
             angles.clear()
             out = inversion_sum(x, u, g)
-            bound = x.size * (16 + u.size // 16)
-            excess.extend(sum(n for f, n in angles if f == name) / bound
-                          for name in ("cos", "sin"))
+            rule = rules.setdefault((x.tobytes(), u.tobytes()),
+                                    [x.size * (16 + u.size // 16), 0, 0])
+            for i, name in enumerate(("cos", "sin"), 1):
+                rule[i] += sum(n for f, n in angles if f == name)
             return out
 
         monkeypatch.setattr(models, "_inversion_sum", counted)
-        for law, grid in inversion_grids():
-            cdf_from_charfn(law.charfn, grid)
-        jumps = KolmogorovLaw(mean=0.0, nodes=JUMP_LAW.nodes[1:], weights=JUMP_LAW.weights[1:])
-        cdf_from_charfn(jumps.charfn, [0.1], smoothing=1e-3)   # U = 2^13
+        excess = []
+        for op in ops:
+            rules.clear()
+            op()
+            excess.extend(max(c, s) / bound for bound, c, s in rules.values())
         return max(excess)
 
-    assert worst_excess(models._inversion_sum) <= 1.0
-    assert worst_excess(per_node_sum) > 1.0
+    jumps = KolmogorovLaw(mean=0.0, nodes=JUMP_LAW.nodes[1:], weights=JUMP_LAW.weights[1:])
+    cdfs = [lambda law=law, grid=grid: cdf_from_charfn(law.charfn, grid)
+            for law, grid in inversion_grids()]
+    cdfs.append(lambda: cdf_from_charfn(jumps.charfn, [0.1], smoothing=1e-3))   # U = 2^13
+    normal = LevyModelParams(0.03, 100.0, 0.25, 1.0, KolmogorovLaw.standard_normal())
+    puts = lambda put: [lambda p=p, k=k: put(p, k) for p in (jump_put_params(), normal)
+                        for k in (85.0, 97.0, 112.0)]
+    assert worst_excess(models._inversion_sum, cdfs + puts(levy_put)) <= 1.0
+    assert worst_excess(per_node_sum, cdfs) > 1.0
+    assert worst_excess(models._inversion_sum, puts(two_inversion_put)) > 1.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -892,9 +924,31 @@ def test_levy_put_martingale_drift():
     assert params.drift == pytest.approx(0.02 - base.log_mgf(0.5), rel=1e-15)
 
 
-def test_levy_put_is_its_two_public_inversions_byte_for_byte():
+def two_inversion_put(params, k, smoothing=0.0):
+    """levy_put as the two public inversions it was, on a fresh time-t
+    law and its tilt, with the drift taken from the base law."""
+    drift = params.r - params.base.log_mgf(params.sigma)
+    threshold = (math.log(k / params.s) - drift * params.t) / params.sigma
+    law_t = params.base.scale_time(params.t)
+    return float(k * cdf_from_charfn(law_t.charfn, [threshold], smoothing)[0]
+                 - params.s * math.exp(params.r * params.t)
+                 * cdf_from_charfn(law_t.tilt(params.sigma).charfn, [threshold],
+                                   smoothing)[0])
+
+
+def same_bytes(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_levy_put_is_its_two_public_inversions_byte_for_byte(monkeypatch):
+    # draw 12 is a law whose tilt picks another U than the plain law: the
+    # two are inverted apart, and every other draw by one shared rule
+    inversions = []
+    invert_laws = models._invert_laws
+    monkeypatch.setattr(models, "_invert_laws",
+                        lambda *args: inversions.append(1) or invert_laws(*args))
     rng = np.random.default_rng(126)
-    for _ in range(24):
+    for draw in range(24):
         base = random_law(rng, gauss=rng.random() < 0.7)
         gauss = bool((base.nodes == 0.0).any())
         smoothing = 0.0 if gauss and rng.random() < 0.5 else 10.0 ** rng.uniform(-2.0, -0.5)
@@ -902,14 +956,24 @@ def test_levy_put_is_its_two_public_inversions_byte_for_byte():
                                  sigma=rng.uniform(0.05, 0.6), t=rng.uniform(0.1, 3.0),
                                  base=base)
         k = params.s * math.exp(params.r * params.t) * rng.uniform(0.7, 1.3)
-        threshold = (math.log(k / params.s) - params.drift * params.t) / params.sigma
-        law_t = base.scale_time(params.t)
-        want = float(k * cdf_from_charfn(law_t.charfn, [threshold], smoothing)[0]
-                     - params.s * math.exp(params.r * params.t)
-                     * cdf_from_charfn(law_t.tilt(params.sigma).charfn, [threshold],
-                                       smoothing)[0])
-        got = levy_put(params, k, smoothing)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        want = two_inversion_put(params, k, smoothing)
+        inversions.clear()
+        assert same_bytes(levy_put(params, k, smoothing), want)
+        assert len(inversions) == (3 if draw == 12 else 1)
+    # the benchmark's laws, both smoothings, strikes 0.85 to 1.15 of the forward
+    rng = np.random.default_rng(41)
+    for law in (JUMP_LAW, KolmogorovLaw.standard_normal()):
+        for smoothing in (0.0, 1e-3):
+            params = LevyModelParams(r=rng.uniform(0.0, 0.06), s=rng.uniform(90.0, 110.0),
+                                     sigma=rng.uniform(0.1, 0.4), t=rng.uniform(0.25, 2.0),
+                                     base=law)
+            for k in params.forward * np.sort(rng.uniform(0.85, 1.15, 6)):
+                want = two_inversion_put(params, k, smoothing)
+                assert same_bytes(levy_put(params, k, smoothing), want)
+                # a second put on the same object, and one on a fresh equal object
+                assert same_bytes(levy_put(params, k, smoothing), want)
+                fresh = LevyModelParams(params.r, params.s, params.sigma, params.t, law)
+                assert same_bytes(levy_put(fresh, k, smoothing), want)
 
 
 def jump_put_params():
@@ -919,11 +983,11 @@ def jump_put_params():
 
 
 def test_levy_put_computes_each_kernel_once_within_one_call(monkeypatch):
-    kernels = []
+    kernels, mgfs = [], []
 
     def counting(a):
-        if np.iscomplexobj(a):      # char_exponent's; log_mgf's are real
-            kernels.append(a.shape)
+        # char_exponent's are complex; log_mgf's, for the drift, are real
+        (kernels if np.iscomplexobj(a) else mgfs).append(a.shape)
         return exp_remainder(a)
 
     exp_remainder = models._exp_remainder
@@ -932,7 +996,7 @@ def test_levy_put_computes_each_kernel_once_within_one_call(monkeypatch):
     first = levy_put(params, 97.0)
     # the plain and tilted laws share one probe call and two rules
     assert kernels == [(4, 100), (4, 512), (4, 1024)]
-    # the next call starts from an empty table, and its bytes do not move
+    # the next call computes its kernels again, and its bytes do not move
     assert levy_put(params, 97.0) == first
     assert kernels[3:] == kernels[:3]
     # outside levy_put nothing is shared
@@ -940,9 +1004,13 @@ def test_levy_put_computes_each_kernel_once_within_one_call(monkeypatch):
     law.char_exponent(np.arange(3.0))
     law.tilt(0.25).char_exponent(np.arange(3.0))
     assert kernels[6:] == [(4, 3), (4, 3)]
+    # the drift is computed once per params object, and again for a new one
+    assert mgfs == [(4,)]
+    levy_put(jump_put_params(), 97.0)
+    assert mgfs == [(4,), (4,)]
 
 
-def test_levy_put_drops_its_table_when_an_inversion_fails():
+def test_levy_put_of_a_law_with_an_atom_needs_smoothing():
     atom = KolmogorovLaw(mean=0.1, nodes=np.array([0.0]), weights=np.array([0.0]))
     params = LevyModelParams(r=0.02, s=100.0, sigma=0.3, t=1.0, base=atom)
     with pytest.raises(TruncationFailure):
