@@ -76,9 +76,10 @@ class OnePeriodMarket:
 class ArbitrageCertificate:
     """A position gamma with gamma . x < 0 and nonnegative payoffs.
 
-    gamma is scaled to unit euclidean norm, so setup_gain equals the
-    distance from the price vector to the payoff cone and scales
-    linearly when the whole market is scaled.
+    gamma is scaled to unit euclidean norm and orthogonal to the payoff
+    rows that price the nearest cone point, so setup_gain equals the
+    distance from the price vector to the payoff cone, to a few ulps of
+    the prices, and scales linearly when the whole market is scaled.
     """
 
     gamma: np.ndarray
@@ -193,6 +194,19 @@ def _qr_append_stack(Qt, Ri, nk, rows, n, a, cutoff, products):
     Ri[rows, nk, nk] = s
     nk += ok
     return ok
+
+
+def _factor(rows, cutoff):
+    """The thin QR factor of rows (k, m), appended one at a time by
+    _qr_append_stack in _EINSUM on a stack of one: Qt (1, k, m) and Ri
+    (1, k, k), zero past the rows that went in, and which went in (k,).
+    Row j stays out when its new diagonal entry of R is at most
+    cutoff[j], and the rows after it go on into the same factor."""
+    k, m = rows.shape
+    Qt, Ri, nk, at = np.zeros((1, k, m)), np.zeros((1, k, k)), np.zeros(1, int), np.zeros(1, int)
+    went = [_qr_append_stack(Qt, Ri, nk, at, j, rows[None, j], cutoff[j:j + 1], _EINSUM)[0]
+            for j in range(k)]
+    return Qt, Ri, np.array(went, dtype=bool)
 
 
 def _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, products):
@@ -472,9 +486,14 @@ def _slack(market: OnePeriodMarket, gamma, tol):
 def _projection(payoffs, prices, weights, inside):
     """The ConeProjection of prices with _project_stack's cone weights of
     the payoff rows and verdict inside.  Outside, the certificate is the
-    unit gap direction x_star - prices, which costs -setup_gain and pays
-    at least min_payoff; non-finite prices or payoffs raise ValueError,
-    and NaN weights (a solve past its cap) NonConvergence."""
+    unit gap direction x_star - prices with its part in the span of the
+    passive rows (weights > 0) taken off, twice, by their _factor, and
+    renormalized: the gap carries the weights' rounding, and off that
+    span its cost is the distance.  Where no part is left off the span
+    (a verdict at rounding level), it is the unit gap.  It costs
+    -setup_gain and pays at least min_payoff; non-finite prices or
+    payoffs raise ValueError, and NaN weights (a solve past its cap)
+    NonConvergence."""
     x_star, gap, rnorm = (v[0] for v in _reprice(weights[None], payoffs[None], prices[None]))
     certificate = None
     if not inside:
@@ -482,7 +501,12 @@ def _projection(payoffs, prices, weights, inside):
             raise ValueError("prices and payoffs must be finite")
         if np.isnan(weights).any():
             raise NonConvergence("nnls did not converge within its subproblem cap")
-        gamma = gap / rnorm
+        # a part of the gap off the passive span of at most rel is
+        # rounding, as an entering column's is in _nnls_stack
+        rows = np.vstack([payoffs[weights > 0.0], gap / rnorm])
+        rel = 10.0 * np.finfo(float).eps * max(payoffs.shape)
+        Qt, _, went = _factor(rows, rel * np.linalg.norm(rows, axis=1))
+        gamma = Qt[0, went.sum() - 1] if went[-1] else rows[-1]
         cost, payoff = _position(payoffs, prices, gamma)
         gamma.flags.writeable = False
         certificate = ArbitrageCertificate(gamma=gamma, setup_gain=-cost,

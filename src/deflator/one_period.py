@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import DEFAULT_TOL, Deflator, OnePeriodMarket, _EINSUM, _qr_append_stack, _slack
+from .cone import DEFAULT_TOL, Deflator, OnePeriodMarket, _EINSUM, _factor, _slack
 from .exceptions import DimensionMismatch, SingularGram, ZeroCost
 
 
@@ -69,26 +69,22 @@ def least_squares_hedge(market: OnePeriodMarket, deflator: Deflator,
     """Minimize <(V - X gamma)^2, Pi> = ||sqrt(Pi) (V - X gamma)||^2 over
     positions gamma.
 
-    The weighted instrument columns sqrt(Pi) X_j enter a thin QR factor one
-    at a time (cone._qr_append_stack), and gamma = R^-1 Q.T sqrt(Pi) V, by
+    The weighted instrument columns sqrt(Pi) X_j are the rows of one thin
+    QR factor (cone._factor), and gamma = R^-1 Q.T sqrt(Pi) V, by
     np.einsum.  Raises SingularGram at the first column whose new diagonal
     entry of R is at most 1e-6 of the largest weighted column norm, i.e.
     whose Gram pivot is at most 1e-12 of the largest Gram diagonal entry:
     the instruments are collinear under the deflator.
     """
     v = _payoff_vector(market, deflator, payoff)
-    n, m = market.payoffs.shape
     mv, vm, vv = _EINSUM
     root = np.sqrt(deflator.atom_weights)
     A = market.payoffs.T * root             # row j is the weighted column j
-    cutoff = np.full(1, 1e-6 * np.sqrt(vv(A, A).max(initial=0.0)))
-    Qt, Ri = np.zeros((1, m, n)), np.zeros((1, m, m))
-    nk, rows = np.zeros(1, int), np.zeros(1, int)
-    for j in range(m):
-        if not _qr_append_stack(Qt, Ri, nk, rows, j, A[None, j], cutoff, _EINSUM)[0]:
-            raise SingularGram(
-                "instruments are collinear under the deflator "
-                f"(Gram pivot {j} is degenerate)", index=j)
+    Qt, Ri, went = _factor(A, np.full(len(A), 1e-6 * np.sqrt(vv(A, A).max(initial=0.0))))
+    if not went.all():
+        j = int(went.argmin())
+        raise SingularGram("instruments are collinear under the deflator "
+                           f"(Gram pivot {j} is degenerate)", index=j)
     b = (root * v)[None]
     gamma = mv(Ri, mv(Qt, b))
     r = b - vm(gamma, A[None])

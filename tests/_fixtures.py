@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -129,3 +130,31 @@ def parity_and_carry_fixtures(R: float = 1.1, s: float = 100.0, k: float = 100.0
         arbitrage_expected=(forward_offset != 0.0),
     )
     return [parity, carry]
+
+
+def exact_solve(G, h):
+    """The solution of G z = h in Fractions, or None if G is singular."""
+    n = len(h)
+    M = [list(row) + [h[i]] for i, row in enumerate(G)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if M[r][c] != 0), None)
+        if pivot is None:
+            return None
+        M[c], M[pivot] = M[pivot], M[c]
+        for r in range(n):
+            if r != c and M[r][c] != 0:
+                f = M[r][c] / M[c][c]
+                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return [M[i][n] / M[i][i] for i in range(n)]
+
+
+def face_distance(prices, rows):
+    """The distance from prices to the span of independent rows (the
+    passive face of a projection), in exact arithmetic on the floats'
+    values, rounded to a float at the end."""
+    A = [[Fraction(v) for v in row] for row in np.asarray(rows).tolist()]
+    b = [Fraction(v) for v in np.asarray(prices).tolist()]
+    dot = lambda u, v: sum(p * q for p, q in zip(u, v))
+    z = exact_solve([[dot(a, c) for c in A] for a in A], [dot(a, b) for a in A])
+    r = [bt - sum(zi * a[t] for zi, a in zip(z, A)) for t, bt in enumerate(b)]
+    return math.sqrt(sum(rt * rt for rt in r))

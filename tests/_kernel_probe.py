@@ -104,11 +104,37 @@ def direct_projections(rng):
     return out
 
 
+def certificates(rng):
+    """Certificates of planted arbitrages of 320-9,000 payoff entries,
+    from the planted weights by cone._projection: rows 0..s-1 price x*
+    with weights > 0 and pay 0 on the unit direction g, the others pay
+    more than 0 on it, and the prices are x* - d g, so x* is their
+    projection.  The solver, whose weights may follow the kernel, does
+    not run."""
+    out = []
+    for _ in range(20):
+        n, m = int(rng.integers(40, 301)), int(rng.integers(8, 31))
+        s = int(rng.integers(m // 2, m))
+        g = rng.normal(size=m)
+        g /= np.sqrt(np.einsum("i,i->", g, g))
+        payoffs = rng.normal(size=(n, m)) * rng.lognormal(size=m)
+        along = np.einsum("ij,j->i", payoffs, g)
+        payoffs[:s] -= along[:s, None] * g
+        payoffs[s:] *= np.sign(along[s:])[:, None]
+        weights = np.zeros(n)
+        weights[:s] = rng.random(s)
+        prices = np.einsum("i,ij->j", weights, payoffs) - rng.lognormal() * g
+        certificate = cone._projection(payoffs, prices, weights, False).certificate
+        out += [certificate.gamma, np.array([certificate.setup_gain, certificate.min_payoff])]
+    return out
+
+
 def main():
     rng = np.random.default_rng(2028)
     quantities = {"levy": levy(), "ho_lee": ho_lee(), "pairing": pairings(rng),
                   "positions": positions(rng), "hedge": hedge(rng),
-                  "direct_projections": direct_projections(rng)}
+                  "direct_projections": direct_projections(rng),
+                  "certificates": certificates(rng)}
     lines = []
     for name, arrays in quantities.items():
         digest = hashlib.sha256()

@@ -51,6 +51,7 @@ from deflator.market_files import load_market_spec
 from deflator.multi_period import (AccountProcess, ArbitrageVerdict, CheckResult,
                                    ReplicationResult, Strategy)
 from deflator.one_period import HedgeResult
+from _fixtures import exact_solve
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -313,6 +314,26 @@ def near_fair_nodes(rng, p, m, k):
     return payoffs, np.einsum("pkm,pk->pm", payoffs, q)
 
 
+def test_a_gap_in_the_passive_span_keeps_the_unit_gap():
+    # prices inside the cone, decided at a tolerance below their rounding:
+    # the passive rows span every direction, so no part of the gap is
+    # off their span and the certificate is the unit gap, to the bit
+    rng = np.random.default_rng(3)
+    kept = 0
+    for _ in range(200):
+        m = int(rng.integers(3, 5))
+        payoffs = rng.normal(size=(m + 2, m))
+        prices = np.einsum("i,ij->j", rng.uniform(size=m + 2), payoffs)
+        projection = project_to_cone(OnePeriodMarket(prices, payoffs), tol=1e-300)
+        if projection.certificate is None:
+            continue
+        assert (projection.weights > 0.0).sum() == m
+        gap = (projection.x_star - prices) / projection.residual_norm
+        assert projection.certificate.gamma.tobytes() == gap.tobytes()
+        kept += 1
+    assert kept >= 150
+
+
 def test_the_reported_residual_decides_the_verdict():
     # the active-set solver's own residual and the one the projection
     # reports are rounding noise on near-fair markets, and often differ
@@ -384,22 +405,6 @@ def test_single_fair_bond_has_deflator():
 
 # ---------------------------------------------------------------------------
 # an exact oracle on degenerate cones
-
-
-def exact_solve(G, h):
-    """The solution of G z = h in Fractions, or None if G is singular."""
-    n = len(h)
-    M = [list(row) + [h[i]] for i, row in enumerate(G)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if pivot is None:
-            return None
-        M[c], M[pivot] = M[pivot], M[c]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c] / M[c][c]
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    return [M[i][n] / M[i][i] for i in range(n)]
 
 
 def exact_cone_distance2(payoffs, prices):
@@ -502,18 +507,23 @@ def test_verify_position_rejects_costly_positions():
 
 
 def test_verify_position_accepts_certificates_of_large_markets():
-    """At scale 1e6 a valid certificate's least payoff is rounding noise
-    of order 1e-9, which an absolute tolerance of 1e-9 would refuse."""
+    """At scale 1e6 the unit gap (x_star - prices) / ||.|| of an
+    arbitrage carries the weights' rounding, and its least payoff is
+    noise of order 1e-9, which an absolute tolerance of 1e-9 would
+    refuse.  The certificate takes the gap off the passive span, so it
+    is not noisy; the unit gap keeps the test's noise source."""
     rng = np.random.default_rng(5)
     noisy = 0
     for _ in range(1000):
         base = random_market(rng)
         market = OnePeriodMarket(prices=1e6 * base.prices, payoffs=1e6 * base.payoffs)
-        certificate = find_arbitrage(market)
-        if certificate is None:
+        projection = project_to_cone(market)
+        if projection.certificate is None:
             continue
-        assert verify_position(market, certificate.gamma).is_arbitrage
-        noisy += certificate.min_payoff < -1e-9
+        report = verify_position(market, (projection.x_star - market.prices)
+                                 / projection.residual_norm)
+        assert report.is_arbitrage
+        noisy += report.min_payoff < -1e-9
     assert noisy >= 20
 
 

@@ -40,6 +40,7 @@ from deflator import (
     verify_position,
 )
 from deflator import cone
+from _fixtures import face_distance
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SCALES = (1e-6, 1.0, 1e6)
@@ -112,6 +113,68 @@ def test_wide_one_period_verdicts_are_the_same_at_every_scale():
             for c in (1e-6, 1e6):
                 assert (project_to_cone(scaled_market(market, c)).certificate is None) == fair
         assert min(seen.values()) >= 50, seen
+
+
+# |setup_gain - d| / (eps * ||prices||) of a certificate, d the exact
+# distance: the most a near-tie draw of default_rng(37) read, at any of
+# SCALES, was 0.88
+GAIN_ULPS = 2.0
+
+
+def distance_error(market, projection):
+    """|setup_gain - d| / (eps * ||prices||) of the projection's
+    certificate, d the exact distance from the prices to the span of the
+    passive rows (weights > 0)."""
+    distance = face_distance(market.prices, market.payoffs[projection.weights > 0.0])
+    return (abs(projection.certificate.setup_gain - distance)
+            / (np.finfo(float).eps * np.linalg.norm(market.prices)))
+
+
+def test_near_tie_certificates_show_their_arbitrage_at_every_scale():
+    # the certificate is the unit gap less its part in the span of the
+    # passive rows, so its cost is the distance.  The unit gap carries
+    # the weights' rounding: as the certificate, 10 of these 139 draws'
+    # had a setup gain <= 0 and 37 failed verify_position
+    certified = 0
+    for c in SCALES:
+        rng = np.random.default_rng(37)
+        for _ in range(400):
+            market = scaled_market(near_tie_market(rng), c)
+            projection = project_to_cone(market)
+            if projection.certificate is None:
+                continue
+            certified += 1
+            assert projection.certificate.setup_gain > 0.0
+            assert verify_position(market, projection.certificate.gamma).is_arbitrage
+            assert distance_error(market, projection) <= GAIN_ULPS
+    assert certified == 3 * 139
+
+
+# the node bench/workloads.py::_plant_last_node plants in the tree_search
+# panel of a seed, to the bit: its prices (bond, stock), then its down
+# and up children's rows
+PLANTED_NODES = {
+    5101: ([1.1730978383527655, 17237.340004393798],
+           [[1.1875930221470423, 7719.972962745822], [1.1875930221470423, 13960.264210077437]]),
+    6472: ([1.0680699235843445, 19064.91295614847],
+           [[1.073494099105921, 8451.318258646017], [1.073494099105921, 15329.387042160048]]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PLANTED_NODES))
+def test_a_planted_binomial_node_costs_its_distance(seed):
+    # the node is 1.7e-5 of ||prices|| from its cone; its unit gap costs
+    # 1.07e-6 (seed 5101) and 1.17e-6 (6472) less than the distance,
+    # relative, past the benchmark's bound of 1e-6
+    prices, rows = (np.array(v) for v in PLANTED_NODES[seed])
+    for c in SCALES:
+        market = OnePeriodMarket(prices=c * prices, payoffs=c * rows)
+        projection = project_to_cone(market)
+        gamma = projection.certificate.gamma
+        assert distance_error(market, projection) <= GAIN_ULPS
+        assert verify_position(market, gamma).is_arbitrage
+        found = find_tree_deflator(panel_from_one_period(market))
+        assert found.certificate.gamma.tobytes() == gamma.tobytes()
 
 
 def tree_panel(rng):
