@@ -148,7 +148,7 @@ def nnls(A, b, maxiter=None):
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise DimensionMismatch("nnls needs A (m, n) and b (m,)")
     maxiter = _cap(maxiter, *A.shape)
-    w, rnorm = _nnls_stack(A[None], b[None], maxiter)
+    w, rnorm, _, _ = _nnls_stack(A[None], b[None], maxiter)
     if np.isnan(rnorm[0]):
         raise NonConvergence(f"nnls did not converge within {maxiter} subproblem solves")
     return w[0], float(rnorm[0])
@@ -188,7 +188,7 @@ def _qr_append_stack(Qt, Ri, nk, rows, n, a, cutoff, products):
     ok = d > cutoff
     # 1 / d where the column goes in; 0 writes a rejected one into the
     # zero padding
-    s = np.divide(1.0, d, out=np.zeros_like(d), where=ok)
+    s = ok / np.where(ok, d, 1.0)
     Qt[rows, nk] = v * s[:, None]
     Ri[rows, :n, nk] = -vm(h, Ri[:, :n, :n].swapaxes(1, 2)) * s[:, None]
     Ri[rows, nk, nk] = s
@@ -201,7 +201,9 @@ def _factor(rows, cutoff):
     _qr_append_stack in _EINSUM on a stack of one: Qt (1, k, m) and Ri
     (1, k, k), zero past the rows that went in, and which went in (k,).
     Row j stays out when its new diagonal entry of R is at most
-    cutoff[j], and the rows after it go on into the same factor."""
+    cutoff[j], and the rows after it go on into the same factor.  Its
+    user is least_squares_hedge; a certificate extends the solver's own
+    factor (_projection)."""
     k, m = rows.shape
     Qt, Ri, nk, at = np.zeros((1, k, m)), np.zeros((1, k, k)), np.zeros(1, int), np.zeros(1, int)
     went = [_qr_append_stack(Qt, Ri, nk, at, j, rows[None, j], cutoff[j:j + 1], _EINSUM)[0]
@@ -261,23 +263,31 @@ def _nnls_stack(A, b, maxiter=None):
     entry alone.  A rejected entry counts as a solve, so a problem that
     repeats one, and one past maxiter (default 10 * max(m, k))
     subproblem solves, leaves the stack with NaN weights and residual.
-    Returns the solutions (p, k) and residual norms (p,).
+    Returns the solutions (p, k), residual norms (p,), and each problem's
+    factor as it left the stack: its rows of Q (p, q, m), zero past nk,
+    and nk (p,).  A solve that stops feasible has weights > 0 on its
+    passive columns, so the factor spans exactly its columns with
+    weights > 0.
     """
     p, m, k = A.shape
     q = min(m, k)
+    basis, nk_out = np.zeros((p, q, m)), np.zeros(p, dtype=int)
     if not p * q:
         # no column can enter
-        return np.zeros((p, k)), np.linalg.norm(b, axis=1)
+        return np.zeros((p, k)), np.linalg.norm(b, axis=1), basis, nk_out
     maxiter = _cap(maxiter, m, k)
     rel = 10.0 * np.finfo(float).eps * max(m, k)
     products = mv, vm, vv = _EINSUM if m * k < 64 else _MATMUL
     # X[i, j] is column j of A[i]; cut[i, j] * ||r|| is its threshold
     X = A.transpose(0, 2, 1)
     cut = rel * np.sqrt(np.einsum("pkm,pkm->pk", X, X))
+    # cut of a free column, NaN of a passive one: no gradient is above
+    # NaN, and NaN * ||r|| stays quiet at ||r|| = 0, where inf would not
+    free_cut = cut.copy()
     r_floor = rel * np.linalg.norm(b, axis=1)
     # column k of w absorbs the padding -1 of cols
     w, res, live, rows = np.zeros((p, k + 1)), np.zeros(p), np.arange(p), np.arange(p)
-    Qt, Ri, passive = np.zeros((p, q, m)), np.zeros((p, q, q)), np.zeros((p, k), dtype=bool)
+    Qt, Ri = np.zeros((p, q, m)), np.zeros((p, q, q))
     # the passive columns, their rows of X and their weights, in factor
     # order
     cols, P, wf = np.full((p, q), -1), np.zeros((p, q, m)), np.zeros((p, q))
@@ -290,7 +300,7 @@ def _nnls_stack(A, b, maxiter=None):
         Q = Qt[:, :n]
         grad = mv(X, r - vm(mv(Q, r), Q))
         # grad where a free column is above its threshold (so > 0), else 0
-        score = grad * ((grad > cut * rnorm[:, None]) & ~passive)
+        score = np.where(grad > free_cut * rnorm[:, None], grad, 0.0)
         enter = score.argmax(axis=1)
         # with min(m, k) passive columns, every further column depends
         # on them
@@ -301,23 +311,24 @@ def _nnls_stack(A, b, maxiter=None):
             c = np.where(np.arange(q) < nk[done, None], cols[done], -1)
             w[live[done, None], c] = wf[done]
             res[live[done]] = rnorm[done]
+            basis[live[done], :n], nk_out[live[done]] = Qt[done, :n], nk[done]
             over = live[solves > maxiter]
             w[over] = res[over] = np.nan
             live, rows = live[go], rows[:go.sum()]
             if not live.size:
                 break
-            X, b, cut, r_floor, passive, Qt, Ri, cols, P, wf, nk, solves, enter = (
-                v[go] for v in (X, b, cut, r_floor, passive, Qt, Ri, cols, P, wf, nk, solves,
+            X, b, cut, free_cut, r_floor, Qt, Ri, cols, P, wf, nk, solves, enter = (
+                v[go] for v in (X, b, cut, free_cut, r_floor, Qt, Ri, cols, P, wf, nk, solves,
                                 enter))
             n = int(nk.max())
         # a rejected column lands past nk, in the padding
-        P[rows, nk], cols[rows, nk] = X[rows, enter], enter
-        act = _qr_append_stack(Qt, Ri, nk, rows, n, P[rows, nk], cut[rows, enter], products)
-        passive[rows, enter] = act
-        solves += ~act
+        a, cutoff = X[rows, enter], cut[rows, enter]
+        P[rows, nk], cols[rows, nk] = a, enter
+        act = _qr_append_stack(Qt, Ri, nk, rows, n, a, cutoff, products)
+        free_cut[rows, enter] = np.where(act, np.nan, cutoff)
+        solves += 1
         n = min(n + 1, q)
-        while act.any():
-            solves += act
+        while True:
             # R^-1 and Qt are zero past each problem's columns, so is z
             z = mv(Ri[:, :n, :n], mv(Qt[:, :n], b))
             feasible = act & ((z > 0.0).sum(axis=1) == nk)
@@ -326,6 +337,7 @@ def _nnls_stack(A, b, maxiter=None):
             i = act.nonzero()[0]
             if not i.size:
                 break
+            solves[i] += 1
             z, wp, c = z[i], wf[i, :n], cols[i, :n]
             valid = np.arange(n) < nk[i, None]
             ratios = np.divide(wp, wp - z, out=np.full(z.shape, np.inf),
@@ -334,9 +346,9 @@ def _nnls_stack(A, b, maxiter=None):
             wf[i, :n] = step = wp + alpha * (z - wp)
             drop = valid & ((ratios <= alpha) | (step <= 0.0))
             s, t = np.nonzero(drop)
-            passive[i[s], c[s, t]] = False
+            free_cut[i[s], c[s, t]] = cut[i[s], c[s, t]]
             _qr_drop_stack(P, Qt, Ri, cols, nk, wf, i, drop, products)
-    return w[:, :k], res
+    return w[:, :k], res, basis, nk_out
 
 
 def check_tolerance(value, where) -> float:
@@ -427,14 +439,17 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
     """Cone projections of a stack of one-period markets (a tree level,
     or a stack of one): market i quotes prices[i] (m instruments) and
     pays the k payoff rows rows[children[i]], and a stack holds at most
-    _STACK_ENTRIES payoff entries.  Returns the cone weights (p, k) and
+    _STACK_ENTRIES payoff entries.  Returns the cone weights (p, k),
     whether the residual _projection reports on them (_reprice) is within
-    _threshold.  With m == 2 <= k the weights are _solve_direct's where
-    they are inside, and their bits depend on neither the stack nor the
-    BLAS build; every other market goes through _nnls_stack (NaN past its
-    cap), whose weights alone can depend on the stack and the BLAS build."""
+    _threshold, and the basis of the first market not inside: the rows
+    of Q (n, m) of its final _nnls_stack factor, which span its payoff
+    rows with weights > 0; or None when every market is inside.  With
+    m == 2 <= k the weights are _solve_direct's where they are inside,
+    and their bits depend on neither the stack nor the BLAS build; every
+    other market goes through _nnls_stack (NaN past its cap), whose
+    weights and factor alone can depend on the stack and the BLAS build."""
     (p, k), m = children.shape, rows.shape[1]
-    weights, inside = np.empty((p, k)), np.empty(p, dtype=bool)
+    weights, inside, basis = np.empty((p, k)), np.empty(p, dtype=bool), None
     step = max(1, _STACK_ENTRIES // max(1, k * m))
     for lo in range(0, p, step):
         c, x = children[lo:lo + step], prices[lo:lo + step]
@@ -444,10 +459,15 @@ def _project_stack(rows, children, prices, tol: float = DEFAULT_TOL):
         rest = np.flatnonzero(~(resid <= threshold))
         if rest.size:
             X = np.take(rows, c[rest], axis=0)
-            w[rest] = _nnls_stack(X.transpose(0, 2, 1), x[rest])[0]
+            w[rest], _, Qt, nk = _nnls_stack(X.transpose(0, 2, 1), x[rest])
             resid[rest] = _reprice(w[rest], X, x[rest])[2]
-        weights[lo:lo + step], inside[lo:lo + step] = w, resid <= threshold
-    return weights, inside
+        ok = resid <= threshold
+        if basis is None and not ok.all():
+            # a market not inside is one of rest
+            j = np.searchsorted(rest, ok.argmin())
+            basis = Qt[j, :nk[j]]
+        weights[lo:lo + step], inside[lo:lo + step] = w, ok
+    return weights, inside, basis
 
 
 def _reprice(w, X, x):
@@ -483,34 +503,40 @@ def _slack(market: OnePeriodMarket, gamma, tol):
             _threshold(X, tol) * size)
 
 
-def _projection(payoffs, prices, weights, inside):
+def _projection(payoffs, prices, weights, basis):
     """The ConeProjection of prices with _project_stack's cone weights of
-    the payoff rows and verdict inside.  Outside, the certificate is the
-    unit gap direction x_star - prices with its part in the span of the
-    passive rows (weights > 0) taken off, twice, by their _factor, and
-    renormalized: the gap carries the weights' rounding, and off that
-    span its cost is the distance.  Where no part is left off the span
-    (a verdict at rounding level), it is the unit gap.  It costs
-    -setup_gain and pays at least min_payoff; non-finite prices or
-    payoffs raise ValueError, and NaN weights (a solve past its cap)
-    NonConvergence."""
+    the payoff rows and its basis of their passive span, None when the
+    prices are inside the cone.  Outside, the certificate is the unit
+    gap direction x_star - prices appended to that factor by
+    _qr_append_stack, so its part in the passive span is taken off,
+    twice, and the rest renormalized: the gap carries the weights'
+    rounding, and off that span its cost is the distance.  Where no part
+    is left off the span (a verdict at rounding level), it is the unit
+    gap.  It costs -setup_gain and pays at least min_payoff, +inf over
+    no outcomes; non-finite prices or payoffs raise ValueError, and NaN
+    weights (a solve past its cap) NonConvergence."""
     x_star, gap, rnorm = (v[0] for v in _reprice(weights[None], payoffs[None], prices[None]))
     certificate = None
-    if not inside:
+    if basis is not None:
         if not (np.isfinite(prices).all() and np.isfinite(payoffs).all()):
             raise ValueError("prices and payoffs must be finite")
         if np.isnan(weights).any():
             raise NonConvergence("nnls did not converge within its subproblem cap")
+        (n, m), unit = basis.shape, gap / rnorm
+        # R^-1 is scratch: only the appended row of Q is kept
+        Qt, Ri = np.zeros((1, n + 1, m)), np.zeros((1, n + 1, n + 1))
+        Qt[0, :n] = basis
         # a part of the gap off the passive span of at most rel is
         # rounding, as an entering column's is in _nnls_stack
-        rows = np.vstack([payoffs[weights > 0.0], gap / rnorm])
         rel = 10.0 * np.finfo(float).eps * max(payoffs.shape)
-        Qt, _, went = _factor(rows, rel * np.linalg.norm(rows, axis=1))
-        gamma = Qt[0, went.sum() - 1] if went[-1] else rows[-1]
+        went = _qr_append_stack(Qt, Ri, np.full(1, n), np.zeros(1, int), n, unit[None],
+                                rel * np.linalg.norm(unit[None], axis=1), _EINSUM)
+        # a copy, so the certificate holds no factor
+        gamma = Qt[0, n].copy() if went[0] else unit
         cost, payoff = _position(payoffs, prices, gamma)
         gamma.flags.writeable = False
         certificate = ArbitrageCertificate(gamma=gamma, setup_gain=-cost,
-                                           min_payoff=float(payoff.min()))
+                                           min_payoff=float(payoff.min(initial=np.inf)))
     prices = prices.copy()
     weights.flags.writeable = x_star.flags.writeable = prices.flags.writeable = False
     return ConeProjection(weights=weights, x_star=x_star, residual_norm=float(rnorm),
@@ -543,8 +569,8 @@ def project_to_cone(market: OnePeriodMarket, tol: float = DEFAULT_TOL) -> ConePr
 @lru_cache(maxsize=1)
 def _project(market: OnePeriodMarket, tol: float) -> ConeProjection:
     payoffs, prices = market.payoffs, market.prices
-    weights, inside = _project_stack(payoffs, np.arange(len(payoffs))[None], prices[None], tol)
-    return _projection(payoffs, prices, weights[0], inside[0])
+    weights, _, basis = _project_stack(payoffs, np.arange(len(payoffs))[None], prices[None], tol)
+    return _projection(payoffs, prices, weights[0], basis)
 
 
 def find_arbitrage(market: OnePeriodMarket, tol: float = DEFAULT_TOL):
@@ -574,5 +600,6 @@ def verify_position(market: OnePeriodMarket, gamma, tol: float = DEFAULT_TOL) ->
     A certificate's products (_position) give cost -setup_gain and its
     min_payoff to the bit.  ValueError unless gamma and tol are finite, tol > 0."""
     cost, payoff, cost_slack, payoff_slack = _slack(market, gamma, tol)
-    return PositionReport(cost=cost, min_payoff=float(payoff.min()), is_arbitrage=bool(
-        cost < -cost_slack and (payoff >= -payoff_slack).all()))
+    return PositionReport(cost=cost, min_payoff=float(payoff.min(initial=np.inf)),
+                          is_arbitrage=bool(cost < -cost_slack
+                                            and (payoff >= -payoff_slack).all()))

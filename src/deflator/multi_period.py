@@ -338,8 +338,9 @@ def _solve_level(child_parent, settle, prices, tol):
     """Project every node of a tree level, or of a pack of levels whose
     nodes and children are numbered on, onto the cone of its children's
     settlement rows, in stacks of nodes with equal child counts.
-    Returns the weight of each child and the lowest node not inside its
-    cone (outside, or NaN past the solver's cap), or None."""
+    Returns the weight of each child, the lowest node not inside its
+    cone (outside, or NaN past the solver's cap) and the basis of its
+    passive span that _project_stack gives, or None and None."""
     # children grouped by parent, each group in block order
     order = np.argsort(child_parent, kind="stable")
     counts = _bincount(child_parent, minlength=prices.shape[0])
@@ -350,10 +351,12 @@ def _solve_level(child_parent, settle, prices, tol):
     for k in counts[:1] if one else np.unique(counts):
         nodes = np.flatnonzero(counts == k)
         children = (order if one else order[np.repeat(counts == k, counts)]).reshape(-1, k)
-        node_w[children], inside = _project_stack(
+        node_w[children], inside, basis = _project_stack(
             settle, children, prices if one else prices[nodes], tol)
-        failed.extend(nodes[~inside][:1].tolist())
-    return node_w, min(failed, default=None)
+        if basis is not None:
+            failed.append((int(nodes[inside.argmin()]), basis))
+    b, basis = min(failed, key=lambda f: f[0], default=(None, None))
+    return node_w, b, basis
 
 
 def _packs(filtration, m):
@@ -384,12 +387,13 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
     lands inside, the node weights multiply along paths, level by
     level, into a DeflatorSequence with weight one per time-0 block.
     Otherwise the witness is the lowest failing block of the first
-    failing level: the certificate built from its weights in the pack
-    solve, and the strategy that plays it, make the NodeArbitrage.  The
-    levels after it in its pack are solved too, and no later pack.  A
-    node whose solve passed the subproblem cap fails with NaN weights,
-    and raises NonConvergence if it is the witness: only when no lower
-    arbitrage precedes it.  ValueError unless tol is finite and > 0.
+    failing level: the certificate built from its weights and factor in
+    the pack solve, and the strategy that plays it, make the
+    NodeArbitrage.  The levels after it in its pack are solved too, and
+    no later pack.  A node whose solve passed the subproblem cap fails
+    with NaN weights, and raises NonConvergence if it is the witness:
+    only when no lower arbitrage precedes it.  ValueError unless tol is
+    finite and > 0.
     """
     tol, filtration = check_tolerance(tol, "tol"), panel.filtration
     weights = [np.ones(filtration[0].n_blocks)]
@@ -401,16 +405,17 @@ def find_tree_deflator(panel: MarketPanel, tol: float = DEFAULT_TOL):
         nodes = list(accumulate((x.shape[0] for x in prices), initial=0))
         kids = list(accumulate((c.size for c in child_parent), initial=0))
         if len(levels) == 1:
-            node_w, b = _solve_level(child_parent[0], settle[0], prices[0], tol)
+            node_w, b, basis = _solve_level(child_parent[0], settle[0], prices[0], tol)
         else:
-            node_w, b = _solve_level(np.concatenate([c + n for c, n in zip(child_parent, nodes)]),
-                                     np.concatenate(settle), np.concatenate(prices), tol)
+            node_w, b, basis = _solve_level(
+                np.concatenate([c + n for c, n in zip(child_parent, nodes)]),
+                np.concatenate(settle), np.concatenate(prices), tol)
         if b is not None:
             t = bisect_right(nodes, b) - 1
             time, block = levels[t], b - nodes[t]
             children = np.flatnonzero(child_parent[t] == block)
             certificate = _projection(settle[t][children], prices[t][block],
-                                      node_w[kids[t] + children], False).certificate
+                                      node_w[kids[t] + children], basis).certificate
             strategy = Strategy.zero(panel)
             strategy.trades[time].values[block] = certificate.gamma
             strategy.trades[time + 1].values[children] = -certificate.gamma

@@ -106,11 +106,11 @@ def direct_projections(rng):
 
 def certificates(rng):
     """Certificates of planted arbitrages of 320-9,000 payoff entries,
-    from the planted weights by cone._projection: rows 0..s-1 price x*
-    with weights > 0 and pay 0 on the unit direction g, the others pay
-    more than 0 on it, and the prices are x* - d g, so x* is their
-    projection.  The solver, whose weights may follow the kernel, does
-    not run."""
+    from the planted weights and the cone._factor of their rows by
+    cone._projection: rows 0..s-1 price x* with weights > 0 and pay 0 on
+    the unit direction g, the others pay more than 0 on it, and the
+    prices are x* - d g, so x* is their projection.  The solver, whose
+    weights and factor may follow the kernel, does not run."""
     out = []
     for _ in range(20):
         n, m = int(rng.integers(40, 301)), int(rng.integers(8, 31))
@@ -124,8 +124,25 @@ def certificates(rng):
         weights = np.zeros(n)
         weights[:s] = rng.random(s)
         prices = np.einsum("i,ij->j", weights, payoffs) - rng.lognormal() * g
-        certificate = cone._projection(payoffs, prices, weights, False).certificate
+        rel = 10.0 * np.finfo(float).eps * n
+        Qt, _, went = cone._factor(payoffs[:s], rel * np.linalg.norm(payoffs[:s], axis=1))
+        basis = Qt[0, :went.sum()]
+        certificate = cone._projection(payoffs, prices, weights, basis).certificate
         out += [certificate.gamma, np.array([certificate.setup_gain, certificate.min_payoff])]
+    return out
+
+
+def small_solves(rng):
+    """_nnls_stack's weights and residuals on stacks of problems under 64
+    payoff entries, whose products are cone._EINSUM's: the solver path
+    of every golden's node."""
+    out = []
+    for _ in range(200):
+        p, m = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        k = int(rng.integers(1, 63 // m + 1))
+        A = rng.normal(size=(p, m, k)) * rng.lognormal(size=k)
+        b = rng.normal(size=(p, m))
+        out += cone._nnls_stack(np.abs(A) if rng.random() < 0.5 else A, b)[:2]
     return out
 
 
@@ -134,7 +151,7 @@ def main():
     quantities = {"levy": levy(), "ho_lee": ho_lee(), "pairing": pairings(rng),
                   "positions": positions(rng), "hedge": hedge(rng),
                   "direct_projections": direct_projections(rng),
-                  "certificates": certificates(rng)}
+                  "certificates": certificates(rng), "small_solves": small_solves(rng)}
     lines = []
     for name, arrays in quantities.items():
         digest = hashlib.sha256()

@@ -111,6 +111,6 @@ def test_outputs_are_the_same_under_every_openblas_kernel():
         assert run.returncode == 0, run.stderr
         hashes[core or "unset"] = dict(line.split() for line in run.stdout.splitlines())
     want = hashes["unset"]
-    assert len(want) == 8
+    assert len(want) == 9
     for core, got in hashes.items():
         assert got == want, (core, sorted(q for q in want if got.get(q) != want[q]))

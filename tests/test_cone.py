@@ -205,6 +205,21 @@ def test_projection_of_markets_without_outcomes_or_instruments():
         proj = project_to_cone(OnePeriodMarket(prices=prices, payoffs=payoffs))
         assert proj.certificate is None and proj.residual_norm == 0.0
         assert proj.weights.shape == (len(payoffs),) and not proj.weights.any()
+    # so nonzero prices with no outcomes are an arbitrage: -x / ||x||
+    # gains ||x||, and its least payoff, over no outcomes, is +inf
+    for prices in ([1.0], [3.0, -4.0]):
+        x = np.array(prices)
+        norm = np.sqrt(np.einsum("i,i->", x, x))
+        market = OnePeriodMarket(prices=x, payoffs=np.zeros((0, len(x))))
+        proj = project_to_cone(market)
+        assert proj.residual_norm == norm and proj.weights.shape == (0,)
+        certificate = find_arbitrage(market)
+        np.testing.assert_allclose(certificate.gamma, -x / norm, rtol=0.0, atol=1e-16)
+        assert certificate.setup_gain == pytest.approx(norm, rel=1e-15)
+        assert certificate.min_payoff == math.inf
+        for gamma in (-x, certificate.gamma):
+            report = verify_position(market, gamma)
+            assert report.is_arbitrage and report.min_payoff == math.inf
 
 
 def test_a_zero_price_vector_projects_exactly():
@@ -473,7 +488,7 @@ def test_verdicts_match_the_exact_oracle_on_degenerate_cones():
             if certificate is not None:
                 assert certificate.setup_gain == pytest.approx(c * distance, abs=threshold)
             n = len(payoffs)
-            _, stacked = cone._project_stack(market.payoffs, np.arange(n)[None],
+            _, stacked, _ = cone._project_stack(market.payoffs, np.arange(n)[None],
                                              market.prices[None])
             assert stacked[0] == inside
             tree = find_tree_deflator(panel_from_one_period(market))
@@ -727,7 +742,7 @@ def traced_stack(A, b, maxiter=None):
     sys.settrace(lambda frame, event, arg:
                  lines if frame.f_code is cone._nnls_stack.__code__ else None)
     try:
-        w, rnorm = cone._nnls_stack(A, b, maxiter)
+        w, rnorm, _, _ = cone._nnls_stack(A, b, maxiter)
     finally:
         sys.settrace(None)
     return w, rnorm, counts
@@ -766,9 +781,9 @@ def test_stacked_nnls_agrees_with_nnls():
     for shape in [None] * 150 + CUT_SHAPES:
         A, b = mixed_stack(rng, shape)
         p, m, k = A.shape
-        W, R = cone._nnls_stack(A, b)
+        W, R, _, _ = cone._nnls_stack(A, b)
         rows = A.transpose(0, 2, 1).reshape(-1, m)
-        weights, inside = cone._project_stack(rows, np.arange(len(rows)).reshape(-1, k), b)
+        weights, inside, _ = cone._project_stack(rows, np.arange(len(rows)).reshape(-1, k), b)
         for i in range(p):
             a = A[i]
             single, rnorm = nnls(a, b[i])
@@ -816,9 +831,9 @@ def test_nnls_counts_solves_like_the_stacked_solver():
         # stack, so residuals agree within the threshold
         cap = int(S.max())
         short, fast = np.flatnonzero(S == cap), np.flatnonzero(S < cap)
-        w_cut, r_cut = cone._nnls_stack(A, b, maxiter=cap - 1)
+        w_cut, r_cut, _, _ = cone._nnls_stack(A, b, maxiter=cap - 1)
         assert np.isnan(w_cut[short]).all() and np.isnan(r_cut[short]).all()
-        w_fast, r_fast = cone._nnls_stack(A[fast], b[fast], maxiter=cap - 1)
+        w_fast, r_fast, _, _ = cone._nnls_stack(A[fast], b[fast], maxiter=cap - 1)
         assert w_cut[fast].tobytes() == w_fast.tobytes()
         threshold = cone._threshold(b[fast], DEFAULT_TOL)
         np.testing.assert_array_equal(r_cut[fast] <= threshold, r_fast <= threshold)
@@ -950,13 +965,13 @@ def test_stacked_nnls_leaves_nan_where_nnls_raises():
     assert 0 < fast.size < len(b)
     # a slow problem stops alone: NaN weights and residual, where nnls
     # raises, and the others keep the bits of a stack without it
-    W, R = cone._nnls_stack(A, b, maxiter=cap)
+    W, R, _, _ = cone._nnls_stack(A, b, maxiter=cap)
     slow = np.setdiff1d(np.arange(len(b)), fast)
     assert np.isnan(W[slow]).all() and np.isnan(R[slow]).all()
     for i in slow:
         with pytest.raises(NonConvergence):
             nnls(A[i], b[i], maxiter=cap)
-    W_fast, R_fast = cone._nnls_stack(A[fast], b[fast], maxiter=cap)
+    W_fast, R_fast, _, _ = cone._nnls_stack(A[fast], b[fast], maxiter=cap)
     assert W[fast].tobytes() == W_fast.tobytes() and R[fast].tobytes() == R_fast.tobytes()
     for i, w in zip(fast, W_fast):
         np.testing.assert_allclose(w, nnls(A[i], b[i])[0], atol=1e-12)
@@ -1021,8 +1036,9 @@ def test_near_duplicates_take_no_zero_step_and_keep_the_verdicts_of_scipy():
 
 def outer_step_factors(A, b):
     """Run _nnls_stack on the one problem (A, b) and return, at the head
-    of every outer step, its passive columns by the solver's passive
-    mask and its factor: (passive, X, P, Qt, Ri, cols, nk) per step."""
+    of every outer step, its passive columns by the solver's cut mask
+    (NaN on a passive column) and its factor: (free_cut, X, P, Qt, Ri,
+    cols, nk) per step."""
     lines, start = inspect.getsourcelines(cone._nnls_stack)
     head = start + 1 + next(i for i, line in enumerate(lines)
                             if line.strip() == "while True:")
@@ -1032,7 +1048,7 @@ def outer_step_factors(A, b):
         if event == "line" and frame.f_lineno == head:
             v = frame.f_locals
             steps.append(tuple(v[name][:1].copy()
-                               for name in ("passive", "X", "P", "Qt", "Ri", "cols", "nk")))
+                               for name in ("free_cut", "X", "P", "Qt", "Ri", "cols", "nk")))
         return lines_of
 
     sys.settrace(lambda frame, event, arg:
@@ -1044,6 +1060,25 @@ def outer_step_factors(A, b):
     return steps
 
 
+def test_the_solver_returns_the_factor_of_its_positive_weights():
+    # each problem leaves the stack with the factor of its passive
+    # columns, the columns with weights > 0: orthonormal rows of Q that
+    # span them, zero past nk, on both sides of the size cut
+    rng = np.random.default_rng(61)
+    for m, k in ((3, 5), (5, 3), (12, 9), (30, 40)):
+        A = rng.normal(size=(6, m, k)) * rng.lognormal(size=k)
+        b = rng.normal(size=(6, m))
+        W, _, Qt, nk = cone._nnls_stack(A, b)
+        assert Qt.shape == (6, min(m, k), m)
+        for i in range(6):
+            n, positive = int(nk[i]), A[i][:, W[i] > 0.0]
+            assert n == positive.shape[1] and not Qt[i, n:].any()
+            Q = Qt[i, :n]
+            np.testing.assert_allclose(Q @ Q.T, np.eye(n), rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(Q.T @ (Q @ positive), positive, rtol=0.0,
+                                       atol=1e-13 * np.abs(positive).max(initial=1.0))
+
+
 def test_factor_holds_the_passive_set_at_every_outer_step():
     # a retired column must leave the factor, or the next subproblem
     # solves on a column that is no longer passive
@@ -1052,9 +1087,10 @@ def test_factor_holds_the_passive_set_at_every_outer_step():
         A, b = near_duplicate_problem(rng)
         steps = outer_step_factors(A, b)
         assert steps
-        for passive, X, P, Qt, Ri, cols, nk in steps:
+        for free_cut, X, P, Qt, Ri, cols, nk in steps:
             n = int(nk[0])
-            np.testing.assert_array_equal(np.sort(cols[0, :n]), np.flatnonzero(passive[0]))
+            np.testing.assert_array_equal(np.sort(cols[0, :n]),
+                                          np.flatnonzero(np.isnan(free_cut[0])))
             check_factor(X, P, Qt, Ri, cols, nk, 0)
 
 
@@ -1117,7 +1153,7 @@ def test_a_problem_that_repeats_a_rejected_entry_stops_at_its_cap(monkeypatch):
     column = int(np.argmax(A[target].T @ b[target]))
     assert (A[target].T @ b[target])[column] > 0.0
     cap = max(solves_needed(A[i], b[i]) for i in others)
-    W_others, R_others = cone._nnls_stack(A[others], b[others], maxiter=cap)
+    W_others, R_others, _, _ = cone._nnls_stack(A[others], b[others], maxiter=cap)
     append = cone._qr_append_stack
 
     def refuse(problem):
@@ -1198,7 +1234,7 @@ def test_square_stacks_give_the_node_verdicts():
                 logdet = np.linalg.slogdet(A)[1] / np.log(10.0)
                 logdet = logdet[np.isfinite(logdet)]
                 assert ((logdet < -330.0) if scale < 1.0 else (logdet > 330.0)).all()
-            weights, inside = cone._project_stack(rows, children, prices)
+            weights, inside, _ = cone._project_stack(rows, children, prices)
             for i in range(len(prices)):
                 market = OnePeriodMarket(prices=prices[i], payoffs=rows[children[i]])
                 single = project_to_cone(market).certificate
@@ -1228,10 +1264,10 @@ def test_splitting_a_level_changes_no_result(monkeypatch):
     for rows, children, prices in levels:
         (p, k), m = children.shape, rows.shape[1]
         monkeypatch.setattr(cone, "_STACK_ENTRIES", p * k * m)
-        weights, inside = cone._project_stack(rows, children, prices)
+        weights, inside, _ = cone._project_stack(rows, children, prices)
         for height in (1, 3):
             monkeypatch.setattr(cone, "_STACK_ENTRIES", height * k * m)
-            w, ok = cone._project_stack(rows, children, prices)
+            w, ok, _ = cone._project_stack(rows, children, prices)
             assert w.tobytes() == weights.tobytes()
             np.testing.assert_array_equal(ok, inside)
         if k == m:
@@ -1287,7 +1323,7 @@ def test_two_child_nodes_are_within_8_ulp_of_cramer():
     rng = np.random.default_rng(71)
     for _ in range(10):
         rows, children, prices = binomial_pairs(rng, 200)
-        weights, inside = cone._project_stack(rows, children, prices)
+        weights, inside, _ = cone._project_stack(rows, children, prices)
         w, resid = cone._solve_direct(rows, children, prices)
         # every node is solved directly, and these weights are the result
         assert inside.all() and (resid <= cone._threshold(prices, DEFAULT_TOL)).all()
@@ -1300,10 +1336,10 @@ def test_two_child_nodes_are_within_8_ulp_of_cramer():
 def test_two_child_weights_keep_their_bits_under_power_of_two_scaling():
     rng = np.random.default_rng(73)
     rows, children, prices = binomial_pairs(rng, 500)
-    weights, inside = cone._project_stack(rows, children, prices)
+    weights, inside, _ = cone._project_stack(rows, children, prices)
     assert inside.all()
     for e in range(-30, 31):
-        w, ok = cone._project_stack(rows * 2.0 ** e, children, prices * 2.0 ** e)
+        w, ok, _ = cone._project_stack(rows * 2.0 ** e, children, prices * 2.0 ** e)
         assert ok.all()
         assert w.tobytes() == weights.tobytes()
 
@@ -1339,7 +1375,7 @@ def test_two_child_zero_pivots_and_overflow_get_the_node_verdicts():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         w, resid = cone._solve_direct(rows, children, prices)
-        weights, inside = cone._project_stack(rows, children, prices)
+        weights, inside, _ = cone._project_stack(rows, children, prices)
     # no direct solve got through: every direct residual is inf
     assert not np.isfinite(w).all(axis=1).any() and np.isinf(resid).all()
     assert inside.any() and not inside.all()
@@ -1418,7 +1454,7 @@ def test_a_direct_node_is_decided_on_its_reported_residual():
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 w, resid = cone._solve_direct(rows, children, x)
-                weights, inside = cone._project_stack(rows, children, x)
+                weights, inside, _ = cone._project_stack(rows, children, x)
             usable = np.isfinite(resid)
             assert usable.sum() >= 100
             reported = cone._reprice(w[usable], X[usable], x[usable])[2]
@@ -1454,7 +1490,7 @@ def test_every_node_the_frobenius_allowance_took_directly_is_still_taken_with_it
             w_f, ok_f = allowance_direct(rows, children, x, threshold, np.hypot)
             assert not (ok_f & ~ok).any()
             assert w.tobytes() == w_f.tobytes()
-            weights, inside = cone._project_stack(rows, children, x)
+            weights, inside, _ = cone._project_stack(rows, children, x)
             assert weights[ok].tobytes() == w[ok].tobytes() and inside[ok].all()
             new = np.flatnonzero(ok & ~ok_f)
             X = rows[children[new]]
@@ -1518,9 +1554,9 @@ def test_two_instrument_nodes_get_the_verdicts_and_weights_of_nnls():
             threshold = cone._threshold(x, DEFAULT_TOL)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                weights, inside = cone._project_stack(rows, children, x)
+                weights, inside, _ = cone._project_stack(rows, children, x)
                 direct = cone._solve_direct(rows, children, x)[1] <= threshold
-            W, rnorm = cone._nnls_stack(rows[children].transpose(0, 2, 1), x)
+            W, rnorm, _, _ = cone._nnls_stack(rows[children].transpose(0, 2, 1), x)
             np.testing.assert_array_equal(inside, rnorm <= threshold)
             assert weights[~direct].tobytes() == W[~direct].tobytes()
             for i in np.flatnonzero(direct):
@@ -1557,9 +1593,9 @@ def test_planted_trinomial_node_takes_its_certificate_from_nnls(monkeypatch):
     monkeypatch.setattr(cone, "_nnls_stack", counted)
     projection = project_to_cone(market)
     assert solved == [1]
-    W = stack(payoffs.T[None], prices)[0][0]
+    W, _, Qt, nk = (v[0] for v in stack(payoffs.T[None], prices))
     assert projection.weights.tobytes() == W.tobytes()
-    want = cone._projection(payoffs, market.prices, W, False).certificate
+    want = cone._projection(payoffs, market.prices, W, Qt[:nk]).certificate
     certificate = projection.certificate
     assert certificate.gamma.tobytes() == want.gamma.tobytes()
     assert (certificate.setup_gain, certificate.min_payoff) == (want.setup_gain, want.min_payoff)
@@ -1596,7 +1632,7 @@ def test_many_child_nodes_are_within_8_ulp_of_cramer_on_their_pair():
     for k in (3, 4, 5, 6):
         for _ in range(3):
             rows, children, prices = trinomial_nodes(rng, 200, k)
-            weights, inside = cone._project_stack(rows, children, prices)
+            weights, inside, _ = cone._project_stack(rows, children, prices)
             w, resid = cone._solve_direct(rows, children, prices)
             # every node is solved directly on two children
             assert inside.all() and (resid <= cone._threshold(prices, DEFAULT_TOL)).all()

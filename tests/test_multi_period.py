@@ -51,6 +51,7 @@ from deflator import (
     replication_cost,
     restrict,
     product,
+    verify_position,
     zcb_price,
 )
 from deflator import cli, cone, multi_period
@@ -800,6 +801,39 @@ def test_tree_search_solves_each_node_once(monkeypatch):
     assert sum(solved) == 2 ** 6 - 1
 
 
+def test_a_certificate_extends_the_factor_of_its_solve(monkeypatch):
+    # the certificate appends its unit gap to the factor the solver
+    # stopped with, by one _qr_append_stack after the solve: no second
+    # factor of the passive rows is built, for a market of 64 payoff
+    # entries or more (the solver's BLAS products) or a planted tree node
+    def refuse(*args, **kwargs):
+        raise AssertionError("second factor built")
+
+    appends, solved = [], []
+    append, stack = cone._qr_append_stack, cone._nnls_stack
+
+    def solve(*args):
+        out = stack(*args)
+        solved.append(len(appends))
+        return out
+
+    monkeypatch.setattr(cone, "_factor", refuse)
+    monkeypatch.setattr(cone, "_qr_append_stack", lambda *a: appends.append(a) or append(*a))
+    monkeypatch.setattr(cone, "_nnls_stack", solve)
+    rng = np.random.default_rng(47)
+    payoffs = rng.lognormal(size=(40, 5))
+    prices = payoffs.T @ rng.uniform(0.1, 1.0, size=40) * [-1.0, 1.0, 1.0, 1.0, 1.0]
+    market = OnePeriodMarket(prices=prices, payoffs=payoffs)
+    certificate = find_arbitrage(market)
+    assert verify_position(market, certificate.gamma).is_arbitrage
+    assert len(solved) == 1 and len(appends) == solved[0] + 1
+    appends.clear()
+    solved.clear()
+    node = find_tree_deflator(planted_binomial(6, [(4, 9)]))
+    assert isinstance(node, NodeArbitrage) and (node.time, node.block) == (4, 9)
+    assert len(solved) == 1 and len(appends) == solved[0] + 1
+
+
 def test_tree_search_needs_a_refining_filtration():
     # a panel lives on a Filtration, which refuses a chain that stops refining
     middle = Algebra.from_blocks([[0, 1], [2, 3]])
@@ -836,10 +870,10 @@ def stuck_at(monkeypatch, prices):
     stack = cone._nnls_stack
 
     def stack_stuck(A, b, maxiter=None):
-        w, rnorm = stack(A, b, maxiter)
+        w, rnorm, Qt, nk = stack(A, b, maxiter)
         hit = (b == prices).all(axis=1)
         w[hit], rnorm[hit] = np.nan, np.nan
-        return w, rnorm
+        return w, rnorm, Qt, nk
 
     monkeypatch.setattr(cone, "_nnls_stack", stack_stuck)
 
@@ -923,11 +957,11 @@ def level_by_level_search(panel, tol=DEFAULT_TOL):
         child_parent = filtration[i + 1].coarse_block_map(filtration[i])
         settle = panel.settle(i + 1).values
         prices = panel.prices[i].values
-        node_w, b = multi_period._solve_level(child_parent, settle, prices, tol)
+        node_w, b, basis = multi_period._solve_level(child_parent, settle, prices, tol)
         if b is not None:
             children = np.flatnonzero(child_parent == b)
             certificate = cone._projection(settle[children], prices[b], node_w[children],
-                                           False).certificate
+                                           basis).certificate
             strategy = Strategy.zero(panel)
             strategy.trades[i].values[b] = certificate.gamma
             strategy.trades[i + 1].values[children] = -certificate.gamma
